@@ -61,14 +61,23 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _int_env(name: str, default: int) -> int:
-    val = os.environ.get(name)
-    if val is None:
-        return default
-    try:
-        return int(val)
-    except ValueError:
-        raise SystemExit(2)
+class UsageError(Exception):
+    """A bad option value or environment setting (exit 2)."""
+
+
+# option -> (environment variable, default), read only when the option is not given
+_INT_ENV = {"pmax": ("VBG_PMAX", 3), "seed": ("VBG_SEED", 0), "jobs": ("VBG_JOBS", 1)}
+
+
+def _fill_env_defaults(args) -> None:
+    for opt, (name, default) in _INT_ENV.items():
+        if getattr(args, opt) is not None:
+            continue
+        val = os.environ.get(name)
+        try:
+            setattr(args, opt, default if val is None else int(val))
+        except ValueError:
+            raise UsageError(f"{name}={val!r} is not an integer") from None
 
 
 def _write_out(out_dir: str, filename: str, objects: dict) -> str:
@@ -253,6 +262,8 @@ def cmd_cohomology(args) -> int:
     obj = inst.get(args.name)
     kind = inst.kinds[args.name]
     p_max = args.pmax
+    if p_max < 1:
+        raise UsageError(f"--pmax must be at least 1, got {p_max}")
     if kind == "ruth":
         rc = ruth_complex(obj, p_max)
         betti = betti_numbers(rc.complex)
@@ -463,15 +474,14 @@ def cmd_gen(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--pmax", type=int, default=_int_env("VBG_PMAX", 3), help="max cochain degree (default 3)"
+        "--pmax", type=int, help="max cochain degree, at least 1 (default: $VBG_PMAX or 3)"
     )
-    common.add_argument("--seed", type=int, default=_int_env("VBG_SEED", 0))
+    common.add_argument("--seed", type=int, help="default: $VBG_SEED or 0")
     common.add_argument("--out", default=os.environ.get("VBG_OUT"))
     common.add_argument(
         "--jobs",
         type=int,
-        default=_int_env("VBG_JOBS", 1),
-        help="accepted for interface parity; execution is sequential",
+        help="accepted for interface parity; execution is sequential (default: $VBG_JOBS or 1)",
     )
     common.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
     p = argparse.ArgumentParser(prog="vbg", description=__doc__, parents=[common])
@@ -531,7 +541,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _fill_env_defaults(args)
         code = args.func(args)
+    except UsageError as e:
+        _emit({"event": "error", "kind": "usage", "message": str(e)})
+        code = 2
     except vio.ParseError as e:
         _emit({"event": "error", "kind": "parse", "message": str(e)})
         code = 2

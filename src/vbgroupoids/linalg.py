@@ -4,11 +4,19 @@ Dense matrices over Q (``fractions.Fraction`` entries), subspaces with
 canonical bases, and finite cochain complexes with exact cohomology.  Every
 higher-level check in the package reduces to operations here.
 
+All elimination (``rank``, ``kernel``, ``solve``, ``solve_matrix``,
+``inverse``) goes through ``Matrix.rref`` and its one routine,
+:func:`_eliminate`, which works on sparse integer rows: each row is a
+``{column: int}`` dict scaled by the lcm of its denominators and kept
+gcd-normalised, and entries turn back into ``Fraction`` only when the result
+matrix is built.  ``solve_matrix`` reduces ``[A | B]`` once for all columns of
+B; on a consistent system every pivot lies in A's columns.
+
 Two conventions make all downstream output bit-reproducible:
 
 * reduced row-echelon form uses the "first nonzero row" pivot rule, and all
   derived bases (kernels, solutions, complements) follow the rref free/pivot
-  column convention;
+  column convention; solutions set every free variable to 0;
 * :class:`Subspace` always stores the unique reduced column-echelon basis,
   so equal subspaces compare equal field-by-field.
 
@@ -43,8 +51,53 @@ def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
+def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of ``row`` as ``{column: int}``, scaled by the lcm of their denominators."""
+    nz = {j: x for j, x in enumerate(row) if x}
+    d = lcm(*(x.denominator for x in nz.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in nz.items()}
+
+
+def _eliminate(rows: list[dict[int, int]], n: int) -> list[int]:
+    """Gauss-Jordan elimination of sparse integer rows with ``n`` columns, in place.
+
+    Columns are taken in order; the pivot for column ``c`` is the first row at or after
+    the current rank with a nonzero entry there.  Every other row with an entry in ``c``
+    becomes ``row * a - pivot_row * b`` and is divided by the gcd of its entries, so rows
+    stay primitive integer vectors.  Returns the pivot columns; row ``r`` is then the
+    pivot row of the ``r``-th of them, and rows past the rank are empty.
+    """
+    m = len(rows)
+    piv: list[int] = []
+    for c in range(n):
+        r = len(piv)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if c in rows[i]), -1)
+        if p < 0:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        pval = prow[c]
+        for i in range(m):
+            v = rows[i].get(c)
+            if v is None or i == r:
+                continue
+            g = gcd(pval, v)
+            a, b = pval // g, v // g
+            row = {j: x * a for j, x in rows[i].items()}
+            for j, y in prow.items():
+                z = row.get(j, 0) - y * b
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+            rows[i] = row
+        piv.append(c)
+    return piv
 
 
 class Matrix:
@@ -219,70 +272,29 @@ class Matrix:
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         return Matrix(len(idx), self.cols, tuple(self.data[i] for i in idx))
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
-
     # -- elimination --------------------------------------------------------
-
-    def _int_rows(self) -> list[list[int]]:
-        out = []
-        for r in self.data:
-            d = 1
-            for x in r:
-                d = lcm(d, x.denominator)
-            out.append([int(x * d) for x in r])
-        return out
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and pivot columns (exact, deterministic).
 
-        Elimination runs on integer-scaled rows with gcd normalization, which
-        is much faster than Fraction arithmetic; the unique RREF is recovered
-        at the end by normalizing pivot rows.
+        The only elimination entry point: ``rank``, ``kernel``, ``solve``,
+        ``solve_matrix`` and ``inverse`` all reduce through it.  Rows become sparse
+        integer rows, :func:`_eliminate` reduces them once, and entries turn back
+        into ``Fraction`` only here, when each pivot row is divided by its leading
+        entry, which yields the unique RREF.
         """
         m, n = self.rows, self.cols
-        work = self._int_rows()
-        piv_cols: list[int] = []
-        r = 0
-        for c in range(n):
-            p = -1
-            for i in range(r, m):
-                if work[i][c]:
-                    p = i
-                    break
-            if p < 0:
-                continue
-            work[r], work[p] = work[p], work[r]
-            prow = work[r]
-            pval = prow[c]
-            for i in range(m):
-                if i == r:
-                    continue
-                v = work[i][c]
-                if not v:
-                    continue
-                row = work[i]
-                for j in range(n):
-                    row[j] = row[j] * pval - prow[j] * v
-                g = 0
-                for x in row:
-                    if x:
-                        g = gcd(g, abs(x))
-                if g > 1:
-                    for j in range(n):
-                        row[j] //= g
-            piv_cols.append(c)
-            r += 1
-            if r == m:
-                break
+        rows = [_int_row(r) for r in self.data]
+        piv = _eliminate(rows, n)
         data = []
-        for i in range(m):
-            if i < len(piv_cols):
-                lead = work[i][piv_cols[i]]
-                data.append(tuple(Fraction(x, lead) for x in work[i]))
-            else:
-                data.append((ZERO,) * n)
-        return Matrix(m, n, tuple(data)), tuple(piv_cols)
+        for r, c in enumerate(piv):
+            lead = rows[r][c]
+            out = [ZERO] * n
+            for j, x in rows[r].items():
+                out[j] = Fraction(x, lead)
+            data.append(tuple(out))
+        data.extend([(ZERO,) * n] * (m - len(piv)))
+        return Matrix(m, n, tuple(data)), tuple(piv)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -290,40 +302,44 @@ class Matrix:
     def kernel(self) -> "Matrix":
         """Null-space basis as columns (rref free-variable convention)."""
         R, piv = self.rref()
+        n = self.cols
         pivset = set(piv)
-        free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
+        free = [c for c in range(n) if c not in pivset]
+        out = [[ZERO] * len(free) for _ in range(n)]
+        for k, f in enumerate(free):
+            out[f][k] = ONE
             for r, c in enumerate(piv):
-                v[c] = -R.data[r][f]
-            cols.append(v)
-        return Matrix.from_cols(cols, rows=self.cols)
+                x = R.data[r][f]
+                if x:
+                    out[c][k] = -x
+        return Matrix(n, len(free), tuple(map(tuple, out)))
 
     def solve(self, b: Sequence) -> Optional[Vec]:
         """One solution of ``self @ x = b`` (free variables 0), or None."""
         b = vec(b)
         if len(b) != self.rows:
             raise ValueError("solve: length mismatch")
-        aug = Matrix.hstack([self, Matrix.from_cols([b], rows=self.rows)])
-        R, piv = aug.rref()
-        if piv and piv[-1] == self.cols:
-            return None
-        x = [ZERO] * self.cols
-        for r, c in enumerate(piv):
-            x[c] = R.data[r][self.cols]
-        return tuple(x)
+        x = self.solve_matrix(Matrix(self.rows, 1, tuple((y,) for y in b)))
+        return None if x is None else x.col(0)
 
     def solve_matrix(self, B: "Matrix") -> Optional["Matrix"]:
-        """Solve ``self @ X = B`` column by column; None if any is inconsistent."""
-        cols = []
-        for j in range(B.cols):
-            x = self.solve(B.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_cols(cols, rows=self.cols)
+        """Solve ``self @ X = B`` with free variables 0; None if any column is inconsistent.
+
+        One ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in the
+        columns of ``self`` are those of ``self``'s own RREF, and a column of B is
+        consistent exactly when it is zero in every row past that rank.  So all
+        pivots lie in ``self``'s columns when every column is consistent, and a
+        pivot in a column of B means some column is not.  Pivot variables are read
+        off the reduced B entries.
+        """
+        n = self.cols
+        R, piv = Matrix.hstack([self, B]).rref()
+        if piv and piv[-1] >= n:
+            return None
+        out = [(ZERO,) * B.cols] * n
+        for r, c in enumerate(piv):
+            out[c] = R.data[r][n:]
+        return Matrix(n, B.cols, tuple(out))
 
     @property
     def is_invertible(self) -> bool:
@@ -360,35 +376,12 @@ class Subspace:
         return Subspace(m.rows, Matrix.from_cols(cols, rows=m.rows))
 
     @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace(n, Matrix.identity(n))
-
-    @staticmethod
     def zero(n: int) -> "Subspace":
         return Subspace(n, Matrix.zeros(n, 0))
 
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def contains(self, v: Sequence) -> bool:
-        return self.basis.solve(v) is not None
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.col(j)) for j in range(other.basis.cols))
-
-    def coords(self, v: Sequence) -> Vec:
-        x = self.basis.solve(v)
-        if x is None:
-            raise ValueError("vector not in subspace")
-        return x
-
-    def coords_matrix(self, m: Matrix) -> Matrix:
-        """Express the columns of ``m`` in this subspace's basis."""
-        x = self.basis.solve_matrix(m)
-        if x is None:
-            raise ValueError("columns not contained in subspace")
-        return x
 
 
 def kernel_space(m: Matrix) -> Subspace:
@@ -431,11 +424,6 @@ def complement_space(s: Subspace) -> Subspace:
     return Subspace(s.ambient, Matrix.from_cols(cols, rows=s.ambient))
 
 
-def quotient_reps(s: Subspace) -> Subspace:
-    """Coset representatives completing ``s`` to its ambient space."""
-    return complement_space(s)
-
-
 def preimage_space(f: Matrix, s: Subspace) -> Subspace:
     """{v : f(v) in s} as a subspace of the domain."""
     if f.rows != s.ambient:
@@ -444,28 +432,6 @@ def preimage_space(f: Matrix, s: Subspace) -> Subspace:
         return kernel_space(f)
     ker = Matrix.hstack([f, -s.basis]).kernel()
     return Subspace.from_spanning(ker.take_rows(range(f.cols)))
-
-
-def subspace_calc(mode: str, *args):
-    """Mode-dispatched subspace calculus (kernel|image|intersection|sum|complement|quotient_reps)."""
-    if mode == "kernel":
-        return kernel_space(*args)
-    if mode == "image":
-        return image_space(*args)
-    if mode == "intersection":
-        return intersection_spaces(*args)
-    if mode == "sum":
-        return sum_spaces(list(args))
-    if mode == "complement":
-        return complement_space(*args)
-    if mode == "quotient_reps":
-        return quotient_reps(*args)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def solve_linear(a: Matrix, b: Sequence) -> Optional[Vec]:
-    """Deterministic solution of a x = b, or None when inconsistent."""
-    return a.solve(b)
 
 
 # -- cochain complexes -------------------------------------------------------

@@ -139,3 +139,28 @@ def test_pmax_env_override(sign_file, capsys, monkeypatch):
     assert code == 0
     degrees = [d["p"] for d in events[0]["degrees"]]
     assert max(degrees) == 1
+
+
+@pytest.mark.parametrize("pmax", ["0", "-1"])
+def test_pmax_below_one_is_usage_error(sign_file, tmp_path, capsys, pmax):
+    code, _ = run_cli(["groth", str(sign_file), "sign", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    for args in (
+        ["cohomology", str(sign_file), "sign"],
+        ["cohomology", str(tmp_path / "groth-sign.json"), "sign.groth"],
+    ):
+        code, events = run_cli(args + ["--pmax", pmax], capsys)
+        assert code == 2
+        assert [e["event"] for e in events] == ["error", "summary"]
+        assert events[0]["kind"] == "usage"
+        assert events[1] == {"command": "cohomology", "event": "summary", "exit": 2, "ok": False}
+
+
+@pytest.mark.parametrize("var", ["VBG_PMAX", "VBG_SEED", "VBG_JOBS"])
+def test_non_integer_env_is_usage_error(sign_file, capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    code, events = run_cli(["check", str(sign_file)], capsys)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "usage" and var in events[0]["message"]
+    assert events[1]["exit"] == 2

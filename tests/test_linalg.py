@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples, properties, and the quasi-iso oracle."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,6 @@ from vbgroupoids.linalg import (
     image_space,
     intersection_spaces,
     kernel_space,
-    quotient_reps,
-    solve_linear,
-    subspace_calc,
     sum_spaces,
 )
 
@@ -60,27 +58,165 @@ def test_rref_rejects_floats():
 
 
 def test_solve_identity():
-    assert solve_linear(Matrix.identity(2), [3, 5]) == (F(3), F(5))
+    assert Matrix.identity(2).solve([3, 5]) == (F(3), F(5))
 
 
 def test_solve_pivot_convention():
-    assert solve_linear(M([[1, 1]]), [2]) == (F(2), F(0))
+    assert M([[1, 1]]).solve([2]) == (F(2), F(0))
 
 
 def test_solve_inconsistent():
-    assert solve_linear(M([[1], [1]]), [1, 2]) is None
+    assert M([[1], [1]]).solve([1, 2]) is None
+
+
+# -- parity with the dense, per-column kernel ------------------------------------------
+#
+# The oracle is the dense elimination the sparse kernel replaced: integer-scaled list
+# rows, every cell visited, and ``solve_matrix`` as one ``rref`` of ``[A | b]`` per column.
+
+
+def _dense_rref(a):
+    m, n = a.rows, a.cols
+    work = []
+    for r in a.data:
+        d = 1
+        for x in r:
+            d = lcm(d, x.denominator)
+        work.append([int(x * d) for x in r])
+    piv = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if work[i][c]), -1)
+        if p < 0:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        pval = prow[c]
+        for i in range(m):
+            v = work[i][c]
+            if i == r or not v:
+                continue
+            row = work[i]
+            for j in range(n):
+                row[j] = row[j] * pval - prow[j] * v
+            g = 0
+            for x in row:
+                g = gcd(g, abs(x))
+            if g > 1:
+                work[i] = [x // g for x in row]
+        piv.append(c)
+        r += 1
+        if r == m:
+            break
+    data = [tuple(F(x, work[i][piv[i]]) for x in work[i]) for i in range(len(piv))]
+    data += [(F(0),) * n] * (m - len(piv))
+    return Matrix(m, n, tuple(data)), tuple(piv)
+
+
+def _dense_kernel(a):
+    R, piv = _dense_rref(a)
+    cols = []
+    for f in (c for c in range(a.cols) if c not in piv):
+        v = [F(0)] * a.cols
+        v[f] = F(1)
+        for r, c in enumerate(piv):
+            v[c] = -R.data[r][f]
+        cols.append(v)
+    return Matrix.from_cols(cols, rows=a.cols)
+
+
+def _dense_solve(a, b):
+    R, piv = _dense_rref(Matrix.hstack([a, Matrix.from_cols([b], rows=a.rows)]))
+    if piv and piv[-1] == a.cols:
+        return None
+    x = [F(0)] * a.cols
+    for r, c in enumerate(piv):
+        x[c] = R.data[r][a.cols]
+    return tuple(x)
+
+
+def _dense_solve_matrix(a, b):
+    cols = []
+    for j in range(b.cols):
+        x = _dense_solve(a, b.col(j))
+        if x is None:
+            return None
+        cols.append(x)
+    return Matrix.from_cols(cols, rows=a.cols)
+
+
+def _dense_inverse(a):
+    n = a.rows
+    R, piv = _dense_rref(Matrix.hstack([a, Matrix.identity(n)]))
+    if piv[:n] != tuple(range(n)):
+        return None
+    return R.take_cols(range(n, 2 * n))
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    """Random rectangular matrices with a drawn zero share and denominator range."""
+    m = draw(st.integers(0, 8)) if rows is None else rows
+    n = draw(st.integers(0, 8)) if cols is None else cols
+    zeros = draw(st.integers(0, 4))  # P(entry == 0) >= zeros / (zeros + 1)
+    den = draw(st.sampled_from([1, 2, 6]))
+    entry = st.one_of(
+        *[st.just(F(0))] * zeros, st.builds(F, st.integers(-4, 4), st.integers(1, den))
+    )
+    return Matrix.from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)], cols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_kernel_matches_dense(data):
+    a = data.draw(_matrices())
+    R, piv = _dense_rref(a)
+    assert a.rref() == (R, piv)
+    assert a.rank() == len(piv)
+    assert a.kernel() == _dense_kernel(a)
+    if a.rows == a.cols:
+        inv = _dense_inverse(a)
+        if inv is None:
+            with pytest.raises(ValueError, match="singular"):
+                a.inverse()
+        else:
+            assert a.inverse() == inv
+    # right-hand sides: random (often inconsistent), in the image, or both side by side
+    k = data.draw(st.integers(0, 4))
+    b = data.draw(_matrices(rows=a.rows, cols=k))
+    if data.draw(st.booleans()):
+        image = a * data.draw(_matrices(rows=a.cols, cols=k))
+        b = Matrix.hstack([image, b]) if data.draw(st.booleans()) else image
+    x = _dense_solve_matrix(a, b)
+    assert a.solve_matrix(b) == x
+    if x is not None:
+        assert a * x == b
+    for j in range(b.cols):
+        assert a.solve(b.col(j)) == _dense_solve(a, b.col(j))
+
+
+@pytest.mark.parametrize("m,n,k", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 2, 0)])
+def test_solve_matrix_empty_shapes(m, n, k):
+    a = Matrix.from_rows([[i + j for j in range(n)] for i in range(m)], cols=n)
+    b = Matrix.from_rows([[1] * k for _ in range(m)], cols=k)
+    x = a.solve_matrix(b)
+    assert x == _dense_solve_matrix(a, b)
+    if m and k and not n:
+        assert x is None
+    else:
+        assert (x.rows, x.cols) == (n, k)
 
 
 # -- subspace calculus ------------------------------------------------------------
 
 
 def test_kernel_of_zero_map():
-    s = subspace_calc("kernel", Matrix.zeros(2, 2))
+    s = kernel_space(Matrix.zeros(2, 2))
     assert s.dim == 2
 
 
 def test_image_of_injection():
-    s = subspace_calc("image", M([[1], [0]]))
+    s = image_space(M([[1], [0]]))
     assert s == Subspace.from_spanning(M([[1], [0]]))
     assert s.dim == 1
 
@@ -88,7 +224,7 @@ def test_image_of_injection():
 def test_intersection_trivial():
     a = Subspace.from_spanning(M([[1], [0]]))
     b = Subspace.from_spanning(M([[1], [1]]))
-    assert subspace_calc("intersection", a, b).dim == 0
+    assert intersection_spaces(a, b).dim == 0
 
 
 def test_sum_and_complement():
@@ -96,7 +232,7 @@ def test_sum_and_complement():
     c = complement_space(a)
     assert Matrix.hstack([a.basis, c.basis]).rank() == 2
     assert sum_spaces([a, c]).dim == 2
-    assert quotient_reps(a).dim == 1
+    assert complement_space(a).dim == 1
 
 
 @settings(max_examples=40, deadline=None)
