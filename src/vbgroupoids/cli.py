@@ -3,8 +3,11 @@
 Reports stream as JSON lines on stdout so long verification suites can be
 monitored; the final line is a summary with the exit status.  Exit codes:
 0 = all checks passed, 1 = a mathematical check failed, 2 = input or usage
-error.  Identical inputs and seeds produce byte-identical output; wall-clock
-timing is printed to stderr only when --timings is given.
+error.  Usage errors (a malformed option value, an unknown command, a missing
+required option) are JSON events too: an ``{"event": "error", "kind": "usage"}``
+line, then the summary, then exit code 2.  Identical inputs and seeds produce
+byte-identical output; wall-clock timing is printed to stderr only when
+--timings is given.
 """
 
 from __future__ import annotations
@@ -14,18 +17,15 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import io as vio
 from .cohomology import hvb_equals_hlin, induced_map_vb, ruth_complex, ruth_vs_dual_vb
 from .descent import (
     DescentProblem,
-    PartitionOfUnity,
     descend_map,
     descend_pipeline,
     make_descent_problem,
-    uniform_partition,
 )
 from .generators import (
     acyclic_ruth,
@@ -35,16 +35,13 @@ from .generators import (
     named_reps,
     rank_drop_fixture,
     random_gauge,
-    ruth_suite,
     seed_ruths,
 )
-from .groupoid import FiniteGroupoid, GroupoidMap, is_morita, validate_groupoid, validate_map
-from .linalg import betti_numbers, complex_cohomology
+from .groupoid import FiniteGroupoid, is_morita, validate_groupoid, validate_map
+from .linalg import betti_numbers
 from .report import InvalidStructureError
-from .ruth import TwoTermRuth, check_ruth, dual_ruth
+from .ruth import check_ruth, direct_sum, dual_ruth
 from .vb import (
-    VBGroupoid,
-    VBMap,
     check_vbgroupoid,
     check_vbmap,
     choose_cleavage,
@@ -62,11 +59,18 @@ def _emit(obj: dict) -> None:
 
 
 class UsageError(Exception):
-    """A bad option value or environment setting (exit 2)."""
+    """A bad command line or environment setting (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a UsageError."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 # option -> (environment variable, default), read only when the option is not given
-_INT_ENV = {"pmax": ("VBG_PMAX", 3), "seed": ("VBG_SEED", 0), "jobs": ("VBG_JOBS", 1)}
+_INT_ENV = {"pmax": ("VBG_PMAX", 3), "seed": ("VBG_SEED", 0)}
 
 
 def _fill_env_defaults(args) -> None:
@@ -78,14 +82,6 @@ def _fill_env_defaults(args) -> None:
             setattr(args, opt, default if val is None else int(val))
         except ValueError:
             raise UsageError(f"{name}={val!r} is not an integer") from None
-
-
-def _write_out(out_dir: str, filename: str, objects: dict) -> str:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / filename
-    target.write_text(vio.dumps_instance(objects), encoding="utf-8")
-    return str(target)
 
 
 def _load(path: str) -> vio.Instance:
@@ -101,6 +97,19 @@ def _groupoid_name(inst: vio.Instance, obj) -> str:
         if val is obj:
             return name
     return "base"
+
+
+def _write_out(args, inst: vio.Instance, base: FiniteGroupoid, stem: str, objects) -> None:
+    """With ``--out``, write the base groupoid and ``objects(base_name)`` to ``<command>-<stem>.json``."""
+    if not args.out:
+        return
+    base_name = _groupoid_name(inst, base)
+    path = Path(args.out)
+    path.mkdir(parents=True, exist_ok=True)
+    target = path / f"{args.command}-{stem}.json"
+    text = vio.dumps_instance({base_name: vio.groupoid_to_json(base), **objects(base_name)})
+    target.write_text(text, encoding="utf-8")
+    _emit({"event": "written", "path": str(target)})
 
 
 def cmd_check(args) -> int:
@@ -141,18 +150,9 @@ def cmd_groth(args) -> int:
     inst = _load(args.file)
     r = inst.get(args.name, "ruth")
     v = grothendieck(r)
-    base_name = _groupoid_name(inst, r.base)
     _emit({"event": "groth", "name": args.name, "gamma_dims": list(v.gamma_dims)})
-    if args.out:
-        path = _write_out(
-            args.out,
-            f"groth-{args.name}.json",
-            {
-                base_name: vio.groupoid_to_json(r.base),
-                f"{args.name}.groth": vio.vbgroupoid_to_json(v, base_name),
-            },
-        )
-        _emit({"event": "written", "path": path})
+    name = f"{args.name}.groth"
+    _write_out(args, inst, r.base, args.name, lambda b: {name: vio.vbgroupoid_to_json(v, b)})
     return 0
 
 
@@ -160,7 +160,6 @@ def cmd_split(args) -> int:
     inst = _load(args.file)
     v = inst.get(args.name, "vbgroupoid")
     r, iso = split(v, choose_cleavage(v))
-    base_name = _groupoid_name(inst, v.base)
     _emit(
         {
             "event": "split",
@@ -170,16 +169,8 @@ def cmd_split(args) -> int:
             "iso_ok": check_vbmap(iso).ok,
         }
     )
-    if args.out:
-        path = _write_out(
-            args.out,
-            f"split-{args.name}.json",
-            {
-                base_name: vio.groupoid_to_json(v.base),
-                f"{args.name}.split": vio.ruth_to_json(r, base_name),
-            },
-        )
-        _emit({"event": "written", "path": path})
+    name = f"{args.name}.split"
+    _write_out(args, inst, v.base, args.name, lambda b: {name: vio.ruth_to_json(r, b)})
     return 0
 
 
@@ -226,35 +217,17 @@ def cmd_dual(args) -> int:
     kind = inst.kinds[args.name]
     if kind == "ruth":
         d = dual_ruth(obj)
-        base_name = _groupoid_name(inst, obj.base)
         _emit({"event": "dual", "name": args.name, "e_dims": list(d.e_dims), "c_dims": list(d.c_dims)})
-        if args.out:
-            path = _write_out(
-                args.out,
-                f"dual-{args.name}.json",
-                {
-                    base_name: vio.groupoid_to_json(obj.base),
-                    f"{args.name}.dual": vio.ruth_to_json(d, base_name),
-                },
-            )
-            _emit({"event": "written", "path": path})
-        return 0
-    if kind == "vbgroupoid":
+        to_json = vio.ruth_to_json
+    elif kind == "vbgroupoid":
         d = dual_vb(obj)
-        base_name = _groupoid_name(inst, obj.base)
         _emit({"event": "dual", "name": args.name, "gamma_dims": list(d.gamma_dims)})
-        if args.out:
-            path = _write_out(
-                args.out,
-                f"dual-{args.name}.json",
-                {
-                    base_name: vio.groupoid_to_json(obj.base),
-                    f"{args.name}.dual": vio.vbgroupoid_to_json(d, base_name),
-                },
-            )
-            _emit({"event": "written", "path": path})
-        return 0
-    raise vio.ParseError(f"dual: object {args.name!r} is neither a ruth nor a VB-groupoid")
+        to_json = vio.vbgroupoid_to_json
+    else:
+        raise vio.ParseError(f"dual: object {args.name!r} is neither a ruth nor a VB-groupoid")
+    name = f"{args.name}.dual"
+    _write_out(args, inst, obj.base, args.name, lambda b: {name: to_json(d, b)})
+    return 0
 
 
 def cmd_cohomology(args) -> int:
@@ -352,19 +325,17 @@ def cmd_descend(args) -> int:
                 "descended_ok": check_vbmap(result.phi).ok,
             }
         )
-        if args.out:
-            base_name = _groupoid_name(inst, base)
-            path = _write_out(
-                args.out,
-                f"descend-{args.map}.json",
-                {
-                    base_name: vio.groupoid_to_json(base),
-                    args.gamma: vio.vbgroupoid_to_json(gamma, base_name),
-                    args.gamma_prime: vio.vbgroupoid_to_json(gamma_prime, base_name),
-                    f"{args.map}.descended": vio.vbmap_to_json(result.phi, args.gamma, args.gamma_prime),
-                },
-            )
-            _emit({"event": "written", "path": path})
+        _write_out(
+            args,
+            inst,
+            base,
+            args.map,
+            lambda b: {
+                args.gamma: vio.vbgroupoid_to_json(gamma, b),
+                args.gamma_prime: vio.vbgroupoid_to_json(gamma_prime, b),
+                f"{args.map}.descended": vio.vbmap_to_json(result.phi, args.gamma, args.gamma_prime),
+            },
+        )
         return 0
     if args.object:
         v = inst.get(args.object, "vbgroupoid")
@@ -378,19 +349,19 @@ def cmd_descend(args) -> int:
                 "comparison_invertible": result.comparison.is_invertible,
             }
         )
-        if args.out:
-            base_name = _groupoid_name(inst, base)
-            path = _write_out(
-                args.out,
-                f"descend-{args.object}.json",
-                {
-                    base_name: vio.groupoid_to_json(base),
-                    f"{args.object}.descended": vio.vbgroupoid_to_json(result.descended, base_name),
-                },
-            )
-            _emit({"event": "written", "path": path})
+        name, descended = f"{args.object}.descended", result.descended
+        _write_out(args, inst, base, args.object, lambda b: {name: vio.vbgroupoid_to_json(descended, b)})
         return 0
     raise vio.ParseError("descend: need --map (with --gamma/--gamma-prime) or --object")
+
+
+def _cech_objects(problem: DescentProblem) -> dict[str, dict]:
+    """The base groupoid, the cover and the Cech groupoid of a descent problem."""
+    return {
+        "base": vio.groupoid_to_json(problem.base),
+        "cover": {"type": "cover", "base": "base", "sets": [list(s) for s in problem.cech.cover]},
+        "gu": vio.groupoid_to_json(problem.gu),
+    }
 
 
 def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
@@ -411,8 +382,6 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
         elif kind == "acyclic":
             out["acyclic0"] = vio.ruth_to_json(acyclic_ruth(named_reps(base_name, g)[0]), base_name)
         elif kind == "sum":
-            from .ruth import direct_sum
-
             reps = named_reps(base_name, g)
             out["sum0"] = vio.ruth_to_json(direct_sum(reps[0], acyclic_ruth(reps[0])), base_name)
         else:
@@ -422,12 +391,8 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
         return out
     if kind == "cech-pullback":
         fx = make_map_descent_fixture(seed, base_name if base_name in zoo else "z2", 0)
-        g = fx.problem.base
-        gu = fx.problem.gu
         return {
-            "base": vio.groupoid_to_json(g),
-            "cover": {"type": "cover", "base": "base", "sets": [list(s) for s in fx.problem.cech.cover]},
-            "gu": vio.groupoid_to_json(gu),
+            **_cech_objects(fx.problem),
             "gamma": vio.vbgroupoid_to_json(fx.gamma, "base"),
             "gamma_prime": vio.vbgroupoid_to_json(fx.gamma_prime, "base"),
             "psi": vio.vbmap_to_json(fx.psi, "gamma.pulled", "gamma_prime.pulled"),
@@ -436,20 +401,10 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
         }
     if kind == "perturbed-pullback":
         problem, v = make_object_descent_fixture(seed, base_name if base_name in zoo else "pt", 1)
-        return {
-            "base": vio.groupoid_to_json(problem.base),
-            "cover": {"type": "cover", "base": "base", "sets": [list(s) for s in problem.cech.cover]},
-            "gu": vio.groupoid_to_json(problem.gu),
-            "object": vio.vbgroupoid_to_json(v, "gu"),
-        }
+        return {**_cech_objects(problem), "object": vio.vbgroupoid_to_json(v, "gu")}
     if kind == "rank-drop":
         problem, v = rank_drop_fixture(seed)
-        return {
-            "base": vio.groupoid_to_json(problem.base),
-            "cover": {"type": "cover", "base": "base", "sets": [list(s) for s in problem.cech.cover]},
-            "gu": vio.groupoid_to_json(problem.gu),
-            "object": vio.vbgroupoid_to_json(v, "gu"),
-        }
+        return {**_cech_objects(problem), "object": vio.vbgroupoid_to_json(v, "gu")}
     raise vio.ParseError(f"gen: unknown recipe {recipe!r}")
 
 
@@ -471,76 +426,58 @@ def cmd_gen(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "check": (cmd_check, "validate named objects in an instance file"),
+    "groth": (cmd_groth, "Grothendieck construction of a ruth"),
+    "split": (cmd_split, "split a VB-groupoid along the canonical cleavage"),
+    "morita": (cmd_morita, "Morita / VB-Morita certification"),
+    "dual": (cmd_dual, "dual ruth or dual VB-groupoid"),
+    "cohomology": (cmd_cohomology, "cohomology tables and verdicts"),
+    "descend": (cmd_descend, "Cech descent of maps or objects"),
+    "gen": (cmd_gen, "generate a deterministic instance file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--pmax", type=int, help="max cochain degree, at least 1 (default: $VBG_PMAX or 3)"
     )
     common.add_argument("--seed", type=int, help="default: $VBG_SEED or 0")
     common.add_argument("--out", default=os.environ.get("VBG_OUT"))
-    common.add_argument(
-        "--jobs",
-        type=int,
-        help="accepted for interface parity; execution is sequential (default: $VBG_JOBS or 1)",
-    )
     common.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
-    p = argparse.ArgumentParser(prog="vbg", description=__doc__, parents=[common])
+    p = _Parser(prog="vbg", description=__doc__, parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add(name: str, *positional: str):
+        func, help_text = COMMANDS[name]
+        c = sub.add_parser(name, help=help_text, parents=[common])
+        c.set_defaults(func=func)
+        for arg in positional:
+            c.add_argument(arg)
+        return c
 
-    c = add("check", "validate named objects in an instance file")
-    c.add_argument("file")
-    c.add_argument("--names", help="comma-separated object names (default: all)")
-    c.set_defaults(func=cmd_check)
-
-    c = add("groth", "Grothendieck construction of a ruth")
-    c.add_argument("file")
-    c.add_argument("name")
-    c.set_defaults(func=cmd_groth)
-
-    c = add("split", "split a VB-groupoid along the canonical cleavage")
-    c.add_argument("file")
-    c.add_argument("name")
-    c.set_defaults(func=cmd_split)
-
-    c = add("morita", "Morita / VB-Morita certification")
-    c.add_argument("file")
-    c.add_argument("name")
-    c.set_defaults(func=cmd_morita)
-
-    c = add("dual", "dual ruth or dual VB-groupoid")
-    c.add_argument("file")
-    c.add_argument("name")
-    c.set_defaults(func=cmd_dual)
-
-    c = add("cohomology", "cohomology tables and verdicts")
-    c.add_argument("file")
-    c.add_argument("name")
-    c.set_defaults(func=cmd_cohomology)
-
-    c = add("descend", "Cech descent of maps or objects")
-    c.add_argument("file")
+    add("check", "file").add_argument("--names", help="comma-separated object names (default: all)")
+    for name in ("groth", "split", "morita", "dual", "cohomology"):
+        add(name, "file", "name")
+    c = add("descend", "file")
     c.add_argument("--cover", required=True)
     c.add_argument("--partition")
     c.add_argument("--map")
     c.add_argument("--gamma")
     c.add_argument("--gamma-prime", dest="gamma_prime")
     c.add_argument("--object")
-    c.set_defaults(func=cmd_descend)
-
-    c = add("gen", "generate a deterministic instance file")
-    c.add_argument("--recipe", required=True)
-    c.set_defaults(func=cmd_gen)
+    add("gen").add_argument("--recipe", required=True)
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(argv: list[str]) -> int:
     start = time.monotonic()
+    command = next((a for a in argv if a in COMMANDS), None)
+    timings = False
     try:
+        args = build_parser().parse_args(argv)
+        command, timings = args.command, args.timings
         _fill_env_defaults(args)
         code = args.func(args)
     except UsageError as e:
@@ -555,10 +492,23 @@ def main(argv=None) -> int:
     except ValueError as e:
         _emit({"event": "error", "kind": "value", "message": str(e)})
         code = 1
-    _emit({"event": "summary", "command": args.command, "exit": code, "ok": code == 0})
-    if args.timings:
+    _emit({"event": "summary", "command": command, "exit": code, "ok": code == 0})
+    if timings:
         sys.stderr.write(f"elapsed: {time.monotonic() - start:.3f}s\n")
     return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at devnull, so that flushing what is
+        # still buffered at exit cannot fail again and print a traceback.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groupoid import FiniteGroupoid, NerveStrings, nerve
+from .groupoid import NerveStrings, nerve
 from .linalg import (
     CochainComplex,
     Matrix,
-    Subspace,
     chain_map_is_quasi_iso,
     complex_cohomology,
 )
 from .report import InvalidStructureError, Report
-from .ruth import TwoTermRuth, check_ruth, dual_ruth
+from .ruth import TwoTermRuth, check_ruth
 from .vb import (
     Cleavage,
     VBGroupoid,
@@ -35,7 +34,6 @@ from .vb import (
     choose_cleavage,
     dual_vb,
     grothendieck,
-    is_vb_morita,
 )
 
 ZERO = Fraction(0)
@@ -143,10 +141,6 @@ class RuthComplex:
     ruth: TwoTermRuth
     p_max: int
     complex: CochainComplex  # degrees -1 .. p_max
-    e_dim_at: tuple[int, ...]  # dim of the E-part per degree, offset -1
-
-    def e_dim(self, p: int) -> int:
-        return self.e_dim_at[p + 1]
 
 
 def assemble_ruth_differential(
@@ -205,7 +199,7 @@ def assemble_ruth_differential(
         raise InvalidStructureError(
             f"ruth differential: D^2 != 0 at degree {bad[0]} for signs {signs}", Report()
         )
-    return RuthComplex(ruth=r, p_max=p_max, complex=cx, e_dim_at=tuple(e_dims_at))
+    return RuthComplex(ruth=r, p_max=p_max, complex=cx)
 
 
 def ruth_complex(r: TwoTermRuth, p_max: int) -> RuthComplex:
@@ -327,10 +321,7 @@ def _projectable_conditions(lin: LinComplex, p: int, zeros: int = 1) -> Matrix:
             if z.cols == 0:
                 continue
             off, d = lin.block(p, si)
-            full = Matrix.hstack(
-                [Matrix.zeros(z.cols, off), z.transpose(), Matrix.zeros(z.cols, lin.dim(p) - off - d)]
-            )
-            rows.append(full)
+            rows.append(Matrix.block([z.cols], [off, d, lin.dim(p) - off - d], {(0, 1): z.transpose()}))
     if p + 1 <= lin.p_max and p + 1 >= zeros:
         delta = lin.complex.differential(p)
         for si, s in enumerate(nv.strings[p + 1]):
@@ -404,9 +395,7 @@ def _append_lift_matrix(lin: LinComplex, c: Cleavage, s: tuple[int, ...], fib: M
     """
     v = lin.vb
     g = v.base
-    prod = s[0]
-    for a in s[1:]:
-        prod = g.compose(prod, a)
+    prod = g.compose_many(*s)
     slices = _string_slices(v, s)
     last = fib.take_rows(range(slices[-1][0], fib.rows))
     src_rows = v.s_maps[s[-1]] * last
@@ -479,9 +468,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     for si, s in enumerate(nv.strings[p]):
         fib = lin.fib_bases[p][si]
         slices = _string_slices(v, s)
-        prod_all = s[0]
-        for a in s[1:]:
-            prod_all = g.compose(prod_all, a)
+        prod_all = g.compose_many(*s)
         last = fib.take_rows(range(slices[-1][0], fib.rows))
         src_last = v.s_maps[s[-1]] * last
         lift_all = c.sigma[prod_all] * src_last
@@ -496,9 +483,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         t2_string = s[1:] + (g.inv[prod_all],)
         place_term(si, t2_string, Matrix.vstack([tail, inv_all]), sgn_p)
         # term 3: drop last, append the inverted lift of the shortened product
-        prod_head = s[0]
-        for a in s[1:-1]:
-            prod_head = g.compose(prod_head, a)
+        prod_head = g.compose_many(*s[:-1])
         src_prev = v.s_maps[s[-2]] * fib.take_rows(
             range(slices[-2][0], slices[-2][0] + slices[-2][1])
         )
@@ -506,9 +491,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         t3_string = s[:-1] + (g.inv[prod_head],)
         place_term(si, t3_string, Matrix.vstack([head, inv_head]), -1)
         # term 4: drop first, append the inverted lift of the shifted product
-        prod_tail = s[1]
-        for a in s[2:]:
-            prod_tail = g.compose(prod_tail, a)
+        prod_tail = g.compose_many(*s[1:])
         inv_tail = v.inverse_matrix(prod_tail) * (c.sigma[prod_tail] * src_last)
         t4_string = s[1:] + (g.inv[prod_tail],)
         place_term(si, t4_string, Matrix.vstack([tail, inv_tail]), -sgn_p)
@@ -539,29 +522,18 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
         slices = _string_slices(v, s)
         zfull = fib * z  # ambient coordinates, trailing slot zero
         tail = zfull.take_rows(range(slices[0][1], zfull.rows))
-        prod_all = s[0]
-        for a in s[1:]:
-            prod_all = g.compose(prod_all, a)
-        prod_tail = s[1]
-        for a in s[2:]:
-            prod_tail = g.compose(prod_tail, a)
+        prod_all = g.compose_many(*s)
+        prod_tail = g.compose_many(*s[1:])
         term_rows = []
         for prod, sign in ((prod_all, sgn_p), (prod_tail, -sgn_p)):
-            appended = Matrix.zeros(v.gamma_dims[g.inv[prod]], z.cols)
             ext_string = s[1:] + (g.inv[prod],)
-            ext = Matrix.vstack([tail, appended])
+            ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
             t_idx = nv.index[p][ext_string]
             coords = lin.fib_bases[p][t_idx].solve_matrix(ext)
             if coords is None:
                 raise InvalidStructureError("zero-last evaluation: tuple not in Fib", Report())
             c0, dd = lin.block(p, t_idx)
-            row = Matrix.hstack(
-                [
-                    Matrix.zeros(z.cols, c0),
-                    coords.transpose(),
-                    Matrix.zeros(z.cols, lin.dim(p) - c0 - dd),
-                ]
-            )
+            row = Matrix.block([z.cols], [c0, dd, lin.dim(p) - c0 - dd], {(0, 1): coords.transpose()})
             term_rows.append(row if sign == 1 else -row)
         rhs_rows.append(term_rows[0] + term_rows[1])
     if not lhs_rows:

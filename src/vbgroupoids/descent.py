@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .groupoid import CechGroupoid, FiniteGroupoid, cech_groupoid, identity_map
 from .linalg import Matrix, complement_space, image_space, preimage_space
-from .report import InvalidStructureError, Report
+from .report import Report
 from .vb import (
     Cleavage,
     CoreData,
@@ -36,7 +36,6 @@ from .vb import (
     check_cleavage,
     check_vbgroupoid,
     check_vbmap,
-    check_vbmap_iso,
     choose_cleavage,
     core,
     direct_sum_vb,
@@ -120,6 +119,16 @@ def make_descent_problem(
     return DescentProblem(cech=cech, partition=part)
 
 
+def _least_index_lifts(cech: CechGroupoid) -> tuple[list[int], list[int]]:
+    """Per base object and arrow, its lift between the least cover indices of its ends."""
+    g = cech.base
+    lift_obj = [cech.obj_id(x, cech.min_index(x)) for x in range(g.n_objects)]
+    lift_arr = [
+        cech.arrow_id(a, cech.min_index(g.tgt[a]), cech.min_index(g.src[a])) for a in range(g.n_arrows)
+    ]
+    return lift_obj, lift_arr
+
+
 # -- step 2: descending maps -----------------------------------------------------
 
 
@@ -197,10 +206,7 @@ def descend_map(problem: DescentProblem, gamma: VBGroupoid, gamma_p: VBGroupoid,
             raise DescentError(f"kernel not killed after twist at kernel arrow {k}")
     # lift-independence and quotient
     g = cech.base
-    lift_obj = [cech.obj_id(x, cech.min_index(x)) for x in range(g.n_objects)]
-    lift_arr = [
-        cech.arrow_id(a, cech.min_index(g.tgt[a]), cech.min_index(g.src[a])) for a in range(g.n_arrows)
-    ]
+    lift_obj, lift_arr = _least_index_lifts(cech)
     for ka, (a, j, i) in enumerate(cech.arrow_triples):
         if twisted.arr_maps[ka] != twisted.arr_maps[lift_arr[a]]:
             raise DescentError(f"twisted map differs across lifts of base arrow {a}")
@@ -212,7 +218,6 @@ def descend_map(problem: DescentProblem, gamma: VBGroupoid, gamma_p: VBGroupoid,
         arr_maps=tuple(twisted.arr_maps[lift_arr[a]] for a in range(g.n_arrows)),
     )
     check_vbmap(phi).require("descend_map: descended map invalid")
-    pull_phi, _ = base_change(cech.pi, gamma)
     # the pullback of phi is exactly the twisted map
     repull = VBMap(
         source=pull_src,
@@ -401,10 +406,9 @@ def make_invertible(v: VBGroupoid, problem: DescentProblem) -> Stabilization:
             pad[cech.obj_id(x, i)] = top - v.e_dims[cech.obj_id(x, i)]
     if any(pad):
         omega = acyclic_vb(gu, tuple(pad))
-        stab = direct_sum_vb(v, omega)
     else:
         omega = zero_vb(gu)
-        stab = direct_sum_vb(v, omega)
+    stab = direct_sum_vb(v, omega)
     check_vbgroupoid(stab).require("make_invertible: stabilized object invalid")
     cd = core(stab)
     sigma = list(choose_cleavage(stab).sigma)
@@ -445,10 +449,7 @@ def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> Desce
     if not is_u_flat(v, problem, c):
         raise DescentError("descend_object: cleavage is not U-flat")
     g = cech.base
-    lift_obj = [cech.obj_id(x, cech.min_index(x)) for x in range(g.n_objects)]
-    lift_arr = [
-        cech.arrow_id(a, cech.min_index(g.tgt[a]), cech.min_index(g.src[a])) for a in range(g.n_arrows)
-    ]
+    lift_obj, lift_arr = _least_index_lifts(cech)
     descended = VBGroupoid(
         base=g,
         e_dims=tuple(v.e_dims[lift_obj[x]] for x in range(g.n_objects)),
@@ -472,9 +473,8 @@ def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> Desce
         la = lift_arr[a]
         k_t = cech.kernel_arrow(y, j, cech.min_index(y))
         k_s = cech.kernel_arrow(x, i, cech.min_index(x))
-        first = v.mult_of(k_t, la, c.sigma[k_t] * v.t_maps[la], Matrix.identity(v.gamma_dims[la]))
-        inv_l = v.inverse_matrix(k_s) * (c.sigma[k_s] * v.s_maps[la])
-        arr_maps.append(v.mult_of(gu.compose(k_t, la), gu.inv[k_s], first, inv_l))
+        lift_t, lift_s = c.sigma[k_t] * v.t_maps[la], c.sigma[k_s] * v.s_maps[la]
+        arr_maps.append(v.conjugate(k_t, la, k_s, lift_t, Matrix.identity(v.gamma_dims[la]), lift_s))
     comparison = VBMap(
         source=pull,
         target=v,

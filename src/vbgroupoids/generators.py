@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from .descent import DescentProblem, make_descent_problem
 from .groupoid import (
     FiniteGroupoid,
-    GroupoidMap,
     cyclic_groupoid,
     disjoint_union,
     pair_groupoid,
@@ -30,18 +29,14 @@ from .ruth import (
     RuthMorphism,
     TwoTermRuth,
     check_ruth,
-    check_ruth_morphism,
     direct_sum,
     gauge_transform,
     identity_morphism,
     make_ruth,
-    sum_inclusion,
     sum_projection,
-    zero_morphism,
     zero_ruth,
 )
 from .vb import VBGroupoid, VBMap, base_change, grothendieck
-from .groupoid import cech_groupoid
 
 
 def base_groupoids() -> dict[str, FiniteGroupoid]:
@@ -226,62 +221,6 @@ def seed_ruths(name: str, g: FiniteGroupoid) -> list[TwoTermRuth]:
         seeds.append(direct_sum(reps[1], shifted_ruth(reps[0])))
     seeds.append(zero_ruth(g))
     return seeds
-
-
-def ruth_suite(count: int, seed: int = 0, bases: Optional[Sequence[str]] = None) -> list[TwoTermRuth]:
-    """A deterministic stream of valid ruths: gauge orbits of structured seeds."""
-    zoo = base_groupoids()
-    names = list(bases) if bases is not None else list(zoo)
-    out: list[TwoTermRuth] = []
-    rng = random.Random(seed)
-    pool: list[TwoTermRuth] = []
-    for name in names:
-        pool.extend(seed_ruths(name, zoo[name]))
-    i = 0
-    while len(out) < count:
-        base = pool[i % len(pool)]
-        i += 1
-        if i % 3 == 1:
-            out.append(base)
-        else:
-            out.append(random_gauge(base, rng)[0])
-    return out
-
-
-def morphism_suite(count: int, seed: int = 0, bases: Optional[Sequence[str]] = None) -> list[RuthMorphism]:
-    """Valid morphisms: identities, zeros, gauges, sum maps, and composites.
-
-    Mixes quasi-isomorphisms with genuine negatives (projections that kill
-    non-acyclic summands, zero maps out of ruths with cohomology).
-    """
-    zoo = base_groupoids()
-    names = list(bases) if bases is not None else list(zoo)
-    rng = random.Random(seed)
-    out: list[RuthMorphism] = []
-    makers: list[Callable[[], RuthMorphism]] = []
-    for name in names:
-        g = zoo[name]
-        reps = named_reps(name, g)
-        rep = reps[0]
-        acy = acyclic_ruth(rep)
-        shift = shifted_ruth(rep)
-
-        def from_seed(r: TwoTermRuth = rep) -> RuthMorphism:
-            return random_gauge(r, rng)[1]
-
-        makers.append(from_seed)
-        makers.append(lambda r=rep: identity_morphism(r))
-        makers.append(lambda r=rep, z=zero_ruth(g): zero_morphism(r, z))
-        makers.append(lambda a=acy, z=zero_ruth(g): zero_morphism(a, z))
-        makers.append(lambda r=rep, a=acy: sum_projection(r, a, side=0))
-        makers.append(lambda r=rep, a=acy: sum_inclusion(r, a, side=0))
-        makers.append(lambda r=rep, s=shift: sum_projection(r, s, side=0))
-        makers.append(lambda r=rep: random_gauge(random_gauge(r, rng)[0], rng)[1])
-    i = 0
-    while len(out) < count:
-        out.append(makers[i % len(makers)]())
-        i += 1
-    return out
 
 
 # -- descent fixtures ------------------------------------------------------------------

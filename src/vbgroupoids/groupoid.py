@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .report import InvalidStructureError, Report
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteGroupoid:
     n_objects: int
     n_arrows: int
@@ -23,7 +23,7 @@ class FiniteGroupoid:
     tgt: tuple[int, ...]
     unit: tuple[int, ...]
     inv: tuple[int, ...]
-    comp: dict[tuple[int, int], int]
+    comp: dict[tuple[int, int], int] = field(hash=False)
     # derived, filled in __post_init__
     pairs: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
@@ -32,17 +32,6 @@ class FiniteGroupoid:
             (g1, g2) for g1 in range(self.n_arrows) for g2 in range(self.n_arrows) if self.src[g1] == self.tgt[g2]
         )
         object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FiniteGroupoid)
-            and (self.n_objects, self.n_arrows, self.src, self.tgt, self.unit, self.inv)
-            == (other.n_objects, other.n_arrows, other.src, other.tgt, other.unit, other.inv)
-            and self.comp == other.comp
-        )
-
-    def __hash__(self):
-        return hash((self.n_objects, self.n_arrows, self.src, self.tgt))
 
     def compose(self, g1: int, g2: int) -> int:
         try:
@@ -145,24 +134,12 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
     return rep
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroupoidMap:
     dom: FiniteGroupoid
     cod: FiniteGroupoid
     obj_map: tuple[int, ...]
     arr_map: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupoidMap)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.obj_map == other.obj_map
-            and self.arr_map == other.arr_map
-        )
-
-    def __hash__(self):
-        return hash((self.obj_map, self.arr_map))
 
 
 def identity_map(g: FiniteGroupoid) -> GroupoidMap:

@@ -20,7 +20,7 @@ from typing import Any, Optional
 from .descent import PartitionOfUnity
 from .groupoid import FiniteGroupoid, GroupoidMap, make_groupoid, validate_groupoid, validate_map
 from .linalg import Matrix
-from .report import InvalidStructureError, Report
+from .report import InvalidStructureError
 from .ruth import TwoTermRuth, check_ruth, make_ruth
 from .vb import VBGroupoid, VBMap, check_vbgroupoid, check_vbmap
 
@@ -40,6 +40,15 @@ def frac_from_str(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
+
+
+def _id(value: Any, size: int, where: str) -> int:
+    """``value`` (an int, or a JSON key holding one) as an id in 0..size-1, else a ParseError."""
+    if isinstance(value, str) and value.lstrip("-").isdigit():
+        value = int(value)
+    if type(value) is not int or not 0 <= value < size:
+        raise ParseError(f"{where}: id {value!r} is not in 0..{size - 1}")
+    return value
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -74,39 +83,29 @@ def groupoid_to_json(g: FiniteGroupoid) -> dict:
 def groupoid_from_json(data: dict, where: str = "groupoid") -> FiniteGroupoid:
     objs = data.get("objects")
     arrows = data.get("arrows")
-    if objs != list(range(len(objs or []))):
+    if not isinstance(objs, list) or objs != list(range(len(objs))):
         raise ParseError(f"{where}: object ids must be 0..n-1 in order")
-    ids = [a.get("id") for a in arrows]
-    if ids != list(range(len(arrows))):
+    ids = [a.get("id") for a in arrows] if isinstance(arrows, list) else None
+    if ids != list(range(len(ids or []))):
         raise ParseError(f"{where}: arrow ids must be 0..m-1 in order")
     n, m = len(objs), len(arrows)
     unit = [-1] * n
     for x, u in data.get("unit", []):
-        unit[x] = u
+        unit[_id(x, n, where)] = _id(u, m, where)
     inv = [-1] * m
     for a, b in data.get("inverse", []):
-        inv[a] = b
-    comp = {(g1, g2): g12 for g1, g2, g12 in data.get("compose", [])}
-    try:
-        return make_groupoid(n, [(a["src"], a["tgt"]) for a in arrows], comp, unit, inv)
-    except (KeyError, IndexError, TypeError) as e:
-        raise ParseError(f"{where}: {e}") from None
+        inv[_id(a, m, where)] = _id(b, m, where)
+    comp = {}
+    for g1, g2, g12 in data.get("compose", []):
+        comp[(_id(g1, m, where), _id(g2, m, where))] = _id(g12, m, where)
+    ends = [(_id(a["src"], n, where), _id(a["tgt"], n, where)) for a in arrows]
+    return make_groupoid(n, ends, comp, unit, inv)
 
 
-def groupoid_map_to_json(f: GroupoidMap, dom: str, cod: str) -> dict:
-    return {
-        "type": "groupoid_map",
-        "dom": dom,
-        "cod": cod,
-        "object_map": [[x, f.obj_map[x]] for x in range(f.dom.n_objects)],
-        "arrow_map": [[a, f.arr_map[a]] for a in range(f.dom.n_arrows)],
-    }
-
-
-def _pairs_to_table(pairs: Any, size: int, where: str) -> tuple[int, ...]:
+def _pairs_to_table(pairs: Any, size: int, cod_size: int, where: str) -> tuple[int, ...]:
     table = [-1] * size
     for p in pairs:
-        table[p[0]] = p[1]
+        table[_id(p[0], size, where)] = _id(p[1], cod_size, where)
     if any(v < 0 for v in table):
         raise ParseError(f"{where}: incomplete id-pair table")
     return tuple(table)
@@ -138,23 +137,25 @@ def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> Two
         c = tuple(int(data["C"][str(x)]) for x in range(g.n_objects))
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
+
+    def table(key: str, size: int) -> dict[int, Any]:
+        return {_id(k, size, f"{where}.{key}"): m for k, m in data.get(key, {}).items()}
+
     anchor = {
-        x: matrix_from_json(data.get("anchor", {}).get(str(x), []), e[x], c[x], f"{where}.anchor[{x}]")
-        for x in range(g.n_objects)
-        if str(x) in data.get("anchor", {})
+        x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]")
+        for x, m in table("anchor", g.n_objects).items()
     }
     rho_e = {
         a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]")
-        for a, m in ((int(k), v) for k, v in data.get("rhoE", {}).items())
+        for a, m in table("rhoE", g.n_arrows).items()
     }
     rho_c = {
         a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]")
-        for a, m in ((int(k), v) for k, v in data.get("rhoC", {}).items())
+        for a, m in table("rhoC", g.n_arrows).items()
     }
     gamma = {}
     for key, m in data.get("gamma", {}).items():
-        g1s, g2s = key.split(",")
-        g1, g2 = int(g1s), int(g2s)
+        g1, g2 = (_id(k, g.n_arrows, f"{where}.gamma") for k in key.split(","))
         gamma[(g1, g2)] = matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{key}]")
     return make_ruth(g, e, c, anchor=anchor, rho_e=rho_e, rho_c=rho_c, gamma=gamma)
 
@@ -222,8 +223,9 @@ def vbmap_to_json(f: VBMap, source: str, target: str) -> dict:
 def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: str = "vbmap") -> VBMap:
     g = source.base
     bm_data = data.get("base_map", {})
-    obj_map = _pairs_to_table(bm_data.get("object_map", []), g.n_objects, f"{where}.base_map")
-    arr_map = _pairs_to_table(bm_data.get("arrow_map", []), g.n_arrows, f"{where}.base_map")
+    cod, at = target.base, f"{where}.base_map"
+    obj_map = _pairs_to_table(bm_data.get("object_map", []), g.n_objects, cod.n_objects, at)
+    arr_map = _pairs_to_table(bm_data.get("arrow_map", []), g.n_arrows, cod.n_arrows, at)
     bm = GroupoidMap(g, target.base, obj_map, arr_map)
     obj_maps = tuple(
         matrix_from_json(
@@ -238,14 +240,6 @@ def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: s
         for a in range(g.n_arrows)
     )
     return VBMap(source=source, target=target, base_map=bm, obj_maps=obj_maps, arr_maps=arr_maps)
-
-
-def partition_to_json(p: PartitionOfUnity, cover: str) -> dict:
-    return {
-        "type": "partition",
-        "cover": cover,
-        "weights": {f"{i},{x}": frac_to_str(w) for (i, x), w in sorted(p.weights.items())},
-    }
 
 
 # -- instance files -----------------------------------------------------------------
@@ -272,7 +266,23 @@ def dumps_instance(objects: dict[str, dict]) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+# the names each object type refers to; they load first
+_REFERENCES = {
+    "groupoid_map": ("dom", "cod"),
+    "ruth": ("base",),
+    "vbgroupoid": ("base",),
+    "vbmap": ("source", "target"),
+    "cover": ("base",),
+    "partition": ("cover",),
+}
+
+
 def loads_instance(text: str, validate: bool = True) -> Instance:
+    """Decode and validate every object, each after the objects it refers to.
+
+    Any malformed object ends in a ParseError that names it; a failed validation
+    raises InvalidStructureError.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -282,78 +292,88 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
     raw = payload.get("objects")
     if not isinstance(raw, dict):
         raise ParseError("missing objects table")
+    for name, data in raw.items():
+        if not isinstance(data, dict) or not isinstance(data.get("type"), str):
+            raise ParseError(f"{name}: an object must be a JSON object with a string 'type'")
     inst = Instance(objects={}, kinds={}, raw=raw)
-    pending = dict(raw)
-    progress = True
-    while pending and progress:
-        progress = False
-        for name in sorted(pending):
-            data = pending[name]
-            kind = data.get("type")
-            try:
-                obj = _load_one(inst, name, kind, data, validate)
-            except ParseError as e:
-                if "unresolved reference" in str(e):
-                    continue
-                raise
-            inst.objects[name] = obj
-            inst.kinds[name] = kind
-            del pending[name]
-            progress = True
-    if pending:
-        raise ParseError(f"unresolvable references among: {sorted(pending)}")
+    loading: list[str] = []
+
+    def load(name: str) -> None:
+        if name in loading:
+            raise ParseError(f"unresolvable references among: {sorted(loading[loading.index(name):])}")
+        data = raw[name]
+        loading.append(name)
+        for key in _REFERENCES.get(data["type"], ()):
+            ref = data.get(key)
+            if not isinstance(ref, str) or ref not in raw:
+                raise ParseError(f"{name}: unresolvable reference {key}={ref!r}")
+            if ref not in inst.objects:
+                load(ref)
+        try:
+            inst.objects[name] = _load_one(inst, name, data, validate)
+        except (InvalidStructureError, ParseError):
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{name}: malformed {data['type']}: {type(e).__name__}: {e}") from None
+        inst.kinds[name] = data["type"]
+        loading.pop()
+
+    for name in sorted(raw):
+        if name not in inst.objects:
+            load(name)
     return inst
 
 
-def _load_one(inst: Instance, name: str, kind: str, data: dict, validate: bool):
+def _load_one(inst: Instance, name: str, data: dict, validate: bool):
+    kind = data["type"]
     if kind == "groupoid":
         g = groupoid_from_json(data, name)
         if validate:
             validate_groupoid(g).require(f"{name}: invalid groupoid")
         return g
     if kind == "groupoid_map":
-        dom = inst.get(data.get("dom", ""), "groupoid")
-        cod = inst.get(data.get("cod", ""), "groupoid")
+        dom = inst.get(data["dom"], "groupoid")
+        cod = inst.get(data["cod"], "groupoid")
         f = GroupoidMap(
             dom,
             cod,
-            _pairs_to_table(data.get("object_map", []), dom.n_objects, name),
-            _pairs_to_table(data.get("arrow_map", []), dom.n_arrows, name),
+            _pairs_to_table(data.get("object_map", []), dom.n_objects, cod.n_objects, name),
+            _pairs_to_table(data.get("arrow_map", []), dom.n_arrows, cod.n_arrows, name),
         )
         if validate:
             validate_map(f).require(f"{name}: invalid groupoid map")
         return f
     if kind == "ruth":
-        base = inst.get(data.get("base", ""), "groupoid")
+        base = inst.get(data["base"], "groupoid")
         r = ruth_from_json(data, base, name)
         if validate:
             check_ruth(r).require(f"{name}: invalid ruth")
         return r
     if kind == "vbgroupoid":
-        base = inst.get(data.get("base", ""), "groupoid")
+        base = inst.get(data["base"], "groupoid")
         v = vbgroupoid_from_json(data, base, name)
         if validate:
             check_vbgroupoid(v).require(f"{name}: invalid VB-groupoid")
         return v
     if kind == "vbmap":
-        source = inst.get(data.get("source", ""), "vbgroupoid")
-        target = inst.get(data.get("target", ""), "vbgroupoid")
+        source = inst.get(data["source"], "vbgroupoid")
+        target = inst.get(data["target"], "vbgroupoid")
         f = vbmap_from_json(data, source, target, name)
         if validate:
             check_vbmap(f).require(f"{name}: invalid VB-map")
         return f
     if kind == "cover":
-        base = inst.get(data.get("base", ""), "groupoid")
+        base = inst.get(data["base"], "groupoid")
         sets = data.get("sets")
         if not isinstance(sets, list):
             raise ParseError(f"{name}: cover needs a list of sets")
-        return (base, tuple(tuple(sorted(set(s))) for s in sets))
+        return (base, tuple(tuple(sorted({_id(x, base.n_objects, name) for x in s})) for s in sets))
     if kind == "partition":
-        base, sets = inst.get(data.get("cover", ""), "cover")
+        base, sets = inst.get(data["cover"], "cover")
         weights = {}
         for key, w in data.get("weights", {}).items():
             i, x = key.split(",")
-            weights[(int(i), int(x))] = frac_from_str(w)
+            weights[(_id(i, len(sets), name), _id(x, base.n_objects, name))] = frac_from_str(w)
         p = PartitionOfUnity(cover=sets, weights=weights)
         if validate:
             p.validate(base.n_objects).require(f"{name}: invalid partition")

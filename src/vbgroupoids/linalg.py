@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -163,20 +164,25 @@ class Matrix:
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[ZERO] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out[r0 + i][c0 : c0 + b.cols] = list(b.data[i])
-            r0 += b.rows
-            c0 += b.cols
-        return Matrix(rows, cols, tuple(tuple(r) for r in out))
+        diagonal = {(i, i): b for i, b in enumerate(blocks)}
+        return Matrix.block([b.rows for b in blocks], [b.cols for b in blocks], diagonal)
 
     @staticmethod
-    def block(grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        return Matrix.vstack([Matrix.hstack(row) for row in grid])
+    def block(rows: Sequence[int], cols: Sequence[int], blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
+        """The block matrix with block heights ``rows`` and block widths ``cols``.
+
+        ``blocks`` maps a (block row, block column) position to its matrix; a block that
+        is not given is zero, and a given block of the wrong shape raises ValueError.
+        """
+        r_off = [0, *accumulate(rows)]
+        c_off = [0, *accumulate(cols)]
+        out = [[ZERO] * c_off[-1] for _ in range(r_off[-1])]
+        for (i, j), b in blocks.items():
+            if (b.rows, b.cols) != (rows[i], cols[j]):
+                raise ValueError(f"block ({i}, {j}): want {rows[i]}x{cols[j]}, got {b.rows}x{b.cols}")
+            for k, brow in enumerate(b.data, r_off[i]):
+                out[k][c_off[j] : c_off[j + 1]] = brow
+        return Matrix(r_off[-1], c_off[-1], tuple(map(tuple, out)))
 
     # -- basics -------------------------------------------------------------
 

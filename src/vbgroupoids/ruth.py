@@ -18,7 +18,7 @@ triples (phi_e, phi_c, mu) with mu vanishing at units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .groupoid import FiniteGroupoid, GroupoidMap, validate_map
@@ -28,7 +28,7 @@ from .report import Report
 Bundle = tuple[int, ...]  # fiber dimension per object id
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwoTermRuth:
     base: FiniteGroupoid
     e_dims: Bundle
@@ -36,22 +36,7 @@ class TwoTermRuth:
     anchor: tuple[Matrix, ...]  # per object: C_x -> E_x
     rho_e: tuple[Matrix, ...]  # per arrow g: E_{src g} -> E_{tgt g}
     rho_c: tuple[Matrix, ...]  # per arrow g: C_{src g} -> C_{tgt g}
-    gamma: dict[tuple[int, int], Matrix]  # per composable pair
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TwoTermRuth)
-            and self.base == other.base
-            and self.e_dims == other.e_dims
-            and self.c_dims == other.c_dims
-            and self.anchor == other.anchor
-            and self.rho_e == other.rho_e
-            and self.rho_c == other.rho_c
-            and self.gamma == other.gamma
-        )
-
-    def __hash__(self):
-        return hash((self.e_dims, self.c_dims, self.anchor))
+    gamma: dict[tuple[int, int], Matrix] = field(hash=False)  # per composable pair
 
     def core_complex(self, x: int):
         return two_term_complex(self.anchor[x])
@@ -127,26 +112,13 @@ def check_ruth(r: TwoTermRuth) -> Report:
     return rep
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RuthMorphism:
     source: TwoTermRuth
     target: TwoTermRuth
     phi_e: tuple[Matrix, ...]  # per object
     phi_c: tuple[Matrix, ...]  # per object
     mu: tuple[Matrix, ...]  # per arrow g: E_{src g} -> C'_{tgt g}, zero at units
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RuthMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.phi_e == other.phi_e
-            and self.phi_c == other.phi_c
-            and self.mu == other.mu
-        )
-
-    def __hash__(self):
-        return hash((self.phi_e, self.phi_c, self.mu))
 
 
 def check_ruth_morphism(m: RuthMorphism) -> Report:
@@ -312,41 +284,18 @@ def direct_sum(r1: TwoTermRuth, r2: TwoTermRuth) -> TwoTermRuth:
     return out
 
 
-def sum_inclusion(r1: TwoTermRuth, r2: TwoTermRuth, side: int = 0) -> RuthMorphism:
-    """Inclusion of a summand into r1 (+) r2 (side 0 = r1, 1 = r2)."""
-    s = direct_sum(r1, r2)
-    ri = (r1, r2)[side]
-    g = r1.base
-
-    def inc(small: int, total: int, offset: int) -> Matrix:
-        return Matrix.vstack([Matrix.zeros(offset, small), Matrix.identity(small), Matrix.zeros(total - offset - small, small)])
-
-    phi_e = tuple(
-        inc(ri.e_dims[x], s.e_dims[x], 0 if side == 0 else r1.e_dims[x]) for x in range(g.n_objects)
-    )
-    phi_c = tuple(
-        inc(ri.c_dims[x], s.c_dims[x], 0 if side == 0 else r1.c_dims[x]) for x in range(g.n_objects)
-    )
-    mu = tuple(Matrix.zeros(s.c_dims[g.tgt[a]], ri.e_dims[g.src[a]]) for a in range(g.n_arrows))
-    out = RuthMorphism(source=ri, target=s, phi_e=phi_e, phi_c=phi_c, mu=mu)
-    check_ruth_morphism(out).require("sum_inclusion: invalid")
-    return out
+def summand_projection(d1: int, d2: int, side: int) -> Matrix:
+    """The projection of Q^d1 (+) Q^d2 onto its summand number ``side`` (0 or 1)."""
+    d = (d1, d2)[side]
+    return Matrix.block([d], [d1, d2], {(0, side): Matrix.identity(d)})
 
 
 def sum_projection(r1: TwoTermRuth, r2: TwoTermRuth, side: int = 0) -> RuthMorphism:
     s = direct_sum(r1, r2)
     ri = (r1, r2)[side]
     g = r1.base
-
-    def prj(small: int, total: int, offset: int) -> Matrix:
-        return Matrix.hstack([Matrix.zeros(small, offset), Matrix.identity(small), Matrix.zeros(small, total - offset - small)])
-
-    phi_e = tuple(
-        prj(ri.e_dims[x], s.e_dims[x], 0 if side == 0 else r1.e_dims[x]) for x in range(g.n_objects)
-    )
-    phi_c = tuple(
-        prj(ri.c_dims[x], s.c_dims[x], 0 if side == 0 else r1.c_dims[x]) for x in range(g.n_objects)
-    )
+    phi_e = tuple(summand_projection(d1, d2, side) for d1, d2 in zip(r1.e_dims, r2.e_dims))
+    phi_c = tuple(summand_projection(d1, d2, side) for d1, d2 in zip(r1.c_dims, r2.c_dims))
     mu = tuple(Matrix.zeros(ri.c_dims[g.tgt[a]], s.e_dims[g.src[a]]) for a in range(g.n_arrows))
     out = RuthMorphism(source=s, target=ri, phi_e=phi_e, phi_c=phi_c, mu=mu)
     check_ruth_morphism(out).require("sum_projection: invalid")
@@ -470,16 +419,3 @@ def dual_morphism(m: RuthMorphism) -> RuthMorphism:
     )
     check_ruth_morphism(out).require("dual_morphism: output invalid")
     return out
-
-
-def double_dual_comparison(r: TwoTermRuth) -> RuthMorphism:
-    """The evaluation isomorphism r -> dual(dual(r)).
-
-    In the fixed coordinates the double dual is literally r, so the canonical
-    comparison is the identity morphism; it is still checked and returned so
-    callers can verify invertibility.
-    """
-    dd = dual_ruth(dual_ruth(r))
-    if dd != r:
-        raise AssertionError("double dual differs from original in fixed coordinates")
-    return identity_morphism(r)

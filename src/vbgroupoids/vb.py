@@ -16,7 +16,7 @@ VB-Morita maps, and stable decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .groupoid import (
@@ -50,6 +50,7 @@ from .ruth import (
     check_ruth_morphism,
     dual_morphism,
     dual_ruth,
+    summand_projection,
 )
 
 
@@ -57,7 +58,7 @@ class NotVBMoritaError(ValueError):
     """Raised when an operation requires a certified VB-Morita map."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VBGroupoid:
     base: FiniteGroupoid
     e_dims: Bundle
@@ -65,22 +66,7 @@ class VBGroupoid:
     s_maps: tuple[Matrix, ...]  # per arrow: Gamma_g -> E_{src g}
     t_maps: tuple[Matrix, ...]  # per arrow: Gamma_g -> E_{tgt g}
     u_maps: tuple[Matrix, ...]  # per object: E_x -> Gamma_{unit x}
-    m_maps: dict[tuple[int, int], Matrix]  # per composable pair, full matrix
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VBGroupoid)
-            and self.base == other.base
-            and self.e_dims == other.e_dims
-            and self.gamma_dims == other.gamma_dims
-            and self.s_maps == other.s_maps
-            and self.t_maps == other.t_maps
-            and self.u_maps == other.u_maps
-            and self.m_maps == other.m_maps
-        )
-
-    def __hash__(self):
-        return hash((self.e_dims, self.gamma_dims))
+    m_maps: dict[tuple[int, int], Matrix] = field(hash=False)  # per composable pair, full matrix
 
     def mult_blocks(self, g: int, h: int) -> tuple[Matrix, Matrix]:
         """Column blocks (M1, M2) of the full multiplication on Gamma_g (+) Gamma_h."""
@@ -97,34 +83,31 @@ class VBGroupoid:
         m1, m2 = self.mult_blocks(g, h)
         return m1 * a + m2 * b
 
+    def conjugate(self, l: int, g: int, r: int, left: Matrix, mid: Matrix, right: Matrix) -> Matrix:
+        """The product left . mid . right^{-1} over the arrow l g r^{-1}.
+
+        ``left``, ``mid`` and ``right`` are column families over l, g and r; the inverse
+        of ``right`` is taken with :meth:`inverse_matrix`.
+        """
+        first = self.mult_of(l, g, left, mid)
+        return self.mult_of(self.base.compose(l, g), self.base.inv[r], first, self.inverse_matrix(r) * right)
+
     def fib_basis(self, g: int, h: int) -> Matrix:
         """Basis of Fib(g, h) as columns in Gamma_g (+) Gamma_h."""
         return Matrix.hstack([self.s_maps[g], -self.t_maps[h]]).kernel()
 
     def fib_string_basis(self, arrows: Sequence[int]) -> Matrix:
         """Basis of the p-fold fibered product along a composable string."""
-        p = len(arrows)
-        dims = [self.gamma_dims[a] for a in arrows]
-        total = sum(dims)
-        if p == 0:
+        if not arrows:
             raise ValueError("empty string")
-        if p == 1:
-            return Matrix.identity(dims[0])
-        rows = []
-        off = [0]
-        for d in dims:
-            off.append(off[-1] + d)
-        for i in range(p - 1):
-            blocks = []
-            for j in range(p):
-                if j == i:
-                    blocks.append(self.s_maps[arrows[i]])
-                elif j == i + 1:
-                    blocks.append(-self.t_maps[arrows[i + 1]])
-                else:
-                    blocks.append(Matrix.zeros(self.s_maps[arrows[i]].rows, dims[j]))
-            rows.append(Matrix.hstack(blocks))
-        return Matrix.vstack(rows).kernel() if rows else Matrix.identity(total)
+        if len(arrows) == 1:
+            return Matrix.identity(self.gamma_dims[arrows[0]])
+        blocks = {}
+        for i, (a, b) in enumerate(zip(arrows, arrows[1:])):
+            blocks[(i, i)] = self.s_maps[a]
+            blocks[(i, i + 1)] = -self.t_maps[b]
+        heights = [self.s_maps[a].rows for a in arrows[:-1]]
+        return Matrix.block(heights, [self.gamma_dims[a] for a in arrows], blocks).kernel()
 
     def inverse_matrix(self, g: int) -> Matrix:
         """The linear inversion Gamma_g -> Gamma_{g inv}, solved from the axioms."""
@@ -269,27 +252,17 @@ def acyclic_vb(base: FiniteGroupoid, e_dims: Sequence[int]) -> VBGroupoid:
     """The acyclic VB-groupoid on a bundle: one arrow (e', e) over every g."""
     e = tuple(e_dims)
     gdims = tuple(e[base.tgt[a]] + e[base.src[a]] for a in range(base.n_arrows))
-    s_maps = []
-    t_maps = []
-    for a in range(base.n_arrows):
-        et, es = e[base.tgt[a]], e[base.src[a]]
-        s_maps.append(Matrix.hstack([Matrix.zeros(es, et), Matrix.identity(es)]))
-        t_maps.append(Matrix.hstack([Matrix.identity(et), Matrix.zeros(et, es)]))
+    ends = [(e[base.tgt[a]], e[base.src[a]]) for a in range(base.n_arrows)]
+    s_maps = tuple(Matrix.block([es], [et, es], {(0, 1): Matrix.identity(es)}) for et, es in ends)
+    t_maps = tuple(Matrix.block([et], [et, es], {(0, 0): Matrix.identity(et)}) for et, es in ends)
     u_maps = tuple(Matrix.vstack([Matrix.identity(e[x]), Matrix.identity(e[x])]) for x in range(base.n_objects))
     m_maps = {}
     for g1, g2 in base.pairs:
-        e3 = e[base.tgt[g1]]
-        e2 = e[base.src[g1]]
-        e2b = e[base.tgt[g2]]
-        e1 = e[base.src[g2]]
-        m_maps[(g1, g2)] = Matrix.block(
-            [
-                [Matrix.identity(e3), Matrix.zeros(e3, e2), Matrix.zeros(e3, e2b), Matrix.zeros(e3, e1)],
-                [Matrix.zeros(e1, e3), Matrix.zeros(e1, e2), Matrix.zeros(e1, e2b), Matrix.identity(e1)],
-            ]
-        )
+        e3, e1 = ends[g1][0], ends[g2][1]
+        blocks = {(0, 0): Matrix.identity(e3), (1, 3): Matrix.identity(e1)}
+        m_maps[(g1, g2)] = Matrix.block([e3, e1], [*ends[g1], *ends[g2]], blocks)
     out = VBGroupoid(
-        base=base, e_dims=e, gamma_dims=gdims, s_maps=tuple(s_maps), t_maps=tuple(t_maps), u_maps=u_maps, m_maps=m_maps
+        base=base, e_dims=e, gamma_dims=gdims, s_maps=s_maps, t_maps=t_maps, u_maps=u_maps, m_maps=m_maps
     )
     check_vbgroupoid(out).require("acyclic_vb: output invalid")
     return out
@@ -299,28 +272,19 @@ def direct_sum_vb(v1: VBGroupoid, v2: VBGroupoid) -> VBGroupoid:
     if v1.base != v2.base:
         raise ValueError("direct_sum_vb: different bases")
     g = v1.base
-
-    def interleave(m1: Matrix, m2: Matrix) -> Matrix:
-        return Matrix.block_diag([m1, m2])
-
     m_maps = {}
     for g1, g2 in g.pairs:
         a1, b1 = v1.mult_blocks(g1, g2)
         a2, b2 = v2.mult_blocks(g1, g2)
-        r1, r2 = a1.rows, a2.rows
-        m_maps[(g1, g2)] = Matrix.block(
-            [
-                [a1, Matrix.zeros(r1, a2.cols), b1, Matrix.zeros(r1, b2.cols)],
-                [Matrix.zeros(r2, a1.cols), a2, Matrix.zeros(r2, b1.cols), b2],
-            ]
-        )
+        blocks = {(0, 0): a1, (1, 1): a2, (0, 2): b1, (1, 3): b2}
+        m_maps[(g1, g2)] = Matrix.block([a1.rows, a2.rows], [a1.cols, a2.cols, b1.cols, b2.cols], blocks)
     return VBGroupoid(
         base=g,
         e_dims=tuple(a + b for a, b in zip(v1.e_dims, v2.e_dims)),
         gamma_dims=tuple(a + b for a, b in zip(v1.gamma_dims, v2.gamma_dims)),
-        s_maps=tuple(interleave(v1.s_maps[a], v2.s_maps[a]) for a in range(g.n_arrows)),
-        t_maps=tuple(interleave(v1.t_maps[a], v2.t_maps[a]) for a in range(g.n_arrows)),
-        u_maps=tuple(interleave(v1.u_maps[x], v2.u_maps[x]) for x in range(g.n_objects)),
+        s_maps=tuple(map(Matrix.block_diag, zip(v1.s_maps, v2.s_maps))),
+        t_maps=tuple(map(Matrix.block_diag, zip(v1.t_maps, v2.t_maps))),
+        u_maps=tuple(map(Matrix.block_diag, zip(v1.u_maps, v2.u_maps))),
         m_maps=m_maps,
     )
 
@@ -336,35 +300,23 @@ def grothendieck(r: TwoTermRuth) -> VBGroupoid:
     """
     check_ruth(r).require("grothendieck: invalid ruth")
     g = r.base
-    gdims = tuple(r.c_dims[g.tgt[a]] + r.e_dims[g.src[a]] for a in range(g.n_arrows))
-    s_maps = []
-    t_maps = []
-    for a in range(g.n_arrows):
-        c, e = r.c_dims[g.tgt[a]], r.e_dims[g.src[a]]
-        s_maps.append(Matrix.hstack([Matrix.zeros(e, c), Matrix.identity(e)]))
-        t_maps.append(Matrix.hstack([r.anchor[g.tgt[a]], r.rho_e[a]]))
-    u_maps = tuple(
-        Matrix.vstack([Matrix.zeros(r.c_dims[x], r.e_dims[x]), Matrix.identity(r.e_dims[x])])
-        for x in range(g.n_objects)
-    )
+    parts = [(r.c_dims[g.tgt[a]], r.e_dims[g.src[a]]) for a in range(g.n_arrows)]
+    s_maps = tuple(Matrix.block([e], [c, e], {(0, 1): Matrix.identity(e)}) for c, e in parts)
+    t_maps = tuple(Matrix.hstack([r.anchor[g.tgt[a]], r.rho_e[a]]) for a in range(g.n_arrows))
+    # u(e) = (0, e) is the transpose of s at the unit
+    u_maps = tuple(s_maps[g.unit[x]].transpose() for x in range(g.n_objects))
     m_maps = {}
     for g1, g2 in g.pairs:
-        ct = r.c_dims[g.tgt[g1]]
-        e1 = r.e_dims[g.src[g1]]
-        ch = r.c_dims[g.tgt[g2]]
-        e2 = r.e_dims[g.src[g2]]
-        m_maps[(g1, g2)] = Matrix.block(
-            [
-                [Matrix.identity(ct), Matrix.zeros(ct, e1), r.rho_c[g1], -r.gamma[(g1, g2)]],
-                [Matrix.zeros(e2, ct), Matrix.zeros(e2, e1), Matrix.zeros(e2, ch), Matrix.identity(e2)],
-            ]
-        )
+        ct, e2 = parts[g1][0], parts[g2][1]
+        blocks = {(0, 0): Matrix.identity(ct), (0, 2): r.rho_c[g1], (0, 3): -r.gamma[(g1, g2)]}
+        blocks[(1, 3)] = Matrix.identity(e2)
+        m_maps[(g1, g2)] = Matrix.block([ct, e2], [*parts[g1], *parts[g2]], blocks)
     out = VBGroupoid(
         base=g,
         e_dims=r.e_dims,
-        gamma_dims=gdims,
-        s_maps=tuple(s_maps),
-        t_maps=tuple(t_maps),
+        gamma_dims=tuple(c + e for c, e in parts),
+        s_maps=s_maps,
+        t_maps=t_maps,
         u_maps=u_maps,
         m_maps=m_maps,
     )
@@ -487,26 +439,13 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
 # -- VB-maps --------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VBMap:
     source: VBGroupoid
     target: VBGroupoid
     base_map: GroupoidMap
     obj_maps: tuple[Matrix, ...]  # per source object
     arr_maps: tuple[Matrix, ...]  # per source arrow
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VBMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.base_map == other.base_map
-            and self.obj_maps == other.obj_maps
-            and self.arr_maps == other.arr_maps
-        )
-
-    def __hash__(self):
-        return hash((self.obj_maps, self.arr_maps))
 
     @property
     def is_invertible(self) -> bool:
@@ -620,50 +559,12 @@ def zero_projection(v: VBGroupoid) -> VBMap:
 
 
 def sum_projection_vb(v1: VBGroupoid, v2: VBGroupoid, side: int = 0) -> VBMap:
-    s = direct_sum_vb(v1, v2)
-    vi = (v1, v2)[side]
-    g = v1.base
-
-    def prj(small: int, total: int, offset: int) -> Matrix:
-        return Matrix.hstack(
-            [Matrix.zeros(small, offset), Matrix.identity(small), Matrix.zeros(small, total - offset - small)]
-        )
-
     return VBMap(
-        source=s,
-        target=vi,
-        base_map=identity_map(g),
-        obj_maps=tuple(
-            prj(vi.e_dims[x], s.e_dims[x], 0 if side == 0 else v1.e_dims[x]) for x in range(g.n_objects)
-        ),
-        arr_maps=tuple(
-            prj(vi.gamma_dims[a], s.gamma_dims[a], 0 if side == 0 else v1.gamma_dims[a])
-            for a in range(g.n_arrows)
-        ),
-    )
-
-
-def sum_inclusion_vb(v1: VBGroupoid, v2: VBGroupoid, side: int = 0) -> VBMap:
-    s = direct_sum_vb(v1, v2)
-    vi = (v1, v2)[side]
-    g = v1.base
-
-    def inc(small: int, total: int, offset: int) -> Matrix:
-        return Matrix.vstack(
-            [Matrix.zeros(offset, small), Matrix.identity(small), Matrix.zeros(total - offset - small, small)]
-        )
-
-    return VBMap(
-        source=vi,
-        target=s,
-        base_map=identity_map(g),
-        obj_maps=tuple(
-            inc(vi.e_dims[x], s.e_dims[x], 0 if side == 0 else v1.e_dims[x]) for x in range(g.n_objects)
-        ),
-        arr_maps=tuple(
-            inc(vi.gamma_dims[a], s.gamma_dims[a], 0 if side == 0 else v1.gamma_dims[a])
-            for a in range(g.n_arrows)
-        ),
+        source=direct_sum_vb(v1, v2),
+        target=(v1, v2)[side],
+        base_map=identity_map(v1.base),
+        obj_maps=tuple(summand_projection(d1, d2, side) for d1, d2 in zip(v1.e_dims, v2.e_dims)),
+        arr_maps=tuple(summand_projection(d1, d2, side) for d1, d2 in zip(v1.gamma_dims, v2.gamma_dims)),
     )
 
 
@@ -679,7 +580,8 @@ def grothendieck_map(m: RuthMorphism) -> VBMap:
     arr = []
     for a in range(g.n_arrows):
         y, x = g.tgt[a], g.src[a]
-        arr.append(Matrix.block([[m.phi_c[y], m.mu[a]], [Matrix.zeros(m.target.e_dims[x], m.source.c_dims[y]), m.phi_e[x]]]))
+        rows, cols = [m.target.c_dims[y], m.target.e_dims[x]], [m.source.c_dims[y], m.source.e_dims[x]]
+        arr.append(Matrix.block(rows, cols, {(0, 0): m.phi_c[y], (0, 1): m.mu[a], (1, 1): m.phi_e[x]}))
     out = VBMap(
         source=v, target=w, base_map=identity_map(g), obj_maps=tuple(m.phi_e), arr_maps=tuple(arr)
     )
@@ -878,10 +780,8 @@ def twist(f: VBMap, alpha: Sequence[Matrix]) -> tuple[VBMap, VBMapIso]:
     arr = []
     for a in range(g.n_arrows):
         x, y = g.src[a], g.tgt[a]
-        uy, ux = g.unit[y], g.unit[x]
-        first = w.mult_of(uy, a, lifted[y] * v.t_maps[a], f.arr_maps[a])
-        inv_l = w.inverse_matrix(ux) * (lifted[x] * v.s_maps[a])
-        arr.append(w.mult_of(a, ux, first, inv_l))
+        lift_t, lift_s = lifted[y] * v.t_maps[a], lifted[x] * v.s_maps[a]
+        arr.append(w.conjugate(g.unit[y], a, g.unit[x], lift_t, f.arr_maps[a], lift_s))
     out = VBMap(source=v, target=w, base_map=f.base_map, obj_maps=obj, arr_maps=tuple(arr))
     check_vbmap(out).require("twist: twisted map invalid")
     iso = VBMapIso(phi=f, psi=out, alpha=lifted)
@@ -1017,7 +917,7 @@ def sub_vbgroupoid(
         basis_full = Matrix.hstack([sub_fib, comp.basis])
         if not basis_full.is_invertible:
             raise InvalidStructureError("sub_vbgroupoid: fib complement degenerate", Report())
-        ext = Matrix.hstack([prod, Matrix.zeros(prod.rows, comp.dim)])
+        ext = Matrix.block([prod.rows], [prod.cols, comp.dim], {(0, 0): prod})
         m_maps[(g1, g2)] = ext * basis_full.inverse()
     out = VBGroupoid(
         base=g, e_dims=e_dims, gamma_dims=gdims, s_maps=s_maps, t_maps=t_maps, u_maps=u_maps, m_maps=m_maps
@@ -1058,73 +958,28 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
     cd = core(v)
     cdim = cd.dims
     e_dims = tuple(cdim[x] + v.e_dims[x] for x in range(g.n_objects))
-    gdims = tuple(cdim[g.tgt[a]] + v.gamma_dims[a] + cdim[g.src[a]] for a in range(g.n_arrows))
+    cols = [(cdim[g.tgt[a]], v.gamma_dims[a], cdim[g.src[a]]) for a in range(g.n_arrows)]
     s_maps = []
     t_maps = []
-    for a in range(g.n_arrows):
-        ct, cs = cdim[g.tgt[a]], cdim[g.src[a]]
-        d = v.gamma_dims[a]
+    for a, (ct, d, cs) in enumerate(cols):
         es, et = v.e_dims[g.src[a]], v.e_dims[g.tgt[a]]
-        s_maps.append(
-            Matrix.block(
-                [
-                    [Matrix.zeros(cs, ct), Matrix.zeros(cs, d), Matrix.identity(cs)],
-                    [Matrix.zeros(es, ct), v.s_maps[a], Matrix.zeros(es, cs)],
-                ]
-            )
-        )
-        t_maps.append(
-            Matrix.block(
-                [
-                    [Matrix.identity(ct), Matrix.zeros(ct, d), Matrix.zeros(ct, cs)],
-                    [Matrix.zeros(et, ct), v.t_maps[a], Matrix.zeros(et, cs)],
-                ]
-            )
-        )
+        s_maps.append(Matrix.block([cs, es], cols[a], {(0, 2): Matrix.identity(cs), (1, 1): v.s_maps[a]}))
+        t_maps.append(Matrix.block([ct, et], cols[a], {(0, 0): Matrix.identity(ct), (1, 1): v.t_maps[a]}))
     u_maps = []
     for x in range(g.n_objects):
-        c, e = cdim[x], v.e_dims[x]
-        u_maps.append(
-            Matrix.block(
-                [
-                    [Matrix.identity(c), Matrix.zeros(c, e)],
-                    [Matrix.zeros(v.gamma_dims[g.unit[x]], c), v.u_maps[x]],
-                    [Matrix.identity(c), Matrix.zeros(c, e)],
-                ]
-            )
-        )
+        c, du = cdim[x], v.gamma_dims[g.unit[x]]
+        blocks = {(0, 0): Matrix.identity(c), (1, 1): v.u_maps[x], (2, 0): Matrix.identity(c)}
+        u_maps.append(Matrix.block([c, du, c], [c, v.e_dims[x]], blocks))
     m_maps = {}
     for g1, g2 in g.pairs:
-        ct1, cs1 = cdim[g.tgt[g1]], cdim[g.src[g1]]
-        ct2, cs2 = cdim[g.tgt[g2]], cdim[g.src[g2]]
-        d1, d2 = v.gamma_dims[g1], v.gamma_dims[g2]
+        ct1, cs2 = cols[g1][0], cols[g2][2]
         m1, m2 = v.mult_blocks(g1, g2)
-        dm = m1.rows
-        m_maps[(g1, g2)] = Matrix.block(
-            [
-                [
-                    Matrix.identity(ct1),
-                    Matrix.zeros(ct1, d1),
-                    Matrix.zeros(ct1, cs1),
-                    Matrix.zeros(ct1, ct2),
-                    Matrix.zeros(ct1, d2),
-                    Matrix.zeros(ct1, cs2),
-                ],
-                [Matrix.zeros(dm, ct1), m1, Matrix.zeros(dm, cs1), Matrix.zeros(dm, ct2), m2, Matrix.zeros(dm, cs2)],
-                [
-                    Matrix.zeros(cs2, ct1),
-                    Matrix.zeros(cs2, d1),
-                    Matrix.zeros(cs2, cs1),
-                    Matrix.zeros(cs2, ct2),
-                    Matrix.zeros(cs2, d2),
-                    Matrix.identity(cs2),
-                ],
-            ]
-        )
+        blocks = {(0, 0): Matrix.identity(ct1), (1, 1): m1, (1, 4): m2, (2, 5): Matrix.identity(cs2)}
+        m_maps[(g1, g2)] = Matrix.block([ct1, m1.rows, cs2], [*cols[g1], *cols[g2]], blocks)
     vb = VBGroupoid(
         base=g,
         e_dims=e_dims,
-        gamma_dims=gdims,
+        gamma_dims=tuple(map(sum, cols)),
         s_maps=tuple(s_maps),
         t_maps=tuple(t_maps),
         u_maps=tuple(u_maps),
@@ -1135,42 +990,21 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
     cd_i = core(vb)
     for x in range(g.n_objects):
         c, e = cdim[x], v.e_dims[x]
-        inj = Matrix.block(
-            [
-                [Matrix.identity(c), Matrix.zeros(c, c)],
-                [Matrix.zeros(v.gamma_dims[g.unit[x]], c), cd.basis[x]],
-                [Matrix.zeros(c, c), Matrix.zeros(c, c)],
-            ]
-        )
+        blocks = {(0, 0): Matrix.identity(c), (1, 1): cd.basis[x]}
+        inj = Matrix.block([c, v.gamma_dims[g.unit[x]], c], [c, c], blocks)
         if Subspace.from_spanning(cd_i.basis[x]) != Subspace.from_spanning(inj):
             raise InvalidStructureError(f"arrow_vb: core mismatch at object {x}", Report())
-        expected = Matrix.block(
-            [
-                [Matrix.identity(c), Matrix.zeros(c, c)],
-                [Matrix.zeros(e, c), cd.anchor[x]],
-            ]
-        )
-        ux = g.unit[x]
-        if vb.t_maps[ux] * inj != expected:
+        expected = Matrix.block([c, e], [c, c], {(0, 0): Matrix.identity(c), (1, 1): cd.anchor[x]})
+        if vb.t_maps[g.unit[x]] * inj != expected:
             raise InvalidStructureError(f"arrow_vb: core anchor mismatch at object {x}", Report())
     sigma = VBMap(
         source=vb,
         target=v,
         base_map=identity_map(g),
         obj_maps=tuple(
-            Matrix.hstack([Matrix.zeros(v.e_dims[x], cdim[x]), Matrix.identity(v.e_dims[x])])
-            for x in range(g.n_objects)
+            Matrix.block([e], [c, e], {(0, 1): Matrix.identity(e)}) for c, e in zip(cdim, v.e_dims)
         ),
-        arr_maps=tuple(
-            Matrix.hstack(
-                [
-                    Matrix.zeros(v.gamma_dims[a], cdim[g.tgt[a]]),
-                    Matrix.identity(v.gamma_dims[a]),
-                    Matrix.zeros(v.gamma_dims[a], cdim[g.src[a]]),
-                ]
-            )
-            for a in range(g.n_arrows)
-        ),
+        arr_maps=tuple(Matrix.block([col[1]], col, {(0, 1): Matrix.identity(col[1])}) for col in cols),
     )
     tau_obj = tuple(
         Matrix.hstack([cd.anchor[x], Matrix.identity(v.e_dims[x])]) for x in range(g.n_objects)
@@ -1178,34 +1012,21 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
     tau_arr = []
     for a in range(g.n_arrows):
         x, y = g.src[a], g.tgt[a]
-        ct, cs = cdim[y], cdim[x]
-        d = v.gamma_dims[a]
-        wprime = Matrix.hstack([cd.basis[y], v.u_maps[y] * v.t_maps[a], Matrix.zeros(v.gamma_dims[g.unit[y]], cs)])
-        wsrc = Matrix.hstack([Matrix.zeros(v.gamma_dims[g.unit[x]], ct), v.u_maps[x] * v.s_maps[a], cd.basis[x]])
-        vproj = Matrix.hstack([Matrix.zeros(d, ct), Matrix.identity(d), Matrix.zeros(d, cs)])
-        first = v.mult_of(g.unit[y], a, wprime, vproj)
-        tau_arr.append(v.mult_of(a, g.unit[x], first, v.inverse_matrix(g.unit[x]) * wsrc))
+        at_tgt = {(0, 0): cd.basis[y], (0, 1): v.u_maps[y] * v.t_maps[a]}
+        at_src = {(0, 1): v.u_maps[x] * v.s_maps[a], (0, 2): cd.basis[x]}
+        wprime = Matrix.block([v.gamma_dims[g.unit[y]]], cols[a], at_tgt)
+        wsrc = Matrix.block([v.gamma_dims[g.unit[x]]], cols[a], at_src)
+        tau_arr.append(v.conjugate(g.unit[y], a, g.unit[x], wprime, sigma.arr_maps[a], wsrc))
     tau = VBMap(
         source=vb, target=v, base_map=identity_map(g), obj_maps=tau_obj, arr_maps=tuple(tau_arr)
     )
+    # mu embeds v as the squares with zero core parts: the transpose of sigma
     mu = VBMap(
         source=v,
         target=vb,
         base_map=identity_map(g),
-        obj_maps=tuple(
-            Matrix.vstack([Matrix.zeros(cdim[x], v.e_dims[x]), Matrix.identity(v.e_dims[x])])
-            for x in range(g.n_objects)
-        ),
-        arr_maps=tuple(
-            Matrix.vstack(
-                [
-                    Matrix.zeros(cdim[g.tgt[a]], v.gamma_dims[a]),
-                    Matrix.identity(v.gamma_dims[a]),
-                    Matrix.zeros(cdim[g.src[a]], v.gamma_dims[a]),
-                ]
-            )
-            for a in range(g.n_arrows)
-        ),
+        obj_maps=tuple(m.transpose() for m in sigma.obj_maps),
+        arr_maps=tuple(m.transpose() for m in sigma.arr_maps),
     )
     for name, f in (("sigma", sigma), ("tau", tau), ("mu", mu)):
         check_vbmap(f).require(f"arrow_vb: {name} invalid")
@@ -1245,9 +1066,8 @@ def cleavage_to_vbmap(v: VBGroupoid, c: Cleavage) -> CleavageMap:
     arr_maps = []
     for (gp, h, gg) in ag.triples:
         top = g.compose(h, gg)
-        first = v.mult_of(gp, top, c.sigma[gp] * v.t_maps[top], Matrix.identity(v.gamma_dims[top]))
-        inv_l = v.inverse_matrix(gg) * (c.sigma[gg] * v.s_maps[top])
-        arr_maps.append(v.mult_of(g.compose(gp, g.compose(h, gg)), g.inv[gg], first, inv_l))
+        lift_t, lift_s = c.sigma[gp] * v.t_maps[top], c.sigma[gg] * v.s_maps[top]
+        arr_maps.append(v.conjugate(gp, top, gg, lift_t, Matrix.identity(v.gamma_dims[top]), lift_s))
     rho = VBMap(
         source=sigma_star,
         target=tau_star,
@@ -1292,114 +1112,49 @@ def _canonical_factorization(f: VBMap) -> _Factorization:
     cd2 = core(v2)
     c2 = cd2.dims
     e_dims = tuple(v1.e_dims[x] + c2[x] for x in range(g.n_objects))
-    gdims = tuple(v1.gamma_dims[a] + c2[g.tgt[a]] + c2[g.src[a]] for a in range(g.n_arrows))
+    cols = [(v1.gamma_dims[a], c2[g.tgt[a]], c2[g.src[a]]) for a in range(g.n_arrows)]
     s_maps = []
     t_maps = []
-    for a in range(g.n_arrows):
-        x, y = g.src[a], g.tgt[a]
-        d = v1.gamma_dims[a]
-        s_maps.append(
-            Matrix.block(
-                [
-                    [v1.s_maps[a], Matrix.zeros(v1.e_dims[x], c2[y]), Matrix.zeros(v1.e_dims[x], c2[x])],
-                    [Matrix.zeros(c2[x], d), Matrix.zeros(c2[x], c2[y]), Matrix.identity(c2[x])],
-                ]
-            )
-        )
-        t_maps.append(
-            Matrix.block(
-                [
-                    [v1.t_maps[a], Matrix.zeros(v1.e_dims[y], c2[y]), Matrix.zeros(v1.e_dims[y], c2[x])],
-                    [Matrix.zeros(c2[y], d), Matrix.identity(c2[y]), Matrix.zeros(c2[y], c2[x])],
-                ]
-            )
-        )
+    for a, (d, cy, cx) in enumerate(cols):
+        ex, ey = v1.e_dims[g.src[a]], v1.e_dims[g.tgt[a]]
+        s_maps.append(Matrix.block([ex, cx], cols[a], {(0, 0): v1.s_maps[a], (1, 2): Matrix.identity(cx)}))
+        t_maps.append(Matrix.block([ey, cy], cols[a], {(0, 0): v1.t_maps[a], (1, 1): Matrix.identity(cy)}))
     u_maps = []
     for x in range(g.n_objects):
-        u_maps.append(
-            Matrix.block(
-                [
-                    [v1.u_maps[x], Matrix.zeros(v1.gamma_dims[g.unit[x]], c2[x])],
-                    [Matrix.zeros(c2[x], v1.e_dims[x]), Matrix.identity(c2[x])],
-                    [Matrix.zeros(c2[x], v1.e_dims[x]), Matrix.identity(c2[x])],
-                ]
-            )
-        )
+        blocks = {(0, 0): v1.u_maps[x], (1, 1): Matrix.identity(c2[x]), (2, 1): Matrix.identity(c2[x])}
+        u_maps.append(Matrix.block([v1.gamma_dims[g.unit[x]], c2[x], c2[x]], [v1.e_dims[x], c2[x]], blocks))
     m_maps = {}
     for g1, g2 in g.pairs:
         m1, m2 = v1.mult_blocks(g1, g2)
-        ct = c2[g.tgt[g1]]
-        cm = c2[g.src[g1]]
-        ct2 = c2[g.tgt[g2]]
-        cs = c2[g.src[g2]]
-        dm = m1.rows
-        d1, d2 = v1.gamma_dims[g1], v1.gamma_dims[g2]
-        m_maps[(g1, g2)] = Matrix.block(
-            [
-                [m1, Matrix.zeros(dm, ct), Matrix.zeros(dm, cm), m2, Matrix.zeros(dm, ct2), Matrix.zeros(dm, cs)],
-                [
-                    Matrix.zeros(ct, d1),
-                    Matrix.identity(ct),
-                    Matrix.zeros(ct, cm),
-                    Matrix.zeros(ct, d2),
-                    Matrix.zeros(ct, ct2),
-                    Matrix.zeros(ct, cs),
-                ],
-                [
-                    Matrix.zeros(cs, d1),
-                    Matrix.zeros(cs, ct),
-                    Matrix.zeros(cs, cm),
-                    Matrix.zeros(cs, d2),
-                    Matrix.zeros(cs, ct2),
-                    Matrix.identity(cs),
-                ],
-            ]
-        )
+        ct, cs = cols[g1][1], cols[g2][2]
+        blocks = {(0, 0): m1, (0, 3): m2, (1, 1): Matrix.identity(ct), (2, 5): Matrix.identity(cs)}
+        m_maps[(g1, g2)] = Matrix.block([m1.rows, ct, cs], [*cols[g1], *cols[g2]], blocks)
     path = VBGroupoid(
         base=g,
         e_dims=e_dims,
-        gamma_dims=gdims,
+        gamma_dims=tuple(map(sum, cols)),
         s_maps=tuple(s_maps),
         t_maps=tuple(t_maps),
         u_maps=tuple(u_maps),
         m_maps=m_maps,
     )
     check_vbgroupoid(path).require("canonical factorization: path object invalid")
-    incl = VBMap(
-        source=v1,
-        target=path,
-        base_map=identity_map(g),
-        obj_maps=tuple(
-            Matrix.vstack([Matrix.identity(v1.e_dims[x]), Matrix.zeros(c2[x], v1.e_dims[x])])
-            for x in range(g.n_objects)
-        ),
-        arr_maps=tuple(
-            Matrix.vstack(
-                [
-                    Matrix.identity(v1.gamma_dims[a]),
-                    Matrix.zeros(c2[g.tgt[a]] + c2[g.src[a]], v1.gamma_dims[a]),
-                ]
-            )
-            for a in range(g.n_arrows)
-        ),
-    )
     proj = VBMap(
         source=path,
         target=v1,
         base_map=identity_map(g),
         obj_maps=tuple(
-            Matrix.hstack([Matrix.identity(v1.e_dims[x]), Matrix.zeros(v1.e_dims[x], c2[x])])
-            for x in range(g.n_objects)
+            Matrix.block([e], [e, c], {(0, 0): Matrix.identity(e)}) for e, c in zip(v1.e_dims, c2)
         ),
-        arr_maps=tuple(
-            Matrix.hstack(
-                [
-                    Matrix.identity(v1.gamma_dims[a]),
-                    Matrix.zeros(v1.gamma_dims[a], c2[g.tgt[a]] + c2[g.src[a]]),
-                ]
-            )
-            for a in range(g.n_arrows)
-        ),
+        arr_maps=tuple(Matrix.block([col[0]], col, {(0, 0): Matrix.identity(col[0])}) for col in cols),
+    )
+    # incl is the transpose of proj: it pads with zero core parts
+    incl = VBMap(
+        source=v1,
+        target=path,
+        base_map=identity_map(g),
+        obj_maps=tuple(m.transpose() for m in proj.obj_maps),
+        arr_maps=tuple(m.transpose() for m in proj.arr_maps),
     )
     fib_obj = tuple(
         Matrix.hstack([f.obj_maps[x], cd2.anchor[x]]) for x in range(g.n_objects)
@@ -1407,17 +1162,13 @@ def _canonical_factorization(f: VBMap) -> _Factorization:
     fib_arr = []
     for a in range(g.n_arrows):
         x, y = g.src[a], g.tgt[a]
-        d = v1.gamma_dims[a]
         phi_a = f.arr_maps[a]
-        a_mat = Matrix.hstack(
-            [v2.u_maps[y] * v2.t_maps[a] * phi_a, cd2.basis[y], Matrix.zeros(v2.gamma_dims[g.unit[y]], c2[x])]
-        )
-        b_mat = Matrix.hstack(
-            [v2.u_maps[x] * v2.s_maps[a] * phi_a, Matrix.zeros(v2.gamma_dims[g.unit[x]], c2[y]), cd2.basis[x]]
-        )
-        phi_proj = Matrix.hstack([phi_a, Matrix.zeros(v2.gamma_dims[a], c2[y] + c2[x])])
-        first = v2.mult_of(g.unit[y], a, a_mat, phi_proj)
-        fib_arr.append(v2.mult_of(a, g.unit[x], first, v2.inverse_matrix(g.unit[x]) * b_mat))
+        at_tgt = {(0, 0): v2.u_maps[y] * v2.t_maps[a] * phi_a, (0, 1): cd2.basis[y]}
+        at_src = {(0, 0): v2.u_maps[x] * v2.s_maps[a] * phi_a, (0, 2): cd2.basis[x]}
+        a_mat = Matrix.block([v2.gamma_dims[g.unit[y]]], cols[a], at_tgt)
+        b_mat = Matrix.block([v2.gamma_dims[g.unit[x]]], cols[a], at_src)
+        phi_proj = Matrix.block([v2.gamma_dims[a]], cols[a], {(0, 0): phi_a})
+        fib_arr.append(v2.conjugate(g.unit[y], a, g.unit[x], a_mat, phi_proj, b_mat))
     fib = VBMap(
         source=path, target=v2, base_map=identity_map(g), obj_maps=fib_obj, arr_maps=tuple(fib_arr)
     )

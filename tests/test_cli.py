@@ -156,7 +156,7 @@ def test_pmax_below_one_is_usage_error(sign_file, tmp_path, capsys, pmax):
         assert events[1] == {"command": "cohomology", "event": "summary", "exit": 2, "ok": False}
 
 
-@pytest.mark.parametrize("var", ["VBG_PMAX", "VBG_SEED", "VBG_JOBS"])
+@pytest.mark.parametrize("var", ["VBG_PMAX", "VBG_SEED"])
 def test_non_integer_env_is_usage_error(sign_file, capsys, monkeypatch, var):
     monkeypatch.setenv(var, "abc")
     code, events = run_cli(["check", str(sign_file)], capsys)
@@ -164,3 +164,92 @@ def test_non_integer_env_is_usage_error(sign_file, capsys, monkeypatch, var):
     assert [e["event"] for e in events] == ["error", "summary"]
     assert events[0]["kind"] == "usage" and var in events[0]["message"]
     assert events[1]["exit"] == 2
+
+
+@pytest.mark.parametrize(
+    "args,command",
+    [
+        (["cohomology", "F", "psi", "--pmax", "abc"], "cohomology"),
+        (["nope"], None),
+        (["gen"], "gen"),
+    ],
+    ids=["bad-pmax", "unknown-command", "gen-without-recipe"],
+)
+def test_bad_command_line_is_usage_event(capsys, args, command):
+    code = main(args)
+    captured = capsys.readouterr()
+    events = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "usage"
+    assert events[1] == {"command": command, "event": "summary", "exit": 2, "ok": False}
+    assert captured.err == ""
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vbg")
+
+
+def test_closed_stdout_exits_two_without_traceback(sign_file, tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        """A stdout whose reader went away; its descriptor is a temporary file."""
+
+        def __init__(self, file):
+            self.file = file
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.file.fileno()
+
+    with open(tmp_path / "stdout", "w") as file:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(file))
+        assert main(["groth", str(sign_file), "sign"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _mutate(objects, case):
+    group, ruth = objects["z3"], objects["gauged0"]
+    if case == "groupoid-without-arrows":
+        del group["arrows"]
+    elif case == "rhoE-key-out-of-range":
+        ruth["rhoE"]["7"] = ruth["rhoE"]["1"]
+    elif case == "unit-object-out-of-range":
+        group["unit"][0] = [5, 0]
+    elif case == "compose-entry-not-an-id":
+        group["compose"][0] = [0, 0, "a"]
+    elif case == "object-is-a-list":
+        objects["gauged0"] = [ruth]
+    elif case == "rhoE-key-negative":
+        ruth["rhoE"]["-1"] = ruth["rhoE"]["1"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "groupoid-without-arrows",
+        "rhoE-key-out-of-range",
+        "unit-object-out-of-range",
+        "compose-entry-not-an-id",
+        "object-is-a-list",
+        "rhoE-key-negative",
+    ],
+)
+def test_malformed_instance_is_parse_error(tmp_path, capsys, case):
+    path = tmp_path / "gen.json"
+    assert main(["gen", "--recipe", "gauge:z3", "--seed", "4", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    _mutate(payload["objects"], case)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    events = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2
+    assert events[0]["event"] == "error" and events[0]["kind"] == "parse"
+    assert events[-1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
+    assert "Traceback" not in captured.err

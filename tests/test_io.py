@@ -91,3 +91,9 @@ def test_dumps_deterministic():
     a = vio.dumps_instance({"z2": vio.groupoid_to_json(z2)})
     b = vio.dumps_instance({"z2": vio.groupoid_to_json(cyclic_groupoid(2))})
     assert a == b
+
+
+def test_instance_reference_cycle():
+    text = vio.dumps_instance({"f": {"type": "groupoid_map", "dom": "f", "cod": "f"}})
+    with pytest.raises(vio.ParseError, match="unresolvable references among"):
+        vio.loads_instance(text)

@@ -137,10 +137,7 @@ def test_grothendieck_mult_formula_with_curvature(z2, gauged):
     rc = gauged.rho_c[1]
     gm = gauged.gamma[(1, 1)]
     expected = Matrix.block(
-        [
-            [Matrix.identity(1), Matrix.zeros(1, 1), rc, -gm],
-            [Matrix.zeros(1, 1), Matrix.zeros(1, 1), Matrix.zeros(1, 1), Matrix.identity(1)],
-        ]
+        [1, 1], [1, 1, 1, 1], {(0, 0): Matrix.identity(1), (0, 2): rc, (0, 3): -gm, (1, 3): Matrix.identity(1)}
     )
     assert m == expected
 
