@@ -4,10 +4,10 @@ Reports stream as JSON lines on stdout so long verification suites can be
 monitored; the final line is a summary with the exit status.  Exit codes:
 0 = all checks passed, 1 = a mathematical check failed, 2 = input or usage
 error.  Usage errors (a malformed option value, an unknown command, a missing
-required option) are JSON events too: an ``{"event": "error", "kind": "usage"}``
-line, then the summary, then exit code 2.  Identical inputs and seeds produce
-byte-identical output; wall-clock timing is printed to stderr only when
---timings is given.
+required option, ``gen`` without ``--out``) are JSON events too: an
+``{"event": "error", "kind": "usage"}`` line, then the summary, then exit
+code 2.  Identical inputs and seeds produce byte-identical output; wall-clock
+timing is printed to stderr only when --timings is given.
 """
 
 from __future__ import annotations
@@ -409,20 +409,20 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
 
 
 def cmd_gen(args) -> int:
+    # stdout carries the JSON events, so the instance itself must go to a file
+    if not args.out:
+        raise UsageError("gen writes the instance to a file: give --out (or set $VBG_OUT)")
     objects = _gen_objects(args.recipe, args.seed)
     text = vio.dumps_instance(objects)
     # every emitted object must load and validate
     vio.loads_instance(text)
-    if args.out:
-        path = Path(args.out)
-        if path.suffix != ".json":
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / f"gen-{args.recipe.replace(':', '-')}-{args.seed}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        _emit({"event": "written", "path": str(path)})
-    else:
-        sys.stdout.write(text)
+    path = Path(args.out)
+    if path.suffix != ".json":
+        path.mkdir(parents=True, exist_ok=True)
+        path = path / f"gen-{args.recipe.replace(':', '-')}-{args.seed}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    _emit({"event": "written", "path": str(path)})
     return 0
 
 

@@ -43,12 +43,31 @@ def frac_from_str(s: str) -> Fraction:
 
 
 def _id(value: Any, size: int, where: str) -> int:
-    """``value`` (an int, or a JSON key holding one) as an id in 0..size-1, else a ParseError."""
-    if isinstance(value, str) and value.lstrip("-").isdigit():
+    """``value`` (an int, or a JSON key holding one) as an id in 0..size-1, else a ParseError.
+
+    A key must be an id written the way the writers write it: ``"03"`` is not key 3.
+    """
+    if isinstance(value, str) and value.lstrip("-").isdigit() and str(int(value)) == value:
         value = int(value)
     if type(value) is not int or not 0 <= value < size:
         raise ParseError(f"{where}: id {value!r} is not in 0..{size - 1}")
     return value
+
+
+def _table(data: dict, key: str, size: int, where: str) -> dict[int, Any]:
+    """The table ``data[key]`` by id; a key that is not an id in 0..size-1 is a ParseError."""
+    return {_id(k, size, f"{where}.{key}"): v for k, v in data.get(key, {}).items()}
+
+
+def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tuple[int, int], Any]:
+    """The table ``data[key]`` by ``"g1,g2"`` keys, each a composable pair of ``g``, else a ParseError."""
+    out = {}
+    for k, v in data.get(key, {}).items():
+        pair = tuple(_id(x, g.n_arrows, f"{where}.{key}") for x in k.split(","))
+        if pair not in g.comp:
+            raise ParseError(f"{where}.{key}: {k!r} is not a composable pair")
+        out[pair] = v
+    return out
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -132,31 +151,28 @@ def ruth_to_json(r: TwoTermRuth, base: str) -> dict:
 
 def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> TwoTermRuth:
     g = base
+    e_tab, c_tab = _table(data, "E", g.n_objects, where), _table(data, "C", g.n_objects, where)
     try:
-        e = tuple(int(data["E"][str(x)]) for x in range(g.n_objects))
-        c = tuple(int(data["C"][str(x)]) for x in range(g.n_objects))
+        e = tuple(int(e_tab[x]) for x in range(g.n_objects))
+        c = tuple(int(c_tab[x]) for x in range(g.n_objects))
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
-
-    def table(key: str, size: int) -> dict[int, Any]:
-        return {_id(k, size, f"{where}.{key}"): m for k, m in data.get(key, {}).items()}
-
     anchor = {
         x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]")
-        for x, m in table("anchor", g.n_objects).items()
+        for x, m in _table(data, "anchor", g.n_objects, where).items()
     }
     rho_e = {
         a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]")
-        for a, m in table("rhoE", g.n_arrows).items()
+        for a, m in _table(data, "rhoE", g.n_arrows, where).items()
     }
     rho_c = {
         a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]")
-        for a, m in table("rhoC", g.n_arrows).items()
+        for a, m in _table(data, "rhoC", g.n_arrows, where).items()
     }
-    gamma = {}
-    for key, m in data.get("gamma", {}).items():
-        g1, g2 = (_id(k, g.n_arrows, f"{where}.gamma") for k in key.split(","))
-        gamma[(g1, g2)] = matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{key}]")
+    gamma = {
+        (g1, g2): matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{g1},{g2}]")
+        for (g1, g2), m in _pair_table(data, "gamma", g, where).items()
+    }
     return make_ruth(g, e, c, anchor=anchor, rho_e=rho_e, rho_c=rho_c, gamma=gamma)
 
 
@@ -176,29 +192,25 @@ def vbgroupoid_to_json(v: VBGroupoid, base: str) -> dict:
 
 def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroupoid") -> VBGroupoid:
     g = base
+    n, m = g.n_objects, g.n_arrows
+    e_tab, gd_tab = _table(data, "E", n, where), _table(data, "Gamma", m, where)
     try:
-        e = tuple(int(data["E"][str(x)]) for x in range(g.n_objects))
-        gd = tuple(int(data["Gamma"][str(a)]) for a in range(g.n_arrows))
+        e = tuple(int(e_tab[x]) for x in range(n))
+        gd = tuple(int(gd_tab[a]) for a in range(m))
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
-    s_maps = tuple(
-        matrix_from_json(data["s"][str(a)], e[g.src[a]], gd[a], f"{where}.s[{a}]") for a in range(g.n_arrows)
-    )
-    t_maps = tuple(
-        matrix_from_json(data["t"][str(a)], e[g.tgt[a]], gd[a], f"{where}.t[{a}]") for a in range(g.n_arrows)
-    )
-    u_maps = tuple(
-        matrix_from_json(data["u"][str(x)], gd[g.unit[x]], e[x], f"{where}.u[{x}]")
-        for x in range(g.n_objects)
-    )
+    s, t, u = _table(data, "s", m, where), _table(data, "t", m, where), _table(data, "u", n, where)
+    s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]") for a in range(m))
+    t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]") for a in range(m))
+    u_maps = tuple(matrix_from_json(u[x], gd[g.unit[x]], e[x], f"{where}.u[{x}]") for x in range(n))
+    mult = _pair_table(data, "m", g, where)
     m_maps = {}
     for g1, g2 in g.pairs:
-        key = f"{g1},{g2}"
-        if key not in data.get("m", {}):
-            raise ParseError(f"{where}: missing multiplication entry {key}")
+        if (g1, g2) not in mult:
+            raise ParseError(f"{where}: missing multiplication entry {g1},{g2}")
         g12 = g.compose(g1, g2)
         m_maps[(g1, g2)] = matrix_from_json(
-            data["m"][key], gd[g12], gd[g1] + gd[g2], f"{where}.m[{key}]"
+            mult[(g1, g2)], gd[g12], gd[g1] + gd[g2], f"{where}.m[{g1},{g2}]"
         )
     return VBGroupoid(
         base=g, e_dims=e, gamma_dims=gd, s_maps=s_maps, t_maps=t_maps, u_maps=u_maps, m_maps=m_maps
@@ -227,16 +239,13 @@ def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: s
     obj_map = _pairs_to_table(bm_data.get("object_map", []), g.n_objects, cod.n_objects, at)
     arr_map = _pairs_to_table(bm_data.get("arrow_map", []), g.n_arrows, cod.n_arrows, at)
     bm = GroupoidMap(g, target.base, obj_map, arr_map)
+    obj, arr = _table(data, "obj", g.n_objects, where), _table(data, "arr", g.n_arrows, where)
     obj_maps = tuple(
-        matrix_from_json(
-            data["obj"][str(x)], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]"
-        )
+        matrix_from_json(obj[x], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]")
         for x in range(g.n_objects)
     )
     arr_maps = tuple(
-        matrix_from_json(
-            data["arr"][str(a)], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]"
-        )
+        matrix_from_json(arr[a], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]")
         for a in range(g.n_arrows)
     )
     return VBMap(source=source, target=target, base_map=bm, obj_maps=obj_maps, arr_maps=arr_maps)

@@ -4,11 +4,21 @@ Checkers (``validate_groupoid``, ``check_ruth``, ``check_vbgroupoid``, ...)
 return a :class:`Report` listing every violated axiom together with a witness.
 Construction preconditions that must hold call :meth:`Report.require`, which
 raises :class:`InvalidStructureError` carrying the report.
+
+The expensive checkers are wrapped in :func:`checked_once`: within a process each
+of them runs once per distinct value that passes, and a value equal to one that
+already passed gets an empty report at once.  This relies on the checked classes
+being frozen dataclasses whose equality covers every field a checker reads; their
+dict-valued fields (``comp``, ``gamma``, ``m_maps``) must not be changed in place
+after construction.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 
 class InvalidStructureError(ValueError):
@@ -59,3 +69,28 @@ class Report:
             {"check": v.check, "witness": [repr(x) for x in v.witness], "detail": v.detail}
             for v in self.violations
         ]
+
+
+def checked_once(check: Callable[[Any], Report]) -> Callable[[Any], Report]:
+    """Run ``check`` once per distinct passing value in this process.
+
+    A value equal to one that already passed returns a fresh, empty :class:`Report`
+    without running ``check``; any other value is checked in full, and joins the
+    remembered values only if its report is ok, so a failing value is checked (and
+    its witnesses found) again on every call.  Passing values are held weakly, so
+    the memo keeps nothing alive.  Equality must decide the report: a value whose
+    dict fields were mutated in place after it passed would be taken for the value
+    it was.  ``__wrapped__`` is the undecorated checker.
+    """
+    passed: weakref.WeakSet = weakref.WeakSet()
+
+    @functools.wraps(check)
+    def checker(value) -> Report:
+        if value in passed:
+            return Report()
+        rep = check(value)
+        if rep.ok:
+            passed.add(value)
+        return rep
+
+    return checker

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .groupoid import FiniteGroupoid, GroupoidMap, validate_map
 from .linalg import Matrix, chain_map_is_quasi_iso, two_term_complex
-from .report import Report
+from .report import Report, checked_once
 
 Bundle = tuple[int, ...]  # fiber dimension per object id
 
@@ -71,6 +71,7 @@ def _dims_ok(r: TwoTermRuth, rep: Report) -> bool:
     return ok
 
 
+@checked_once
 def check_ruth(r: TwoTermRuth) -> Report:
     """All four structure equations plus the unitality normalization."""
     rep = Report()

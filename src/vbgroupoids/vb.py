@@ -41,7 +41,7 @@ from .linalg import (
     preimage_space,
     two_term_complex,
 )
-from .report import InvalidStructureError, Report
+from .report import InvalidStructureError, Report, Violation, checked_once
 from .ruth import (
     Bundle,
     RuthMorphism,
@@ -125,7 +125,10 @@ class VBGroupoid:
             b = tuple(x - y for x, y in zip(rhs[: m2.rows], lhs_shift)) + rhs[m2.rows :]
             w = a.solve(b)
             if w is None:
-                raise InvalidStructureError(f"no inverse for basis vector {k} over arrow {g}", Report())
+                raise InvalidStructureError(
+                    f"no inverse for basis vector {k} over arrow {g}",
+                    Report([Violation("inverse-missing", (g, k))]),
+                )
             cols.append(w)
         return Matrix.from_cols(cols, rows=self.gamma_dims[gi])
 
@@ -158,6 +161,7 @@ def is_acyclic(v: VBGroupoid) -> bool:
     return all(a.is_invertible for a in core(v).anchor)
 
 
+@checked_once
 def check_vbgroupoid(v: VBGroupoid) -> Report:
     rep = Report()
     g = v.base
@@ -354,7 +358,10 @@ def choose_cleavage(v: VBGroupoid) -> Cleavage:
     for a in range(g.n_arrows):
         rinv = v.s_maps[a].solve_matrix(Matrix.identity(v.e_dims[g.src[a]]))
         if rinv is None:
-            raise InvalidStructureError(f"choose_cleavage: s not surjective at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"choose_cleavage: s not surjective at arrow {a}",
+                Report([Violation("s-surjective", (a,))]),
+            )
         sigma.append(rinv)
     sigma = [v.u_maps[x] if g.is_unit(a) else sigma[a] for a, x in ((a, g.src[a]) for a in range(g.n_arrows))]
     c = Cleavage(sigma=tuple(sigma))
@@ -384,7 +391,10 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
         res = m1 * first
         coords = cd.basis[g.tgt[a]].solve_matrix(res)
         if coords is None:
-            raise InvalidStructureError(f"split: rho_c not core-valued at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"split: rho_c not core-valued at arrow {a}",
+                Report([Violation("rho_c-core-valued", (a,))]),
+            )
         rho_c.append(coords)
     gamma = {}
     for g1, g2 in g.pairs:
@@ -396,7 +406,10 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
         defect = p2 - v.u_maps[y] * rho_e[g12]
         coords = cd.basis[y].solve_matrix(defect)
         if coords is None:
-            raise InvalidStructureError(f"split: curvature not core-valued at pair {(g1, g2)}", Report())
+            raise InvalidStructureError(
+                f"split: curvature not core-valued at pair {(g1, g2)}",
+                Report([Violation("gamma-core-valued", (g1, g2))]),
+            )
         gamma[(g1, g2)] = -coords
     r = TwoTermRuth(
         base=g,
@@ -420,7 +433,10 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
         )
         coords = cd.basis[y].solve_matrix(vert)
         if coords is None:
-            raise InvalidStructureError(f"split: vertical part not core-valued at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"split: vertical part not core-valued at arrow {a}",
+                Report([Violation("vertical-core-valued", (a,))]),
+            )
         arr.append(Matrix.vstack([coords, v.s_maps[a]]))
     iso = VBMap(
         source=v,
@@ -432,7 +448,10 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
     check_vbmap(iso).require("split: comparison map invalid")
     for a in range(g.n_arrows):
         if not iso.arr_maps[a].is_invertible:
-            raise InvalidStructureError(f"split: comparison not invertible at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"split: comparison not invertible at arrow {a}",
+                Report([Violation("comparison-invertible", (a,))]),
+            )
     return r, iso
 
 
@@ -457,6 +476,7 @@ class VBMap:
         return all(m.is_invertible for m in self.obj_maps) and all(m.is_invertible for m in self.arr_maps)
 
 
+@checked_once
 def check_vbmap(f: VBMap) -> Report:
     rep = Report()
     rep.extend(validate_map(f.base_map))
@@ -664,7 +684,10 @@ def core_map(f: VBMap, cd_src: CoreData, cd_tgt: CoreData, x: int) -> Matrix:
     img = f.arr_maps[g.unit[x]] * cd_src.basis[x]
     coords = cd_tgt.basis[y].solve_matrix(img)
     if coords is None:
-        raise InvalidStructureError(f"core_map: image not in core at object {x}", Report())
+        raise InvalidStructureError(
+            f"core_map: image not in core at object {x}",
+            Report([Violation("core-map", (x,))]),
+        )
     return coords
 
 
@@ -893,7 +916,10 @@ def sub_vbgroupoid(
     def coords(basis: Matrix, m: Matrix, what: str) -> Matrix:
         c = basis.solve_matrix(m)
         if c is None:
-            raise InvalidStructureError(f"sub_vbgroupoid: {what} leaves the subspace", Report())
+            raise InvalidStructureError(
+                f"sub_vbgroupoid: {what} leaves the subspace",
+                Report([Violation("sub-closed", ())]),
+            )
         return c
 
     s_maps = tuple(
@@ -916,7 +942,10 @@ def sub_vbgroupoid(
         comp = complement_space(Subspace.from_spanning(sub_fib))
         basis_full = Matrix.hstack([sub_fib, comp.basis])
         if not basis_full.is_invertible:
-            raise InvalidStructureError("sub_vbgroupoid: fib complement degenerate", Report())
+            raise InvalidStructureError(
+                "sub_vbgroupoid: fib complement degenerate",
+                Report([Violation("fib-complement", ())]),
+            )
         ext = Matrix.block([prod.rows], [prod.cols, comp.dim], {(0, 0): prod})
         m_maps[(g1, g2)] = ext * basis_full.inverse()
     out = VBGroupoid(
@@ -993,10 +1022,16 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
         blocks = {(0, 0): Matrix.identity(c), (1, 1): cd.basis[x]}
         inj = Matrix.block([c, v.gamma_dims[g.unit[x]], c], [c, c], blocks)
         if Subspace.from_spanning(cd_i.basis[x]) != Subspace.from_spanning(inj):
-            raise InvalidStructureError(f"arrow_vb: core mismatch at object {x}", Report())
+            raise InvalidStructureError(
+                f"arrow_vb: core mismatch at object {x}",
+                Report([Violation("core-mismatch", (x,))]),
+            )
         expected = Matrix.block([c, e], [c, c], {(0, 0): Matrix.identity(c), (1, 1): cd.anchor[x]})
         if vb.t_maps[g.unit[x]] * inj != expected:
-            raise InvalidStructureError(f"arrow_vb: core anchor mismatch at object {x}", Report())
+            raise InvalidStructureError(
+                f"arrow_vb: core anchor mismatch at object {x}",
+                Report([Violation("core-anchor", (x,))]),
+            )
     sigma = VBMap(
         source=vb,
         target=v,
@@ -1031,7 +1066,10 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
     for name, f in (("sigma", sigma), ("tau", tau), ("mu", mu)):
         check_vbmap(f).require(f"arrow_vb: {name} invalid")
     if compose_vbmap(sigma, mu) != identity_vbmap(v) or compose_vbmap(tau, mu) != identity_vbmap(v):
-        raise InvalidStructureError("arrow_vb: sigma mu = tau mu = id fails", Report())
+        raise InvalidStructureError(
+            "arrow_vb: sigma mu = tau mu = id fails",
+            Report([Violation("sigma-tau-retraction", ())]),
+        )
     alpha = tuple(Matrix.hstack([cd.basis[x], v.u_maps[x]]) for x in range(g.n_objects))
     universal = VBMapIso(phi=sigma, psi=tau, alpha=alpha)
     check_vbmap_iso(universal).require("arrow_vb: universal isomorphism invalid")
@@ -1080,13 +1118,19 @@ def cleavage_to_vbmap(v: VBGroupoid, c: Cleavage) -> CleavageMap:
     for a in range(g.n_arrows):
         k = ag.mu.arr_map[a]
         if rho.arr_maps[k] != Matrix.identity(v.gamma_dims[a]):
-            raise InvalidStructureError(f"cleavage_to_vbmap: mu* rho != id at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"cleavage_to_vbmap: mu* rho != id at arrow {a}",
+                Report([Violation("mu-rho-identity", (a,))]),
+            )
     tindex = {t: i for i, t in enumerate(ag.triples)}
     for a in range(g.n_arrows):
         x = g.src[a]
         k = tindex[(a, g.unit[x], g.unit[x])]
         if rho.arr_maps[k] * v.u_maps[x] != c.sigma[a]:
-            raise InvalidStructureError(f"cleavage_to_vbmap: recovery fails at arrow {a}", Report())
+            raise InvalidStructureError(
+                f"cleavage_to_vbmap: recovery fails at arrow {a}",
+                Report([Violation("cleavage-recovery", (a,))]),
+            )
     return CleavageMap(arrow_data=ag, sigma_star=sigma_star, tau_star=tau_star, rho=rho)
 
 
@@ -1175,7 +1219,10 @@ def _canonical_factorization(f: VBMap) -> _Factorization:
     for name, m in (("incl", incl), ("proj", proj), ("fib", fib)):
         check_vbmap(m).require(f"canonical factorization: {name} invalid")
     if compose_vbmap(fib, incl) != f:
-        raise InvalidStructureError("canonical factorization: fib incl != f", Report())
+        raise InvalidStructureError(
+            "canonical factorization: fib incl != f",
+            Report([Violation("factorization", ())]),
+        )
     k0 = tuple(kernel_space(fib.obj_maps[x]) for x in range(g.n_objects))
     k1 = tuple(kernel_space(fib.arr_maps[a]) for a in range(g.n_arrows))
     for x in range(g.n_objects):

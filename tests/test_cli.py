@@ -172,10 +172,12 @@ def test_non_integer_env_is_usage_error(sign_file, capsys, monkeypatch, var):
         (["cohomology", "F", "psi", "--pmax", "abc"], "cohomology"),
         (["nope"], None),
         (["gen"], "gen"),
+        (["gen", "--recipe", "gauge:z3"], "gen"),
     ],
-    ids=["bad-pmax", "unknown-command", "gen-without-recipe"],
+    ids=["bad-pmax", "unknown-command", "gen-without-recipe", "gen-without-out"],
 )
-def test_bad_command_line_is_usage_event(capsys, args, command):
+def test_bad_command_line_is_usage_event(capsys, monkeypatch, args, command):
+    monkeypatch.delenv("VBG_OUT", raising=False)
     code = main(args)
     captured = capsys.readouterr()
     events = [json.loads(line) for line in captured.out.splitlines()]
@@ -226,6 +228,8 @@ def _mutate(objects, case):
         objects["gauged0"] = [ruth]
     elif case == "rhoE-key-negative":
         ruth["rhoE"]["-1"] = ruth["rhoE"]["1"]
+    elif case == "E-key-out-of-range":
+        ruth["E"]["1"] = ruth["E"]["0"]
 
 
 @pytest.mark.parametrize(
@@ -237,6 +241,7 @@ def _mutate(objects, case):
         "compose-entry-not-an-id",
         "object-is-a-list",
         "rhoE-key-negative",
+        "E-key-out-of-range",
     ],
 )
 def test_malformed_instance_is_parse_error(tmp_path, capsys, case):
@@ -253,3 +258,39 @@ def test_malformed_instance_is_parse_error(tmp_path, capsys, case):
     assert events[0]["event"] == "error" and events[0]["kind"] == "parse"
     assert events[-1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
     assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def descent_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("gen")
+    for recipe, seed in (("perturbed-pullback:pt", "2"), ("cech-pullback:z2", "0")):
+        assert main(["gen", "--recipe", recipe, "--seed", seed, "--out", str(d)]) == 0
+    return {"object": d / "gen-perturbed-pullback-pt-2.json", "psi": d / "gen-cech-pullback-z2-0.json"}
+
+
+@pytest.mark.parametrize(
+    "name,table,key",
+    [
+        ("object", "E", "99"),
+        ("object", "E", "00"),
+        ("object", "Gamma", "9"),
+        ("object", "s", "99"),
+        ("object", "t", "-1"),
+        ("object", "u", "3"),
+        ("object", "m", "7,99"),
+        ("object", "m", "0,3"),
+        ("psi", "obj", "99"),
+        ("psi", "arr", "8"),
+    ],
+)
+def test_bad_table_key_is_parse_error(descent_files, tmp_path, capsys, name, table, key):
+    payload = json.loads(descent_files[name].read_text())
+    entries = payload["objects"][name][table]
+    entries[key] = next(iter(entries.values()))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code, events = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert events[0]["kind"] == "parse" and name in events[0]["message"]
+    assert events[-1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}

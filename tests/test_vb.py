@@ -1,6 +1,7 @@
 """VB-groupoids: axioms, Grothendieck round trips, Morita, duals, squares."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from vbgroupoids.generators import (
 )
 from vbgroupoids.groupoid import GroupoidMap, cyclic_groupoid, identity_map, point_groupoid
 from vbgroupoids.linalg import Matrix
-from vbgroupoids.report import InvalidStructureError
+from vbgroupoids.report import InvalidStructureError, Violation
 from vbgroupoids.ruth import (
     check_ruth_morphism,
     compose_ruth_morphisms,
@@ -150,6 +151,23 @@ def test_choose_cleavage_canonical_section(gauged):
         e = gauged.e_dims[g.src[a]]
         cdim = gauged.c_dims[g.tgt[a]]
         assert c.sigma[a] == Matrix.vstack([Matrix.zeros(cdim, e), Matrix.identity(e)])
+
+
+def test_inverse_matrix_failure_names_arrow_and_vector(sign):
+    v = grothendieck(sign)
+    m = v.m_maps[(1, 1)]
+    bad = replace(v, m_maps={**v.m_maps, (1, 1): Matrix.zeros(m.rows, m.cols)})
+    with pytest.raises(InvalidStructureError, match="no inverse for basis vector 0 over arrow 1") as exc:
+        bad.inverse_matrix(1)
+    assert exc.value.report.violations == [Violation("inverse-missing", (1, 0))]
+
+
+def test_choose_cleavage_failure_names_arrow(sign):
+    v = grothendieck(sign)
+    bad = replace(v, s_maps=(v.s_maps[0], Matrix.zeros(1, 1)))
+    with pytest.raises(InvalidStructureError, match="s not surjective at arrow 1") as exc:
+        choose_cleavage(bad)
+    assert exc.value.report.violations == [Violation("s-surjective", (1,))]
 
 
 def test_split_round_trip_exact(z2, sign, gauged):
