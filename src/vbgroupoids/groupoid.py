@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .report import InvalidStructureError, Report
+from .report import InvalidStructureError, Report, Violation
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,12 @@ def is_morita(f: GroupoidMap) -> MoritaCertificate:
     )
 
 
+def _not_morita(name: str, cert: MoritaCertificate) -> Report:
+    """The report of a map ``name`` that should be Morita but is not, with the certificate's witnesses."""
+    witness = (name, cert.ff_witness, cert.es_witness)
+    return Report([Violation("morita", witness, "(map, ff_witness, es_witness)")])
+
+
 # -- nerve ---------------------------------------------------------------------
 
 
@@ -396,11 +402,15 @@ def arrow_groupoid(g: FiniteGroupoid) -> ArrowGroupoid:
     )
     for name, f in (("sigma", sigma), ("tau", tau), ("mu", mu)):
         validate_map(f).require(f"arrow_groupoid: {name} not a functor")
-    if compose_maps(sigma, mu) != identity_map(g) or compose_maps(tau, mu) != identity_map(g):
-        raise InvalidStructureError("arrow_groupoid: sigma mu = tau mu = id fails", Report())
     for name, f in (("sigma", sigma), ("tau", tau)):
-        if not is_morita(f).ok:
-            raise InvalidStructureError(f"arrow_groupoid: {name} not Morita", Report())
+        if compose_maps(f, mu) != identity_map(g):
+            raise InvalidStructureError(
+                "arrow_groupoid: sigma mu = tau mu = id fails",
+                Report([Violation("retraction", (name,))]),
+            )
+        cert = is_morita(f)
+        if not cert.ok:
+            raise InvalidStructureError(f"arrow_groupoid: {name} not Morita", _not_morita(name, cert))
     return ArrowGroupoid(gi=gi, triples=triples, sigma=sigma, tau=tau, mu=mu)
 
 
@@ -481,8 +491,9 @@ def cech_groupoid(g: FiniteGroupoid, cover: Sequence[Sequence[int]]) -> CechGrou
     validate_groupoid(gu).require("cech_groupoid: constructed groupoid invalid")
     pi = GroupoidMap(gu, g, tuple(p[0] for p in obj_pairs), tuple(t[0] for t in arrow_triples))
     validate_map(pi).require("cech_groupoid: projection not a functor")
-    if not is_morita(pi).ok:
-        raise InvalidStructureError("cech_groupoid: projection not Morita", Report())
+    cert = is_morita(pi)
+    if not cert.ok:
+        raise InvalidStructureError("cech_groupoid: projection not Morita", _not_morita("pi", cert))
     kernel = tuple(k for k, (a, j, i) in enumerate(arrow_triples) if g.is_unit(a))
     return CechGroupoid(
         base=g, cover=cov, gu=gu, pi=pi, obj_pairs=obj_pairs, arrow_triples=arrow_triples, kernel_arrows=kernel

@@ -17,7 +17,7 @@ VB-Morita maps, and stable decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .groupoid import (
     ArrowGroupoid,
@@ -78,10 +78,16 @@ class VBGroupoid:
         """Full-matrix product of two column families over g and h.
 
         Valid wherever the pairs are composable; callers are responsible for
-        only reading entries whose inputs satisfy s a = t b.
+        only reading entries whose inputs satisfy s a = t b.  ``a`` must have
+        ``gamma_dims[g]`` rows and ``b`` ``gamma_dims[h]`` rows (ValueError
+        otherwise), so the product is one ``m_{g,h} [a; b]``.
         """
-        m1, m2 = self.mult_blocks(g, h)
-        return m1 * a + m2 * b
+        if a.rows != self.gamma_dims[g] or b.rows != self.gamma_dims[h]:
+            raise ValueError(
+                f"mult_of: {a.rows}+{b.rows} rows over ({g}, {h}), want "
+                f"{self.gamma_dims[g]}+{self.gamma_dims[h]}"
+            )
+        return self.m_maps[(g, h)] * Matrix.vstack([a, b])
 
     def conjugate(self, l: int, g: int, r: int, left: Matrix, mid: Matrix, right: Matrix) -> Matrix:
         """The product left . mid . right^{-1} over the arrow l g r^{-1}.
@@ -114,23 +120,17 @@ class VBGroupoid:
         base = self.base
         gi = base.inv[g]
         m1, m2 = self.mult_blocks(g, gi)
-        # unknown w per basis vector v:  m(v, w) = u(t v)  and  t(w) = s(v)
+        # column k of the unknown W is w for basis vector v_k:  m(v, w) = u(t v)  and  t(w) = s(v)
         a = Matrix.vstack([m2, self.t_maps[gi]])
-        cols = []
-        ut = self.u_maps[base.tgt[g]] * self.t_maps[g]
-        for k in range(self.gamma_dims[g]):
-            v = tuple(1 if i == k else 0 for i in range(self.gamma_dims[g]))
-            rhs = tuple(ut.apply(v)) + tuple(self.s_maps[g].apply(v))
-            lhs_shift = m1.apply(v)
-            b = tuple(x - y for x, y in zip(rhs[: m2.rows], lhs_shift)) + rhs[m2.rows :]
-            w = a.solve(b)
-            if w is None:
-                raise InvalidStructureError(
-                    f"no inverse for basis vector {k} over arrow {g}",
-                    Report([Violation("inverse-missing", (g, k))]),
-                )
-            cols.append(w)
-        return Matrix.from_cols(cols, rows=self.gamma_dims[gi])
+        b = Matrix.vstack([self.u_maps[base.tgt[g]] * self.t_maps[g] - m1, self.s_maps[g]])
+        w = a.solve_matrix(b)
+        if w is None:
+            k = next(k for k in range(b.cols) if a.solve(b.col(k)) is None)
+            raise InvalidStructureError(
+                f"no inverse for basis vector {k} over arrow {g}",
+                Report([Violation("inverse-missing", (g, k))]),
+            )
+        return w
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,17 @@ def is_acyclic(v: VBGroupoid) -> bool:
 
 @checked_once
 def check_vbgroupoid(v: VBGroupoid) -> Report:
+    """Every VB-groupoid axiom of ``v``, one violation per failing arrow, pair or triple.
+
+    A pullback built by reindexing (``base_change``, ``descend_object``) reuses one
+    ``Matrix`` object for many arrows, pairs and triples.  So each identity past the
+    shape checks is computed once per distinct tuple of the structure matrices it
+    reads, keyed by their ``id()``s, and its result is then recorded for every arrow,
+    pair or triple with that key.  Identity keys are sound: a ``Matrix`` is immutable,
+    the dimensions an identity reads equal the shapes of its key matrices once the
+    shape checks pass, and the memo lives only for this call, during which ``v`` keeps
+    every key matrix alive, so no ``id`` is reused.
+    """
     rep = Report()
     g = v.base
     if len(v.e_dims) != g.n_objects or len(v.gamma_dims) != g.n_arrows:
@@ -185,36 +196,59 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
                 rep.add("m-shape", (g1, g2))
     if not rep.ok:
         return rep
+    s, t, u, m = v.s_maps, v.t_maps, v.u_maps, v.m_maps
+    memo: dict[tuple, Any] = {}
+
+    def once(identity: str, reads: tuple[Matrix, ...], compute: Callable[[], Any]) -> Any:
+        key = (identity, *map(id, reads))
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     for a in range(g.n_arrows):
-        if v.s_maps[a].rank() != v.e_dims[g.src[a]]:
+        if not once("s-surjective", (s[a],), lambda: s[a].rank() == s[a].rows):
             rep.add("s-surjective", (a,))
-        if v.t_maps[a].rank() != v.e_dims[g.tgt[a]]:
+        if not once("t-surjective", (t[a],), lambda: t[a].rank() == t[a].rows):
             rep.add("t-surjective", (a,))
     for x in range(g.n_objects):
-        u = g.unit[x]
-        if v.s_maps[u] * v.u_maps[x] != Matrix.identity(v.e_dims[x]):
+        unit = g.unit[x]
+        if s[unit] * u[x] != Matrix.identity(v.e_dims[x]):
             rep.add("unit-section-s", (x,))
-        if v.t_maps[u] * v.u_maps[x] != Matrix.identity(v.e_dims[x]):
+        if t[unit] * u[x] != Matrix.identity(v.e_dims[x]):
             rep.add("unit-section-t", (x,))
-    for g1, g2 in g.pairs:
+
+    def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
         fib = v.fib_basis(g1, g2)
         a = fib.take_rows(range(v.gamma_dims[g1]))
         b = fib.take_rows(range(v.gamma_dims[g1], fib.rows))
         prod = v.mult_of(g1, g2, a, b)
-        if v.s_maps[g12] * prod != v.s_maps[g2] * b:
+        return s[g12] * prod == s[g2] * b, t[g12] * prod == t[g1] * a
+
+    for g1, g2 in g.pairs:
+        g12 = g.compose(g1, g2)
+        reads = (s[g1], t[g2], m[(g1, g2)], s[g12], t[g12], s[g2], t[g1])
+        source_ok, target_ok = once("mult-ends", reads, lambda: mult_ends(g1, g2))
+        if not source_ok:
             rep.add("mult-source", (g1, g2))
-        if v.t_maps[g12] * prod != v.t_maps[g1] * a:
+        if not target_ok:
             rep.add("mult-target", (g1, g2))
     for a in range(g.n_arrows):
-        d = v.gamma_dims[a]
-        ut = v.u_maps[g.tgt[a]] * v.t_maps[a]
-        us = v.u_maps[g.src[a]] * v.s_maps[a]
-        if v.mult_of(g.unit[g.tgt[a]], a, ut, Matrix.identity(d)) != Matrix.identity(d):
+        one = Matrix.identity(v.gamma_dims[a])
+        ly, rx = g.unit[g.tgt[a]], g.unit[g.src[a]]
+        uy, ux = u[g.tgt[a]], u[g.src[a]]
+        left_ok = once(
+            "unit-law-left", (uy, t[a], m[(ly, a)]), lambda: v.mult_of(ly, a, uy * t[a], one) == one
+        )
+        if not left_ok:
             rep.add("unit-law-left", (a,))
-        if v.mult_of(a, g.unit[g.src[a]], Matrix.identity(d), us) != Matrix.identity(d):
+        right_ok = once(
+            "unit-law-right", (ux, s[a], m[(a, rx)]), lambda: v.mult_of(a, rx, one, ux * s[a]) == one
+        )
+        if not right_ok:
             rep.add("unit-law-right", (a,))
-    for g1, g2, g3 in g.triples():
+
+    def associative(g1: int, g2: int, g3: int) -> bool:
         fib = v.fib_string_basis((g1, g2, g3))
         d1, d2, d3 = (v.gamma_dims[x] for x in (g1, g2, g3))
         a = fib.take_rows(range(d1))
@@ -222,18 +256,31 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         c = fib.take_rows(range(d1 + d2, d1 + d2 + d3))
         left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
         right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
-        if left != right:
+        return left == right
+
+    for g1, g2, g3 in g.triples():
+        g12, g23 = g.compose(g1, g2), g.compose(g2, g3)
+        reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
+        if not once("associativity", reads, lambda: associative(g1, g2, g3)):
             rep.add("associativity", (g1, g2, g3))
-    for a in range(g.n_arrows):
+
+    def inverse_law(a: int) -> Optional[tuple[str, str]]:
+        """The failing check and its detail, or None when inv(v) exists and inv(v) v = unit(s v)."""
         try:
             inv = v.inverse_matrix(a)
         except InvalidStructureError:
-            rep.add("inverse-missing", (a,))
-            continue
+            return "inverse-missing", ""
         d = v.gamma_dims[a]
         lhs = v.mult_of(g.inv[a], a, inv, Matrix.identity(d))
-        if lhs != v.u_maps[g.src[a]] * v.s_maps[a]:
-            rep.add("inverse-law", (a,), "inv(v) v != unit(s v)")
+        return None if lhs == u[g.src[a]] * s[a] else ("inverse-law", "inv(v) v != unit(s v)")
+
+    for a in range(g.n_arrows):
+        ai = g.inv[a]
+        reads = (m[(a, ai)], t[ai], u[g.tgt[a]], t[a], s[a], m[(ai, a)], u[g.src[a]])
+        failed = once("inverse", reads, lambda: inverse_law(a))
+        if failed:
+            check, detail = failed
+            rep.add(check, (a,), detail)
     return rep
 
 

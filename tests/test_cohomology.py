@@ -18,7 +18,7 @@ from vbgroupoids.cohomology import (
     vb_subcomplex,
 )
 from vbgroupoids.generators import acyclic_ruth, named_reps, random_gauge, random_matrix
-from vbgroupoids.groupoid import cech_groupoid, cyclic_groupoid, nerve, point_groupoid
+from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, point_groupoid
 from vbgroupoids.linalg import Matrix, betti_numbers, complex_cohomology
 from vbgroupoids.report import InvalidStructureError
 from vbgroupoids.ruth import direct_sum, make_ruth, zero_ruth
@@ -244,6 +244,24 @@ def test_induced_map_cech_base_change(z2, sign):
     v = grothendieck(sign)
     cech = cech_groupoid(z2, [[0], [0]])
     _, canon = base_change(cech.pi, v)
+    assert is_vb_morita(canon).ok
+    rep = induced_map_vb(canon, 3)
+    assert rep.is_isomorphism
+
+
+@pytest.mark.parametrize("side", ["sigma", "tau"])
+def test_induced_map_arrow_groupoid_projections(z2, side):
+    # sigma and tau of the arrow groupoid are Morita, so pulling back along them is VB-Morita
+    base = make_ruth(
+        z2,
+        (1,),
+        (1,),
+        anchor={0: Matrix.identity(1)},
+        rho_e={1: Matrix.from_rows([[-1]])},
+        rho_c={1: Matrix.from_rows([[-1]])},
+    )
+    gauged, _ = random_gauge(base, random.Random(42))
+    _, canon = base_change(getattr(arrow_groupoid(z2), side), grothendieck(gauged))
     assert is_vb_morita(canon).ok
     rep = induced_map_vb(canon, 3)
     assert rep.is_isomorphism

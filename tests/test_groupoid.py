@@ -2,6 +2,7 @@
 
 import pytest
 
+from vbgroupoids import groupoid
 from vbgroupoids.groupoid import (
     GroupoidMap,
     arrow_groupoid,
@@ -19,6 +20,7 @@ from vbgroupoids.groupoid import (
     validate_groupoid,
     validate_map,
 )
+from vbgroupoids.report import InvalidStructureError, Violation
 
 
 def test_point_and_z2_valid():
@@ -149,3 +151,47 @@ def test_cech_morita_for_overlapping_cover():
     g = pair_groupoid(2)
     cech = cech_groupoid(g, [[0], [0, 1]])
     assert is_morita(cech.pi).ok
+
+
+def _fail_call(monkeypatch, name: str, n: int, wrong):
+    """Make the ``n``-th call (from 0) of ``groupoid.<name>`` return ``wrong(*args)``."""
+    real = getattr(groupoid, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return wrong(*args) if len(calls) == n + 1 else real(*args)
+
+    monkeypatch.setattr(groupoid, name, patched)
+
+
+@pytest.mark.parametrize("n,name", [(0, "sigma"), (1, "tau")])
+def test_arrow_groupoid_retraction_failure_names_the_map(monkeypatch, n, name):
+    _fail_call(monkeypatch, "compose_maps", n, lambda f2, f1: f2)
+    with pytest.raises(InvalidStructureError, match="sigma mu = tau mu = id fails") as exc:
+        arrow_groupoid(cyclic_groupoid(2))
+    assert exc.value.report.violations == [Violation("retraction", (name,))]
+
+
+# a real certificate of a map that is not Morita: Z_2 collapsed to the point is not faithful
+NOT_MORITA = is_morita(_collapse_to_point(cyclic_groupoid(2)))
+
+
+@pytest.mark.parametrize("n,name", [(0, "sigma"), (1, "tau")])
+def test_arrow_groupoid_not_morita_carries_certificate_witnesses(monkeypatch, n, name):
+    _fail_call(monkeypatch, "is_morita", n, lambda f: NOT_MORITA)
+    with pytest.raises(InvalidStructureError, match=f"arrow_groupoid: {name} not Morita") as exc:
+        arrow_groupoid(cyclic_groupoid(2))
+    [violation] = exc.value.report.violations
+    assert violation.check == "morita"
+    assert violation.witness == (name, NOT_MORITA.ff_witness, NOT_MORITA.es_witness) == (name, (0, 0), None)
+
+
+def test_cech_projection_not_morita_carries_certificate_witnesses(monkeypatch):
+    cert = is_morita(GroupoidMap(point_groupoid(), disjoint_union(point_groupoid(), point_groupoid()), (0,), (0,)))
+    assert cert.es_witness == (1,)
+    _fail_call(monkeypatch, "is_morita", 0, lambda f: cert)
+    with pytest.raises(InvalidStructureError, match="cech_groupoid: projection not Morita") as exc:
+        cech_groupoid(cyclic_groupoid(2), [[0], [0]])
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("morita", ("pi", None, (1,)))

@@ -1,0 +1,331 @@
+"""check_vbgroupoid's per-call memo, the stacked mult_of and the batched inverse_matrix.
+
+The oracle is a copy of the checker as it was before the memo: every arrow, pair and
+triple is computed afresh, the product is the two-block form ``m1 a + m2 b`` and the
+inversion is solved one basis vector at a time.  Reindexed objects share one ``Matrix``
+object among many arrows, pairs and triples, which is where the memo could go wrong;
+a structure matrix swapped for a different one of the same shape must not be taken
+for the one it replaced.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from vbgroupoids.generators import random_gauge, random_matrix
+from vbgroupoids.groupoid import (
+    GroupoidMap,
+    arrow_groupoid,
+    cech_groupoid,
+    cyclic_groupoid,
+)
+from vbgroupoids.linalg import Matrix
+from vbgroupoids.report import InvalidStructureError, Report, Violation
+from vbgroupoids.ruth import make_ruth
+from vbgroupoids.vb import VBGroupoid, base_change, check_vbgroupoid, grothendieck
+
+raw_check = check_vbgroupoid.__wrapped__
+
+
+# -- the oracle: the checker without memo, two-block products, per-vector inverse ----------
+
+
+def _mult(v: VBGroupoid, g: int, h: int, a: Matrix, b: Matrix) -> Matrix:
+    m1, m2 = v.mult_blocks(g, h)
+    return m1 * a + m2 * b
+
+
+def _inverse(v: VBGroupoid, g: int) -> Matrix:
+    base = v.base
+    gi = base.inv[g]
+    m1, m2 = v.mult_blocks(g, gi)
+    a = Matrix.vstack([m2, v.t_maps[gi]])
+    cols = []
+    ut = v.u_maps[base.tgt[g]] * v.t_maps[g]
+    for k in range(v.gamma_dims[g]):
+        e = tuple(1 if i == k else 0 for i in range(v.gamma_dims[g]))
+        rhs = tuple(ut.apply(e)) + tuple(v.s_maps[g].apply(e))
+        shift = m1.apply(e)
+        w = a.solve(tuple(x - y for x, y in zip(rhs[: m2.rows], shift)) + rhs[m2.rows :])
+        if w is None:
+            raise InvalidStructureError(f"no inverse for basis vector {k} over arrow {g}", Report())
+        cols.append(w)
+    return Matrix.from_cols(cols, rows=v.gamma_dims[gi])
+
+
+def reference_check(v: VBGroupoid) -> Report:
+    rep = Report()
+    g = v.base
+    if len(v.e_dims) != g.n_objects or len(v.gamma_dims) != g.n_arrows:
+        rep.add("dims", (), "tables sized wrong")
+        return rep
+    for a in range(g.n_arrows):
+        if (v.s_maps[a].rows, v.s_maps[a].cols) != (v.e_dims[g.src[a]], v.gamma_dims[a]):
+            rep.add("s-shape", (a,))
+        if (v.t_maps[a].rows, v.t_maps[a].cols) != (v.e_dims[g.tgt[a]], v.gamma_dims[a]):
+            rep.add("t-shape", (a,))
+    for x in range(g.n_objects):
+        if (v.u_maps[x].rows, v.u_maps[x].cols) != (v.gamma_dims[g.unit[x]], v.e_dims[x]):
+            rep.add("u-shape", (x,))
+    if set(v.m_maps) != set(g.pairs):
+        rep.add("m-domain", ())
+    else:
+        for (g1, g2), m in v.m_maps.items():
+            g12 = g.compose(g1, g2)
+            if (m.rows, m.cols) != (v.gamma_dims[g12], v.gamma_dims[g1] + v.gamma_dims[g2]):
+                rep.add("m-shape", (g1, g2))
+    if not rep.ok:
+        return rep
+    for a in range(g.n_arrows):
+        if v.s_maps[a].rank() != v.e_dims[g.src[a]]:
+            rep.add("s-surjective", (a,))
+        if v.t_maps[a].rank() != v.e_dims[g.tgt[a]]:
+            rep.add("t-surjective", (a,))
+    for x in range(g.n_objects):
+        u = g.unit[x]
+        if v.s_maps[u] * v.u_maps[x] != Matrix.identity(v.e_dims[x]):
+            rep.add("unit-section-s", (x,))
+        if v.t_maps[u] * v.u_maps[x] != Matrix.identity(v.e_dims[x]):
+            rep.add("unit-section-t", (x,))
+    for g1, g2 in g.pairs:
+        g12 = g.compose(g1, g2)
+        fib = v.fib_basis(g1, g2)
+        a = fib.take_rows(range(v.gamma_dims[g1]))
+        b = fib.take_rows(range(v.gamma_dims[g1], fib.rows))
+        prod = _mult(v, g1, g2, a, b)
+        if v.s_maps[g12] * prod != v.s_maps[g2] * b:
+            rep.add("mult-source", (g1, g2))
+        if v.t_maps[g12] * prod != v.t_maps[g1] * a:
+            rep.add("mult-target", (g1, g2))
+    for a in range(g.n_arrows):
+        d = v.gamma_dims[a]
+        ut = v.u_maps[g.tgt[a]] * v.t_maps[a]
+        us = v.u_maps[g.src[a]] * v.s_maps[a]
+        if _mult(v, g.unit[g.tgt[a]], a, ut, Matrix.identity(d)) != Matrix.identity(d):
+            rep.add("unit-law-left", (a,))
+        if _mult(v, a, g.unit[g.src[a]], Matrix.identity(d), us) != Matrix.identity(d):
+            rep.add("unit-law-right", (a,))
+    for g1, g2, g3 in g.triples():
+        fib = v.fib_string_basis((g1, g2, g3))
+        d1, d2, d3 = (v.gamma_dims[x] for x in (g1, g2, g3))
+        a = fib.take_rows(range(d1))
+        b = fib.take_rows(range(d1, d1 + d2))
+        c = fib.take_rows(range(d1 + d2, d1 + d2 + d3))
+        left = _mult(v, g.compose(g1, g2), g3, _mult(v, g1, g2, a, b), c)
+        right = _mult(v, g1, g.compose(g2, g3), a, _mult(v, g2, g3, b, c))
+        if left != right:
+            rep.add("associativity", (g1, g2, g3))
+    for a in range(g.n_arrows):
+        try:
+            inv = _inverse(v, a)
+        except InvalidStructureError:
+            rep.add("inverse-missing", (a,))
+            continue
+        d = v.gamma_dims[a]
+        lhs = _mult(v, g.inv[a], a, inv, Matrix.identity(d))
+        if lhs != v.u_maps[g.src[a]] * v.s_maps[a]:
+            rep.add("inverse-law", (a,), "inv(v) v != unit(s v)")
+    return rep
+
+
+# -- instances ---------------------------------------------------------------------------
+
+
+Z2 = cyclic_groupoid(2)
+
+
+def _gauged() -> VBGroupoid:
+    """Grothendieck of a gauge-randomized ruth on Z_2 with nonzero curvature, m moved off Fib."""
+    base = make_ruth(
+        Z2,
+        (1,),
+        (1,),
+        anchor={0: Matrix.identity(1)},
+        rho_e={1: Matrix.from_rows([[-1]])},
+        rho_c={1: Matrix.from_rows([[-1]])},
+    )
+    rng = random.Random(42)
+    r, _ = random_gauge(base, rng)
+    v = grothendieck(r)
+    # change m off the fibered products: m + Z [s_g, -t_h] has the same products on every
+    # Fib(g, h), but now a product reads every coordinate, so a wrong s, t or u changes it
+    off = {}
+    for (g1, g2), m in v.m_maps.items():
+        z = random_matrix(rng, m.rows, v.s_maps[g1].rows)
+        off[(g1, g2)] = m + z * Matrix.hstack([v.s_maps[g1], -v.t_maps[g2]])
+    return replace(v, m_maps=off)
+
+
+def _maps() -> dict[str, GroupoidMap]:
+    ag = arrow_groupoid(Z2)
+    return {
+        "cech-2": cech_groupoid(Z2, [[0], [0]]).pi,
+        "cech-3": cech_groupoid(Z2, [[0], [0], [0]]).pi,
+        "sigma": ag.sigma,
+        "tau": ag.tau,
+    }
+
+
+MAPS = _maps()
+V = _gauged()
+
+
+def _reindex(f: GroupoidMap, v: VBGroupoid) -> VBGroupoid:
+    """The object ``base_change`` builds, without its validation: every matrix shared with ``v``."""
+    d = f.dom
+    return VBGroupoid(
+        base=d,
+        e_dims=tuple(v.e_dims[f.obj_map[x]] for x in range(d.n_objects)),
+        gamma_dims=tuple(v.gamma_dims[f.arr_map[a]] for a in range(d.n_arrows)),
+        s_maps=tuple(v.s_maps[f.arr_map[a]] for a in range(d.n_arrows)),
+        t_maps=tuple(v.t_maps[f.arr_map[a]] for a in range(d.n_arrows)),
+        u_maps=tuple(v.u_maps[f.obj_map[x]] for x in range(d.n_objects)),
+        m_maps={(g1, g2): v.m_maps[(f.arr_map[g1], f.arr_map[g2])] for (g1, g2) in d.pairs},
+    )
+
+
+def _bump(m: Matrix) -> Matrix:
+    """``m`` with 1 added to its (0, 0) entry: a different matrix of the same shape."""
+    return m + Matrix.block([1, m.rows - 1], [1, m.cols - 1], {(0, 0): Matrix.identity(1)})
+
+
+def _preimage(f: GroupoidMap, check: str, witness: tuple) -> set[tuple]:
+    """The witnesses of the pullback along ``f`` that lie over ``witness`` of the base."""
+    d = f.dom
+    if check.startswith("unit-section"):
+        return {(x,) for x in range(d.n_objects) if (f.obj_map[x],) == witness}
+    cells = {1: [(a,) for a in range(d.n_arrows)], 2: list(d.pairs), 3: d.triples()}[len(witness)]
+    return {w for w in cells if tuple(f.arr_map[a] for a in w) == witness}
+
+
+def _entries(rep: Report) -> list[tuple]:
+    return [(x.check, x.witness, x.detail) for x in rep.violations]
+
+
+# -- parity on pullbacks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_pullback_of_valid_object_matches_oracle(name):
+    pulled, _ = base_change(MAPS[name], V)
+    assert raw_check(pulled).violations == reference_check(pulled).violations == []
+
+
+CORRUPT_PAIRS = [(1, 1), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("pair", CORRUPT_PAIRS)
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_pullback_of_corrupted_base_fails_at_every_pulled_pair_and_triple(name, pair):
+    f = MAPS[name]
+    bad = replace(V, m_maps={**V.m_maps, pair: _bump(V.m_maps[pair])})
+    base_rep = reference_check(bad)
+    kinds = {len(x.witness) for x in base_rep.violations}
+    assert {2, 3} <= kinds, "the corruption must break identities at pairs and at triples"
+    pulled = _reindex(f, bad)
+    expected = reference_check(pulled)
+    assert _entries(raw_check(pulled)) == _entries(expected)
+    with pytest.raises(InvalidStructureError) as exc:
+        base_change(f, bad)
+    assert exc.value.report.violations == expected.violations
+    # the pullback fails exactly over the base's failures, at every arrow, pair and triple above them
+    over = {(x.check, w) for x in base_rep.violations for w in _preimage(f, x.check, x.witness)}
+    assert {(x.check, x.witness) for x in expected.violations} == over
+    assert len(expected.violations) > len(base_rep.violations)
+
+
+def _swap(v: VBGroupoid, table: str, key, new: Matrix) -> VBGroupoid:
+    if table == "m_maps":
+        return replace(v, m_maps={**v.m_maps, key: new})
+    entries = list(getattr(v, table))
+    entries[key] = new
+    return replace(v, **{table: tuple(entries)})
+
+
+def _swaps() -> list[tuple[str, str, object, str]]:
+    """(map, table, key, corruption): one structure matrix of a pullback replaced by another."""
+    cases = []
+    for name in ("cech-2", "sigma"):
+        d = MAPS[name].dom
+        non_unit = [a for a in range(d.n_arrows) if not d.is_unit(a)]
+        units = [d.unit[x] for x in range(d.n_objects)]
+        pairs = [p for p in d.pairs if not d.is_unit(p[0]) and not d.is_unit(p[1])]
+        # (unit, g) and (g, unit): read by the left and by the right unit law
+        unit_pairs = [
+            next(p for p in d.pairs if d.is_unit(p[i]) and not d.is_unit(p[1 - i])) for i in (0, 1)
+        ]
+        for corruption in ("bump", "zero"):
+            for table in ("s_maps", "t_maps"):
+                cases += [(name, table, non_unit[0], corruption), (name, table, units[-1], corruption)]
+            cases.append((name, "u_maps", d.n_objects - 1, corruption))
+            inverse_pair = (non_unit[0], d.inv[non_unit[0]])
+            cases += [(name, "m_maps", p, corruption) for p in (pairs[-1], *unit_pairs, inverse_pair)]
+    return cases
+
+
+@pytest.mark.parametrize("name,table,key,corruption", _swaps())
+def test_swapped_structure_matrix_matches_oracle(name, table, key, corruption):
+    pulled = _reindex(MAPS[name], V)
+    old = getattr(pulled, table)[key]
+    new = _bump(old) if corruption == "bump" else Matrix.zeros(old.rows, old.cols)
+    bad = _swap(pulled, table, key, new)
+    expected = reference_check(bad)
+    assert not expected.ok
+    assert _entries(raw_check(bad)) == _entries(expected)
+
+
+def test_swapped_source_map_is_not_taken_for_its_siblings():
+    # every m_maps entry is shared with the valid pullback: only s tells the arrows apart
+    pulled = _reindex(MAPS["cech-2"], V)
+    d = pulled.base
+    a = next(a for a in range(d.n_arrows) if not d.is_unit(a))
+    bad = _swap(pulled, "s_maps", a, _bump(pulled.s_maps[a]))
+    assert bad.m_maps == pulled.m_maps and raw_check(pulled).ok
+    rep = raw_check(bad)
+    assert rep.violations == reference_check(bad).violations
+    assert any(x.check == "mult-source" for x in rep.violations)
+
+
+# -- mult_of and inverse_matrix -------------------------------------------------------------
+
+
+def test_mult_of_matches_two_block_form():
+    g = V.base
+    for g1, g2 in g.pairs:
+        fib = V.fib_basis(g1, g2)
+        a = fib.take_rows(range(V.gamma_dims[g1]))
+        b = fib.take_rows(range(V.gamma_dims[g1], fib.rows))
+        assert V.mult_of(g1, g2, a, b) == _mult(V, g1, g2, a, b)
+
+
+def test_mult_of_rejects_a_wrong_split():
+    g1, g2 = 1, 1
+    d1, d2 = V.gamma_dims[g1], V.gamma_dims[g2]
+    assert d2 >= 1
+    stacked = Matrix.identity(d1 + d2)
+    a = stacked.take_rows(range(d1 + 1))
+    b = stacked.take_rows(range(d1 + 1, d1 + d2))
+    assert a.rows + b.rows == V.m_maps[(g1, g2)].cols
+    with pytest.raises(ValueError, match="mult_of"):
+        V.mult_of(g1, g2, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_batched_inverse_matches_per_vector_solve(name):
+    pulled, _ = base_change(MAPS[name], V)
+    for v in (V, pulled):
+        for a in range(v.base.n_arrows):
+            assert v.inverse_matrix(a) == _inverse(v, a)
+
+
+def test_inverse_matrix_witness_is_first_inconsistent_vector():
+    # 1 added at entry (0, 1) of m_{1,1}: basis vector 0 keeps an inverse, vector 1 has none
+    m = V.m_maps[(1, 1)]
+    shift = Matrix.block([1, m.rows - 1], [1, 1, m.cols - 2], {(0, 1): Matrix.identity(1)})
+    bad = replace(V, m_maps={**V.m_maps, (1, 1): m + shift})
+    with pytest.raises(InvalidStructureError, match="basis vector 1 over arrow 1"):
+        _inverse(bad, 1)
+    with pytest.raises(InvalidStructureError, match="basis vector 1 over arrow 1") as exc:
+        bad.inverse_matrix(1)
+    assert exc.value.report.violations == [Violation("inverse-missing", (1, 1))]
