@@ -250,7 +250,7 @@ def cmd_cohomology(args) -> int:
                 ],
             }
         )
-        shift = ruth_vs_dual_vb(obj, p_max)
+        shift = ruth_vs_dual_vb(obj, p_max, betti)
         _emit(
             {
                 "event": "shift-isomorphism",

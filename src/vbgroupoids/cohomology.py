@@ -12,18 +12,14 @@ cohomology only in degrees <= p_max - 1, and every report here respects that.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
-from .linalg import (
-    CochainComplex,
-    Matrix,
-    chain_map_is_quasi_iso,
-    complex_cohomology,
-)
-from .report import InvalidStructureError, Report
+from .linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso
+from .report import InvalidStructureError, Report, Violation
 from .ruth import TwoTermRuth, check_ruth
 from .vb import (
     Cleavage,
@@ -62,6 +58,33 @@ def _freeze(grid: list[list[Fraction]], cols: int) -> Matrix:
     return Matrix(len(grid), cols, tuple(tuple(r) for r in grid))
 
 
+def _invalid(context: str, check: str, witness: tuple, detail: str) -> InvalidStructureError:
+    return InvalidStructureError(context, Report([Violation(check, witness, detail)]))
+
+
+def _string_at(nv: NerveStrings, offsets: Sequence[Sequence[int]], q: int, row: int) -> tuple:
+    """The degree-q string whose coordinate block holds ``row``."""
+    return nv.strings[q][bisect_right(offsets[q], row) - 1]
+
+
+def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callable[[int, int], object]) -> None:
+    """Raise unless D^2 = 0, naming the first degree p where it fails.
+
+    The witness is (p, the string of a nonzero row of d^{p+1} d^p, that entry's
+    (row, col)); the entry is searched only when the check fails.
+    """
+    bad = cx.validate()
+    if bad:
+        p = bad[0]
+        row, col = next((i, j) for i, r in enumerate(cx.d_squared(p).data) for j, x in enumerate(r) if x)
+        raise _invalid(
+            f"{context} at degree {p}",
+            "d-squared",
+            (p, row_string(p + 2, row), (row, col)),
+            "(degree p, string of the row in degree p + 2, nonzero entry (row, col) of d^{p+1} d^p)",
+        )
+
+
 # -- bundle-valued cochains -------------------------------------------------------
 
 
@@ -89,6 +112,9 @@ class _BundleCochains:
 
     def dim(self, q: int) -> int:
         return self.total[q] if 0 <= q <= self.nerve.p_max else 0
+
+    def string_at(self, q: int, row: int) -> tuple:
+        return _string_at(self.nerve, self.offsets, q, row)
 
 
 def _quasi_action_differential(
@@ -125,9 +151,7 @@ def differentiable_complex(rep: TwoTermRuth, p_max: int) -> CochainComplex:
     bc = _BundleCochains(nv, rep.e_dims)
     diffs = tuple(_quasi_action_differential(nv, bc, rep.rho_e, q) for q in range(p_max))
     out = CochainComplex(0, p_max, tuple(bc.dim(q) for q in range(p_max + 1)), diffs)
-    bad = out.validate()
-    if bad:
-        raise InvalidStructureError(f"differentiable_complex: D^2 != 0 at degree {bad[0]}", Report())
+    _require_d_squared_zero(out, "differentiable_complex: D^2 != 0", bc.string_at)
     return out
 
 
@@ -194,11 +218,13 @@ def assemble_ruth_differential(
         _place(grid, e_rows, e_cols, _quasi_action_differential(nv, bcc, r.rho_c, p + 1), sign=s_c)
         diffs.append(_freeze(grid, cols))
     cx = CochainComplex(-1, p_max, tuple(dims), tuple(diffs))
-    bad = cx.validate()
-    if bad:
-        raise InvalidStructureError(
-            f"ruth differential: D^2 != 0 at degree {bad[0]} for signs {signs}", Report()
-        )
+
+    def row_string(q: int, row: int) -> tuple:
+        # degree q of the total complex is C^q(G,E) (+) C^{q+1}(G,C)
+        de = e_dims_at[q + 1]
+        return ("E", bce.string_at(q, row)) if row < de else ("C", bcc.string_at(q + 1, row - de))
+
+    _require_d_squared_zero(cx, f"ruth differential for signs {signs}: D^2 != 0", row_string)
     return RuthComplex(ruth=r, p_max=p_max, complex=cx)
 
 
@@ -283,15 +309,16 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                     img = _face_image(v, s, i, fib)
                     coords = fib_bases[p][t_idx].solve_matrix(img)
                     if coords is None:
-                        raise InvalidStructureError(
-                            f"lin_complex: face image leaves Fib at degree {p + 1}", Report()
+                        raise _invalid(
+                            f"lin_complex: face image leaves Fib at degree {p + 1}",
+                            "face-in-fib",
+                            (p + 1, s, i),
+                            "(degree, string, face)",
                         )
                 _place(grid, r0, c0, coords.transpose(), sign=1 if i % 2 == 0 else -1)
         diffs.append(_freeze(grid, dims[p]))
     cx = CochainComplex(0, p_max, dims, tuple(diffs))
-    bad = cx.validate()
-    if bad:
-        raise InvalidStructureError(f"lin_complex: delta^2 != 0 at degree {bad[0]}", Report())
+    _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", lambda q, row: _string_at(nv, offsets, q, row))
     return LinComplex(vb=v, p_max=p_max, nerve=nv, fib_bases=tuple(fib_bases), offsets=tuple(offsets), complex=cx)
 
 
@@ -306,22 +333,22 @@ def _zero_last_vectors(v: VBGroupoid, s: tuple[int, ...], fib: Matrix, zeros: in
     return tail.kernel()
 
 
-def _projectable_conditions(lin: LinComplex, p: int, zeros: int = 1) -> Matrix:
-    """Condition rows cutting out cochains vanishing on trailing-zero tuples.
+def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[tuple[int, tuple], Matrix]]:
+    """Condition rows cutting out cochains vanishing on trailing-zero tuples, per string.
 
     Rows cover condition (i) at degree p and condition (ii') through the
-    differential into degree p + 1.
+    differential into degree p + 1; each block is labelled (degree, string).
     """
     v = lin.vb
     nv = lin.nerve
-    rows: list[Matrix] = []
+    rows: list[tuple[tuple[int, tuple], Matrix]] = []
     if p >= zeros:
         for si, s in enumerate(nv.strings[p]):
             z = _zero_last_vectors(v, s, lin.fib_bases[p][si], zeros)
             if z.cols == 0:
                 continue
             off, d = lin.block(p, si)
-            rows.append(Matrix.block([z.cols], [off, d, lin.dim(p) - off - d], {(0, 1): z.transpose()}))
+            rows.append(((p, s), Matrix.block([z.cols], [off, d, lin.dim(p) - off - d], {(0, 1): z.transpose()})))
     if p + 1 <= lin.p_max and p + 1 >= zeros:
         delta = lin.complex.differential(p)
         for si, s in enumerate(nv.strings[p + 1]):
@@ -329,10 +356,13 @@ def _projectable_conditions(lin: LinComplex, p: int, zeros: int = 1) -> Matrix:
             if z.cols == 0:
                 continue
             off, d = lin.block(p + 1, si)
-            rows.append(z.transpose() * delta.take_rows(range(off, off + d)))
-    if not rows:
-        return Matrix.zeros(0, lin.dim(p))
-    return Matrix.vstack(rows)
+            rows.append(((p + 1, s), z.transpose() * delta.take_rows(range(off, off + d))))
+    return rows
+
+
+def _projectable_conditions(lin: LinComplex, p: int, zeros: int = 1) -> Matrix:
+    rows = [m for _, m in _projectable_blocks(lin, p, zeros)]
+    return Matrix.vstack(rows) if rows else Matrix.zeros(0, lin.dim(p))
 
 
 @dataclass(frozen=True)
@@ -350,24 +380,24 @@ class VBSubcomplex:
     closure_ok: bool
 
 
-def _subcomplex_from_bases(lin: LinComplex, bases: list[Matrix]) -> tuple[CochainComplex, bool]:
+def _subcomplex_from_bases(
+    lin: LinComplex, bases: list[Matrix]
+) -> tuple[Optional[CochainComplex], Optional[int]]:
+    """The complex on ``bases`` and None, or None and the first degree whose basis
+    delta maps out of the span of the next one."""
     p_top = lin.p_max
     dims = tuple(b.cols for b in bases) + (lin.dim(p_top),)
     diffs = []
-    closure = True
     for p in range(p_top):
         delta = lin.complex.differential(p)
         if p + 1 < p_top:
-            image = delta * bases[p]
-            coords = bases[p + 1].solve_matrix(image)
+            coords = bases[p + 1].solve_matrix(delta * bases[p])
             if coords is None:
-                closure = False
-                coords = Matrix.zeros(bases[p + 1].cols, bases[p].cols)
+                return None, p
             diffs.append(coords)
         else:
             diffs.append(delta * bases[p])
-    cx = CochainComplex(0, p_top, dims, tuple(diffs))
-    return cx, closure
+    return CochainComplex(0, p_top, dims, tuple(diffs)), None
 
 
 def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
@@ -378,10 +408,19 @@ def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
             bases.append(Matrix.identity(lin.dim(0)))
         else:
             bases.append(_projectable_conditions(lin, p).kernel())
-    cx, closure = _subcomplex_from_bases(lin, bases)
-    if not closure:
-        raise InvalidStructureError("vb_subcomplex: delta does not preserve the subcomplex", Report())
-    return VBSubcomplex(lin=lin, bases=tuple(bases), complex=cx, closure_ok=closure)
+    cx, p = _subcomplex_from_bases(lin, bases)
+    if cx is None:
+        image = lin.complex.differential(p) * bases[p]
+        j = next(j for j in range(image.cols) if bases[p + 1].solve_matrix(image.take_cols([j])) is None)
+        column = image.take_cols([j])
+        violated = next((label for label, m in _projectable_blocks(lin, p + 1) if not (m * column).is_zero), None)
+        raise _invalid(
+            "vb_subcomplex: delta does not preserve the subcomplex",
+            "subcomplex-closed",
+            (p, j, violated),
+            "(degree, basis column, (degree, string) of a condition its coboundary violates)",
+        )
+    return VBSubcomplex(lin=lin, bases=tuple(bases), complex=cx, closure_ok=True)
 
 
 # -- the homotopy operator and the comparison of H_VB with H_lin ------------------------
@@ -416,7 +455,7 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
             t_idx = nv.index[1][(ux,)]
             coords = lin.fib_bases[1][t_idx].solve_matrix(appended)
             if coords is None:
-                raise InvalidStructureError("homotopy_operator: lift not in Fib", Report())
+                raise _invalid("homotopy_operator: lift not in Fib", "lift-in-fib", (1, (ux,)), "(degree, string)")
             r0, _ = lin.block(0, x)
             c0, _ = lin.block(1, t_idx)
             _place(grid, r0, c0, coords.transpose())
@@ -427,7 +466,12 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         t_idx = nv.index[p][ext_string]
         coords = lin.fib_bases[p][t_idx].solve_matrix(ext)
         if coords is None:
-            raise InvalidStructureError("homotopy_operator: extended tuple not in Fib", Report())
+            raise _invalid(
+                "homotopy_operator: extended tuple not in Fib",
+                "lift-in-fib",
+                (p, s, ext_string),
+                "(degree, string, extended string)",
+            )
         r0, _ = lin.block(p - 1, si)
         c0, _ = lin.block(p, t_idx)
         _place(grid, r0, c0, coords.transpose())
@@ -459,7 +503,12 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         t_idx = nv.index[p][string]
         coords = lin.fib_bases[p][t_idx].solve_matrix(mat)
         if coords is None:
-            raise InvalidStructureError("displayed cancellation: tuple not in Fib", Report())
+            raise _invalid(
+                "displayed cancellation: tuple not in Fib",
+                "term-in-fib",
+                (p, nv.strings[p][si], string),
+                "(degree, string, term string)",
+            )
         r0, _ = lin.block(p, si)
         c0, _ = lin.block(p, t_idx)
         _place(grid, r0, c0, coords.transpose(), sign=sign)
@@ -531,7 +580,12 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
             t_idx = nv.index[p][ext_string]
             coords = lin.fib_bases[p][t_idx].solve_matrix(ext)
             if coords is None:
-                raise InvalidStructureError("zero-last evaluation: tuple not in Fib", Report())
+                raise _invalid(
+                    "zero-last evaluation: tuple not in Fib",
+                    "zero-last-in-fib",
+                    (p, s, ext_string),
+                    "(degree, string, extended string)",
+                )
             c0, dd = lin.block(p, t_idx)
             row = Matrix.block([z.cols], [c0, dd, lin.dim(p) - c0 - dd], {(0, 1): coords.transpose()})
             term_rows.append(row if sign == 1 else -row)
@@ -580,13 +634,12 @@ def hvb_equals_hlin(
     check_cleavage(v, cleavage).require("hvb_equals_hlin: invalid cleavage")
     lin = lin_complex(v, p_max)
     sub = vb_subcomplex(lin)
-    h_lin_all = complex_cohomology(lin.complex)
-    h_vb_all = complex_cohomology(sub.complex)
-    h_lin = tuple(h_lin_all[p].dim for p in range(p_max))
-    h_vb = tuple(h_vb_all[p].dim for p in range(p_max))
     fmap = {p: sub.bases[p] for p in range(p_max)}
     fmap[p_max] = Matrix.identity(lin.dim(p_max))
+    # the inclusion's certificate carries both cohomologies: (dim H_VB, dim H_lin, rank)
     cert = chain_map_is_quasi_iso(sub.complex, lin.complex, fmap)
+    h_vb = tuple(cert.degrees[p][0] for p in range(p_max))
+    h_lin = tuple(cert.degrees[p][1] for p in range(p_max))
     inclusion_iso = all(
         cert.degrees[p][0] == cert.degrees[p][1] == cert.degrees[p][2] for p in range(p_max)
     )
@@ -610,8 +663,8 @@ def hvb_equals_hlin(
                     bases.append(Matrix.identity(lin.dim(0)))
                 else:
                     bases.append(_projectable_conditions(lin, p, level).kernel())
-            cx, closure = _subcomplex_from_bases(lin, bases)
-            if not closure:
+            cx, _ = _subcomplex_from_bases(lin, bases)
+            if cx is None:
                 filtration_ok = False
                 break
             fmap_lvl: dict[int, Matrix] = {}
@@ -700,7 +753,12 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
             )
             coords = lin_tgt.fib_bases[p][t_idx].solve_matrix(mapped)
             if coords is None:
-                raise InvalidStructureError("pullback_lin: image tuple not in Fib", Report())
+                raise _invalid(
+                    "pullback_lin: image tuple not in Fib",
+                    "pullback-in-fib",
+                    (p, s, image_string),
+                    "(degree, string, image string)",
+                )
             r0, _ = lin_src.block(p, si)
             c0, _ = lin_tgt.block(p, t_idx)
             _place(grid, r0, c0, coords.transpose())
@@ -759,16 +817,19 @@ class ShiftReport:
         return self.ruth_dims == self.vb_dims
 
 
-def ruth_vs_dual_vb(r: TwoTermRuth, p_max: int) -> ShiftReport:
-    """dim H^n(G, E (+) C) vs dim H^{n+1}_VB(Gamma*) for n <= p_max - 2."""
-    rc = ruth_complex(r, p_max)
-    h_ruth = complex_cohomology(rc.complex)
+def ruth_vs_dual_vb(r: TwoTermRuth, p_max: int, ruth_betti: Optional[Mapping[int, int]] = None) -> ShiftReport:
+    """dim H^n(G, E (+) C) vs dim H^{n+1}_VB(Gamma*) for n <= p_max - 2.
+
+    ``ruth_betti``, when given, must be ``betti_numbers(ruth_complex(r, p_max).complex)``;
+    a caller that already holds that table passes it so the complex is not built twice.
+    """
+    if ruth_betti is None:
+        ruth_betti = betti_numbers(ruth_complex(r, p_max).complex)
     dual = dual_vb(grothendieck(r))
-    sub = vb_subcomplex(lin_complex(dual, p_max))
-    h_vb = complex_cohomology(sub.complex)
+    h_vb = betti_numbers(vb_subcomplex(lin_complex(dual, p_max)).complex)
     degrees = tuple(range(-1, p_max - 1))
     return ShiftReport(
         degrees=degrees,
-        ruth_dims=tuple(h_ruth[n].dim for n in degrees),
-        vb_dims=tuple(h_vb[n + 1].dim for n in degrees),
+        ruth_dims=tuple(ruth_betti[n] for n in degrees),
+        vb_dims=tuple(h_vb[n + 1] for n in degrees),
     )

@@ -301,15 +301,22 @@ class NerveStrings:
 
     ``strings[0]`` lists object ids; ``strings[p]`` for p >= 1 lists p-tuples
     of arrow ids.  ``face(p, i)`` gives the index map of the i-th face from
-    degree p to degree p-1.
+    degree p to degree p-1; each map is built on its first use and then kept.
     """
 
     groupoid: FiniteGroupoid
     p_max: int
     strings: tuple[tuple, ...]
     index: tuple[dict, ...]
+    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def face(self, p: int, i: int) -> tuple[int, ...]:
+        out = self._faces.get((p, i))
+        if out is None:
+            out = self._faces[(p, i)] = self._build_face(p, i)
+        return out
+
+    def _build_face(self, p: int, i: int) -> tuple[int, ...]:
         if not (1 <= p <= self.p_max) or not (0 <= i <= p):
             raise ValueError("face out of range")
         g = self.groupoid

@@ -479,12 +479,23 @@ class CochainComplex:
         return Matrix.zeros(self.dim(p + 1), self.dim(p))
 
     def validate(self) -> list[int]:
-        """Degrees p with d^{p+1} d^p != 0 (empty list means valid)."""
-        bad = []
-        for p in range(self.p_min, self.p_max - 1):
-            if not (self.differential(p + 1) * self.differential(p)).is_zero:
-                bad.append(p)
+        """Degrees p with d^{p+1} d^p != 0 (empty list means valid).
+
+        D^2 is checked once per complex object: a complex that passes remembers it in a
+        private attribute (not a field, so equality and hashing ignore it) and later calls
+        return at once.  A failing complex is checked again, and its degrees found again,
+        on every call.
+        """
+        if self.__dict__.get("_d_squared_zero"):
+            return []
+        bad = [p for p in range(self.p_min, self.p_max - 1) if not self.d_squared(p).is_zero]
+        if not bad:
+            object.__setattr__(self, "_d_squared_zero", True)
         return bad
+
+    def d_squared(self, p: int) -> Matrix:
+        """The product d^{p+1} d^p."""
+        return self.differential(p + 1) * self.differential(p)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * self.dim(p) for p in self.degrees())
@@ -496,14 +507,20 @@ class CohomologyDegree:
     representatives: Matrix  # columns: kernel vectors completing the image
 
 
-def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
-    """Per-degree cohomology with deterministic representatives.
-
-    Raises ValueError naming the first offending degree if d o d != 0.
-    """
+def _require_complex(c: CochainComplex) -> None:
     bad = c.validate()
     if bad:
         raise ValueError(f"not a complex: d o d != 0 at degree {bad[0]}")
+
+
+def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
+    """Per-degree cohomology with deterministic representatives.
+
+    Raises ValueError naming the first offending degree if d o d != 0.  D^2 is checked
+    once per complex object (see :meth:`CochainComplex.validate`); a failing complex is
+    checked again, and raises again, on every call.
+    """
+    _require_complex(c)
     out: dict[int, CohomologyDegree] = {}
     for p in c.degrees():
         ker = c.differential(p).kernel()
@@ -517,7 +534,15 @@ def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
 
 
 def betti_numbers(c: CochainComplex) -> dict[int, int]:
-    return {p: h.dim for p, h in complex_cohomology(c).items()}
+    """dim H^p = dim C^p - rk d^p - rk d^{p-1}, from one ``rank`` per differential.
+
+    Validates ``c`` like :func:`complex_cohomology` (once per complex object; a failing
+    complex is checked again, and raises again, on every call), but computes no kernels
+    or representatives.
+    """
+    _require_complex(c)
+    rank = {p: d.rank() for p, d in zip(c.degrees(), c.diffs)}
+    return {p: c.dim(p) - rank.get(p, 0) - rank.get(p - 1, 0) for p in c.degrees()}
 
 
 @dataclass(frozen=True)

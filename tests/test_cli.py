@@ -107,6 +107,18 @@ def test_report_bytes_deterministic(sign_file, capsys):
     assert out1.returncode == 0
 
 
+def test_ruth_cohomology_builds_the_complex_once(sign_file, capsys, monkeypatch):
+    # the Betti table and the shift isomorphism share one ruth complex
+    from vbgroupoids import cohomology
+
+    built = []
+    real = cohomology.assemble_ruth_differential
+    monkeypatch.setattr(cohomology, "assemble_ruth_differential", lambda *a: built.append(a) or real(*a))
+    code, events = run_cli(["cohomology", str(sign_file), "sign", "--pmax", "3"], capsys)
+    assert code == 0 and events[1]["ok"]
+    assert len(built) == 1
+
+
 def test_morita_verdict_exit(sign_file, capsys, tmp_path):
     # a VB-Morita certificate on a generated cech pullback map
     code, _ = run_cli(["gen", "--recipe", "cech-pullback:z2", "--seed", "0", "--out", str(tmp_path)], capsys)

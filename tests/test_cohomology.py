@@ -1,14 +1,19 @@
 """Complexes and cohomology: oracles, sign conventions, comparison theorems."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from vbgroupoids import cohomology
 from vbgroupoids.cohomology import (
     RUTH_DIFFERENTIAL_SIGNS,
+    _displayed_cancellation,
+    _zero_last_two_term,
     assemble_ruth_differential,
     differentiable_complex,
+    homotopy_operator,
     hvb_equals_hlin,
     induced_map_vb,
     lin_complex,
@@ -24,6 +29,7 @@ from vbgroupoids.report import InvalidStructureError
 from vbgroupoids.ruth import direct_sum, make_ruth, zero_ruth
 from vbgroupoids.vb import (
     Cleavage,
+    VBGroupoid,
     acyclic_vb,
     base_change,
     choose_cleavage,
@@ -284,3 +290,196 @@ def test_shift_isomorphism_examples(z2, sign, trivial):
     rep = ruth_vs_dual_vb(acyclic_ruth(trivial), 3)
     assert rep.ok
     assert rep.ruth_dims == (0, 0, 0)
+
+
+def test_shift_report_reuses_given_ruth_betti(z2, sign, monkeypatch):
+    betti = betti_numbers(ruth_complex(sign, 3).complex)
+    expected = ruth_vs_dual_vb(sign, 3)
+    monkeypatch.setattr(cohomology, "ruth_complex", lambda r, p_max: pytest.fail("ruth complex built again"))
+    assert ruth_vs_dual_vb(sign, 3, betti) == expected
+
+
+# -- rank-only Betti numbers, check-once, and the witnesses of failed constructions -------
+
+
+@pytest.fixture
+def curved(z2):
+    """A gauge-randomized ruth with anchor, quasi-actions and curvature all nonzero."""
+    base = make_ruth(
+        z2,
+        (1,),
+        (1,),
+        anchor={0: Matrix.identity(1)},
+        rho_e={1: Matrix.from_rows([[-1]])},
+        rho_c={1: Matrix.from_rows([[-1]])},
+    )
+    r, _ = random_gauge(base, random.Random(2))
+    assert not r.gamma[(1, 1)].is_zero
+    return r
+
+
+def test_betti_from_ranks_matches_cohomology_on_fixtures(z2, sign, trivial, curved):
+    lin = lin_complex(grothendieck(curved), 3)
+    complexes = [
+        differentiable_complex(sign, 3),
+        ruth_complex(sign, 3).complex,
+        ruth_complex(trivial, 3).complex,
+        ruth_complex(curved, 3).complex,
+        ruth_complex(acyclic_ruth(trivial), 3).complex,
+        lin.complex,
+        vb_subcomplex(lin).complex,
+        lin_complex(grothendieck(trivial), 3).complex,
+        vb_subcomplex(lin_complex(acyclic_vb(z2, (1,)), 3)).complex,
+    ]
+    for c in complexes:
+        assert betti_numbers(c) == {p: h.dim for p, h in complex_cohomology(c).items()}
+
+
+def test_constructed_complex_runs_d_squared_once(monkeypatch, curved):
+    products = []
+    real = Matrix.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    c = ruth_complex(curved, 3).complex
+    betti_numbers(c)
+    complex_cohomology(c)
+    betti_numbers(c)
+    counts = [sum(a is d1 and b is d0 for a, b in products) for d0, d1 in zip(c.diffs, c.diffs[1:])]
+    assert counts == [1] * (len(c.diffs) - 1)
+
+
+def _fail_call(monkeypatch, owner, name: str, n: int, wrong):
+    """Make the ``n``-th call (from 0) of ``owner.<name>`` return ``wrong(real, *args)``."""
+    real = getattr(owner, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return wrong(real, *args) if len(calls) == n + 1 else real(*args)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _bump(real, *args):
+    """The real result with 1 added to its (0, 0) entry."""
+    m = real(*args)
+    return Matrix(m.rows, m.cols, ((m[0, 0] + 1,) + m.row(0)[1:],) + m.data[1:])
+
+
+def test_differentiable_complex_d_squared_witness(monkeypatch, sign):
+    _fail_call(monkeypatch, cohomology, "_quasi_action_differential", 0, _bump)
+    with pytest.raises(InvalidStructureError, match="differentiable_complex: D\\^2 != 0 at degree 0") as exc:
+        differentiable_complex(sign, 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("d-squared", (0, (0, 0), (0, 0)))
+    assert violation.detail == "(degree p, string of the row in degree p + 2, nonzero entry (row, col) of d^{p+1} d^p)"
+
+
+def test_ruth_complex_d_squared_witness(monkeypatch, curved):
+    # call 2 is rho_c on C^1(G, C), a block of d^0
+    _fail_call(monkeypatch, cohomology, "_quasi_action_differential", 2, _bump)
+    with pytest.raises(InvalidStructureError, match="ruth differential for signs") as exc:
+        ruth_complex(curved, 3)
+    assert "(1, 1, -1, 1): D^2 != 0 at degree 0" in exc.value.context
+    [violation] = exc.value.report.violations
+    assert violation.check == "d-squared"
+    # degree 2 starts with the E-values on 2-strings; column 1 of degree 0 is the C-value on (0,)
+    assert violation.witness == (0, ("E", (0, 0)), (0, 1))
+
+
+def _double_first_slot(real, v, s, i, fib):
+    """The real face image with its first slot doubled, which breaks s(w_1) = t(w_2)."""
+    img = real(v, s, i, fib)
+    k = v.gamma_dims[s[1] if i == 0 else s[0]]
+    return Matrix.vstack([img.take_rows(range(k)).scale(2), img.take_rows(range(k, img.rows))])
+
+
+def test_lin_complex_d_squared_witness(monkeypatch, curved):
+    # faces from degree 2 land in 1-strings, where Fib is the whole fiber: only D^2 notices
+    _fail_call(monkeypatch, cohomology, "_face_image", 0, _double_first_slot)
+    with pytest.raises(InvalidStructureError, match="lin_complex: delta\\^2 != 0 at degree 0") as exc:
+        lin_complex(grothendieck(curved), 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("d-squared", (0, (0, 0), (1, 0)))
+
+
+def test_lin_complex_face_leaves_fib_witness(monkeypatch, z2, curved):
+    # the first face image from degree 3, after the three faces of each 2-string
+    n = 3 * len(nerve(z2, 2).strings[2])
+    _fail_call(monkeypatch, cohomology, "_face_image", n, _double_first_slot)
+    with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
+        lin_complex(grothendieck(curved), 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness, violation.detail) == (
+        "face-in-fib",
+        (3, (0, 0, 0), 0),
+        "(degree, string, face)",
+    )
+
+
+def test_vb_subcomplex_closure_witness(monkeypatch, curved):
+    lin = lin_complex(grothendieck(curved), 3)
+    # no projectability conditions in degree 1: its coboundaries leave the degree-2 subspace
+    _fail_call(monkeypatch, cohomology, "_projectable_conditions", 0, lambda real, lin, p: Matrix.zeros(0, lin.dim(p)))
+    with pytest.raises(InvalidStructureError, match="vb_subcomplex: delta does not preserve") as exc:
+        vb_subcomplex(lin)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("subcomplex-closed", (1, 0, (2, (0, 1))))
+
+
+def test_homotopy_operator_witness(monkeypatch, curved):
+    # the degree-1 raise ("lift not in Fib") cannot be forced: Fib of a 1-string is the whole fiber
+    v = grothendieck(curved)
+    lin = lin_complex(v, 3)
+
+    def doubled_lift(real, lin, c, s, fib):
+        ext_string, ext = real(lin, c, s, fib)
+        return ext_string, Matrix.vstack([fib, ext.take_rows(range(fib.rows, ext.rows)).scale(2)])
+
+    _fail_call(monkeypatch, cohomology, "_append_lift_matrix", 1, doubled_lift)
+    with pytest.raises(InvalidStructureError, match="homotopy_operator: extended tuple not in Fib") as exc:
+        homotopy_operator(lin, choose_cleavage(v), 2)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("lift-in-fib", (2, (1,), (1, 1)))
+
+
+def test_displayed_cancellation_witness(monkeypatch, curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 3)
+    c = choose_cleavage(v)
+    _fail_call(monkeypatch, VBGroupoid, "inverse_matrix", 0, lambda real, v, g: real(v, g).scale(2))
+    with pytest.raises(InvalidStructureError, match="displayed cancellation: tuple not in Fib") as exc:
+        _displayed_cancellation(lin, c, 2)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("term-in-fib", (2, (0, 0), (0, 0)))
+
+
+def test_zero_last_witness(monkeypatch, curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 3)
+
+    def all_of_fib(real, v, s, fib, zeros):
+        return Matrix.identity(fib.cols)
+
+    # all of Fib instead of the vectors with a zero last slot, for the second 2-string
+    _fail_call(monkeypatch, cohomology, "_zero_last_vectors", 1, all_of_fib)
+    with pytest.raises(InvalidStructureError, match="zero-last evaluation: tuple not in Fib") as exc:
+        _zero_last_two_term(lin, choose_cleavage(v), 2)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("zero-last-in-fib", (2, (0, 1), (1, 1)))
+
+
+def test_pullback_lin_witness(curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 2)
+    f = identity_vbmap(v)
+    # doubling one arrow's map breaks s(f w_1) = t(f w_2) on strings that pair it with another
+    bad = replace(f, arr_maps=tuple(m.scale(2) if a == 1 else m for a, m in enumerate(f.arr_maps)))
+    with pytest.raises(InvalidStructureError, match="pullback_lin: image tuple not in Fib") as exc:
+        pullback_lin(bad, lin, lin)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("pullback-in-fib", (2, (0, 1), (0, 1)))

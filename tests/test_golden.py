@@ -2,7 +2,9 @@
 
 The first eight files under ``tests/golden/`` were written by the dense, per-column
 elimination kernel; the ``groth``/``dual`` outputs and the ``api-*`` files were written
-by the hand-padded block builders that ``Matrix.block(rows, cols, blocks)`` replaced.
+by the hand-padded block builders that ``Matrix.block(rows, cols, blocks)`` replaced;
+``cohomology-ruth-gauge-pair2-3.jsonl`` was written while Betti numbers still came from
+kernels and cohomology representatives rather than from ranks.
 Verdicts, Betti tables, the canonical bases inside written instance files and every
 constructed structure matrix must come out byte-identical from any later code.
 """
@@ -38,6 +40,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # (golden file, vbg arguments; "{d}" is the directory holding the generated instances)
 STDOUT_CASES = [
     ("cohomology-ruth-gauge-z3-4.jsonl", "cohomology {d}/gen-gauge-z3-4.json gauged0 --pmax 3"),
+    ("cohomology-ruth-gauge-pair2-3.jsonl", "cohomology {d}/gen-gauge-pair2-3.json gauged0 --pmax 3"),
     ("cohomology-vb-gauge-z3-4.jsonl", "cohomology {d}/groth-gauged0.json gauged0.groth --pmax 2"),
     ("cohomology-vb-sum-z2-0.jsonl", "cohomology {d}/groth-sum0.json sum0.groth --pmax 3"),
     ("cohomology-map-cech-pullback-z2-0.jsonl", "cohomology {d}/gen-cech-pullback-z2-0.json psi --pmax 2"),
@@ -64,6 +67,7 @@ SETUP = [
     "gen --recipe cech-pullback:z2 --seed 0 --out {d}",
     "gen --recipe perturbed-pullback:pt --seed 2 --out {d}",
     "gen --recipe gauge:z2 --seed 4 --out {d}",
+    "gen --recipe gauge:pair2 --seed 3 --out {d}",
     "groth {d}/gen-gauge-z3-4.json gauged0 --out {d}",
     "groth {d}/gen-sum-z2-0.json sum0 --out {d}",
 ]

@@ -195,3 +195,33 @@ def test_cech_projection_not_morita_carries_certificate_witnesses(monkeypatch):
         cech_groupoid(cyclic_groupoid(2), [[0], [0]])
     [violation] = exc.value.report.violations
     assert (violation.check, violation.witness) == ("morita", ("pi", None, (1,)))
+
+
+def test_nerve_faces_match_uncached_recomputation():
+    g = pair_groupoid(3)
+    nv = nerve(g, 4)
+
+    def face(p, i):
+        out = []
+        for s in nv.strings[p]:
+            if p == 1:
+                t = g.src[s[0]] if i == 0 else g.tgt[s[0]]
+            elif i == 0:
+                t = s[1:]
+            elif i == p:
+                t = s[:-1]
+            else:
+                t = s[: i - 1] + (g.comp[(s[i - 1], s[i])],) + s[i + 1 :]
+            out.append(nv.strings[p - 1].index(t))
+        return tuple(out)
+
+    for p in range(1, 5):
+        for i in range(p + 1):
+            first = nv.face(p, i)
+            assert first == face(p, i)
+            assert nv.face(p, i) == first
+            assert nv.face(p, i) is first  # built once, then kept
+    with pytest.raises(ValueError, match="face out of range"):
+        nv.face(5, 0)
+    with pytest.raises(ValueError, match="face out of range"):
+        nv.face(2, 3)

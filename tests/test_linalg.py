@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples, properties, and the quasi-iso oracle."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -294,6 +295,82 @@ def test_euler_characteristic_matches_cohomology():
     assert not c.validate()
     h = betti_numbers(c)
     assert sum((-1) ** p * h[p] for p in h) == c.euler_characteristic()
+
+
+def _random_matrix(rng, rows, cols):
+    return Matrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _bounded_rank_complex(rng, p_min, dims):
+    """A complex with d^2 = 0: each d^p is a random product of random rank after the
+    rows that annihilate the image of d^{p-1}."""
+    diffs = []
+    for n, m in zip(dims, dims[1:]):
+        left = diffs[-1].transpose().kernel().transpose() if diffs else Matrix.identity(n)
+        k = min(m, left.rows)
+        inner = rng.randint(min(1, k), k)
+        diffs.append(_random_matrix(rng, m, inner) * _random_matrix(rng, inner, left.rows) * left)
+    return CochainComplex(p_min, p_min + len(dims) - 1, tuple(dims), tuple(diffs))
+
+
+def test_betti_from_ranks_matches_cohomology_on_random_complexes():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(60):
+        dims = [rng.randint(0, 5) for _ in range(rng.randint(1, 5))]
+        c = _bounded_rank_complex(rng, rng.randint(-1, 1), dims)
+        assert not c.validate()
+        betti = betti_numbers(c)
+        assert betti == {p: h.dim for p, h in complex_cohomology(c).items()}
+        seen.add(tuple(betti.values()))
+    assert len(seen) > 20  # the complexes are not all alike
+
+
+def _count_products(monkeypatch) -> list:
+    """Record (left, right) of every Matrix product from now on."""
+    products = []
+    real = Matrix.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    return products
+
+
+def _d_squared_products(c: CochainComplex, products: list) -> list[int]:
+    """How often each d^{p+1} d^p of ``c`` was multiplied, by identity of the factors."""
+    return [sum(a is d1 and b is d0 for a, b in products) for d0, d1 in zip(c.diffs, c.diffs[1:])]
+
+
+def test_passing_complex_is_checked_once(monkeypatch):
+    c = _bounded_rank_complex(random.Random(3), 0, [2, 3, 3, 2])
+    assert all(not d.is_zero for d in c.diffs)
+    products = _count_products(monkeypatch)
+    assert c.validate() == []
+    betti = betti_numbers(c)
+    complex_cohomology(c)
+    assert c.validate() == []
+    assert _d_squared_products(c, products) == [1, 1]
+    # the memo is on the object: an equal complex is checked again, and equality ignores it
+    twin = CochainComplex(c.p_min, c.p_max, c.dims, c.diffs)
+    assert twin == c and hash(twin) == hash(c)
+    assert betti_numbers(twin) == betti
+    assert _d_squared_products(c, products) == [2, 2]
+
+
+def test_failing_complex_raises_same_degree_every_call(monkeypatch):
+    one = Matrix.identity(1)
+    c = CochainComplex(0, 3, (1, 1, 1, 1), (Matrix.zeros(1, 1), one, one))
+    products = _count_products(monkeypatch)
+    for rounds in range(1, 4):
+        assert c.validate() == [1]
+        with pytest.raises(ValueError, match="d o d != 0 at degree 1"):
+            betti_numbers(c)
+        with pytest.raises(ValueError, match="d o d != 0 at degree 1"):
+            complex_cohomology(c)
+        assert _d_squared_products(c, products) == [3 * rounds, 3 * rounds]
 
 
 # -- quasi-isomorphism, checked against a brute-force oracle ----------------------------
