@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
@@ -32,30 +32,11 @@ from .vb import (
     grothendieck,
 )
 
-ZERO = Fraction(0)
-
 #: Frozen sign assignment for the ruth differential components
 #: (quasi-action on E, anchor insertion, quasi-action on C, curvature pairing).
 #: Fixed by requiring D^2 = 0 on fixtures with nonzero anchor, quasi-actions
 #: and curvature; see the sign-search test.
 RUTH_DIFFERENTIAL_SIGNS = (1, 1, -1, 1)
-
-
-def _grid(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def _place(grid: list[list[Fraction]], r0: int, c0: int, m: Matrix, sign: int = 1) -> None:
-    for i in range(m.rows):
-        row = grid[r0 + i]
-        mrow = m.data[i]
-        for j in range(m.cols):
-            if mrow[j]:
-                row[c0 + j] += mrow[j] if sign == 1 else -mrow[j]
-
-
-def _freeze(grid: list[list[Fraction]], cols: int) -> Matrix:
-    return Matrix(len(grid), cols, tuple(tuple(r) for r in grid))
 
 
 def _invalid(context: str, check: str, witness: tuple, detail: str) -> InvalidStructureError:
@@ -76,7 +57,8 @@ def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callab
     bad = cx.validate()
     if bad:
         p = bad[0]
-        row, col = next((i, j) for i, r in enumerate(cx.d_squared(p).data) for j, x in enumerate(r) if x)
+        d2 = cx.d_squared(p)
+        row, col = next((i, j) for i in range(d2.rows) for j, x in enumerate(d2.row(i)) if x)
         raise _invalid(
             f"{context} at degree {p}",
             "d-squared",
@@ -93,25 +75,13 @@ class _BundleCochains:
 
     def __init__(self, nv: NerveStrings, dims: Sequence[int]):
         self.nerve = nv
-        self.dims = tuple(dims)
         g = nv.groupoid
-        self.anchor_obj: list[list[int]] = []
-        self.offsets: list[list[int]] = []
-        self.total: list[int] = []
-        for q in range(nv.p_max + 1):
-            objs = [
-                (s if q == 0 else g.tgt[s[0]])
-                for s in nv.strings[q]
-            ]
-            offs = [0]
-            for x in objs:
-                offs.append(offs[-1] + self.dims[x])
-            self.anchor_obj.append(objs)
-            self.offsets.append(offs)
-            self.total.append(offs[-1])
+        self.anchor_obj = [[s if q == 0 else g.tgt[s[0]] for s in nv.strings[q]] for q in range(nv.p_max + 1)]
+        self.sizes = [[dims[x] for x in objs] for objs in self.anchor_obj]  # block size per q-string
+        self.offsets = [list(accumulate(sizes, initial=0)) for sizes in self.sizes]
 
     def dim(self, q: int) -> int:
-        return self.total[q] if 0 <= q <= self.nerve.p_max else 0
+        return self.offsets[q][-1] if 0 <= q <= self.nerve.p_max else 0
 
     def string_at(self, q: int, row: int) -> tuple:
         return _string_at(self.nerve, self.offsets, q, row)
@@ -125,19 +95,13 @@ def _quasi_action_differential(
     (D w)(g_1..g_{q+1}) = rho_{g_1} w(g_2..) + sum_i (-1)^i w(..g_i g_{i+1}..)
                           + (-1)^{q+1} w(g_1..g_q).
     """
-    g = nv.groupoid
-    grid = _grid(bc.dim(q + 1), bc.dim(q))
+    blocks = []
     for si, s in enumerate(nv.strings[q + 1]):
-        r0 = bc.offsets[q + 1][si]
         for i in range(q + 2):
             t_idx = nv.face(q + 1, i)[si]
-            c0 = bc.offsets[q][t_idx]
-            if i == 0:
-                _place(grid, r0, c0, rho[s[0]])
-            else:
-                d = bc.dims[bc.anchor_obj[q][t_idx]]
-                _place(grid, r0, c0, Matrix.identity(d), sign=1 if i % 2 == 0 else -1)
-    return _freeze(grid, bc.dim(q))
+            face = rho[s[0]] if i == 0 else Matrix.identity(bc.sizes[q][t_idx]).scale((-1) ** i)
+            blocks.append(((si, t_idx), face))
+    return Matrix.block(bc.sizes[q + 1], bc.sizes[q], blocks)
 
 
 def differentiable_complex(rep: TwoTermRuth, p_max: int) -> CochainComplex:
@@ -178,25 +142,15 @@ def assemble_ruth_differential(
     g = r.base
 
     def anchor_insertion(q: int) -> Matrix:
-        grid = _grid(bce.dim(q), bcc.dim(q))
-        for si in range(len(nv.strings[q])):
-            x = bce.anchor_obj[q][si]
-            _place(grid, bce.offsets[q][si], bcc.offsets[q][si], r.anchor[x])
-        return _freeze(grid, bcc.dim(q))
+        return Matrix.block_diag([r.anchor[x] for x in bce.anchor_obj[q]])
 
     def curvature_pairing(q: int) -> Matrix:
         # C^q(G,E) -> C^{q+2}(G,C): (gamma w)(g_1..g_{q+2}) = gamma_{g_1,g_2} w(g_3..)
-        grid = _grid(bcc.dim(q + 2), bce.dim(q))
-        for si, s in enumerate(nv.strings[q + 2]):
-            suffix = s[2:]
-            t_idx = nv.index[q][suffix] if q >= 1 else g.src[s[1]]
-            _place(
-                grid,
-                bcc.offsets[q + 2][si],
-                bce.offsets[q][t_idx],
-                r.gamma[(s[0], s[1])],
-            )
-        return _freeze(grid, bce.dim(q))
+        blocks = [
+            ((si, nv.index[q][s[2:]] if q >= 1 else g.src[s[1]]), r.gamma[(s[0], s[1])])
+            for si, s in enumerate(nv.strings[q + 2])
+        ]
+        return Matrix.block(bcc.sizes[q + 2], bce.sizes[q], blocks)
 
     dims: list[int] = []
     e_dims_at: list[int] = []
@@ -206,17 +160,15 @@ def assemble_ruth_differential(
         e_dims_at.append(de)
     diffs = []
     for p in range(-1, p_max):
-        rows = dims[p + 2]
-        cols = dims[p + 1]
-        grid = _grid(rows, cols)
-        e_rows = e_dims_at[p + 2]
-        e_cols = e_dims_at[p + 1]
+        # block rows: C^{p+1}(G,E), C^{p+2}(G,C); block columns: C^p(G,E), C^{p+1}(G,C)
+        blocks = {}
         if p >= 0:
-            _place(grid, 0, 0, _quasi_action_differential(nv, bce, r.rho_e, p), sign=s_e)
-            _place(grid, e_rows, 0, curvature_pairing(p), sign=s_gamma)
-        _place(grid, 0, e_cols, anchor_insertion(p + 1), sign=s_anchor)
-        _place(grid, e_rows, e_cols, _quasi_action_differential(nv, bcc, r.rho_c, p + 1), sign=s_c)
-        diffs.append(_freeze(grid, cols))
+            blocks[(0, 0)] = _quasi_action_differential(nv, bce, r.rho_e, p).scale(s_e)
+            blocks[(1, 0)] = curvature_pairing(p).scale(s_gamma)
+        blocks[(0, 1)] = anchor_insertion(p + 1).scale(s_anchor)
+        blocks[(1, 1)] = _quasi_action_differential(nv, bcc, r.rho_c, p + 1).scale(s_c)
+        heights = [e_dims_at[p + 2], dims[p + 2] - e_dims_at[p + 2]]
+        diffs.append(Matrix.block(heights, [e_dims_at[p + 1], dims[p + 1] - e_dims_at[p + 1]], blocks))
     cx = CochainComplex(-1, p_max, tuple(dims), tuple(diffs))
 
     def row_string(q: int, row: int) -> tuple:
@@ -254,6 +206,10 @@ class LinComplex:
         off = self.offsets[p]
         return off[s_idx], off[s_idx + 1] - off[s_idx]
 
+    def sizes(self, p: int) -> list[int]:
+        """The block size dim Fib(s) of each degree-p string s."""
+        return [b.cols for b in self.fib_bases[p]]
+
 
 def _string_slices(v: VBGroupoid, s: tuple[int, ...]) -> list[tuple[int, int]]:
     out = []
@@ -286,28 +242,20 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
     fib_bases: list[tuple[Matrix, ...]] = [tuple(Matrix.identity(v.e_dims[x]) for x in nv.strings[0])]
     for p in range(1, p_max + 1):
         fib_bases.append(tuple(v.fib_string_basis(s) for s in nv.strings[p]))
-    offsets = []
-    for p in range(p_max + 1):
-        offs = [0]
-        for b in fib_bases[p]:
-            offs.append(offs[-1] + b.cols)
-        offsets.append(tuple(offs))
-    dims = tuple(offsets[p][-1] for p in range(p_max + 1))
+    sizes = [[b.cols for b in level] for level in fib_bases]
+    offsets = [tuple(accumulate(level, initial=0)) for level in sizes]
+    dims = tuple(offs[-1] for offs in offsets)
     diffs = []
     for p in range(p_max):
-        grid = _grid(dims[p + 1], dims[p])
+        blocks = []
         for si, s in enumerate(nv.strings[p + 1]):
             fib = fib_bases[p + 1][si]
-            r0 = offsets[p + 1][si]
             for i in range(p + 2):
                 t_idx = nv.face(p + 1, i)[si]
-                c0 = offsets[p][t_idx]
                 if p == 0:
-                    img = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
-                    coords = img
+                    coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
                 else:
-                    img = _face_image(v, s, i, fib)
-                    coords = fib_bases[p][t_idx].solve_matrix(img)
+                    coords = fib_bases[p][t_idx].solve_matrix(_face_image(v, s, i, fib))
                     if coords is None:
                         raise _invalid(
                             f"lin_complex: face image leaves Fib at degree {p + 1}",
@@ -315,8 +263,8 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                             (p + 1, s, i),
                             "(degree, string, face)",
                         )
-                _place(grid, r0, c0, coords.transpose(), sign=1 if i % 2 == 0 else -1)
-        diffs.append(_freeze(grid, dims[p]))
+                blocks.append(((si, t_idx), coords.transpose().scale((-1) ** i)))
+        diffs.append(Matrix.block(sizes[p + 1], sizes[p], blocks))
     cx = CochainComplex(0, p_max, dims, tuple(diffs))
     _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", lambda q, row: _string_at(nv, offsets, q, row))
     return LinComplex(vb=v, p_max=p_max, nerve=nv, fib_bases=tuple(fib_bases), offsets=tuple(offsets), complex=cx)
@@ -377,7 +325,6 @@ class VBSubcomplex:
     lin: LinComplex
     bases: tuple[Matrix, ...]
     complex: CochainComplex
-    closure_ok: bool
 
 
 def _subcomplex_from_bases(
@@ -420,7 +367,7 @@ def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
             (p, j, violated),
             "(degree, basis column, (degree, string) of a condition its coboundary violates)",
         )
-    return VBSubcomplex(lin=lin, bases=tuple(bases), complex=cx, closure_ok=True)
+    return VBSubcomplex(lin=lin, bases=tuple(bases), complex=cx)
 
 
 # -- the homotopy operator and the comparison of H_VB with H_lin ------------------------
@@ -447,19 +394,14 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     v = lin.vb
     g = v.base
     nv = lin.nerve
-    grid = _grid(lin.dim(p - 1), lin.dim(p))
+    blocks = []
     if p == 1:
+        # Fib of a 1-string is the whole fiber, with the identity as basis: the lift is its own coordinates
         for x in range(g.n_objects):
             ux = g.unit[x]
             appended = v.inverse_matrix(ux) * v.u_maps[x]
-            t_idx = nv.index[1][(ux,)]
-            coords = lin.fib_bases[1][t_idx].solve_matrix(appended)
-            if coords is None:
-                raise _invalid("homotopy_operator: lift not in Fib", "lift-in-fib", (1, (ux,)), "(degree, string)")
-            r0, _ = lin.block(0, x)
-            c0, _ = lin.block(1, t_idx)
-            _place(grid, r0, c0, coords.transpose())
-        return _freeze(grid, lin.dim(1))
+            blocks.append(((x, nv.index[1][(ux,)]), appended.transpose()))
+        return Matrix.block(lin.sizes(0), lin.sizes(1), blocks)
     for si, s in enumerate(nv.strings[p - 1]):
         fib = lin.fib_bases[p - 1][si]
         ext_string, ext = _append_lift_matrix(lin, c, s, fib)
@@ -472,10 +414,8 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
                 (p, s, ext_string),
                 "(degree, string, extended string)",
             )
-        r0, _ = lin.block(p - 1, si)
-        c0, _ = lin.block(p, t_idx)
-        _place(grid, r0, c0, coords.transpose())
-    return _freeze(grid, lin.dim(p))
+        blocks.append(((si, t_idx), coords.transpose()))
+    return Matrix.block(lin.sizes(p - 1), lin.sizes(p), blocks)
 
 
 def cancellation_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
@@ -497,7 +437,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     v = lin.vb
     g = v.base
     nv = lin.nerve
-    grid = _grid(lin.dim(p), lin.dim(p))
+    blocks = []
 
     def place_term(si: int, string: tuple[int, ...], mat: Matrix, sign: int) -> None:
         t_idx = nv.index[p][string]
@@ -509,9 +449,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
                 (p, nv.strings[p][si], string),
                 "(degree, string, term string)",
             )
-        r0, _ = lin.block(p, si)
-        c0, _ = lin.block(p, t_idx)
-        _place(grid, r0, c0, coords.transpose(), sign=sign)
+        blocks.append(((si, t_idx), coords.transpose().scale(sign)))
 
     sgn_p = 1 if p % 2 == 0 else -1
     for si, s in enumerate(nv.strings[p]):
@@ -544,7 +482,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         inv_tail = v.inverse_matrix(prod_tail) * (c.sigma[prod_tail] * src_last)
         t4_string = s[1:] + (g.inv[prod_tail],)
         place_term(si, t4_string, Matrix.vstack([tail, inv_tail]), -sgn_p)
-    return _freeze(grid, lin.dim(p))
+    return Matrix.block(lin.sizes(p), lin.sizes(p), blocks)
 
 
 def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, Matrix]:
@@ -732,14 +670,10 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
     nv_t = lin_tgt.nerve
     out: dict[int, Matrix] = {}
     p_max = lin_src.p_max
-    grid0 = _grid(lin_src.dim(0), lin_tgt.dim(0))
-    for x in range(v.base.n_objects):
-        r0, _ = lin_src.block(0, x)
-        c0, _ = lin_tgt.block(0, bm.obj_map[x])
-        _place(grid0, r0, c0, f.obj_maps[x].transpose())
-    out[0] = _freeze(grid0, lin_tgt.dim(0))
+    blocks0 = [((x, bm.obj_map[x]), f.obj_maps[x].transpose()) for x in range(v.base.n_objects)]
+    out[0] = Matrix.block(lin_src.sizes(0), lin_tgt.sizes(0), blocks0)
     for p in range(1, p_max + 1):
-        grid = _grid(lin_src.dim(p), lin_tgt.dim(p))
+        blocks = []
         for si, s in enumerate(nv.strings[p]):
             image_string = tuple(bm.arr_map[a] for a in s)
             t_idx = nv_t.index[p][image_string]
@@ -759,10 +693,8 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
                     (p, s, image_string),
                     "(degree, string, image string)",
                 )
-            r0, _ = lin_src.block(p, si)
-            c0, _ = lin_tgt.block(p, t_idx)
-            _place(grid, r0, c0, coords.transpose())
-        out[p] = _freeze(grid, lin_tgt.dim(p))
+            blocks.append(((si, t_idx), coords.transpose()))
+        out[p] = Matrix.block(lin_src.sizes(p), lin_tgt.sizes(p), blocks)
     return out
 
 

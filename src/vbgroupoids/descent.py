@@ -360,23 +360,12 @@ def _adjust_section(
     if ker_t.dim != im_d.dim:
         raise DescentError(f"kernel arrow {k}: transport not correctable (rank defect)")
     comp = complement_space(ker_t)
-    w_cols = []
-    for cidx in range(ker_t.dim):
-        lead = im_d.basis.col(cidx)
-        tv = t0.apply(ker_t.basis.col(cidx))
-        rhs = tuple(a - b for a, b in zip(lead, tv))
-        w = cd.anchor[xj].solve(rhs)
-        if w is None:
-            raise DescentError(f"kernel arrow {k}: correction not solvable")
-        w_cols.append(w)
-    w_ker = (
-        Matrix.from_cols(w_cols, rows=cd.anchor[xj].cols)
-        if w_cols
-        else Matrix.zeros(cd.anchor[xj].cols, 0)
-    )
+    w_ker = cd.anchor[xj].solve_matrix(im_d.basis - t0 * ker_t.basis)
+    if w_ker is None:
+        raise DescentError(f"kernel arrow {k}: correction not solvable")
     basis_full = Matrix.hstack([ker_t.basis, comp.basis])
     proj_ker = basis_full.inverse().take_rows(range(ker_t.dim))
-    w_full = w_ker * proj_ker if ker_t.dim else Matrix.zeros(cd.anchor[xj].cols, v.e_dims[xi])
+    w_full = w_ker * proj_ker
     m1, _ = v.mult_blocks(g.unit[xj], k)
     iota = m1 * cd.basis[xj]  # core lift c -> c . 0_k into ker(s_k)
     adjusted = sigma_k + iota * w_full

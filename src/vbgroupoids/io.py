@@ -36,6 +36,12 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s: str) -> Fraction:
+    """A rational written as a string like ``-3/7`` (a JSON integer also passes); else a ParseError.
+
+    Floats are rejected: ``Fraction(0.5)`` would read a binary approximation as exact.
+    """
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ParseError(f"bad rational {s!r}: want a string like '-3/7'")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -71,7 +77,7 @@ def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tup
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[frac_to_str(x) for x in row] for row in m.data]
+    return [[frac_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def matrix_from_json(data: Any, rows: int, cols: int, where: str = "") -> Matrix:

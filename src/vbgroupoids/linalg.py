@@ -1,16 +1,20 @@
 """Exact rational linear algebra substrate.
 
-Dense matrices over Q (``fractions.Fraction`` entries), subspaces with
-canonical bases, and finite cochain complexes with exact cohomology.  Every
-higher-level check in the package reduces to operations here.
+Sparse matrices over Q, subspaces with canonical bases, and finite cochain complexes
+with exact cohomology.  Every higher-level check in the package reduces to operations
+here.
 
-All elimination (``rank``, ``kernel``, ``solve``, ``solve_matrix``,
-``inverse``) goes through ``Matrix.rref`` and its one routine,
-:func:`_eliminate`, which works on sparse integer rows: each row is a
-``{column: int}`` dict scaled by the lcm of its denominators and kept
-gcd-normalised, and entries turn back into ``Fraction`` only when the result
-matrix is built.  ``solve_matrix`` reduces ``[A | B]`` once for all columns of
-B; on a consistent system every pivot lies in A's columns.
+A :class:`Matrix` stores each row as a ``{column: int}`` dict of its nonzero
+numerators, over one positive denominator per matrix, in a canonical form; products,
+sums, stacking, block assembly and slicing all work on these rows, and ``Fraction``
+entries appear only when a caller reads them (``m[i, j]``, ``row``, ``col``, ``data``).
+No module outside this one sees the storage.
+
+All elimination (``rank``, ``kernel``, ``solve``, ``solve_matrix``, ``inverse``) goes
+through ``Matrix.rref`` and its one routine, :func:`_eliminate`, which reduces a copy
+of the numerator rows, keeping each changed row a gcd-normalised integer vector.
+``solve_matrix`` reduces ``[A | B]`` once for all columns of B; on a consistent system
+every pivot lies in A's columns.
 
 Two conventions make all downstream output bit-reproducible:
 
@@ -29,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -52,15 +55,11 @@ def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of ``row`` as ``{column: int}``, scaled by the lcm of their denominators."""
-    nz = {j: x for j, x in enumerate(row) if x}
-    d = lcm(*(x.denominator for x in nz.values()))
-    return {j: x.numerator * (d // x.denominator) for j, x in nz.items()}
-
-
 def _eliminate(rows: list[dict[int, int]], n: int) -> list[int]:
-    """Gauss-Jordan elimination of sparse integer rows with ``n`` columns, in place.
+    """Gauss-Jordan elimination of sparse integer rows with ``n`` columns.
+
+    ``rows`` is reordered and its entries replaced in place; the row dicts it held are
+    never changed, so it may list the rows of a :class:`Matrix`.
 
     Columns are taken in order; the pivot for column ``c`` is the first row at or after
     the current rank with a nonzero entry there.  Every other row with an entry in ``c``
@@ -102,87 +101,117 @@ def _eliminate(rows: list[dict[int, int]], n: int) -> list[int]:
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major."""
+    """Immutable matrix over Q: sparse integer rows over one common denominator.
 
-    __slots__ = ("rows", "cols", "data")
+    Row ``i`` is the dict ``{column: numerator}`` of its nonzero entries, and entry
+    ``(i, j)`` is ``numerator / den``.  The form is canonical: no zero numerators,
+    ``den > 0``, and ``den`` coprime to the numerators taken together; so equal matrices
+    have equal fields, and equality and hashing are by value.  A stored row dict is never
+    changed after construction, so results may share rows with their operands.
+    """
 
-    def __init__(self, rows: int, cols: int, data: tuple[tuple[Fraction, ...], ...]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError(f"bad shape: want {rows}x{cols}")
+    __slots__ = ("rows", "cols", "_num", "_den", "_hash")
+
+    def __init__(self, rows: int, cols: int, num: Sequence[dict[int, int]], den: int = 1):
+        """Internal: ``num`` holds ``rows`` dicts with no zero values, over ``den != 0``.
+
+        Outside this module build matrices with the constructors below.
+        """
+        if den < 0:
+            num = [{j: -x for j, x in r.items()} for r in num]
+            den = -den
+        g = den
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r.values())
+        if g > 1:
+            num = [{j: x // g for j, x in r.items()} for r in num]
+            den //= g
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._num = tuple(num)
+        self._den = den
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(frac(x) for x in r) for r in rows)
-        if data:
-            cols = len(data[0])
+        ratios = [[frac(x).as_integer_ratio() for x in r] for r in rows]
+        if ratios:
+            cols = len(ratios[0])
         elif cols is None:
             cols = 0
-        return Matrix(len(data), cols, data)
+        if any(len(r) != cols for r in ratios):
+            raise ValueError(f"bad shape: want {len(ratios)}x{cols}")
+        den = lcm(*(d for r in ratios for _, d in r))
+        num = [{j: n * (den // d) for j, (n, d) in enumerate(r) if n} for r in ratios]
+        return Matrix(len(ratios), cols, num, den)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        if not cols:
-            return Matrix(rows or 0, 0, tuple(() for _ in range(rows or 0)))
-        n = len(cols[0])
-        data = tuple(tuple(frac(c[i]) for c in cols) for i in range(n))
-        return Matrix(n, len(cols), data)
+        return Matrix.from_rows(cols, rows or 0).transpose()
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return Matrix(rows, cols, [{}] * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Matrix(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        blocks = [b for b in blocks]
         if not blocks:
             return Matrix.zeros(0, 0)
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError("hstack: row mismatch")
-        data = tuple(tuple(x for b in blocks for x in b.data[i]) for i in range(rows))
-        return Matrix(rows, sum(b.cols for b in blocks), data)
+        return Matrix.block([blocks[0].rows], [b.cols for b in blocks], [((0, j), b) for j, b in enumerate(blocks)])
 
     @staticmethod
     def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        blocks = [b for b in blocks]
         if not blocks:
             return Matrix.zeros(0, 0)
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("vstack: col mismatch")
-        data = tuple(row for b in blocks for row in b.data)
-        return Matrix(sum(b.rows for b in blocks), cols, data)
+        den = lcm(*(b._den for b in blocks))
+        num = [r if b._den == den else {j: x * (den // b._den) for j, x in r.items()} for b in blocks for r in b._num]
+        return Matrix(sum(b.rows for b in blocks), cols, num, den)
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        diagonal = {(i, i): b for i, b in enumerate(blocks)}
+        diagonal = [((i, i), b) for i, b in enumerate(blocks)]
         return Matrix.block([b.rows for b in blocks], [b.cols for b in blocks], diagonal)
 
     @staticmethod
-    def block(rows: Sequence[int], cols: Sequence[int], blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
+    def block(
+        rows: Sequence[int],
+        cols: Sequence[int],
+        blocks: dict[tuple[int, int], "Matrix"] | Iterable[tuple[tuple[int, int], "Matrix"]],
+    ) -> "Matrix":
         """The block matrix with block heights ``rows`` and block widths ``cols``.
 
-        ``blocks`` maps a (block row, block column) position to its matrix; a block that
-        is not given is zero, and a given block of the wrong shape raises ValueError.
+        ``blocks`` maps a (block row, block column) position to its matrix, or lists
+        (position, matrix) pairs; blocks listed at the same position add up.  A position
+        with no block is zero, and a block of the wrong shape raises ValueError.
         """
+        pairs = list(blocks.items() if isinstance(blocks, dict) else blocks)
         r_off = [0, *accumulate(rows)]
         c_off = [0, *accumulate(cols)]
-        out = [[ZERO] * c_off[-1] for _ in range(r_off[-1])]
-        for (i, j), b in blocks.items():
+        den = lcm(*(b._den for _, b in pairs))
+        out: list[dict[int, int]] = [{} for _ in range(r_off[-1])]
+        for (i, j), b in pairs:
             if (b.rows, b.cols) != (rows[i], cols[j]):
                 raise ValueError(f"block ({i}, {j}): want {rows[i]}x{cols[j]}, got {b.rows}x{b.cols}")
-            for k, brow in enumerate(b.data, r_off[i]):
-                out[k][c_off[j] : c_off[j + 1]] = brow
-        return Matrix(r_off[-1], c_off[-1], tuple(map(tuple, out)))
+            f, c0 = den // b._den, c_off[j]
+            for k, brow in enumerate(b._num, r_off[i]):
+                row = out[k]
+                for c, x in brow.items():
+                    c += c0
+                    row[c] = row.get(c, 0) + x * f
+        if len({pos for pos, _ in pairs}) < len(pairs):
+            out = [{c: x for c, x in row.items() if x} for row in out]
+        return Matrix(r_off[-1], c_off[-1], out, den)
 
     # -- basics -------------------------------------------------------------
 
@@ -191,92 +220,102 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self._den, tuple(frozenset(r.items()) for r in self._num)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        return self.data[rc[0]][rc[1]]
+        i, j = rc
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {rc} of a {self.rows}x{self.cols} matrix")
+        x = self._num[i].get(j)
+        return Fraction(x, self._den) if x else ZERO
 
     def row(self, i: int) -> Vec:
-        return self.data[i]
+        r, d = self._num[i], self._den
+        return tuple(Fraction(r[j], d) if j in r else ZERO for j in range(self.cols))
 
     def col(self, j: int) -> Vec:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        d = self._den
+        return tuple(Fraction(r[j], d) if j in r else ZERO for r in self._num)
+
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """The dense rows of ``Fraction`` entries (derived on each read)."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self._num)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("add: shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-        )
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        out = []
+        for r1, r2 in zip(self._num, other._num):
+            row = {j: x * f for j, x in r1.items()}
+            for j, y in r2.items():
+                z = row.get(j, 0) + y * g
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix(self.rows, self.cols, out, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.data))
+        return Matrix(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self._num], self._den)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        a = c.numerator
+        return Matrix(self.rows, self.cols, [{j: x * a for j, x in r.items()} for r in self._num], self._den * c.denominator)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # Skip zero entries: structure matrices downstream are mostly sparse.
-        bdata = other.data
+        b_num = other._num
         out = []
-        for i in range(self.rows):
-            acc = [ZERO] * other.cols
-            arow = self.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a:
-                    brow = bdata[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-                    # a == 1 fast path not worth special-casing with Fractions
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, v: Sequence) -> Vec:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise ValueError("apply: length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = ZERO
-            row = self.data[i]
-            for k in range(self.cols):
-                if row[k] and v[k]:
-                    s += row[k] * v[k]
-            out.append(s)
-        return tuple(out)
+        for arow in self._num:
+            acc: dict[int, int] = {}
+            for k, a in arow.items():
+                for j, b in b_num[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix(self.rows, other.cols, out, self._den * other._den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows, tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols))
-        )
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._num):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix(self.cols, self.rows, out, self._den)
 
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.rows, len(idx), tuple(tuple(r[j] for j in idx) for r in self.data))
+        pos = {j: k for k, j in enumerate(idx)}
+        if len(pos) != len(idx) or any(not 0 <= j < self.cols for j in pos):
+            raise IndexError(f"take_cols: want distinct columns of {self.cols}, got {list(idx)}")
+        return Matrix(self.rows, len(pos), [{pos[j]: x for j, x in r.items() if j in pos} for r in self._num], self._den)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(len(idx), self.cols, tuple(self.data[i] for i in idx))
+        return Matrix(len(idx), self.cols, [self._num[i] for i in idx], self._den)
 
     # -- elimination --------------------------------------------------------
 
@@ -284,23 +323,16 @@ class Matrix:
         """Reduced row-echelon form and pivot columns (exact, deterministic).
 
         The only elimination entry point: ``rank``, ``kernel``, ``solve``,
-        ``solve_matrix`` and ``inverse`` all reduce through it.  Rows become sparse
-        integer rows, :func:`_eliminate` reduces them once, and entries turn back
-        into ``Fraction`` only here, when each pivot row is divided by its leading
-        entry, which yields the unique RREF.
+        ``solve_matrix`` and ``inverse`` all reduce through it.  :func:`_eliminate`
+        reduces a copy of the numerator rows once; each pivot row is then divided by its
+        leading entry over the lcm of the leading entries, which yields the unique RREF.
         """
-        m, n = self.rows, self.cols
-        rows = [_int_row(r) for r in self.data]
-        piv = _eliminate(rows, n)
-        data = []
-        for r, c in enumerate(piv):
-            lead = rows[r][c]
-            out = [ZERO] * n
-            for j, x in rows[r].items():
-                out[j] = Fraction(x, lead)
-            data.append(tuple(out))
-        data.extend([(ZERO,) * n] * (m - len(piv)))
-        return Matrix(m, n, tuple(data)), tuple(piv)
+        num = list(self._num)
+        piv = _eliminate(num, self.cols)
+        den = lcm(*(num[r][c] for r, c in enumerate(piv)))
+        out = [{j: x * (den // num[r][c]) for j, x in num[r].items()} for r, c in enumerate(piv)]
+        out += [{}] * (self.rows - len(piv))
+        return Matrix(self.rows, self.cols, out, den), tuple(piv)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -308,24 +340,21 @@ class Matrix:
     def kernel(self) -> "Matrix":
         """Null-space basis as columns (rref free-variable convention)."""
         R, piv = self.rref()
-        n = self.cols
         pivset = set(piv)
-        free = [c for c in range(n) if c not in pivset]
-        out = [[ZERO] * len(free) for _ in range(n)]
-        for k, f in enumerate(free):
-            out[f][k] = ONE
-            for r, c in enumerate(piv):
-                x = R.data[r][f]
-                if x:
-                    out[c][k] = -x
-        return Matrix(n, len(free), tuple(map(tuple, out)))
+        free = {f: k for k, f in enumerate(c for c in range(self.cols) if c not in pivset)}
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for f, k in free.items():
+            out[f] = {k: R._den}
+        for r, c in enumerate(piv):
+            out[c] = {free[j]: -x for j, x in R._num[r].items() if j in free}
+        return Matrix(self.cols, len(free), out, R._den)
 
     def solve(self, b: Sequence) -> Optional[Vec]:
         """One solution of ``self @ x = b`` (free variables 0), or None."""
         b = vec(b)
         if len(b) != self.rows:
             raise ValueError("solve: length mismatch")
-        x = self.solve_matrix(Matrix(self.rows, 1, tuple((y,) for y in b)))
+        x = self.solve_matrix(Matrix.from_cols([b], rows=self.rows))
         return None if x is None else x.col(0)
 
     def solve_matrix(self, B: "Matrix") -> Optional["Matrix"]:
@@ -342,10 +371,10 @@ class Matrix:
         R, piv = Matrix.hstack([self, B]).rref()
         if piv and piv[-1] >= n:
             return None
-        out = [(ZERO,) * B.cols] * n
+        out: list[dict[int, int]] = [{}] * n
         for r, c in enumerate(piv):
-            out[c] = R.data[r][n:]
-        return Matrix(n, B.cols, tuple(out))
+            out[c] = {j - n: x for j, x in R._num[r].items() if j >= n}
+        return Matrix(n, B.cols, out, R._den)
 
     @property
     def is_invertible(self) -> bool:
@@ -378,8 +407,7 @@ class Subspace:
     @staticmethod
     def from_spanning(m: Matrix) -> "Subspace":
         R, piv = m.transpose().rref()
-        cols = [R.row(i) for i in range(len(piv))]
-        return Subspace(m.rows, Matrix.from_cols(cols, rows=m.rows))
+        return Subspace(m.rows, R.take_rows(range(len(piv))).transpose())
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -422,12 +450,7 @@ def complement_space(s: Subspace) -> Subspace:
     aug = Matrix.hstack([s.basis, Matrix.identity(s.ambient)])
     _, piv = aug.rref()
     extra = [c - s.dim for c in piv if c >= s.dim]
-    cols = []
-    for e in extra:
-        v = [ZERO] * s.ambient
-        v[e] = ONE
-        cols.append(v)
-    return Subspace(s.ambient, Matrix.from_cols(cols, rows=s.ambient))
+    return Subspace(s.ambient, Matrix.identity(s.ambient).take_cols(extra))
 
 
 def preimage_space(f: Matrix, s: Subspace) -> Subspace:

@@ -17,6 +17,7 @@ VB-Morita maps, and stable decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Optional, Sequence
 
 from .groupoid import (
@@ -859,6 +860,12 @@ def twist(f: VBMap, alpha: Sequence[Matrix]) -> tuple[VBMap, VBMapIso]:
     return out, iso
 
 
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: block (i, k) is ``a[i, k] b``."""
+    blocks = {(i, k): b.scale(x) for i in range(a.rows) for k, x in enumerate(a.row(i)) if x}
+    return Matrix.block([b.rows] * a.rows, [b.cols] * a.cols, blocks)
+
+
 def find_vbmap_iso(phi: VBMap, psi: VBMap) -> Optional[VBMapIso]:
     """Solve the linear isomorphism conditions for alpha: phi => psi.
 
@@ -870,74 +877,39 @@ def find_vbmap_iso(phi: VBMap, psi: VBMap) -> Optional[VBMapIso]:
     v, w = phi.source, phi.target
     g = v.base
     bm = phi.base_map
-    shapes = []
-    offsets = [0]
-    for x in range(g.n_objects):
-        ux = w.base.unit[bm.obj_map[x]]
-        shapes.append((w.gamma_dims[ux], v.e_dims[x]))
-        offsets.append(offsets[-1] + shapes[-1][0] * shapes[-1][1])
-    n_unknowns = offsets[-1]
-
-    rows: list[list] = []
+    units = [w.base.unit[bm.obj_map[x]] for x in range(g.n_objects)]
+    # unknowns: alpha_x : E_x -> Gamma'_{u(f x)} per object, each flattened row-major
+    shapes = [(w.gamma_dims[ux], v.e_dims[x]) for x, ux in enumerate(units)]
+    widths = [r * c for r, c in shapes]
+    # one block row per matrix equation, read through vec(L alpha S) = kron(L, S^T) vec(alpha)
+    heights: list[int] = []
+    blocks: list[tuple[tuple[int, int], Matrix]] = []
     rhs: list = []
 
-    def var(x: int, i: int, j: int) -> int:
-        return offsets[x] + i * shapes[x][1] + j
+    def equation(terms: Sequence[tuple[int, Matrix]], value: Matrix) -> None:
+        blocks.extend(((len(heights), x), m) for x, m in terms)
+        heights.append(value.rows * value.cols)
+        rhs.extend(y for i in range(value.rows) for y in value.row(i))
 
-    def add_linear(coeffs: dict[int, object], value) -> None:
-        row = [0] * n_unknowns
-        for k, c in coeffs.items():
-            row[k] = c
-        rows.append(row)
-        rhs.append(value)
-
-    for x in range(g.n_objects):
-        ux = w.base.unit[bm.obj_map[x]]
-        rcount, ccount = shapes[x]
-        for mat, target_mat in ((w.s_maps[ux], phi.obj_maps[x]), (w.t_maps[ux], psi.obj_maps[x])):
-            for i in range(mat.rows):
-                for j in range(ccount):
-                    coeffs = {var(x, k, j): mat.data[i][k] for k in range(rcount) if mat.data[i][k]}
-                    add_linear(coeffs, target_mat.data[i][j])
+    for x, ux in enumerate(units):
+        eye = Matrix.identity(v.e_dims[x])
+        equation([(x, _kron(w.s_maps[ux], eye))], phi.obj_maps[x])
+        equation([(x, _kron(w.t_maps[ux], eye))], psi.obj_maps[x])
     for a in range(g.n_arrows):
-        fa = bm.arr_map[a]
         x, y = g.src[a], g.tgt[a]
-        ux = w.base.unit[bm.obj_map[x]]
-        uy = w.base.unit[bm.obj_map[y]]
-        l1, l2 = w.mult_blocks(fa, ux)
-        r1, r2 = w.mult_blocks(uy, fa)
-        lconst = l1 * psi.arr_maps[a]
-        rconst = r2 * phi.arr_maps[a]
-        sv = v.s_maps[a]
-        tv = v.t_maps[a]
-        for i in range(lconst.rows):
-            for j in range(v.gamma_dims[a]):
-                coeffs: dict[int, object] = {}
-                for k in range(shapes[x][0]):
-                    if l2.data[i][k]:
-                        for l in range(shapes[x][1]):
-                            if sv.data[l][j]:
-                                key = var(x, k, l)
-                                coeffs[key] = coeffs.get(key, 0) + l2.data[i][k] * sv.data[l][j]
-                for k in range(shapes[y][0]):
-                    if r1.data[i][k]:
-                        for l in range(shapes[y][1]):
-                            if tv.data[l][j]:
-                                key = var(y, k, l)
-                                coeffs[key] = coeffs.get(key, 0) - r1.data[i][k] * tv.data[l][j]
-                add_linear(coeffs, rconst.data[i][j] - lconst.data[i][j])
-    system = Matrix.from_rows(rows, cols=n_unknowns) if rows else Matrix.zeros(0, n_unknowns)
-    sol = system.solve(rhs)
+        l1, l2 = w.mult_blocks(bm.arr_map[a], units[x])
+        r1, r2 = w.mult_blocks(units[y], bm.arr_map[a])
+        # l2 alpha_x s_a - r1 alpha_y t_a = r2 phi_a - l1 psi_a
+        terms = [(x, _kron(l2, v.s_maps[a].transpose())), (y, -_kron(r1, v.t_maps[a].transpose()))]
+        equation(terms, r2 * phi.arr_maps[a] - l1 * psi.arr_maps[a])
+    sol = Matrix.block(heights, widths, blocks).solve(rhs)
     if sol is None:
         return None
-    alpha = []
-    for x in range(g.n_objects):
-        rcount, ccount = shapes[x]
-        alpha.append(
-            Matrix.from_rows(
-                [[sol[var(x, i, j)] for j in range(ccount)] for i in range(rcount)], cols=ccount
-            )
-        )
+    offsets = accumulate(widths, initial=0)
+    alpha = [
+        Matrix.from_rows([sol[off + i * c : off + (i + 1) * c] for i in range(r)], cols=c)
+        for off, (r, c) in zip(offsets, shapes)
+    ]
     iso = VBMapIso(phi=phi, psi=psi, alpha=tuple(alpha))
     check_vbmap_iso(iso).require("find_vbmap_iso: solved data fails the checker")
     return iso

@@ -367,7 +367,7 @@ def _fail_call(monkeypatch, owner, name: str, n: int, wrong):
 def _bump(real, *args):
     """The real result with 1 added to its (0, 0) entry."""
     m = real(*args)
-    return Matrix(m.rows, m.cols, ((m[0, 0] + 1,) + m.row(0)[1:],) + m.data[1:])
+    return m + Matrix.block([1, m.rows - 1], [1, m.cols - 1], {(0, 0): Matrix.identity(1)})
 
 
 def test_differentiable_complex_d_squared_witness(monkeypatch, sign):

@@ -23,6 +23,25 @@ def test_rational_strings():
         vio.frac_from_str("1/0")
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, None, True, [], {}])
+def test_matrix_entries_must_be_rational_strings(entry):
+    # a float would be read as its binary approximation: only strings and integers pass
+    with pytest.raises(vio.ParseError, match="bad rational"):
+        vio.frac_from_str(entry)
+    with pytest.raises(vio.ParseError, match="bad rational"):
+        vio.matrix_from_json([["1", entry]], 1, 2, "m")
+    assert vio.matrix_from_json([["1", 2]], 1, 2, "m") == Matrix.from_rows([[1, 2]])
+
+
+def test_ragged_matrix_rows_are_parse_errors():
+    with pytest.raises(vio.ParseError, match="bad shape"):
+        vio.matrix_from_json([["1", "2"], ["3"]], 2, 2, "m")
+    with pytest.raises(vio.ParseError, match="expected 2 matrix rows"):
+        vio.matrix_from_json([["1", "2"]], 2, 2, "m")
+    with pytest.raises(vio.ParseError, match="expected 3 matrix columns"):
+        vio.matrix_from_json([["1", "2"], ["3", "4"]], 2, 3, "m")
+
+
 def test_groupoid_round_trip():
     g = pair_groupoid(2)
     data = vio.groupoid_to_json(g)

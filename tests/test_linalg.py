@@ -111,7 +111,7 @@ def _dense_rref(a):
             break
     data = [tuple(F(x, work[i][piv[i]]) for x in work[i]) for i in range(len(piv))]
     data += [(F(0),) * n] * (m - len(piv))
-    return Matrix(m, n, tuple(data)), tuple(piv)
+    return Matrix.from_rows(data, cols=n), tuple(piv)
 
 
 def _dense_kernel(a):
@@ -155,16 +155,22 @@ def _dense_inverse(a):
 
 
 @st.composite
-def _matrices(draw, rows=None, cols=None):
-    """Random rectangular matrices with a drawn zero share and denominator range."""
-    m = draw(st.integers(0, 8)) if rows is None else rows
-    n = draw(st.integers(0, 8)) if cols is None else cols
+def _grids(draw, rows, cols):
+    """Random dense ``rows`` x ``cols`` lists of Fractions with a drawn zero share and denominator range."""
     zeros = draw(st.integers(0, 4))  # P(entry == 0) >= zeros / (zeros + 1)
     den = draw(st.sampled_from([1, 2, 6]))
     entry = st.one_of(
         *[st.just(F(0))] * zeros, st.builds(F, st.integers(-4, 4), st.integers(1, den))
     )
-    return Matrix.from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)], cols=n)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    """Random rectangular matrices (see ``_grids``)."""
+    m = draw(st.integers(0, 8)) if rows is None else rows
+    n = draw(st.integers(0, 8)) if cols is None else cols
+    return Matrix.from_rows(draw(_grids(m, n)), cols=n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,6 +212,127 @@ def test_solve_matrix_empty_shapes(m, n, k):
         assert x is None
     else:
         assert (x.rows, x.cols) == (n, k)
+
+
+# -- the sparse Matrix against a dense Fraction reference -------------------------------
+#
+# Each reference below works on plain lists of Fraction rows.  ``_same`` checks a result
+# entry by entry through every read of the value API, and also that it equals, and hashes
+# like, the matrix ``from_rows`` builds from the reference: a result left out of canonical
+# form would break equality (``Subspace``, ``checked_once``) without any other error.
+
+
+def _same(m: Matrix, ref: list, cols: int) -> None:
+    assert (m.rows, m.cols) == (len(ref), cols)
+    assert m.data == tuple(tuple(r) for r in ref)
+    assert all(m.row(i) == tuple(r) for i, r in enumerate(ref))
+    assert all(m.col(j) == tuple(r[j] for r in ref) for j in range(cols))
+    assert all(m[i, j] == x for i, r in enumerate(ref) for j, x in enumerate(r))
+    assert m.is_zero == all(x == 0 for r in ref for x in r)
+    built = Matrix.from_rows(ref, cols=cols)
+    assert m == built and hash(m) == hash(built)
+
+
+def _ref_mul(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)] for i in range(len(a))]
+
+
+def _ref_block(heights, widths, blocks):
+    out = [[F(0)] * sum(widths) for _ in range(sum(heights))]
+    for (bi, bj), grid in blocks:
+        r0, c0 = sum(heights[:bi]), sum(widths[:bj])
+        for i, row in enumerate(grid):
+            for j, x in enumerate(row):
+                out[r0 + i][c0 + j] += x
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matrix_ops_match_dense_reference(data):
+    m, n, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = data.draw(_grids(m, n)), data.draw(_grids(m, n))
+    c = data.draw(_grids(n, k))
+    A, B, C = (Matrix.from_rows(g, cols=w) for g, w in ((a, n), (b, n), (c, k)))
+    _same(A, a, n)
+    a_t = [[r[j] for r in a] for j in range(n)]
+    _same(Matrix.from_cols(a_t, rows=m), a, n)
+    _same(Matrix.zeros(m, n), [[F(0)] * n for _ in range(m)], n)
+    _same(Matrix.identity(n), [[F(int(i == j)) for j in range(n)] for i in range(n)], n)
+    _same(A * C, _ref_mul(a, c, n, k), k)
+    _same(A + B, [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)], n)
+    _same(A - B, [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)], n)
+    _same(-A, [[-x for x in r] for r in a], n)
+    s = data.draw(st.sampled_from([F(0), F(1), F(-1), F(2, 3), F(-6)]))
+    _same(A.scale(s), [[s * x for x in r] for r in a], n)
+    _same(A.transpose(), a_t, m)
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+    _same(A.take_rows(rows), [a[i] for i in rows], n)
+    cols = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    _same(A.take_cols(cols), [[r[j] for j in cols] for r in a], len(cols))
+    _same(Matrix.hstack([A, B]), [r + q for r, q in zip(a, b)], 2 * n)
+    _same(Matrix.vstack([A, B]), a + b, n)
+    _same(Matrix.block_diag([A, C]), _ref_block([m, n], [n, k], [((0, 0), a), ((1, 1), c)]), n + k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_adds_repeated_positions_like_dense_reference(data):
+    heights = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    position = st.tuples(st.integers(0, len(heights) - 1), st.integers(0, len(widths) - 1))
+    positions = data.draw(st.lists(position, max_size=6))
+    grids = [data.draw(_grids(heights[i], widths[j])) for i, j in positions]
+    # a block and its negative at one more position cancel to zero there
+    cancel = data.draw(position)
+    g = data.draw(_grids(heights[cancel[0]], widths[cancel[1]]))
+    pairs = [*zip(positions, grids), (cancel, g), (cancel, [[-x for x in r] for r in g])]
+    got = Matrix.block(heights, widths, [(pos, Matrix.from_rows(grid, cols=widths[pos[1]])) for pos, grid in pairs])
+    _same(got, _ref_block(heights, widths, pairs), sum(widths))
+
+
+def test_block_of_cancelling_blocks_is_zeros():
+    a = M([["1/2", 0, -3], [0, 0, "2/3"]])
+    got = Matrix.block([2, 1], [3], [((0, 0), a), ((1, 0), Matrix.zeros(1, 3)), ((0, 0), -a)])
+    assert got == Matrix.zeros(3, 3) and hash(got) == hash(Matrix.zeros(3, 3))
+    assert got.is_zero
+
+
+def test_block_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="block \\(0, 1\\): want 2x1, got 2x2"):
+        Matrix.block([2], [2, 1], {(0, 1): Matrix.identity(2)})
+    with pytest.raises(ValueError, match="block \\(0, 0\\)"):
+        Matrix.block([2], [2], [((0, 0), Matrix.identity(2)), ((0, 0), Matrix.zeros(2, 3))])
+    with pytest.raises(ValueError):
+        Matrix.hstack([Matrix.zeros(2, 1), Matrix.zeros(3, 1)])
+    with pytest.raises(ValueError):
+        Matrix.vstack([Matrix.zeros(1, 2), Matrix.zeros(1, 3)])
+    with pytest.raises(ValueError, match="bad shape"):
+        Matrix.from_rows([[1, 2], [3]])
+
+
+def test_equal_values_built_differently_are_equal_and_hash_alike():
+    a = M([[2, "1/3", 0], [0, -4, 6]])
+    same = [
+        a.scale(F(1, 2)).scale(2),
+        a.scale(3).scale(F(1, 3)),
+        a + a - a,
+        -(-a),
+        a * Matrix.identity(3),
+        Matrix.identity(2) * a,
+        a.transpose().transpose(),
+        Matrix.from_cols([a.col(j) for j in range(3)], rows=2),
+        Matrix.vstack([a.take_rows([0]), a.take_rows([1])]),
+        Matrix.hstack([a.take_cols([0]), a.take_cols([1, 2])]),
+        Matrix.block([2], [1, 2], [((0, 0), a.take_cols([0])), ((0, 1), a.take_cols([1, 2]))]),
+    ]
+    for b in same:
+        assert b == a and hash(b) == hash(a)
+    assert len({a, *same}) == 1
+    # an entry of 1/3 taken away leaves an integer matrix, equal to one built from integers
+    assert a.take_cols([0, 2]) == M([[2, 0], [0, 6]])
+    assert hash(a.take_cols([0, 2])) == hash(M([[2, 0], [0, 6]]))
+    assert a != a.scale(2) and a != M([[2, "1/3", 0], [0, -4, 7]])
 
 
 # -- subspace calculus ------------------------------------------------------------
@@ -461,7 +588,7 @@ def test_quasi_iso_agrees_with_oracle():
         )
         sols = system.kernel()
         coeff = [F(rng.randint(-2, 2)) for _ in range(sols.cols)]
-        flat = sols.apply(coeff) if sols.cols else tuple(F(0) for _ in range(offsets[-1]))
+        flat = (sols * Matrix.from_cols([coeff], rows=sols.cols)).col(0)
         f = {}
         for p in range(3):
             r, cdim = unknown_shapes[p]

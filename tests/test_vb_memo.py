@@ -44,9 +44,9 @@ def _inverse(v: VBGroupoid, g: int) -> Matrix:
     cols = []
     ut = v.u_maps[base.tgt[g]] * v.t_maps[g]
     for k in range(v.gamma_dims[g]):
-        e = tuple(1 if i == k else 0 for i in range(v.gamma_dims[g]))
-        rhs = tuple(ut.apply(e)) + tuple(v.s_maps[g].apply(e))
-        shift = m1.apply(e)
+        e = Matrix.from_cols([[1 if i == k else 0 for i in range(v.gamma_dims[g])]])
+        rhs = (ut * e).col(0) + (v.s_maps[g] * e).col(0)
+        shift = (m1 * e).col(0)
         w = a.solve(tuple(x - y for x, y in zip(rhs[: m2.rows], shift)) + rhs[m2.rows :])
         if w is None:
             raise InvalidStructureError(f"no inverse for basis vector {k} over arrow {g}", Report())
