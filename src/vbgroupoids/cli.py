@@ -22,6 +22,7 @@ from pathlib import Path
 from . import io as vio
 from .cohomology import hvb_equals_hlin, induced_map_vb, ruth_complex, ruth_vs_dual_vb
 from .descent import (
+    CoverMismatchError,
     DescentProblem,
     descend_map,
     descend_pipeline,
@@ -311,7 +312,10 @@ def cmd_descend(args) -> int:
     inst = _load(args.file)
     base, sets = inst.get(args.cover, "cover")
     partition = inst.get(args.partition, "partition") if args.partition else None
-    problem = make_descent_problem(base, [list(s) for s in sets], partition)
+    try:
+        problem = make_descent_problem(base, [list(s) for s in sets], partition)
+    except CoverMismatchError as e:
+        raise UsageError(f"--partition {args.partition} does not match --cover {args.cover}: {e}") from None
     if args.map:
         psi = inst.get(args.map, "vbmap")
         gamma = inst.get(args.gamma, "vbgroupoid")

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
-from .linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso
+from .linalg import CochainComplex, Matrix, QuasiIsoCertificate, betti_numbers, chain_map_is_quasi_iso
 from .report import InvalidStructureError, Report, Violation
 from .ruth import TwoTermRuth, check_ruth
 from .vb import (
@@ -202,38 +202,19 @@ class LinComplex:
     def dim(self, p: int) -> int:
         return self.complex.dim(p)
 
-    def block(self, p: int, s_idx: int) -> tuple[int, int]:
-        off = self.offsets[p]
-        return off[s_idx], off[s_idx + 1] - off[s_idx]
-
     def sizes(self, p: int) -> list[int]:
         """The block size dim Fib(s) of each degree-p string s."""
         return [b.cols for b in self.fib_bases[p]]
 
 
-def _string_slices(v: VBGroupoid, s: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    off = 0
-    for a in s:
-        out.append((off, v.gamma_dims[a]))
-        off += v.gamma_dims[a]
-    return out
-
-
 def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> Matrix:
     """Rows of the i-th face applied to a basis of Fib(s); result in face coordinates."""
-    slices = _string_slices(v, s)
-    p = len(s)
-    if i == 0:
-        return fib.take_rows(range(slices[1][0], fib.rows))
-    if i == p:
-        return fib.take_rows(range(slices[-1][0]))
-    a = fib.take_rows(range(slices[i - 1][0], slices[i - 1][0] + slices[i - 1][1]))
-    b = fib.take_rows(range(slices[i][0], slices[i][0] + slices[i][1]))
-    prod = v.mult_of(s[i - 1], s[i], a, b)
-    head = fib.take_rows(range(slices[i - 1][0]))
-    tail = fib.take_rows(range(slices[i][0] + slices[i][1], fib.rows))
-    return Matrix.vstack([head, prod, tail])
+    parts = v.slots(s, fib)
+    if 0 < i < len(s):
+        parts[i - 1 : i + 1] = [v.mult_of(s[i - 1], s[i], parts[i - 1], parts[i])]
+    else:
+        del parts[0 if i == 0 else -1]
+    return Matrix.vstack(parts)
 
 
 def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
@@ -272,13 +253,7 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
 
 def _zero_last_vectors(v: VBGroupoid, s: tuple[int, ...], fib: Matrix, zeros: int = 1) -> Matrix:
     """Coordinates (in the Fib basis) of the subspace with trailing zero slots."""
-    slices = _string_slices(v, s)
-    if zeros >= len(s):
-        cut = 0
-    else:
-        cut = slices[len(s) - zeros][0]
-    tail = fib.take_rows(range(cut, fib.rows))
-    return tail.kernel()
+    return Matrix.vstack(v.slots(s, fib)[-zeros:]).kernel()
 
 
 def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[tuple[int, tuple], Matrix]]:
@@ -291,24 +266,21 @@ def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[t
     nv = lin.nerve
     rows: list[tuple[tuple[int, tuple], Matrix]] = []
     if p >= zeros:
+        sizes = lin.sizes(p)
         for si, s in enumerate(nv.strings[p]):
             z = _zero_last_vectors(v, s, lin.fib_bases[p][si], zeros)
-            if z.cols == 0:
-                continue
-            off, d = lin.block(p, si)
-            rows.append(((p, s), Matrix.block([z.cols], [off, d, lin.dim(p) - off - d], {(0, 1): z.transpose()})))
-    if p + 1 <= lin.p_max and p + 1 >= zeros:
-        delta = lin.complex.differential(p)
+            if z.cols:
+                rows.append(((p, s), Matrix.block([z.cols], sizes, {(0, si): z.transpose()})))
+    if zeros <= p + 1 <= lin.p_max:
+        delta_rows = lin.complex.differential(p).split_rows(lin.sizes(p + 1))
         for si, s in enumerate(nv.strings[p + 1]):
             z = _zero_last_vectors(v, s, lin.fib_bases[p + 1][si], zeros)
-            if z.cols == 0:
-                continue
-            off, d = lin.block(p + 1, si)
-            rows.append(((p + 1, s), z.transpose() * delta.take_rows(range(off, off + d))))
+            if z.cols:
+                rows.append(((p + 1, s), z.transpose() * delta_rows[si]))
     return rows
 
 
-def _projectable_conditions(lin: LinComplex, p: int, zeros: int = 1) -> Matrix:
+def _projectable_conditions(lin: LinComplex, p: int, zeros: int) -> Matrix:
     rows = [m for _, m in _projectable_blocks(lin, p, zeros)]
     return Matrix.vstack(rows) if rows else Matrix.zeros(0, lin.dim(p))
 
@@ -347,14 +319,23 @@ def _subcomplex_from_bases(
     return CochainComplex(0, p_top, dims, tuple(diffs)), None
 
 
+def _filtration_bases(lin: LinComplex, level: int) -> list[Matrix]:
+    """Bases of the filtration level F_level in degrees 0 .. p_max - 1: the cochains that
+    vanish, with their coboundaries, on tuples whose last ``level`` slots are zero."""
+    return [
+        _projectable_conditions(lin, p, level).kernel() if p else Matrix.identity(lin.dim(0))
+        for p in range(lin.p_max)
+    ]
+
+
+def _iso_below(cert: QuasiIsoCertificate, p_max: int) -> bool:
+    """Whether dim H_source = dim H_target = rank in every degree below ``p_max``."""
+    return all(h_src == h_tgt == rank for h_src, h_tgt, rank in (cert.degrees[p] for p in range(p_max)))
+
+
 def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
     """Projectable cochains: condition (i) plus (ii') as exact linear conditions."""
-    bases = []
-    for p in range(lin.p_max):
-        if p == 0:
-            bases.append(Matrix.identity(lin.dim(0)))
-        else:
-            bases.append(_projectable_conditions(lin, p).kernel())
+    bases = _filtration_bases(lin, 1)
     cx, p = _subcomplex_from_bases(lin, bases)
     if cx is None:
         image = lin.complex.differential(p) * bases[p]
@@ -382,9 +363,7 @@ def _append_lift_matrix(lin: LinComplex, c: Cleavage, s: tuple[int, ...], fib: M
     v = lin.vb
     g = v.base
     prod = g.compose_many(*s)
-    slices = _string_slices(v, s)
-    last = fib.take_rows(range(slices[-1][0], fib.rows))
-    src_rows = v.s_maps[s[-1]] * last
+    src_rows = v.s_maps[s[-1]] * v.slots(s, fib)[-1]
     appended = v.inverse_matrix(prod) * (c.sigma[prod] * src_rows)
     return s + (g.inv[prod],), Matrix.vstack([fib, appended])
 
@@ -453,35 +432,30 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
 
     sgn_p = 1 if p % 2 == 0 else -1
     for si, s in enumerate(nv.strings[p]):
-        fib = lin.fib_bases[p][si]
-        slices = _string_slices(v, s)
+        parts = v.slots(s, lin.fib_bases[p][si])
+        head, last, tail = parts[:-1], parts[-1], parts[1:]
         prod_all = g.compose_many(*s)
-        last = fib.take_rows(range(slices[-1][0], fib.rows))
         src_last = v.s_maps[s[-1]] * last
         lift_all = c.sigma[prod_all] * src_last
         inv_all = v.inverse_matrix(prod_all) * lift_all
-        head = fib.take_rows(range(slices[-1][0]))
         # term 1: last slot multiplied by the inverted total lift
         new_last = v.mult_of(s[-1], g.inv[prod_all], last, inv_all)
         t1_string = s[:-1] + (g.compose(s[-1], g.inv[prod_all]),)
-        place_term(si, t1_string, Matrix.vstack([head, new_last]), 1)
+        place_term(si, t1_string, Matrix.vstack([*head, new_last]), 1)
         # term 2: drop first, append the inverted total lift
-        tail = fib.take_rows(range(slices[0][1], fib.rows))
         t2_string = s[1:] + (g.inv[prod_all],)
-        place_term(si, t2_string, Matrix.vstack([tail, inv_all]), sgn_p)
+        place_term(si, t2_string, Matrix.vstack([*tail, inv_all]), sgn_p)
         # term 3: drop last, append the inverted lift of the shortened product
         prod_head = g.compose_many(*s[:-1])
-        src_prev = v.s_maps[s[-2]] * fib.take_rows(
-            range(slices[-2][0], slices[-2][0] + slices[-2][1])
-        )
+        src_prev = v.s_maps[s[-2]] * parts[-2]
         inv_head = v.inverse_matrix(prod_head) * (c.sigma[prod_head] * src_prev)
         t3_string = s[:-1] + (g.inv[prod_head],)
-        place_term(si, t3_string, Matrix.vstack([head, inv_head]), -1)
+        place_term(si, t3_string, Matrix.vstack([*head, inv_head]), -1)
         # term 4: drop first, append the inverted lift of the shifted product
         prod_tail = g.compose_many(*s[1:])
         inv_tail = v.inverse_matrix(prod_tail) * (c.sigma[prod_tail] * src_last)
         t4_string = s[1:] + (g.inv[prod_tail],)
-        place_term(si, t4_string, Matrix.vstack([tail, inv_tail]), -sgn_p)
+        place_term(si, t4_string, Matrix.vstack([*tail, inv_tail]), -sgn_p)
     return Matrix.block(lin.sizes(p), lin.sizes(p), blocks)
 
 
@@ -494,7 +468,8 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
     v = lin.vb
     g = v.base
     nv = lin.nerve
-    eye = cancellation_operator(lin, c, p)
+    sizes = lin.sizes(p)
+    eye_rows = cancellation_operator(lin, c, p).split_rows(sizes)
     lhs_rows = []
     rhs_rows = []
     sgn_p = 1 if p % 2 == 0 else -1
@@ -503,15 +478,12 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
         z = _zero_last_vectors(v, s, fib, 1)
         if z.cols == 0:
             continue
-        off, d = lin.block(p, si)
-        lhs_rows.append(z.transpose() * eye.take_rows(range(off, off + d)))
-        # two-term expression on (v_1, .., v_{p-1}, 0_g)
-        slices = _string_slices(v, s)
-        zfull = fib * z  # ambient coordinates, trailing slot zero
-        tail = zfull.take_rows(range(slices[0][1], zfull.rows))
+        lhs_rows.append(z.transpose() * eye_rows[si])
+        # two-term expression on (v_1, .., v_{p-1}, 0_g): drop the first slot
+        tail = Matrix.vstack(v.slots(s, fib * z)[1:])
         prod_all = g.compose_many(*s)
         prod_tail = g.compose_many(*s[1:])
-        term_rows = []
+        terms = []
         for prod, sign in ((prod_all, sgn_p), (prod_tail, -sgn_p)):
             ext_string = s[1:] + (g.inv[prod],)
             ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
@@ -524,10 +496,8 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
                     (p, s, ext_string),
                     "(degree, string, extended string)",
                 )
-            c0, dd = lin.block(p, t_idx)
-            row = Matrix.block([z.cols], [c0, dd, lin.dim(p) - c0 - dd], {(0, 1): coords.transpose()})
-            term_rows.append(row if sign == 1 else -row)
-        rhs_rows.append(term_rows[0] + term_rows[1])
+            terms.append(((0, t_idx), coords.transpose().scale(sign)))
+        rhs_rows.append(Matrix.block([z.cols], sizes, terms))
     if not lhs_rows:
         zero = Matrix.zeros(0, lin.dim(p))
         return zero, zero
@@ -557,15 +527,13 @@ class HvbHlinReport:
         )
 
 
-def hvb_equals_hlin(
-    v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = None, deep: bool = True
-) -> HvbHlinReport:
+def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = None) -> HvbHlinReport:
     """Compare VB- and linear cohomology in degrees <= p_max - 1.
 
     Also materializes the cleavage homotopy operator and verifies the proof's
     displayed cancellation identity on full bases, its specialization to
-    trailing-zero tuples, and (with ``deep``) that each filtration inclusion
-    F_i in F_{i+1} is a quasi-isomorphism in the trusted range.
+    trailing-zero tuples, and that each filtration inclusion F_i in F_{i+1} is a
+    quasi-isomorphism in the trusted range.
     """
     if cleavage is None:
         cleavage = choose_cleavage(v)
@@ -578,9 +546,7 @@ def hvb_equals_hlin(
     cert = chain_map_is_quasi_iso(sub.complex, lin.complex, fmap)
     h_vb = tuple(cert.degrees[p][0] for p in range(p_max))
     h_lin = tuple(cert.degrees[p][1] for p in range(p_max))
-    inclusion_iso = all(
-        cert.degrees[p][0] == cert.degrees[p][1] == cert.degrees[p][2] for p in range(p_max)
-    )
+    inclusion_iso = _iso_below(cert, p_max)
     homotopy_identity = True
     zero_last_identity = True
     for p in range(2, p_max):
@@ -591,45 +557,36 @@ def hvb_equals_hlin(
         if lhs != rhs:
             zero_last_identity = False
     filtration_ok = True
-    if deep:
-        prev_bases = list(sub.bases)
-        prev_cx = sub.complex
-        for level in range(2, p_max + 1):
-            bases = []
-            for p in range(p_max):
-                if p == 0:
-                    bases.append(Matrix.identity(lin.dim(0)))
-                else:
-                    bases.append(_projectable_conditions(lin, p, level).kernel())
-            cx, _ = _subcomplex_from_bases(lin, bases)
-            if cx is None:
-                filtration_ok = False
+    prev_bases = list(sub.bases)
+    prev_cx = sub.complex
+    for level in range(2, p_max + 1):
+        bases = _filtration_bases(lin, level)
+        cx, _ = _subcomplex_from_bases(lin, bases)
+        if cx is None:
+            filtration_ok = False
+            break
+        fmap_lvl: dict[int, Matrix] = {}
+        consistent = True
+        for p in range(p_max):
+            coords = bases[p].solve_matrix(prev_bases[p])
+            if coords is None:
+                consistent = False
                 break
-            fmap_lvl: dict[int, Matrix] = {}
-            consistent = True
-            for p in range(p_max):
-                coords = bases[p].solve_matrix(prev_bases[p])
-                if coords is None:
-                    consistent = False
-                    break
-                fmap_lvl[p] = coords
-            if not consistent:
+            fmap_lvl[p] = coords
+        if not consistent:
+            filtration_ok = False
+            break
+        fmap_lvl[p_max] = Matrix.identity(lin.dim(p_max))
+        if not _iso_below(chain_map_is_quasi_iso(prev_cx, cx, fmap_lvl), p_max):
+            filtration_ok = False
+            break
+        prev_bases = bases
+        prev_cx = cx
+    if filtration_ok:
+        # top filtration level must reach the full linear complex
+        for p in range(1, p_max):
+            if prev_bases[p].rank() != lin.dim(p):
                 filtration_ok = False
-                break
-            fmap_lvl[p_max] = Matrix.identity(lin.dim(p_max))
-            c2 = chain_map_is_quasi_iso(prev_cx, cx, fmap_lvl)
-            if not all(
-                c2.degrees[p][0] == c2.degrees[p][1] == c2.degrees[p][2] for p in range(p_max)
-            ):
-                filtration_ok = False
-                break
-            prev_bases = bases
-            prev_cx = cx
-        if filtration_ok:
-            # top filtration level must reach the full linear complex
-            for p in range(1, p_max):
-                if prev_bases[p].rank() != lin.dim(p):
-                    filtration_ok = False
     return HvbHlinReport(
         p_max=p_max,
         dims_lin=tuple(lin.dim(p) for p in range(p_max + 1)),
@@ -677,14 +634,8 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
         for si, s in enumerate(nv.strings[p]):
             image_string = tuple(bm.arr_map[a] for a in s)
             t_idx = nv_t.index[p][image_string]
-            fib = lin_src.fib_bases[p][si]
-            slices = _string_slices(v, s)
-            mapped = Matrix.vstack(
-                [
-                    f.arr_maps[a] * fib.take_rows(range(off, off + d))
-                    for a, (off, d) in zip(s, slices)
-                ]
-            )
+            slots = v.slots(s, lin_src.fib_bases[p][si])
+            mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
             coords = lin_tgt.fib_bases[p][t_idx].solve_matrix(mapped)
             if coords is None:
                 raise _invalid(

@@ -50,6 +50,10 @@ class DescentError(ValueError):
     """A descent identity failed exactly; carries the offending witness."""
 
 
+class CoverMismatchError(ValueError):
+    """A partition of unity over another cover than the descent problem's."""
+
+
 @dataclass(frozen=True)
 class PartitionOfUnity:
     """Rational weights lambda_i(x), subordinate to the cover, summing to 1."""
@@ -114,6 +118,8 @@ def make_descent_problem(
     partition: Optional[PartitionOfUnity] = None,
 ) -> DescentProblem:
     cech = cech_groupoid(base, cover)
+    if partition is not None and tuple(tuple(sorted(set(u))) for u in partition.cover) != cech.cover:
+        raise CoverMismatchError(f"make_descent_problem: partition over cover {partition.cover}, not {cech.cover}")
     part = partition if partition is not None else uniform_partition(cech)
     part.validate(base.n_objects).require("make_descent_problem: invalid partition")
     return DescentProblem(cech=cech, partition=part)
@@ -486,18 +492,15 @@ class DescentResult:
     comparison: VBMap  # pullback(descended) -> v (+) omega
 
 
-def descend_pipeline(
-    v: VBGroupoid, problem: DescentProblem, flatten_partition: Optional[PartitionOfUnity] = None
-) -> DescentResult:
+def descend_pipeline(v: VBGroupoid, problem: DescentProblem) -> DescentResult:
     """make_invertible -> symmetrize -> flatten -> descend_object, fully checked.
 
-    Flattening defaults to the least-index partition, for which the averaged
+    Flattening uses the least-index partition, for which the averaged
     cleavage of a symmetric one is flat on the nose.
     """
     stab = make_invertible(v, problem)
     sym = symmetrize_cleavage(stab.stabilized, problem, stab.cleavage)
-    part = flatten_partition if flatten_partition is not None else min_index_partition(problem.cech)
-    flat = flatten_cleavage(stab.stabilized, problem, sym, part)
+    flat = flatten_cleavage(stab.stabilized, problem, sym, min_index_partition(problem.cech))
     obj = descend_object(stab.stabilized, problem, flat)
     return DescentResult(
         stabilization=stab,

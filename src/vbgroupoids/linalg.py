@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -316,6 +316,12 @@ class Matrix:
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         return Matrix(len(idx), self.cols, [self._num[i] for i in idx], self._den)
+
+    def split_rows(self, heights: Sequence[int]) -> list["Matrix"]:
+        """The consecutive row blocks of the given heights: the inverse of ``vstack``."""
+        if sum(heights) != self.rows:
+            raise ValueError(f"split_rows: heights {list(heights)} do not sum to {self.rows} rows")
+        return [self.take_rows(range(lo, hi)) for lo, hi in pairwise(accumulate(heights, initial=0))]
 
     # -- elimination --------------------------------------------------------
 

@@ -61,6 +61,9 @@ class NotVBMoritaError(ValueError):
 
 @dataclass(frozen=True)
 class VBGroupoid:
+    """A vector of Fib(g_1, ..., g_p) stacks one row block per arrow, in string order;
+    :meth:`slots` is the one owner of that layout and cuts such vectors into their blocks."""
+
     base: FiniteGroupoid
     e_dims: Bundle
     gamma_dims: tuple[int, ...]  # fiber dim per arrow
@@ -99,9 +102,9 @@ class VBGroupoid:
         first = self.mult_of(l, g, left, mid)
         return self.mult_of(self.base.compose(l, g), self.base.inv[r], first, self.inverse_matrix(r) * right)
 
-    def fib_basis(self, g: int, h: int) -> Matrix:
-        """Basis of Fib(g, h) as columns in Gamma_g (+) Gamma_h."""
-        return Matrix.hstack([self.s_maps[g], -self.t_maps[h]]).kernel()
+    def slots(self, arrows: Sequence[int], m: Matrix) -> list[Matrix]:
+        """The row block of ``m`` over each arrow of the string ``arrows``, in order."""
+        return m.split_rows([self.gamma_dims[a] for a in arrows])
 
     def fib_string_basis(self, arrows: Sequence[int]) -> Matrix:
         """Basis of the p-fold fibered product along a composable string."""
@@ -220,9 +223,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
 
     def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
-        fib = v.fib_basis(g1, g2)
-        a = fib.take_rows(range(v.gamma_dims[g1]))
-        b = fib.take_rows(range(v.gamma_dims[g1], fib.rows))
+        a, b = v.slots((g1, g2), v.fib_string_basis((g1, g2)))
         prod = v.mult_of(g1, g2, a, b)
         return s[g12] * prod == s[g2] * b, t[g12] * prod == t[g1] * a
 
@@ -250,11 +251,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             rep.add("unit-law-right", (a,))
 
     def associative(g1: int, g2: int, g3: int) -> bool:
-        fib = v.fib_string_basis((g1, g2, g3))
-        d1, d2, d3 = (v.gamma_dims[x] for x in (g1, g2, g3))
-        a = fib.take_rows(range(d1))
-        b = fib.take_rows(range(d1, d1 + d2))
-        c = fib.take_rows(range(d1 + d2, d1 + d2 + d3))
+        a, b, c = v.slots((g1, g2, g3), v.fib_string_basis((g1, g2, g3)))
         left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
         right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
         return left == right
@@ -557,9 +554,7 @@ def check_vbmap(f: VBMap) -> Report:
             rep.add("unit-compat", (x,))
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
-        fib = v.fib_basis(g1, g2)
-        a = fib.take_rows(range(v.gamma_dims[g1]))
-        b = fib.take_rows(range(v.gamma_dims[g1], fib.rows))
+        a, b = v.slots((g1, g2), v.fib_string_basis((g1, g2)))
         lhs = f.arr_maps[g12] * v.mult_of(g1, g2, a, b)
         rhs = w.mult_of(bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
         if lhs != rhs:
@@ -954,9 +949,8 @@ def sub_vbgroupoid(
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
         sub_fib = Matrix.hstack([s_maps[g1], -t_maps[g2]]).kernel()
-        d1 = gdims[g1]
-        a = a_basis[g1] * sub_fib.take_rows(range(d1))
-        b = a_basis[g2] * sub_fib.take_rows(range(d1, sub_fib.rows))
+        top, bottom = sub_fib.split_rows([gdims[g1], gdims[g2]])
+        a, b = a_basis[g1] * top, a_basis[g2] * bottom
         prod = coords(a_basis[g12], v.mult_of(g1, g2, a, b), f"m at {(g1, g2)}")
         comp = complement_space(Subspace.from_spanning(sub_fib))
         basis_full = Matrix.hstack([sub_fib, comp.basis])

@@ -306,3 +306,18 @@ def test_bad_table_key_is_parse_error(descent_files, tmp_path, capsys, name, tab
     assert code == 2
     assert events[0]["kind"] == "parse" and name in events[0]["message"]
     assert events[-1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
+
+
+def test_partition_over_another_cover_is_usage_error(descent_files, tmp_path, capsys):
+    payload = json.loads(descent_files["psi"].read_text())
+    payload["objects"]["cover2"] = {"type": "cover", "base": "base", "sets": [[0], [0], [0]]}
+    payload["objects"]["part"] = {"type": "partition", "cover": "cover2", "weights": {"2,0": "1"}}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["descend", str(path), "--cover", "cover", "--partition", "part"]
+    code, events = run_cli([*argv, "--map", "psi", "--gamma", "gamma", "--gamma-prime", "gamma_prime"], capsys)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "usage" and "--partition part" in events[0]["message"]
+    assert events[1] == {"command": "descend", "event": "summary", "exit": 2, "ok": False}

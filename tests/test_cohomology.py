@@ -235,8 +235,8 @@ def test_hvb_dimensions_independent_of_cleavage(z2):
     m1, _ = v.mult_blocks(z2.unit[0], 1)
     sigma[1] = sigma[1] + (m1 * cd.basis[0]) * random_matrix(rng, cd.dims[0], v.e_dims[0])
     c2 = Cleavage(tuple(sigma))
-    r1 = hvb_equals_hlin(v, 3, cleavage=c1, deep=False)
-    r2 = hvb_equals_hlin(v, 3, cleavage=c2, deep=False)
+    r1 = hvb_equals_hlin(v, 3, cleavage=c1)
+    r2 = hvb_equals_hlin(v, 3, cleavage=c2)
     assert r1.ok and r2.ok
     assert r1.h_vb == r2.h_vb and r1.h_lin == r2.h_lin
 
@@ -424,7 +424,9 @@ def test_lin_complex_face_leaves_fib_witness(monkeypatch, z2, curved):
 def test_vb_subcomplex_closure_witness(monkeypatch, curved):
     lin = lin_complex(grothendieck(curved), 3)
     # no projectability conditions in degree 1: its coboundaries leave the degree-2 subspace
-    _fail_call(monkeypatch, cohomology, "_projectable_conditions", 0, lambda real, lin, p: Matrix.zeros(0, lin.dim(p)))
+    _fail_call(
+        monkeypatch, cohomology, "_projectable_conditions", 0, lambda real, lin, p, level: Matrix.zeros(0, lin.dim(p))
+    )
     with pytest.raises(InvalidStructureError, match="vb_subcomplex: delta does not preserve") as exc:
         vb_subcomplex(lin)
     [violation] = exc.value.report.violations

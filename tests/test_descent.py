@@ -27,7 +27,7 @@ from vbgroupoids.generators import (
     random_gauge,
     rank_drop_fixture,
 )
-from vbgroupoids.groupoid import cyclic_groupoid, identity_map, point_groupoid
+from vbgroupoids.groupoid import cyclic_groupoid, identity_map, pair_groupoid, point_groupoid
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.ruth import make_ruth
 from vbgroupoids.vb import (
@@ -52,6 +52,16 @@ def test_partition_validation():
     assert prob.partition.validate(1).ok
     bad = PartitionOfUnity(cover=prob.cech.cover, weights={(0, 0): F(1, 3), (1, 0): F(1, 3)})
     assert not bad.validate(1).ok
+
+
+def test_partition_over_another_cover_is_rejected():
+    # valid over its own three sets, but the problem's cover has two
+    other = make_descent_problem(point_groupoid(), [[0], [0], [0]]).partition
+    with pytest.raises(ValueError, match="partition over cover"):
+        make_descent_problem(point_groupoid(), [[0], [0]], other)
+    # covers compare as sorted sets: order and repeats inside a set do not matter
+    same = PartitionOfUnity(cover=((1, 0, 1), (1,)), weights={(0, 0): F(1), (1, 1): F(1)})
+    assert make_descent_problem(pair_groupoid(2), [[0, 1], [1]], same).partition is same
 
 
 def test_min_index_partition_is_valid():

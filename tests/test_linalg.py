@@ -272,6 +272,13 @@ def test_matrix_ops_match_dense_reference(data):
     _same(A.take_cols(cols), [[r[j] for j in cols] for r in a], len(cols))
     _same(Matrix.hstack([A, B]), [r + q for r, q in zip(a, b)], 2 * n)
     _same(Matrix.vstack([A, B]), a + b, n)
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
+    heights = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, m])]
+    parts = A.split_rows(heights)
+    for i, part in enumerate(parts):
+        lo = sum(heights[:i])
+        _same(part, a[lo : lo + heights[i]], n)
+    assert Matrix.vstack(parts) == A
     _same(Matrix.block_diag([A, C]), _ref_block([m, n], [n, k], [((0, 0), a), ((1, 1), c)]), n + k)
 
 
@@ -289,6 +296,13 @@ def test_block_adds_repeated_positions_like_dense_reference(data):
     pairs = [*zip(positions, grids), (cancel, g), (cancel, [[-x for x in r] for r in g])]
     got = Matrix.block(heights, widths, [(pos, Matrix.from_rows(grid, cols=widths[pos[1]])) for pos, grid in pairs])
     _same(got, _ref_block(heights, widths, pairs), sum(widths))
+
+
+def test_split_rows_rejects_heights_that_miss_the_row_count():
+    a = M([[1, 2], [3, 4], [5, 6]])
+    for heights in ([1, 1], [2, 2], []):
+        with pytest.raises(ValueError, match="split_rows"):
+            a.split_rows(heights)
 
 
 def test_block_of_cancelling_blocks_is_zeros():
