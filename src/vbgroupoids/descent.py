@@ -300,20 +300,18 @@ def is_u_flat(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> bool:
     return True
 
 
-def flatten_cleavage(
-    v: VBGroupoid, problem: DescentProblem, c: Cleavage, partition: Optional[PartitionOfUnity] = None
-) -> Cleavage:
-    """Average kernel lifts against a partition of unity and verify flatness.
+def flatten_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage, partition: PartitionOfUnity) -> Cleavage:
+    """Average kernel lifts against ``partition`` and verify flatness.
 
     New lift over (x: j <- i) is sum_r lambda_r(x) sigma_{jr} sigma_{ri}.
     Averaging a flat family is idempotent.  The output must satisfy the
     flatness identity exactly; otherwise a DescentError is raised (for deep
     covers the quasi-action correction terms obstruct one-shot averaging for
     spread-out partitions, while the least-index partition always flattens a
-    symmetric cleavage).
+    symmetric cleavage, which is why ``descend_pipeline`` passes
+    ``min_index_partition(problem.cech)`` rather than ``problem.partition``).
     """
     check_cleavage(v, c).require("flatten_cleavage: invalid cleavage")
-    part = partition if partition is not None else problem.partition
     cech = problem.cech
     sigma = list(c.sigma)
     for k in cech.kernel_arrows:
@@ -321,7 +319,7 @@ def flatten_cleavage(
         x = cech.obj_pairs[v.base.src[k]][0]
         acc = Matrix.zeros(v.gamma_dims[k], v.e_dims[v.base.src[k]])
         for r in cech.indices_containing(x):
-            w = part.weight(r, x)
+            w = partition.weight(r, x)
             if w:
                 kjr = cech.kernel_arrow(x, j, r)
                 kri = cech.kernel_arrow(x, r, i)

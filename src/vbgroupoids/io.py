@@ -382,7 +382,11 @@ def _load_one(inst: Instance, name: str, data: dict, validate: bool):
         sets = data.get("sets")
         if not isinstance(sets, list):
             raise ParseError(f"{name}: cover needs a list of sets")
-        return (base, tuple(tuple(sorted({_id(x, base.n_objects, name) for x in s})) for s in sets))
+        cover = tuple(tuple(sorted({_id(x, base.n_objects, name) for x in s})) for s in sets)
+        missing = sorted(set(range(base.n_objects)).difference(*cover))
+        if missing:
+            raise ParseError(f"{name}: not a cover: objects {missing} uncovered")
+        return (base, cover)
     if kind == "partition":
         base, sets = inst.get(data["cover"], "cover")
         weights = {}

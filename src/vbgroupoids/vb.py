@@ -165,6 +165,25 @@ def is_acyclic(v: VBGroupoid) -> bool:
     return all(a.is_invertible for a in core(v).anchor)
 
 
+def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
+    """``arrows -> v.slots(arrows, v.fib_string_basis(arrows))`` for strings of two or more
+    arrows, with one kernel per distinct value of the matrices that define Fib along the string.
+
+    Fib(g_1, ..., g_p) is the kernel of a block matrix built from s_{g_i} and t_{g_{i+1}} alone,
+    so the key is those matrices by value, in string order; their shapes fix the block heights
+    and widths.  The memo lives in the returned function, so it lasts one checker call.
+    """
+    memo: dict[tuple[Matrix, ...], tuple[Matrix, ...]] = {}
+
+    def fib(arrows: Sequence[int]) -> tuple[Matrix, ...]:
+        key = tuple(m for a, b in zip(arrows, arrows[1:]) for m in (v.s_maps[a], v.t_maps[b]))
+        if key not in memo:
+            memo[key] = tuple(v.slots(arrows, v.fib_string_basis(arrows)))
+        return memo[key]
+
+    return fib
+
+
 @checked_once
 def check_vbgroupoid(v: VBGroupoid) -> Report:
     """Every VB-groupoid axiom of ``v``, one violation per failing arrow, pair or triple.
@@ -176,7 +195,9 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     pair or triple with that key.  Identity keys are sound: a ``Matrix`` is immutable,
     the dimensions an identity reads equal the shapes of its key matrices once the
     shape checks pass, and the memo lives only for this call, during which ``v`` keeps
-    every key matrix alive, so no ``id`` is reused.
+    every key matrix alive, so no ``id`` is reused.  Fib bases are shared by value
+    (:func:`_fib_slots`): a Fib space depends only on the s and t maps along its string, and a
+    ``Matrix`` is immutable and compares and hashes by value, so equal keys give equal kernels.
     """
     rep = Report()
     g = v.base
@@ -221,9 +242,11 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         if t[unit] * u[x] != Matrix.identity(v.e_dims[x]):
             rep.add("unit-section-t", (x,))
 
+    fib = _fib_slots(v)
+
     def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
-        a, b = v.slots((g1, g2), v.fib_string_basis((g1, g2)))
+        a, b = fib((g1, g2))
         prod = v.mult_of(g1, g2, a, b)
         return s[g12] * prod == s[g2] * b, t[g12] * prod == t[g1] * a
 
@@ -251,7 +274,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             rep.add("unit-law-right", (a,))
 
     def associative(g1: int, g2: int, g3: int) -> bool:
-        a, b, c = v.slots((g1, g2, g3), v.fib_string_basis((g1, g2, g3)))
+        a, b, c = fib((g1, g2, g3))
         left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
         right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
         return left == right
@@ -552,9 +575,10 @@ def check_vbmap(f: VBMap) -> Report:
     for x in range(g.n_objects):
         if f.arr_maps[g.unit[x]] * v.u_maps[x] != w.u_maps[bm.obj_map[x]] * f.obj_maps[x]:
             rep.add("unit-compat", (x,))
+    fib = _fib_slots(v)
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
-        a, b = v.slots((g1, g2), v.fib_string_basis((g1, g2)))
+        a, b = fib((g1, g2))
         lhs = f.arr_maps[g12] * v.mult_of(g1, g2, a, b)
         rhs = w.mult_of(bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
         if lhs != rhs:

@@ -321,3 +321,17 @@ def test_partition_over_another_cover_is_usage_error(descent_files, tmp_path, ca
     assert [e["event"] for e in events] == ["error", "summary"]
     assert events[0]["kind"] == "usage" and "--partition part" in events[0]["message"]
     assert events[1] == {"command": "descend", "event": "summary", "exit": 2, "ok": False}
+
+
+def test_cover_leaving_an_object_uncovered_is_parse_error(descent_files, tmp_path, capsys):
+    payload = json.loads(descent_files["psi"].read_text())
+    payload["objects"]["cover"]["sets"] = [[]]
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["descend", str(path), "--cover", "cover"]
+    code, events = run_cli([*argv, "--map", "psi", "--gamma", "gamma", "--gamma-prime", "gamma_prime"], capsys)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "parse" and "cover" in events[0]["message"] and "[0]" in events[0]["message"]
+    assert events[1] == {"command": "descend", "event": "summary", "exit": 2, "ok": False}

@@ -1,6 +1,7 @@
 """Serialization round trips and the instance-file format."""
 
 import random
+import re
 
 import pytest
 
@@ -116,3 +117,12 @@ def test_instance_reference_cycle():
     text = vio.dumps_instance({"f": {"type": "groupoid_map", "dom": "f", "cod": "f"}})
     with pytest.raises(vio.ParseError, match="unresolvable references among"):
         vio.loads_instance(text)
+
+
+@pytest.mark.parametrize("sets,missing", [([[]], "[0, 1]"), ([[1], [1]], "[0]"), ([], "[0, 1]")])
+def test_cover_must_cover_every_object(sets, missing):
+    objects = {"g": vio.groupoid_to_json(pair_groupoid(2)), "c": {"type": "cover", "base": "g", "sets": sets}}
+    with pytest.raises(vio.ParseError, match=re.escape(f"c: not a cover: objects {missing} uncovered")):
+        vio.loads_instance(vio.dumps_instance(objects))
+    objects["c"]["sets"] = [[0], [0, 1]]
+    assert vio.loads_instance(vio.dumps_instance(objects)).get("c", "cover")[1] == ((0,), (0, 1))

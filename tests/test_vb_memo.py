@@ -1,11 +1,13 @@
-"""check_vbgroupoid's per-call memo, the stacked mult_of and the batched inverse_matrix.
+"""The per-call memos of check_vbgroupoid and check_vbmap, the stacked mult_of and the
+batched inverse_matrix.
 
-The oracle is a copy of the checker as it was before the memo: every arrow, pair and
+The oracle is a copy of the checkers as they were before the memos: every arrow, pair and
 triple is computed afresh, the product is the two-block form ``m1 a + m2 b`` and the
 inversion is solved one basis vector at a time.  Reindexed objects share one ``Matrix``
-object among many arrows, pairs and triples, which is where the memo could go wrong;
-a structure matrix swapped for a different one of the same shape must not be taken
-for the one it replaced.
+object among many arrows, pairs and triples, which is where the identity memo could go
+wrong; a structure matrix swapped for a different one of the same shape must not be taken
+for the one it replaced.  Fib bases are shared by value, which could go wrong where the
+s and t maps along two strings agree in some places and not in others.
 """
 
 import random
@@ -13,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from vbgroupoids import io as vio
 from vbgroupoids.generators import random_gauge, random_matrix
 from vbgroupoids.groupoid import (
     GroupoidMap,
@@ -23,7 +26,17 @@ from vbgroupoids.groupoid import (
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.report import InvalidStructureError, Report, Violation
 from vbgroupoids.ruth import make_ruth
-from vbgroupoids.vb import VBGroupoid, base_change, check_vbgroupoid, grothendieck
+from vbgroupoids.vb import (
+    VBGroupoid,
+    VBMap,
+    base_change,
+    check_vbgroupoid,
+    check_vbmap,
+    core,
+    grothendieck,
+    identity_vbmap,
+    twist,
+)
 
 raw_check = check_vbgroupoid.__wrapped__
 
@@ -132,6 +145,21 @@ def reference_check(v: VBGroupoid) -> Report:
         if lhs != v.u_maps[g.src[a]] * v.s_maps[a]:
             rep.add("inverse-law", (a,), "inv(v) v != unit(s v)")
     return rep
+
+
+def reference_mult_compat(f: VBMap) -> list[tuple[int, int]]:
+    """The pairs at which ``f`` does not commute with the multiplication, each Fib afresh."""
+    v, w, bm = f.source, f.target, f.base_map
+    failed = []
+    for g1, g2 in v.base.pairs:
+        fib = _fib(v, g1, g2)
+        a = fib.take_rows(range(v.gamma_dims[g1]))
+        b = fib.take_rows(range(v.gamma_dims[g1], fib.rows))
+        lhs = f.arr_maps[v.base.compose(g1, g2)] * _mult(v, g1, g2, a, b)
+        rhs = _mult(w, bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
+        if lhs != rhs:
+            failed.append((g1, g2))
+    return failed
 
 
 # -- instances ---------------------------------------------------------------------------
@@ -334,3 +362,114 @@ def test_inverse_matrix_witness_is_first_inconsistent_vector():
     with pytest.raises(InvalidStructureError, match="basis vector 1 over arrow 1") as exc:
         bad.inverse_matrix(1)
     assert exc.value.report.violations == [Violation("inverse-missing", (1, 1))]
+
+
+# -- Fib bases shared by value ---------------------------------------------------------------
+
+
+def _loaded(v: VBGroupoid) -> VBGroupoid:
+    """``v`` written to an instance file and read back: one ``Matrix`` object per entry."""
+    text = vio.dumps_instance({"g": vio.groupoid_to_json(v.base), "v": vio.vbgroupoid_to_json(v, "g")})
+    return vio.loads_instance(text).get("v", "vbgroupoid")
+
+
+def _transport(v: VBGroupoid, psi: list[Matrix]) -> VBGroupoid:
+    """The isomorphic VB-groupoid in the coordinates w of Gamma_g with old vector ``psi[g] w``."""
+    g = v.base
+    inv = [p.inverse() for p in psi]
+    return VBGroupoid(
+        base=g,
+        e_dims=v.e_dims,
+        gamma_dims=v.gamma_dims,
+        s_maps=tuple(s * p for s, p in zip(v.s_maps, psi)),
+        t_maps=tuple(t * p for t, p in zip(v.t_maps, psi)),
+        u_maps=tuple(inv[g.unit[x]] * u for x, u in enumerate(v.u_maps)),
+        m_maps={
+            (g1, g2): inv[g.compose(g1, g2)] * m * Matrix.block_diag([psi[g1], psi[g2]])
+            for (g1, g2), m in v.m_maps.items()
+        },
+    )
+
+
+def _moved(v: VBGroupoid) -> VBGroupoid:
+    """``v`` transported along a random invertible map on every Gamma_g: s and t differ by value
+    from arrow to arrow."""
+    rng = random.Random(7)
+    psi = []
+    for d in v.gamma_dims:
+        while not (p := random_matrix(rng, d, d, -9, 9)).is_invertible:
+            pass
+        psi.append(p)
+    return _transport(v, psi)
+
+
+def _aligned(v: VBGroupoid) -> VBGroupoid:
+    """``v`` transported so that every t map is the same matrix while s still differs by value
+    from arrow to arrow: strings then share their t maps and differ only in their s maps.
+
+    Needs [s_g; t_g] invertible on every Gamma_g, as for the acyclic ``V`` (anchor 1).
+    """
+    rng = random.Random(8)
+    common = v.t_maps[0]
+    psi = []
+    for s, t in zip(v.s_maps, v.t_maps):
+        while True:
+            target = Matrix.vstack([random_matrix(rng, s.rows, s.cols), common])
+            if target.is_invertible:
+                break
+        psi.append(Matrix.vstack([s, t]).inverse() * target)
+    return _transport(v, psi)
+
+
+PULLED = _reindex(MAPS["cech-2"], V)
+SHARED = {
+    "loaded": _loaded(PULLED),
+    "moved": _moved(PULLED),
+    "aligned": _aligned(PULLED),
+}
+
+
+def test_shared_objects_have_the_intended_sharing():
+    loaded, moved, aligned = SHARED["loaded"], SHARED["moved"], SHARED["aligned"]
+    n = PULLED.base.n_arrows
+    # equal by value, distinct as objects: an id() key would never hit
+    assert len(set(loaded.s_maps)) == 1 and len({id(m) for m in loaded.s_maps}) == n
+    assert len(set(moved.s_maps)) == len(set(moved.t_maps)) == n
+    assert len(set(aligned.t_maps)) == 1 and len(set(aligned.s_maps)) == n
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_valid_object_matches_oracle(name):
+    assert raw_check(SHARED[name]).violations == reference_check(SHARED[name]).violations == []
+
+
+@pytest.mark.parametrize("table", ["s_maps", "t_maps", "m_maps"])
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_object_with_bumped_entry_matches_oracle(name, table):
+    v = SHARED[name]
+    d = v.base
+    a = next(a for a in range(d.n_arrows) if not d.is_unit(a))
+    key = next(p for p in d.pairs if a in p) if table == "m_maps" else a
+    bad = _swap(v, table, key, _bump(getattr(v, table)[key]))
+    expected = reference_check(bad)
+    assert not expected.ok
+    assert _entries(raw_check(bad)) == _entries(expected)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_vbmap_with_corrupted_arrow_map_fails_at_the_pairs_reading_it(name):
+    w = SHARED[name]
+    d = w.base
+    rng = random.Random(3)
+    cd = core(w)
+    f, _ = twist(identity_vbmap(w), [random_matrix(rng, cd.dims[x], w.e_dims[x]) for x in range(d.n_objects)])
+    assert check_vbmap.__wrapped__(f).ok and reference_mult_compat(f) == []
+    for a in range(d.n_arrows):
+        if d.is_unit(a):
+            continue
+        # a random change, so that no pair reading the map can miss it by accident
+        shift = random_matrix(random.Random(a), f.arr_maps[a].rows, f.arr_maps[a].cols)
+        bad = replace(f, arr_maps=tuple(m + shift if k == a else m for k, m in enumerate(f.arr_maps)))
+        compat = [x.witness for x in check_vbmap.__wrapped__(bad).violations if x.check == "mult-compat"]
+        reading = [(g1, g2) for g1, g2 in d.pairs if a in (g1, g2, d.compose(g1, g2))]
+        assert compat == reference_mult_compat(bad) == reading
