@@ -10,11 +10,14 @@ sums, stacking, block assembly and slicing all work on these rows, and ``Fractio
 entries appear only when a caller reads them (``m[i, j]``, ``row``, ``col``, ``data``).
 No module outside this one sees the storage.
 
-All elimination (``rank``, ``kernel``, ``solve``, ``solve_matrix``, ``inverse``) goes
-through ``Matrix.rref`` and its one routine, :func:`_eliminate`, which reduces a copy
+All elimination, in ``rank``, ``kernel``, ``solve``, ``solve_matrix`` and ``inverse``,
+goes through ``Matrix.rref`` and its one routine, :func:`_eliminate`, which reduces a copy
 of the numerator rows, keeping each changed row a gcd-normalised integer vector.
 ``solve_matrix`` reduces ``[A | B]`` once for all columns of B; on a consistent system
-every pivot lies in A's columns.
+every pivot lies in A's columns.  When A's rows include the unit row e_j for every
+column j, as every ``kernel`` basis and identity do, ``solve_matrix`` eliminates
+nothing: such an A has full column rank, so a solution is unique if it exists, and it
+can only be B's rows at those unit rows; one product A X = B decides whether it is one.
 
 Two conventions make all downstream output bit-reproducible:
 
@@ -329,9 +332,10 @@ class Matrix:
         """Reduced row-echelon form and pivot columns (exact, deterministic).
 
         The only elimination entry point: ``rank``, ``kernel``, ``solve``,
-        ``solve_matrix`` and ``inverse`` all reduce through it.  :func:`_eliminate`
-        reduces a copy of the numerator rows once; each pivot row is then divided by its
-        leading entry over the lcm of the leading entries, which yields the unique RREF.
+        ``solve_matrix`` (off its read path) and ``inverse`` all reduce through it.
+        :func:`_eliminate` reduces a copy of the numerator rows once; each pivot row is
+        then divided by its leading entry over the lcm of the leading entries, which
+        yields the unique RREF.
         """
         num = list(self._num)
         piv = _eliminate(num, self.cols)
@@ -344,7 +348,11 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel(self) -> "Matrix":
-        """Null-space basis as columns (rref free-variable convention)."""
+        """Null-space basis as columns (rref free-variable convention).
+
+        Row f of the basis, for the k-th free column f, is the unit row e_k, so the free
+        rows form the identity (and ``solve_matrix`` against a kernel basis only reads).
+        """
         R, piv = self.rref()
         pivset = set(piv)
         free = {f: k for k, f in enumerate(c for c in range(self.cols) if c not in pivset)}
@@ -366,14 +374,32 @@ class Matrix:
     def solve_matrix(self, B: "Matrix") -> Optional["Matrix"]:
         """Solve ``self @ X = B`` with free variables 0; None if any column is inconsistent.
 
-        One ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in the
-        columns of ``self`` are those of ``self``'s own RREF, and a column of B is
+        Raises ValueError unless B has ``self``'s height.
+
+        Read path: if ``self`` has a unit row e_j (one entry, equal to 1) for every
+        column j, it has full column rank, so X is unique if it exists, and row j of X
+        is B's row at the first e_j.  X is read off so, with no elimination, and
+        returned when ``self @ X == B``.
+
+        Otherwise one ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in
+        the columns of ``self`` are those of ``self``'s own RREF, and a column of B is
         consistent exactly when it is zero in every row past that rank.  So all
         pivots lie in ``self``'s columns when every column is consistent, and a
         pivot in a column of B means some column is not.  Pivot variables are read
         off the reduced B entries.
         """
+        if B.rows != self.rows:
+            raise ValueError(f"solve_matrix: {self.rows}x{self.cols} by {B.rows}x{B.cols}")
         n = self.cols
+        unit: dict[int, int] = {}
+        for i, r in enumerate(self._num):
+            if len(r) == 1:
+                ((j, x),) = r.items()
+                if x == self._den:
+                    unit.setdefault(j, i)
+        if len(unit) == n:
+            X = B.take_rows([unit[j] for j in range(n)])
+            return X if self * X == B else None
         R, piv = Matrix.hstack([self, B]).rref()
         if piv and piv[-1] >= n:
             return None
@@ -547,8 +573,13 @@ def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
 
     Raises ValueError naming the first offending degree if d o d != 0.  D^2 is checked
     once per complex object (see :meth:`CochainComplex.validate`); a failing complex is
-    checked again, and raises again, on every call.
+    checked again, and raises again, on every call.  The cohomology, too, is computed
+    once per complex object: it is kept in a private attribute (not a field) and each
+    call returns a fresh dict of it.
     """
+    memo = c.__dict__.get("_cohomology")
+    if memo is not None:
+        return dict(memo)
     _require_complex(c)
     out: dict[int, CohomologyDegree] = {}
     for p in c.degrees():
@@ -559,7 +590,8 @@ def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
         reps_idx = [j - im.cols for j in piv if j >= im.cols]
         reps = ker.take_cols(reps_idx)
         out[p] = CohomologyDegree(dim=reps.cols, representatives=reps)
-    return out
+    object.__setattr__(c, "_cohomology", out)
+    return dict(out)
 
 
 def betti_numbers(c: CochainComplex) -> dict[int, int]:

@@ -4,7 +4,9 @@ The first eight files under ``tests/golden/`` were written by the dense, per-col
 elimination kernel; the ``groth``/``dual`` outputs and the ``api-*`` files were written
 by the hand-padded block builders that ``Matrix.block(rows, cols, blocks)`` replaced;
 ``cohomology-ruth-gauge-pair2-3.jsonl`` was written while Betti numbers still came from
-kernels and cohomology representatives rather than from ranks.
+kernels and cohomology representatives rather than from ranks;
+``cohomology-vb-gauge-pair2-3.jsonl`` was written while every ``solve_matrix`` still
+eliminated, before it read solutions off bases that contain the identity.
 Verdicts, Betti tables, the canonical bases inside written instance files and every
 constructed structure matrix must come out byte-identical from any later code.
 """
@@ -42,6 +44,7 @@ STDOUT_CASES = [
     ("cohomology-ruth-gauge-z3-4.jsonl", "cohomology {d}/gen-gauge-z3-4.json gauged0 --pmax 3"),
     ("cohomology-ruth-gauge-pair2-3.jsonl", "cohomology {d}/gen-gauge-pair2-3.json gauged0 --pmax 3"),
     ("cohomology-vb-gauge-z3-4.jsonl", "cohomology {d}/groth-gauged0.json gauged0.groth --pmax 2"),
+    ("cohomology-vb-gauge-pair2-3.jsonl", "cohomology {d}/pair2/groth-gauged0.json gauged0.groth --pmax 3"),
     ("cohomology-vb-sum-z2-0.jsonl", "cohomology {d}/groth-sum0.json sum0.groth --pmax 3"),
     ("cohomology-map-cech-pullback-z2-0.jsonl", "cohomology {d}/gen-cech-pullback-z2-0.json psi --pmax 2"),
     ("morita-cech-pullback-z2-0.jsonl", "morita {d}/gen-cech-pullback-z2-0.json psi"),
@@ -70,6 +73,8 @@ SETUP = [
     "gen --recipe gauge:pair2 --seed 3 --out {d}",
     "groth {d}/gen-gauge-z3-4.json gauged0 --out {d}",
     "groth {d}/gen-sum-z2-0.json sum0 --out {d}",
+    # its own directory: groth names its output after the ruth, like the z3 one above
+    "groth {d}/gen-gauge-pair2-3.json gauged0 --out {d}/pair2",
 ]
 
 

@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vbgroupoids.linalg as linalg
 from vbgroupoids.linalg import (
     CochainComplex,
     Matrix,
@@ -212,6 +213,96 @@ def test_solve_matrix_empty_shapes(m, n, k):
         assert x is None
     else:
         assert (x.rows, x.cols) == (n, k)
+
+
+@pytest.mark.parametrize("a", [Matrix.identity(2), M([[1, 1], [2, 3]])], ids=["read", "eliminate"])
+def test_solve_matrix_rejects_wrong_height(a):
+    with pytest.raises(ValueError, match="2x2 by 3x3"):
+        a.solve_matrix(Matrix.identity(3))
+
+
+# -- the read path of solve_matrix against the elimination it bypasses ------------------
+#
+# A matrix whose rows include e_j for every column j has full column rank, and
+# ``solve_matrix`` reads X off B's rows at those unit rows instead of eliminating.
+
+
+def _has_unit_rows(a: Matrix) -> bool:
+    unit_rows = set(a.data)
+    return all(tuple(F(int(i == j)) for i in range(a.cols)) in unit_rows for j in range(a.cols))
+
+
+@st.composite
+def _unit_row_bases(draw):
+    """Matrices holding a unit row for every column: kernels, identities, a row-permuted
+    identity among other rows (some of them near misses: c e_j with c != 1, or e_j plus
+    more entries), and zero-column bases."""
+    kind = draw(st.sampled_from(["kernel", "embedded", "identity", "no-columns"]))
+    if kind == "kernel":
+        return draw(_matrices()).kernel()
+    if kind == "identity":
+        return Matrix.identity(draw(st.integers(0, 6)))
+    if kind == "no-columns":
+        return Matrix.zeros(draw(st.integers(0, 6)), 0)
+    n = draw(st.integers(1, 5))
+    unit = [[F(int(i == j)) for i in range(n)] for j in range(n)]
+    fillers = []
+    for _ in range(draw(st.integers(0, 5))):
+        j, row = draw(st.integers(0, n - 1)), draw(_grids(1, n))[0]
+        shape = draw(st.sampled_from(["random", "scaled", "unit-plus"]))
+        if shape == "scaled":
+            row = [draw(st.sampled_from([F(-1), F(2), F(1, 2)])) * x for x in unit[j]]
+        elif shape == "unit-plus":
+            row[j] = F(1)
+        fillers.append(row)
+    rows = draw(st.permutations(unit + fillers))
+    return Matrix.from_rows(rows, cols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_matrix_read_path_matches_elimination(data):
+    a = data.draw(_unit_row_bases())
+    assert _has_unit_rows(a)
+    k = data.draw(st.integers(0, 4))
+    b = a * data.draw(_matrices(rows=a.cols, cols=k))
+    left_kernel = a.transpose().kernel()
+    if k and left_kernel.cols and data.draw(st.booleans()):
+        # w.w > 0 and w is orthogonal to the image of a, so adding w leaves the span
+        j = data.draw(st.integers(0, k - 1))
+        w = left_kernel.take_cols([data.draw(st.integers(0, left_kernel.cols - 1))])
+        b = b + w * Matrix.from_rows([[int(c == j) for c in range(k)]], cols=k)
+    x = a.solve_matrix(b)
+    assert x == _dense_solve_matrix(a, b)
+    if x is not None:
+        assert a * x == b
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Record the column count of every elimination from now on."""
+    calls = []
+    real = linalg._eliminate
+
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return calls
+
+
+def test_solve_matrix_against_unit_rows_runs_no_elimination(monkeypatch):
+    basis = M([[1, 2, 0, -1], [0, 1, 1, 3]]).kernel()
+    b = basis * M([[1, "1/2", 0], [-3, 0, 2]])
+    w = basis.transpose().kernel().take_cols([0])
+    near_misses = M([[1, 1], [0, 1], [2, 0]])  # e_0 + e_1 and 2 e_0 are not unit rows
+    calls = _count_eliminations(monkeypatch)
+    assert basis.solve_matrix(b) == M([[1, "1/2", 0], [-3, 0, 2]])
+    assert basis.solve_matrix(b + w * M([[0, 1, 0]])) is None
+    assert Matrix.identity(3).solve_matrix(M([[1], [2], [3]])) == M([[1], [2], [3]])
+    assert calls == []
+    assert near_misses.solve_matrix(M([[2], [1], [2]])) == M([[1], [1]])
+    assert calls == [3]
 
 
 # -- the sparse Matrix against a dense Fraction reference -------------------------------
@@ -512,6 +603,24 @@ def test_failing_complex_raises_same_degree_every_call(monkeypatch):
         with pytest.raises(ValueError, match="d o d != 0 at degree 1"):
             complex_cohomology(c)
         assert _d_squared_products(c, products) == [3 * rounds, 3 * rounds]
+
+
+def test_cohomology_is_computed_once_per_complex(monkeypatch):
+    c = _bounded_rank_complex(random.Random(5), 0, [2, 3, 3, 2])
+    first = complex_cohomology(c)
+    calls = _count_eliminations(monkeypatch)
+    second = complex_cohomology(c)
+    assert calls == []
+    assert second == first and second is not first
+    second.clear()
+    second[0] = None
+    assert complex_cohomology(c) == first
+    assert calls == []
+    # the memo is on the object: an equal complex computes its own
+    twin = CochainComplex(c.p_min, c.p_max, c.dims, c.diffs)
+    assert complex_cohomology(twin) == first
+    assert calls
+    # a failing complex keeps no memo: test_failing_complex_raises_same_degree_every_call
 
 
 # -- quasi-isomorphism, checked against a brute-force oracle ----------------------------
