@@ -43,6 +43,14 @@ def _invalid(context: str, check: str, witness: tuple, detail: str) -> InvalidSt
     return InvalidStructureError(context, Report([Violation(check, witness, detail)]))
 
 
+def _fib_coords(basis: Matrix, image: Matrix, context: str, check: str, witness: tuple, detail: str) -> Matrix:
+    """Coordinates of ``image``'s columns in the Fib basis ``basis``; raise the violation if they leave it."""
+    coords = basis.solve_matrix(image)
+    if coords is None:
+        raise _invalid(context, check, witness, detail)
+    return coords
+
+
 def _string_at(nv: NerveStrings, offsets: Sequence[Sequence[int]], q: int, row: int) -> tuple:
     """The degree-q string whose coordinate block holds ``row``."""
     return nv.strings[q][bisect_right(offsets[q], row) - 1]
@@ -236,14 +244,14 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                 if p == 0:
                     coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
                 else:
-                    coords = fib_bases[p][t_idx].solve_matrix(_face_image(v, s, i, fib))
-                    if coords is None:
-                        raise _invalid(
-                            f"lin_complex: face image leaves Fib at degree {p + 1}",
-                            "face-in-fib",
-                            (p + 1, s, i),
-                            "(degree, string, face)",
-                        )
+                    coords = _fib_coords(
+                        fib_bases[p][t_idx],
+                        _face_image(v, s, i, fib),
+                        f"lin_complex: face image leaves Fib at degree {p + 1}",
+                        "face-in-fib",
+                        (p + 1, s, i),
+                        "(degree, string, face)",
+                    )
                 blocks.append(((si, t_idx), coords.transpose().scale((-1) ** i)))
         diffs.append(Matrix.block(sizes[p + 1], sizes[p], blocks))
     cx = CochainComplex(0, p_max, dims, tuple(diffs))
@@ -385,14 +393,14 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         fib = lin.fib_bases[p - 1][si]
         ext_string, ext = _append_lift_matrix(lin, c, s, fib)
         t_idx = nv.index[p][ext_string]
-        coords = lin.fib_bases[p][t_idx].solve_matrix(ext)
-        if coords is None:
-            raise _invalid(
-                "homotopy_operator: extended tuple not in Fib",
-                "lift-in-fib",
-                (p, s, ext_string),
-                "(degree, string, extended string)",
-            )
+        coords = _fib_coords(
+            lin.fib_bases[p][t_idx],
+            ext,
+            "homotopy_operator: extended tuple not in Fib",
+            "lift-in-fib",
+            (p, s, ext_string),
+            "(degree, string, extended string)",
+        )
         blocks.append(((si, t_idx), coords.transpose()))
     return Matrix.block(lin.sizes(p - 1), lin.sizes(p), blocks)
 
@@ -420,14 +428,14 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
 
     def place_term(si: int, string: tuple[int, ...], mat: Matrix, sign: int) -> None:
         t_idx = nv.index[p][string]
-        coords = lin.fib_bases[p][t_idx].solve_matrix(mat)
-        if coords is None:
-            raise _invalid(
-                "displayed cancellation: tuple not in Fib",
-                "term-in-fib",
-                (p, nv.strings[p][si], string),
-                "(degree, string, term string)",
-            )
+        coords = _fib_coords(
+            lin.fib_bases[p][t_idx],
+            mat,
+            "displayed cancellation: tuple not in Fib",
+            "term-in-fib",
+            (p, nv.strings[p][si], string),
+            "(degree, string, term string)",
+        )
         blocks.append(((si, t_idx), coords.transpose().scale(sign)))
 
     sgn_p = 1 if p % 2 == 0 else -1
@@ -488,14 +496,14 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
             ext_string = s[1:] + (g.inv[prod],)
             ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
             t_idx = nv.index[p][ext_string]
-            coords = lin.fib_bases[p][t_idx].solve_matrix(ext)
-            if coords is None:
-                raise _invalid(
-                    "zero-last evaluation: tuple not in Fib",
-                    "zero-last-in-fib",
-                    (p, s, ext_string),
-                    "(degree, string, extended string)",
-                )
+            coords = _fib_coords(
+                lin.fib_bases[p][t_idx],
+                ext,
+                "zero-last evaluation: tuple not in Fib",
+                "zero-last-in-fib",
+                (p, s, ext_string),
+                "(degree, string, extended string)",
+            )
             terms.append(((0, t_idx), coords.transpose().scale(sign)))
         rhs_rows.append(Matrix.block([z.cols], sizes, terms))
     if not lhs_rows:
@@ -636,14 +644,14 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
             t_idx = nv_t.index[p][image_string]
             slots = v.slots(s, lin_src.fib_bases[p][si])
             mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
-            coords = lin_tgt.fib_bases[p][t_idx].solve_matrix(mapped)
-            if coords is None:
-                raise _invalid(
-                    "pullback_lin: image tuple not in Fib",
-                    "pullback-in-fib",
-                    (p, s, image_string),
-                    "(degree, string, image string)",
-                )
+            coords = _fib_coords(
+                lin_tgt.fib_bases[p][t_idx],
+                mapped,
+                "pullback_lin: image tuple not in Fib",
+                "pullback-in-fib",
+                (p, s, image_string),
+                "(degree, string, image string)",
+            )
             blocks.append(((si, t_idx), coords.transpose()))
         out[p] = Matrix.block(lin_src.sizes(p), lin_tgt.sizes(p), blocks)
     return out
