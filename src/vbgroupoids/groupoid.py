@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .report import InvalidStructureError, Report, Violation
+from .report import InvalidStructureError, Report, Violation, checked_once
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ def make_groupoid(
     )
 
 
+@checked_once
 def validate_groupoid(g: FiniteGroupoid) -> Report:
     """Check every groupoid axiom, reporting violations with witnesses."""
     rep = Report()
@@ -201,6 +202,25 @@ def orbits_and_isotropy(g: FiniteGroupoid) -> tuple[tuple[tuple[int, ...], ...],
     orbits = tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
     isotropy = tuple(g.isotropy(x) for x in range(g.n_objects))
     return orbits, isotropy
+
+
+def generating_arrows(g: FiniteGroupoid) -> tuple[int, ...]:
+    """Arrows T, sorted, such that every arrow is a product of arrows in T.
+
+    Per orbit, with its smallest object r as root: the isotropy at r, and for every
+    other object x of the orbit the lowest-id arrow c_x: r -> x and its inverse.  An
+    arrow g: x -> y is c_y (c_y^-1 g c_x) c_x^-1, where the middle factor lies in the
+    isotropy at r and c_x (c_y) is left out when x (y) is r.
+    """
+    orbits, isotropy = orbits_and_isotropy(g)
+    roots = {orb[0] for orb in orbits}
+    gens = {a for r in roots for a in isotropy[r]}
+    reached = set(roots)
+    for a in range(g.n_arrows):
+        if g.src[a] in roots and g.tgt[a] not in reached:
+            reached.add(g.tgt[a])
+            gens.update((a, g.inv[a]))
+    return tuple(sorted(gens))
 
 
 def orbit_index(g: FiniteGroupoid) -> list[int]:

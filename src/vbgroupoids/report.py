@@ -5,8 +5,9 @@ return a :class:`Report` listing every violated axiom together with a witness.
 Construction preconditions that must hold call :meth:`Report.require`, which
 raises :class:`InvalidStructureError` carrying the report.
 
-The expensive checkers are wrapped in :func:`checked_once`: within a process each
-of them runs once per distinct value that passes, and a value equal to one that
+The expensive checkers (``validate_groupoid``, ``check_ruth``, ``check_vbgroupoid``,
+``check_vbmap``) are wrapped in :func:`checked_once`: within a process each of them
+runs once per distinct value that passes, and a value equal to one that
 already passed gets an empty report at once.  This relies on the checked classes
 being frozen dataclasses whose equality covers every field a checker reads; their
 dict-valued fields (``comp``, ``gamma``, ``m_maps``) must not be changed in place

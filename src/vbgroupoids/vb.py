@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .groupoid import (
     ArrowGroupoid,
@@ -26,9 +26,11 @@ from .groupoid import (
     GroupoidMap,
     arrow_groupoid,
     compose_maps,
+    generating_arrows,
     identity_map,
     is_morita,
     MoritaCertificate,
+    validate_groupoid,
     validate_map,
 )
 from .linalg import (
@@ -198,6 +200,33 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     every key matrix alive, so no ``id`` is reused.  Fib bases are shared by value
     (:func:`_fib_slots`): a Fib space depends only on the s and t maps along its string, and a
     ``Matrix`` is immutable and compares and hashes by value, so equal keys give equal kernels.
+
+    Associativity is first computed only on the triples whose first arrow lies in
+    T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is
+    taken only when the base passes ``validate_groupoid``, every earlier law holds
+    (s/t-surjective, unit sections, mult-source/target, both unit laws) and every arrow
+    passes the inverse check; the inverse check therefore runs before associativity, and
+    its violations are still reported after the associativity ones.  If the gate fails, or
+    the reduced pass finds a failing triple, every triple is computed (the reduced pass's
+    results are reused), so a failing report lists every witness in the usual order.  A
+    passing reduced pass proves associativity on every triple.  Write
+    a(p, q, r) = m(m(p, q), r) - m(p, m(q, r)):
+
+    1. Each m is linear and the mult-source/target laws hold, so for (w, x, y, z) in
+       Fib(g0, g1, g2, g3) both sides below are defined, and expanding them gives
+       a(wx, y, z) + a(w, x, yz) = m(a(w, x, y), 0) + a(w, xy, z) + m(0, a(x, y, z)).
+    2. For t in T and any g' with src t = tgt g', m maps Fib(t, g') onto Gamma_{tg'}.
+       Given gamma, take w in Gamma_t with t w = t gamma (t-surjectivity) and
+       x = m(inv w, gamma), defined since s(inv w) = s m(w, inv w) = s u(t w) = t w.
+       Associativity at (t, t^-1, tg'), a reduced triple, gives
+       m(w, x) = m(m(w, inv w), gamma) = m(u(t gamma), gamma) = gamma by the left unit
+       law; and t x = t(inv w) = s w, s x = s gamma.
+    3. Let S be the arrows h with a = 0 on every triple starting with h; S contains T.
+       For t in T and h in S, every triple (p, y, z) over (th, g2, g3) has p = m(w, x)
+       with (w, x, y, z) in Fib(t, h, g2, g3) by 2, and in 1 every term but
+       a(wx, y, z) starts with t or h, so th is in S.  Every arrow is a product of
+       T-arrows (g: x -> r is (g c_x) c_x^-1 with g c_x in the isotropy at r, and
+       g: x -> y with y != r is c_y (c_y^-1 g)), so S is every arrow.
     """
     rep = Report()
     g = v.base
@@ -273,18 +302,6 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         if not right_ok:
             rep.add("unit-law-right", (a,))
 
-    def associative(g1: int, g2: int, g3: int) -> bool:
-        a, b, c = fib((g1, g2, g3))
-        left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
-        right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
-        return left == right
-
-    for g1, g2, g3 in g.triples():
-        g12, g23 = g.compose(g1, g2), g.compose(g2, g3)
-        reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
-        if not once("associativity", reads, lambda: associative(g1, g2, g3)):
-            rep.add("associativity", (g1, g2, g3))
-
     def inverse_law(a: int) -> Optional[tuple[str, str]]:
         """The failing check and its detail, or None when inv(v) exists and inv(v) v = unit(s v)."""
         try:
@@ -295,13 +312,40 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         lhs = v.mult_of(g.inv[a], a, inv, Matrix.identity(d))
         return None if lhs == u[g.src[a]] * s[a] else ("inverse-law", "inv(v) v != unit(s v)")
 
+    inverse_failures = []
     for a in range(g.n_arrows):
         ai = g.inv[a]
         reads = (m[(a, ai)], t[ai], u[g.tgt[a]], t[a], s[a], m[(ai, a)], u[g.src[a]])
         failed = once("inverse", reads, lambda: inverse_law(a))
         if failed:
-            check, detail = failed
-            rep.add(check, (a,), detail)
+            inverse_failures.append((a, *failed))
+
+    def associative(g1: int, g2: int, g3: int) -> bool:
+        a, b, c = fib((g1, g2, g3))
+        left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
+        right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
+        return left == right
+
+    def non_associative(triples: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        failed = []
+        for g1, g2, g3 in triples:
+            g12, g23 = g.compose(g1, g2), g.compose(g2, g3)
+            reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
+            if not once("associativity", reads, lambda: associative(g1, g2, g3)):
+                failed.append((g1, g2, g3))
+        return failed
+
+    triples = g.triples()
+    reduced = rep.ok and not inverse_failures and validate_groupoid(g).ok
+    if reduced:
+        gens = set(generating_arrows(g))
+        bad = non_associative(x for x in triples if x[0] in gens)
+    if not reduced or bad:
+        bad = non_associative(triples)
+    for x in bad:
+        rep.add("associativity", x)
+    for a, check, detail in inverse_failures:
+        rep.add(check, (a,), detail)
     return rep
 
 

@@ -10,6 +10,7 @@ from vbgroupoids.groupoid import (
     compose_maps,
     cyclic_groupoid,
     disjoint_union,
+    generating_arrows,
     identity_map,
     is_morita,
     make_groupoid,
@@ -50,6 +51,33 @@ def test_orbits_and_isotropy():
     assert len(iso[0]) == 2
     orbits, _ = orbits_and_isotropy(disjoint_union(point_groupoid(), cyclic_groupoid(2)))
     assert len(orbits) == 2
+
+
+GENERATED = {
+    "pair3": pair_groupoid(3),
+    "z3": cyclic_groupoid(3),
+    "pt+z2": disjoint_union(point_groupoid(), cyclic_groupoid(2)),
+    "cech-z2-3": cech_groupoid(cyclic_groupoid(2), [[0]] * 3).gu,
+    "pair2+pair2": disjoint_union(pair_groupoid(2), pair_groupoid(2)),
+}
+
+
+def test_generating_arrows_of_pair_and_cyclic():
+    # pair(3): the unit at 0, arrows 0 -> 1 and 0 -> 2 (ids 3, 6) and their inverses (1, 2)
+    assert generating_arrows(pair_groupoid(3)) == (0, 1, 2, 3, 6)
+    assert generating_arrows(cyclic_groupoid(3)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_every_arrow_is_a_product_of_at_most_three_generators(name):
+    g = GENERATED[name]
+    gens = generating_arrows(g)
+    orbits, iso = orbits_and_isotropy(g)
+    assert len(gens) == sum(len(iso[orb[0]]) + 2 * (len(orb) - 1) for orb in orbits)
+    products = set(gens)
+    products |= {g.compose(a, b) for a in gens for b in gens if (a, b) in g.comp}
+    products |= {g.compose(a, b) for a in gens for b in products if (a, b) in g.comp}
+    assert products == set(range(g.n_arrows))
 
 
 def _collapse_to_point(g):

@@ -1,5 +1,5 @@
-"""The per-call memos of check_vbgroupoid and check_vbmap, the stacked mult_of and the
-batched inverse_matrix.
+"""The per-call memos of check_vbgroupoid and check_vbmap, the stacked mult_of, the
+batched inverse_matrix and the associativity pass over generating arrows.
 
 The oracle is a copy of the checkers as they were before the memos: every arrow, pair and
 triple is computed afresh, the product is the two-block form ``m1 a + m2 b`` and the
@@ -7,7 +7,10 @@ inversion is solved one basis vector at a time.  Reindexed objects share one ``M
 object among many arrows, pairs and triples, which is where the identity memo could go
 wrong; a structure matrix swapped for a different one of the same shape must not be taken
 for the one it replaced.  Fib bases are shared by value, which could go wrong where the
-s and t maps along two strings agree in some places and not in others.
+s and t maps along two strings agree in some places and not in others.  Associativity is
+first computed only on triples that start with a generating arrow; on mutants that break
+associativity alone the report must still equal the oracle's, and every case outside the
+reduced pass's gate must compute every triple.
 """
 
 import random
@@ -16,23 +19,30 @@ from dataclasses import replace
 import pytest
 
 from vbgroupoids import io as vio
-from vbgroupoids.generators import random_gauge, random_matrix
+from vbgroupoids import vb
+from vbgroupoids.generators import acyclic_ruth, honest_rep, named_reps, random_gauge, random_matrix, shifted_ruth
 from vbgroupoids.groupoid import (
+    FiniteGroupoid,
     GroupoidMap,
     arrow_groupoid,
     cech_groupoid,
     cyclic_groupoid,
+    generating_arrows,
+    pair_groupoid,
+    validate_groupoid,
 )
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.report import InvalidStructureError, Report, Violation
-from vbgroupoids.ruth import make_ruth
+from vbgroupoids.ruth import direct_sum, make_ruth, pullback_ruth
 from vbgroupoids.vb import (
     VBGroupoid,
     VBMap,
+    acyclic_vb,
     base_change,
     check_vbgroupoid,
     check_vbmap,
     core,
+    direct_sum_vb,
     grothendieck,
     identity_vbmap,
     twist,
@@ -180,9 +190,12 @@ def _gauged() -> VBGroupoid:
     )
     rng = random.Random(42)
     r, _ = random_gauge(base, rng)
-    v = grothendieck(r)
-    # change m off the fibered products: m + Z [s_g, -t_h] has the same products on every
-    # Fib(g, h), but now a product reads every coordinate, so a wrong s, t or u changes it
+    return _off_fib(grothendieck(r), rng)
+
+
+def _off_fib(v: VBGroupoid, rng: random.Random) -> VBGroupoid:
+    """``v`` with m changed off the fibered products: m + Z [s_g, -t_h] has the same products on
+    every Fib(g, h), but now a product reads every coordinate, so a wrong s, t or u changes it."""
     off = {}
     for (g1, g2), m in v.m_maps.items():
         z = random_matrix(rng, m.rows, v.s_maps[g1].rows)
@@ -473,3 +486,158 @@ def test_vbmap_with_corrupted_arrow_map_fails_at_the_pairs_reading_it(name):
         compat = [x.witness for x in check_vbmap.__wrapped__(bad).violations if x.check == "mult-compat"]
         reading = [(g1, g2) for g1, g2 in d.pairs if a in (g1, g2, d.compose(g1, g2))]
         assert compat == reference_mult_compat(bad) == reading
+
+
+# -- associativity from the generating arrows --------------------------------------------
+
+
+def _with_core(rep, seed: int) -> VBGroupoid:
+    """Grothendieck of a gauge-randomized ``rep (+) shifted(rep) (+) acyclic(rep)``, m moved off
+    Fib: the shifted summand gives every Gamma_g a nonzero ker s cap ker t."""
+    rng = random.Random(seed)
+    r, _ = random_gauge(direct_sum(direct_sum(rep, shifted_ruth(rep)), acyclic_ruth(rep)), rng)
+    return _off_fib(grothendieck(r), rng)
+
+
+PAIR3 = pair_groupoid(3)
+CECH3 = cech_groupoid(Z2, [[0]] * 3)
+CORED = {
+    "pair3": _with_core(honest_rep(PAIR3, lambda x0, h: Matrix.identity(1), lambda x0: 1), 11),
+    "cech3": _with_core(pullback_ruth(CECH3.pi, named_reps("z2", Z2)[1]), 12),
+}
+
+
+def _associativity_mutant(v: VBGroupoid, seed: int) -> VBGroupoid:
+    """``v`` with K R added to m at one or two pairs that involve no unit and are not inverse
+    pairs, K a basis of ker [s; t] over the product arrow and R random.
+
+    The change lies in ker s cap ker t, so mult-source/target still hold; the unit laws and
+    the inverse check read no changed pair.  Only associativity can fail."""
+    rng = random.Random(seed)
+    g = v.base
+    free = [(g1, g2) for g1, g2 in g.pairs if not g.is_unit(g1) and not g.is_unit(g2) and g2 != g.inv[g1]]
+    m_maps = dict(v.m_maps)
+    for pair in rng.sample(free, rng.choice((1, 2))):
+        g12 = g.compose(*pair)
+        k = Matrix.vstack([v.s_maps[g12], v.t_maps[g12]]).kernel()
+        m_maps[pair] = m_maps[pair] + k * random_matrix(rng, k.cols, m_maps[pair].cols)
+    return replace(v, m_maps=m_maps)
+
+
+MUTANTS = [(name, seed) for name, count in (("pair3", 40), ("cech3", 12)) for seed in range(count)]
+
+
+@pytest.mark.parametrize("name,seed", MUTANTS)
+def test_associativity_mutant_matches_full_loop(name, seed):
+    bad = _associativity_mutant(CORED[name], seed)
+    expected = reference_check(bad)
+    assert expected.violations and {x.check for x in expected.violations} == {"associativity"}
+    assert _entries(raw_check(bad)) == _entries(expected)
+
+
+def test_mutant_fails_on_and_off_the_generating_arrows():
+    # the reduced pass finds the triples that start with a generator; the full loop adds the rest
+    bad = _associativity_mutant(CORED["pair3"], 0)
+    gens = set(generating_arrows(PAIR3))
+    firsts = {x.witness[0] in gens for x in reference_check(bad).violations}
+    assert firsts == {True, False}
+    assert _entries(raw_check(bad)) == _entries(reference_check(bad))
+
+
+def _computed_triples(monkeypatch) -> list[tuple[int, ...]]:
+    """The triples at which ``check_vbgroupoid`` computes associativity from now on: each
+    computation reads the Fib basis of its triple once."""
+    computed = []
+    fib_slots = vb._fib_slots
+
+    def counting(v):
+        fib = fib_slots(v)
+
+        def counted(arrows):
+            if len(arrows) == 3:
+                computed.append(tuple(arrows))
+            return fib(arrows)
+
+        return counted
+
+    monkeypatch.setattr(vb, "_fib_slots", counting)
+    return computed
+
+
+def _z2_k4() -> VBGroupoid:
+    """A gauge-randomized pullback to the Cech groupoid of Z_2 by 4 copies: 4 objects, 32 arrows,
+    every structure matrix its own object, so no two triples share a memo key."""
+    cech = cech_groupoid(Z2, [[0]] * 4)
+    trivial = named_reps("z2", Z2)[0]
+    r, _ = random_gauge(pullback_ruth(cech.pi, direct_sum(trivial, acyclic_ruth(trivial))), random.Random(5))
+    return grothendieck(r)
+
+
+def test_valid_object_computes_associativity_only_from_generators(monkeypatch):
+    v = _z2_k4()
+    gens = generating_arrows(v.base)
+    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 8, 2048)
+    computed = _computed_triples(monkeypatch)
+    assert raw_check(v).ok
+    assert len(computed) == 512
+    assert {x[0] for x in computed} == set(gens)
+
+
+def _flipped_cech() -> FiniteGroupoid:
+    """The Cech groupoid of Z_2 by 2 copies with one composite replaced by the other arrow between
+    the same objects: the endpoints are right, the composition is not."""
+    g = cech_groupoid(Z2, [[0]] * 2).gu
+    g1, g2 = next(p for p in g.pairs if not g.is_unit(p[0]) and not g.is_unit(p[1]))
+    g12 = g.compose(g1, g2)
+    other = next(a for a in g.hom(g.src[g12], g.tgt[g12]) if a != g12)
+    return replace(g, comp={**g.comp, (g1, g2): other})
+
+
+def test_invalid_base_takes_the_full_loop(monkeypatch):
+    # the acyclic VB-groupoid reads only the endpoints of arrows, so it passes every law over the
+    # broken base; the reduced pass is not proven there
+    base = _flipped_cech()
+    assert not validate_groupoid(base).ok
+    v = acyclic_vb(base, [1] * base.n_objects)
+    computed = _computed_triples(monkeypatch)
+    assert raw_check(v).ok
+    assert sorted(computed) == sorted(base.triples())
+
+
+def _bare_bundle(base: FiniteGroupoid, x: int) -> VBGroupoid:
+    """E_x = 1 and every other fiber 0: s is not surjective at the arrows out of x and the unit
+    section fails at x, while associativity and the inverse check hold trivially."""
+    return VBGroupoid(
+        base=base,
+        e_dims=tuple(int(y == x) for y in range(base.n_objects)),
+        gamma_dims=(0,) * base.n_arrows,
+        s_maps=tuple(Matrix.zeros(int(base.src[a] == x), 0) for a in range(base.n_arrows)),
+        t_maps=tuple(Matrix.zeros(int(base.tgt[a] == x), 0) for a in range(base.n_arrows)),
+        u_maps=tuple(Matrix.zeros(0, int(y == x)) for y in range(base.n_objects)),
+        m_maps={p: Matrix.zeros(0, 0) for p in base.pairs},
+    )
+
+
+def test_earlier_failure_takes_the_full_loop(monkeypatch):
+    v = direct_sum_vb(CORED["pair3"], _bare_bundle(PAIR3, 2))
+    expected = reference_check(v)
+    assert {x.check for x in expected.violations} == {"s-surjective", "t-surjective", "unit-section-s", "unit-section-t"}
+    computed = _computed_triples(monkeypatch)
+    assert _entries(raw_check(v)) == _entries(expected)
+    assert len(computed) == len(PAIR3.triples())
+
+
+def test_inverse_failure_takes_the_full_loop(monkeypatch):
+    # an inverse that cannot be solved at one arrow, and nothing else changed
+    v = CORED["pair3"]
+    solved = VBGroupoid.inverse_matrix
+
+    def missing_at_1(self, g):
+        if g == 1:
+            raise InvalidStructureError("no inverse", Report())
+        return solved(self, g)
+
+    monkeypatch.setattr(VBGroupoid, "inverse_matrix", missing_at_1)
+    computed = _computed_triples(monkeypatch)
+    assert _entries(raw_check(v)) == [("inverse-missing", (1,), "")]
+    assert len(computed) == len(PAIR3.triples())
