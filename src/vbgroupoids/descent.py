@@ -38,7 +38,6 @@ from .vb import (
     check_vbmap,
     choose_cleavage,
     core,
-    direct_sum_vb,
     is_vb_morita,
     sum_projection_vb,
     twist,
@@ -401,7 +400,8 @@ def make_invertible(v: VBGroupoid, problem: DescentProblem) -> Stabilization:
         omega = acyclic_vb(gu, tuple(pad))
     else:
         omega = zero_vb(gu)
-    stab = direct_sum_vb(v, omega)
+    projection = sum_projection_vb(v, omega, side=0)
+    stab = projection.source
     check_vbgroupoid(stab).require("make_invertible: stabilized object invalid")
     cd = core(stab)
     sigma = list(choose_cleavage(stab).sigma)
@@ -412,7 +412,6 @@ def make_invertible(v: VBGroupoid, problem: DescentProblem) -> Stabilization:
     check_cleavage(stab, cleav).require("make_invertible: output cleavage invalid")
     if not is_kernel_invertible(stab, problem, cleav):
         raise DescentError("make_invertible: kernel transport not invertible after stabilization")
-    projection = sum_projection_vb(v, omega, side=0)
     if not is_vb_morita(projection).ok:
         raise DescentError("make_invertible: projection not VB-Morita")
     return Stabilization(stabilized=stab, omega=omega, cleavage=cleav, projection=projection)

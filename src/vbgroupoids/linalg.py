@@ -10,14 +10,16 @@ sums, stacking, block assembly and slicing all work on these rows, and ``Fractio
 entries appear only when a caller reads them (``m[i, j]``, ``row``, ``col``, ``data``).
 No module outside this one sees the storage.
 
-All elimination, in ``rank``, ``kernel``, ``solve``, ``solve_matrix`` and ``inverse``,
-goes through ``Matrix.rref`` and its one routine, :func:`_eliminate`, which reduces a copy
-of the numerator rows, keeping each changed row a gcd-normalised integer vector.
-``solve_matrix`` reduces ``[A | B]`` once for all columns of B; on a consistent system
-every pivot lies in A's columns.  When A's rows include the unit row e_j for every
-column j, as every ``kernel`` basis and identity do, ``solve_matrix`` eliminates
-nothing: such an A has full column rank, so a solution is unique if it exists, and it
-can only be B's rows at those unit rows; one product A X = B decides whether it is one.
+All elimination goes through one row-wise echelon routine, :func:`_echelon`: each row
+in turn is reduced against the rows kept so far, which are keyed by their leading column,
+and each changed row stays a gcd-normalised integer vector.  ``rank`` counts the kept
+rows and does nothing more; ``Matrix.rref``, which ``kernel``, ``solve``, ``solve_matrix``
+and ``inverse`` use, also back-substitutes over them.  ``solve_matrix`` reduces
+``[A | B]`` once for all columns of B; on a consistent system every pivot lies in A's
+columns.  When A's rows include the unit row e_j for every column j, as every ``kernel``
+basis and identity do, ``solve_matrix`` eliminates nothing: such an A has full column
+rank, so a solution is unique if it exists, and it can only be B's rows at those unit
+rows; one product A X = B decides whether it is one.
 
 Cohomology is counted from ranks, not constructed: dim H^p = dim C^p - rk d^p - rk d^{p-1},
 and a chain map f induces on H^p a map of rank rk [A; T] - rk A - rk d'^{p-1}, where [A; T]
@@ -26,9 +28,10 @@ rk [A; T] - rk A = dim T(ker A), and T(ker A) = f(Z^p) + B'^p contains B'^p.
 
 Two conventions make all downstream output bit-reproducible:
 
-* reduced row-echelon form uses the "first nonzero row" pivot rule, and all
-  derived bases (kernels, solutions, complements) follow the rref free/pivot
-  column convention; solutions set every free variable to 0;
+* the reduced row-echelon form of a matrix is unique, so the order in which rows are
+  eliminated cannot reach any output; all derived bases (kernels, solutions,
+  complements) follow the rref free/pivot column convention, and solutions set every
+  free variable to 0;
 * :class:`Subspace` always stores the unique reduced column-echelon basis,
   so equal subspaces compare equal field-by-field.
 
@@ -63,49 +66,44 @@ def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def _eliminate(rows: list[dict[int, int]], n: int) -> list[int]:
-    """Gauss-Jordan elimination of sparse integer rows with ``n`` columns.
+def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """``row * a - prow * b`` with the least integers a, b that clear column ``c``, divided
+    by the gcd of its entries, so a primitive integer vector.  Neither argument changes."""
+    pval, v = prow[c], row[c]
+    g = gcd(pval, v)
+    a, b = pval // g, v // g
+    out = {j: x * a for j, x in row.items()}
+    for j, y in prow.items():
+        z = out.get(j, 0) - y * b
+        if z:
+            out[j] = z
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {j: x // g for j, x in out.items()}
+    return out
 
-    ``rows`` is reordered and its entries replaced in place; the row dicts it held are
-    never changed, so it may list the rows of a :class:`Matrix`.
 
-    Columns are taken in order; the pivot for column ``c`` is the first row at or after
-    the current rank with a nonzero entry there.  Every other row with an entry in ``c``
-    becomes ``row * a - pivot_row * b`` and is divided by the gcd of its entries, so rows
-    stay primitive integer vectors.  Returns the pivot columns; row ``r`` is then the
-    pivot row of the ``r``-th of them, and rows past the rank are empty.
+def _echelon(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """A row-echelon form of the sparse integer ``rows``, keyed by leading column.
+
+    Each row in turn is reduced (:func:`_reduce`) against the kept row with its leading
+    column, until its leading column is new, when it is kept, or it is empty, when it is
+    dropped.  So the kept rows span the rows' span, their leading columns are distinct,
+    and their number is the rank.  The row dicts given are never changed, so they may be
+    the rows of a :class:`Matrix`.
     """
-    m = len(rows)
-    piv: list[int] = []
-    for c in range(n):
-        r = len(piv)
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if c in rows[i]), -1)
-        if p < 0:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        pval = prow[c]
-        for i in range(m):
-            v = rows[i].get(c)
-            if v is None or i == r:
-                continue
-            g = gcd(pval, v)
-            a, b = pval // g, v // g
-            row = {j: x * a for j, x in rows[i].items()}
-            for j, y in prow.items():
-                z = row.get(j, 0) - y * b
-                if z:
-                    row[j] = z
-                else:
-                    del row[j]
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: x // g for j, x in row.items()}
-            rows[i] = row
-        piv.append(c)
-    return piv
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = kept.get(c)
+            if prow is None:
+                kept[c] = row
+                break
+            row = _reduce(row, prow, c)
+    return kept
 
 
 class Matrix:
@@ -336,21 +334,30 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and pivot columns (exact, deterministic).
 
-        The only elimination entry point: ``rank``, ``kernel``, ``solve``,
-        ``solve_matrix`` (off its read path) and ``inverse`` all reduce through it.
-        :func:`_eliminate` reduces a copy of the numerator rows once; each pivot row is
-        then divided by its leading entry over the lcm of the leading entries, which
-        yields the unique RREF.
+        :func:`_echelon` gives a row-echelon form; its leading columns are the pivot
+        columns, and each kept row, from the last leading column down, is then reduced
+        against the later kept rows, which clears every other pivot column.  Each row is
+        then divided by its leading entry over the lcm of the leading entries.  The
+        reduced row-echelon form of a matrix is unique, so the order in which rows were
+        eliminated cannot reach the result.
         """
-        num = list(self._num)
-        piv = _eliminate(num, self.cols)
-        den = lcm(*(num[r][c] for r, c in enumerate(piv)))
-        out = [{j: x * (den // num[r][c]) for j, x in num[r].items()} for r, c in enumerate(piv)]
+        kept = _echelon(self._num)
+        piv = sorted(kept)
+        for c in reversed(piv):
+            row = kept[c]
+            for j in [j for j in row if j != c and j in kept]:
+                row = _reduce(row, kept[j], j)
+            kept[c] = row
+        den = lcm(*(kept[c][c] for c in piv))
+        out = [{j: x * (den // kept[c][c]) for j, x in kept[c].items()} for c in piv]
         out += [{}] * (self.rows - len(piv))
         return Matrix(self.rows, self.cols, out, den), tuple(piv)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of rows :func:`_echelon` keeps, with no back-substitution; a matrix
+        taller than wide is ranked through its transpose, which has fewer rows to reduce."""
+        rows = self.transpose()._num if self.rows > self.cols else self._num
+        return len(_echelon(rows))
 
     def kernel(self) -> "Matrix":
         """Null-space basis as columns (rref free-variable convention).

@@ -335,13 +335,15 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
                 failed.append((g1, g2, g3))
         return failed
 
-    triples = g.triples()
     reduced = rep.ok and not inverse_failures and validate_groupoid(g).ok
     if reduced:
-        gens = set(generating_arrows(g))
-        bad = non_associative(x for x in triples if x[0] in gens)
+        into = [[h for h in range(g.n_arrows) if g.tgt[h] == x] for x in range(g.n_objects)]
+        gen_triples = (
+            (g1, g2, g3) for g1 in generating_arrows(g) for g2 in into[g.src[g1]] for g3 in into[g.src[g2]]
+        )
+        bad = non_associative(gen_triples)
     if not reduced or bad:
-        bad = non_associative(triples)
+        bad = non_associative(g.triples())
     for x in bad:
         rep.add("associativity", x)
     for a, check, detail in inverse_failures:

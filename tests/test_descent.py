@@ -211,6 +211,8 @@ def test_make_invertible_padding_branch():
     assert any(d > 0 for d in stab.omega.e_dims)
     assert is_kernel_invertible(stab.stabilized, prob, stab.cleavage)
     assert is_vb_morita(stab.projection).ok
+    # v + omega is built once: the projection starts at the stabilized object itself
+    assert stab.projection.source is stab.stabilized
 
 
 def test_descend_object_round_trip_on_pullback():

@@ -114,8 +114,64 @@ def _dense_rref(a):
     return Matrix.from_rows(data, cols=n), tuple(piv)
 
 
-def _dense_kernel(a):
-    R, piv = _dense_rref(a)
+def _old_eliminate(rows: list[dict[int, int]], n: int) -> list[int]:
+    """Gauss-Jordan elimination of sparse integer rows with ``n`` columns.
+
+    ``rows`` is reordered and its entries replaced in place; the row dicts it held are
+    never changed, so it may list the rows of a :class:`Matrix`.
+
+    Columns are taken in order; the pivot for column ``c`` is the first row at or after
+    the current rank with a nonzero entry there.  Every other row with an entry in ``c``
+    becomes ``row * a - pivot_row * b`` and is divided by the gcd of its entries, so rows
+    stay primitive integer vectors.  Returns the pivot columns; row ``r`` is then the
+    pivot row of the ``r``-th of them, and rows past the rank are empty.
+    """
+    m = len(rows)
+    piv: list[int] = []
+    for c in range(n):
+        r = len(piv)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if c in rows[i]), -1)
+        if p < 0:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        pval = prow[c]
+        for i in range(m):
+            v = rows[i].get(c)
+            if v is None or i == r:
+                continue
+            g = gcd(pval, v)
+            a, b = pval // g, v // g
+            row = {j: x * a for j, x in rows[i].items()}
+            for j, y in prow.items():
+                z = row.get(j, 0) - y * b
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+            rows[i] = row
+        piv.append(c)
+    return piv
+
+
+def _old_rref(a):
+    """``Matrix.rref`` as it was over :func:`_old_eliminate`, the column-wise sparse kernel
+    the row-wise echelon replaced: a second oracle beside ``_dense_rref``."""
+    num = list(a._num)
+    piv = _old_eliminate(num, a.cols)
+    den = lcm(*(num[r][c] for r, c in enumerate(piv)))
+    out = [{j: x * (den // num[r][c]) for j, x in num[r].items()} for r, c in enumerate(piv)]
+    out += [{}] * (a.rows - len(piv))
+    return Matrix(a.rows, a.cols, out, den), tuple(piv)
+
+
+def _dense_kernel(a, rref=_dense_rref):
+    R, piv = rref(a)
     cols = []
     for f in (c for c in range(a.cols) if c not in piv):
         v = [F(0)] * a.cols
@@ -126,8 +182,8 @@ def _dense_kernel(a):
     return Matrix.from_cols(cols, rows=a.cols)
 
 
-def _dense_solve(a, b):
-    R, piv = _dense_rref(Matrix.hstack([a, Matrix.from_cols([b], rows=a.rows)]))
+def _dense_solve(a, b, rref=_dense_rref):
+    R, piv = rref(Matrix.hstack([a, Matrix.from_cols([b], rows=a.rows)]))
     if piv and piv[-1] == a.cols:
         return None
     x = [F(0)] * a.cols
@@ -136,10 +192,10 @@ def _dense_solve(a, b):
     return tuple(x)
 
 
-def _dense_solve_matrix(a, b):
+def _dense_solve_matrix(a, b, rref=_dense_rref):
     cols = []
     for j in range(b.cols):
-        x = _dense_solve(a, b.col(j))
+        x = _dense_solve(a, b.col(j), rref)
         if x is None:
             return None
         cols.append(x)
@@ -171,6 +227,56 @@ def _matrices(draw, rows=None, cols=None):
     m = draw(st.integers(0, 8)) if rows is None else rows
     n = draw(st.integers(0, 8)) if cols is None else cols
     return Matrix.from_rows(draw(_grids(m, n)), cols=n)
+
+
+@st.composite
+def _sparse_shapes(draw):
+    """Tall or wide matrices up to 40 x 12 and 12 x 40, mostly zeros, with rows scaled by a
+    common factor, rows zeroed and rows repeated."""
+    long, short = draw(st.integers(0, 40)), draw(st.integers(0, 12))
+    m, n = (long, short) if draw(st.booleans()) else (short, long)
+    zeros = draw(st.integers(2, 12))  # P(entry == 0) >= zeros / (zeros + 1)
+    den = draw(st.sampled_from([1, 2, 6]))
+    entry = st.one_of(*[st.just(F(0))] * zeros, st.builds(F, st.integers(-4, 4), st.integers(1, den)))
+    grid = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 6)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        k = draw(st.sampled_from([F(0), F(1), F(2), F(-3), F(6), F(4, 3)]))
+        grid[i] = [k * x for x in grid[j]]
+    return Matrix.from_rows(grid, cols=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_echelon_kernel_matches_both_oracles_on_sparse_shapes(data):
+    a = data.draw(_sparse_shapes())
+    R, piv = _dense_rref(a)
+    assert _old_rref(a) == (R, piv)
+    assert a.rref() == (R, piv)
+    assert a.rank() == len(piv)
+    assert a.kernel() == _dense_kernel(a) == _dense_kernel(a, _old_rref)
+    k = data.draw(st.integers(0, 3))
+    b = data.draw(_matrices(rows=a.rows, cols=k))
+    if data.draw(st.booleans()):
+        b = a * data.draw(_matrices(rows=a.cols, cols=k))
+    x = a.solve_matrix(b)
+    assert x == _dense_solve_matrix(a, b) == _dense_solve_matrix(a, b, _old_rref)
+    if x is not None:
+        assert a * x == b
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sparse_shapes())
+def test_echelon_keeps_given_rows_or_primitive_ones(a):
+    """Each kept row is a given row, or a primitive integer vector; no given row changes."""
+    rows = a._num
+    before = [dict(r) for r in rows]
+    kept = linalg._echelon(rows)
+    assert len(kept) == a.rank()
+    for c, row in kept.items():
+        assert min(row) == c
+        assert any(row is r for r in rows) or gcd(*row.values()) == 1
+    assert list(rows) == before
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,15 +384,16 @@ def test_solve_matrix_read_path_matches_elimination(data):
 
 
 def _count_eliminations(monkeypatch) -> list:
-    """Record the column count of every elimination from now on."""
+    """Record the row count of every elimination from now on.  ``rank``, ``rref`` and so
+    every caller of either reduce through ``_echelon``, so every route is counted."""
     calls = []
-    real = linalg._eliminate
+    real = linalg._echelon
 
-    def counting(rows, n):
-        calls.append(n)
-        return real(rows, n)
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     return calls
 
 
@@ -302,6 +409,17 @@ def test_solve_matrix_against_unit_rows_runs_no_elimination(monkeypatch):
     assert calls == []
     assert near_misses.solve_matrix(M([[2], [1], [2]])) == M([[1], [1]])
     assert calls == [3]
+
+
+def test_rank_reduces_the_shorter_side(monkeypatch):
+    """A matrix taller than wide is ranked through its transpose, so at most
+    min(rows, cols) rows are reduced; rref always reduces the rows themselves."""
+    tall = Matrix.from_rows([[int((i * j) % 7 == 1) for j in range(12)] for i in range(40)])
+    calls = _count_eliminations(monkeypatch)
+    assert tall.rank() == tall.transpose().rank() == len(tall.rref()[1]) == 6
+    assert calls == [12, 12, 40]
+    assert Matrix.identity(5).rank() == 5 and Matrix.zeros(3, 3).rank() == 0
+    assert calls[3:] == [5, 3]
 
 
 # -- the sparse Matrix against a dense Fraction reference -------------------------------
