@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
 from .linalg import CochainComplex, Matrix, QuasiIsoCertificate, betti_numbers, chain_map_is_quasi_iso
-from .report import InvalidStructureError, Report, Violation
+from .report import violation_error
 from .ruth import TwoTermRuth, check_ruth
 from .vb import (
     Cleavage,
@@ -28,6 +28,7 @@ from .vb import (
     check_cleavage,
     check_vbmap,
     choose_cleavage,
+    coords_in,
     dual_vb,
     grothendieck,
 )
@@ -37,18 +38,6 @@ from .vb import (
 #: Fixed by requiring D^2 = 0 on fixtures with nonzero anchor, quasi-actions
 #: and curvature; see the sign-search test.
 RUTH_DIFFERENTIAL_SIGNS = (1, 1, -1, 1)
-
-
-def _invalid(context: str, check: str, witness: tuple, detail: str) -> InvalidStructureError:
-    return InvalidStructureError(context, Report([Violation(check, witness, detail)]))
-
-
-def _fib_coords(basis: Matrix, image: Matrix, context: str, check: str, witness: tuple, detail: str) -> Matrix:
-    """Coordinates of ``image``'s columns in the Fib basis ``basis``; raise the violation if they leave it."""
-    coords = basis.solve_matrix(image)
-    if coords is None:
-        raise _invalid(context, check, witness, detail)
-    return coords
 
 
 def _string_at(nv: NerveStrings, offsets: Sequence[Sequence[int]], q: int, row: int) -> tuple:
@@ -67,7 +56,7 @@ def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callab
         p = bad[0]
         d2 = cx.d_squared(p)
         row, col = next((i, j) for i in range(d2.rows) for j, x in enumerate(d2.row(i)) if x)
-        raise _invalid(
+        raise violation_error(
             f"{context} at degree {p}",
             "d-squared",
             (p, row_string(p + 2, row), (row, col)),
@@ -244,7 +233,7 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                 if p == 0:
                     coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
                 else:
-                    coords = _fib_coords(
+                    coords = coords_in(
                         fib_bases[p][t_idx],
                         _face_image(v, s, i, fib),
                         f"lin_complex: face image leaves Fib at degree {p + 1}",
@@ -350,7 +339,7 @@ def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
         j = next(j for j in range(image.cols) if bases[p + 1].solve_matrix(image.take_cols([j])) is None)
         column = image.take_cols([j])
         violated = next((label for label, m in _projectable_blocks(lin, p + 1) if not (m * column).is_zero), None)
-        raise _invalid(
+        raise violation_error(
             "vb_subcomplex: delta does not preserve the subcomplex",
             "subcomplex-closed",
             (p, j, violated),
@@ -393,7 +382,7 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         fib = lin.fib_bases[p - 1][si]
         ext_string, ext = _append_lift_matrix(lin, c, s, fib)
         t_idx = nv.index[p][ext_string]
-        coords = _fib_coords(
+        coords = coords_in(
             lin.fib_bases[p][t_idx],
             ext,
             "homotopy_operator: extended tuple not in Fib",
@@ -428,7 +417,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
 
     def place_term(si: int, string: tuple[int, ...], mat: Matrix, sign: int) -> None:
         t_idx = nv.index[p][string]
-        coords = _fib_coords(
+        coords = coords_in(
             lin.fib_bases[p][t_idx],
             mat,
             "displayed cancellation: tuple not in Fib",
@@ -496,7 +485,7 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
             ext_string = s[1:] + (g.inv[prod],)
             ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
             t_idx = nv.index[p][ext_string]
-            coords = _fib_coords(
+            coords = coords_in(
                 lin.fib_bases[p][t_idx],
                 ext,
                 "zero-last evaluation: tuple not in Fib",
@@ -644,7 +633,7 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
             t_idx = nv_t.index[p][image_string]
             slots = v.slots(s, lin_src.fib_bases[p][si])
             mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
-            coords = _fib_coords(
+            coords = coords_in(
                 lin_tgt.fib_bases[p][t_idx],
                 mapped,
                 "pullback_lin: image tuple not in Fib",

@@ -10,7 +10,8 @@ descent data.  This module implements the two constructive halves:
   ``descend_object``: an arbitrary VB-groupoid over G_U is stabilized by an
   acyclic summand until its kernel quasi-action can be made invertible, the
   kernel lifts are made mutually inverse and then flat, and the result is
-  identified with the pullback of its restriction to least-index lifts.
+  identified with the pullback of its restriction to least-index lifts: the
+  descended object is ``base_change`` along ``CechGroupoid.section``.
 
 All identities (the beta cocycle law, the post-twist cancellation, the
 flatness equation) are checked to exact equality; failures raise.
@@ -124,16 +125,6 @@ def make_descent_problem(
     return DescentProblem(cech=cech, partition=part)
 
 
-def _least_index_lifts(cech: CechGroupoid) -> tuple[list[int], list[int]]:
-    """Per base object and arrow, its lift between the least cover indices of its ends."""
-    g = cech.base
-    lift_obj = [cech.obj_id(x, cech.min_index(x)) for x in range(g.n_objects)]
-    lift_arr = [
-        cech.arrow_id(a, cech.min_index(g.tgt[a]), cech.min_index(g.src[a])) for a in range(g.n_arrows)
-    ]
-    return lift_obj, lift_arr
-
-
 # -- step 2: descending maps -----------------------------------------------------
 
 
@@ -211,16 +202,16 @@ def descend_map(problem: DescentProblem, gamma: VBGroupoid, gamma_p: VBGroupoid,
             raise DescentError(f"kernel not killed after twist at kernel arrow {k}")
     # lift-independence and quotient
     g = cech.base
-    lift_obj, lift_arr = _least_index_lifts(cech)
+    lift = cech.section
     for ka, (a, j, i) in enumerate(cech.arrow_triples):
-        if twisted.arr_maps[ka] != twisted.arr_maps[lift_arr[a]]:
+        if twisted.arr_maps[ka] != twisted.arr_maps[lift.arr_map[a]]:
             raise DescentError(f"twisted map differs across lifts of base arrow {a}")
     phi = VBMap(
         source=gamma,
         target=gamma_p,
         base_map=identity_map(g),
-        obj_maps=tuple(twisted.obj_maps[lift_obj[x]] for x in range(g.n_objects)),
-        arr_maps=tuple(twisted.arr_maps[lift_arr[a]] for a in range(g.n_arrows)),
+        obj_maps=tuple(twisted.obj_maps[lift.obj_map[x]] for x in range(g.n_objects)),
+        arr_maps=tuple(twisted.arr_maps[lift.arr_map[a]] for a in range(g.n_arrows)),
     )
     check_vbmap(phi).require("descend_map: descended map invalid")
     # the pullback of phi is exactly the twisted map
@@ -429,9 +420,9 @@ class DescendedObject:
 def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> DescendedObject:
     """Quotient a VB-groupoid with a U-flat cleavage to the base.
 
-    Fibers over x are taken at the least cover index; the comparison map
-    transports along the flat kernel lifts and is an isomorphism of
-    VB-groupoids over the Cech groupoid.
+    The descended object is ``base_change`` along ``CechGroupoid.section``: fibers
+    over x are taken at the least cover index.  The comparison map transports along
+    the flat kernel lifts and is an isomorphism of VB-groupoids over the Cech groupoid.
     """
     check_cleavage(v, c).require("descend_object: invalid cleavage")
     cech = problem.cech
@@ -441,19 +432,7 @@ def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> Desce
     if not is_u_flat(v, problem, c):
         raise DescentError("descend_object: cleavage is not U-flat")
     g = cech.base
-    lift_obj, lift_arr = _least_index_lifts(cech)
-    descended = VBGroupoid(
-        base=g,
-        e_dims=tuple(v.e_dims[lift_obj[x]] for x in range(g.n_objects)),
-        gamma_dims=tuple(v.gamma_dims[lift_arr[a]] for a in range(g.n_arrows)),
-        s_maps=tuple(v.s_maps[lift_arr[a]] for a in range(g.n_arrows)),
-        t_maps=tuple(v.t_maps[lift_arr[a]] for a in range(g.n_arrows)),
-        u_maps=tuple(v.u_maps[lift_obj[x]] for x in range(g.n_objects)),
-        m_maps={
-            (g1, g2): v.m_maps[(lift_arr[g1], lift_arr[g2])] for (g1, g2) in g.pairs
-        },
-    )
-    check_vbgroupoid(descended).require("descend_object: descended object invalid")
+    descended, _ = base_change(cech.section, v)
     pull, _ = base_change(cech.pi, descended)
     obj_maps = []
     for oid, (x, i) in enumerate(cech.obj_pairs):
@@ -462,7 +441,7 @@ def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> Desce
     arr_maps = []
     for (a, j, i) in cech.arrow_triples:
         x, y = g.src[a], g.tgt[a]
-        la = lift_arr[a]
+        la = cech.section.arr_map[a]
         k_t = cech.kernel_arrow(y, j, cech.min_index(y))
         k_s = cech.kernel_arrow(x, i, cech.min_index(x))
         lift_t, lift_s = c.sigma[k_t] * v.t_maps[la], c.sigma[k_s] * v.s_maps[la]

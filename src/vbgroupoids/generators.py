@@ -21,6 +21,7 @@ from .groupoid import (
     FiniteGroupoid,
     cyclic_groupoid,
     disjoint_union,
+    orbit_transports,
     pair_groupoid,
     point_groupoid,
 )
@@ -53,46 +54,21 @@ def base_groupoids() -> dict[str, FiniteGroupoid]:
 # -- honest representations -------------------------------------------------------
 
 
-def _spanning_transports(g: FiniteGroupoid) -> tuple[list[int], list[int]]:
-    """Per object: a basepoint and an arrow basepoint -> object (unit at basepoints)."""
-    base_of = [-1] * g.n_objects
-    arrow_to = [-1] * g.n_objects
-    for x in range(g.n_objects):
-        if base_of[x] >= 0:
-            continue
-        base_of[x] = x
-        arrow_to[x] = g.unit[x]
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in range(g.n_arrows):
-                if g.src[a] == y and base_of[g.tgt[a]] < 0:
-                    z = g.tgt[a]
-                    base_of[z] = x
-                    arrow_to[z] = g.compose(a, arrow_to[y])
-                    frontier.append(z)
-                elif g.tgt[a] == y and base_of[g.src[a]] < 0:
-                    z = g.src[a]
-                    base_of[z] = x
-                    arrow_to[z] = g.compose(g.inv[a], arrow_to[y])
-                    frontier.append(z)
-    return base_of, arrow_to
-
-
 def honest_rep(g: FiniteGroupoid, isotropy_rep: Callable[[int, int], Matrix], dim_at_base: Callable[[int], int]) -> TwoTermRuth:
     """Build a genuine representation from isotropy data and orbit transport.
 
     ``isotropy_rep(x0, h)`` gives the matrix of the isotropy arrow h at the
-    basepoint x0; ``dim_at_base(x0)`` its dimension.  Transport along a
-    spanning tree makes the result multiplicative on the nose.
+    basepoint x0, the root of its orbit; ``dim_at_base(x0)`` its dimension.
+    Transport along the arrows of :func:`~vbgroupoids.groupoid.orbit_transports`
+    makes the result multiplicative on the nose.
     """
-    base_of, arrow_to = _spanning_transports(g)
-    dims = tuple(dim_at_base(base_of[x]) for x in range(g.n_objects))
+    root, transport = orbit_transports(g)
+    dims = tuple(dim_at_base(root[x]) for x in range(g.n_objects))
     rho = {}
     for a in range(g.n_arrows):
         x, y = g.src[a], g.tgt[a]
-        h = g.compose(g.inv[arrow_to[y]], g.compose(a, arrow_to[x]))
-        rho[a] = isotropy_rep(base_of[x], h)
+        h = g.compose(g.inv[transport[y]], g.compose(a, transport[x]))
+        rho[a] = isotropy_rep(root[x], h)
     out = make_ruth(g, dims, (0,) * g.n_objects, rho_e=rho)
     check_ruth(out).require("honest_rep: output invalid")
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .report import InvalidStructureError, Report, Violation, checked_once
+from .report import Report, checked_once, violation_error
 
 
 @dataclass(frozen=True)
@@ -204,22 +204,39 @@ def orbits_and_isotropy(g: FiniteGroupoid) -> tuple[tuple[tuple[int, ...], ...],
     return orbits, isotropy
 
 
+def orbit_transports(g: FiniteGroupoid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per object x: the root r of its orbit, which is the orbit's least object, and an arrow c_x: r -> x.
+
+    c_r is the unit at r; for any other x, c_x is the lowest-id arrow r -> x.
+    """
+    orbits, _ = orbits_and_isotropy(g)
+    root = [0] * g.n_objects
+    for orb in orbits:
+        for x in orb:
+            root[x] = orb[0]
+    transport = list(g.unit)
+    reached = {orb[0] for orb in orbits}
+    for a in range(g.n_arrows):
+        x = g.tgt[a]
+        if g.src[a] == root[x] and x not in reached:
+            reached.add(x)
+            transport[x] = a
+    return tuple(root), tuple(transport)
+
+
 def generating_arrows(g: FiniteGroupoid) -> tuple[int, ...]:
     """Arrows T, sorted, such that every arrow is a product of arrows in T.
 
-    Per orbit, with its smallest object r as root: the isotropy at r, and for every
-    other object x of the orbit the lowest-id arrow c_x: r -> x and its inverse.  An
+    Per orbit, with root r and transports c_x from :func:`orbit_transports`: the
+    isotropy at r, and for every other object x of the orbit c_x and its inverse.  An
     arrow g: x -> y is c_y (c_y^-1 g c_x) c_x^-1, where the middle factor lies in the
     isotropy at r and c_x (c_y) is left out when x (y) is r.
     """
-    orbits, isotropy = orbits_and_isotropy(g)
-    roots = {orb[0] for orb in orbits}
-    gens = {a for r in roots for a in isotropy[r]}
-    reached = set(roots)
-    for a in range(g.n_arrows):
-        if g.src[a] in roots and g.tgt[a] not in reached:
-            reached.add(g.tgt[a])
-            gens.update((a, g.inv[a]))
+    root, transport = orbit_transports(g)
+    gens = {a for r in set(root) for a in g.isotropy(r)}
+    for x in range(g.n_objects):
+        if root[x] != x:
+            gens.update((transport[x], g.inv[transport[x]]))
     return tuple(sorted(gens))
 
 
@@ -304,12 +321,6 @@ def is_morita(f: GroupoidMap) -> MoritaCertificate:
         ff_witness=ff_witness,
         es_witness=es_witness,
     )
-
-
-def _not_morita(name: str, cert: MoritaCertificate) -> Report:
-    """The report of a map ``name`` that should be Morita but is not, with the certificate's witnesses."""
-    witness = (name, cert.ff_witness, cert.es_witness)
-    return Report([Violation("morita", witness, "(map, ff_witness, es_witness)")])
 
 
 # -- nerve ---------------------------------------------------------------------
@@ -431,13 +442,15 @@ def arrow_groupoid(g: FiniteGroupoid) -> ArrowGroupoid:
         validate_map(f).require(f"arrow_groupoid: {name} not a functor")
     for name, f in (("sigma", sigma), ("tau", tau)):
         if compose_maps(f, mu) != identity_map(g):
-            raise InvalidStructureError(
-                "arrow_groupoid: sigma mu = tau mu = id fails",
-                Report([Violation("retraction", (name,))]),
-            )
+            raise violation_error("arrow_groupoid: sigma mu = tau mu = id fails", "retraction", (name,))
         cert = is_morita(f)
         if not cert.ok:
-            raise InvalidStructureError(f"arrow_groupoid: {name} not Morita", _not_morita(name, cert))
+            raise violation_error(
+                f"arrow_groupoid: {name} not Morita",
+                "morita",
+                (name, cert.ff_witness, cert.es_witness),
+                "(map, ff_witness, es_witness)",
+            )
     return ArrowGroupoid(gi=gi, triples=triples, sigma=sigma, tau=tau, mu=mu)
 
 
@@ -451,6 +464,7 @@ class CechGroupoid:
     Objects are pairs (x, i) with x in U_i, arrows are triples (g, j, i) with
     src(g) in U_i and tgt(g) in U_j.  The kernel consists of the arrows
     (unit(x), j, i); the projection pi drops cover indices and is Morita.
+    ``section`` is the least-index lift, a functor with pi section = id.
     """
 
     base: FiniteGroupoid
@@ -476,6 +490,17 @@ class CechGroupoid:
 
     def min_index(self, x: int) -> int:
         return self.indices_containing(x)[0]
+
+    @cached_property
+    def section(self) -> GroupoidMap:
+        """The least-index lift: x to (x, min_index x), a: x -> y to (a, min_index y, min_index x)."""
+        g, low = self.base, self.min_index
+        return GroupoidMap(
+            g,
+            self.gu,
+            tuple(self.obj_id(x, low(x)) for x in range(g.n_objects)),
+            tuple(self.arrow_id(a, low(g.tgt[a]), low(g.src[a])) for a in range(g.n_arrows)),
+        )
 
     @cached_property
     def _obj_index(self) -> dict:
@@ -520,7 +545,12 @@ def cech_groupoid(g: FiniteGroupoid, cover: Sequence[Sequence[int]]) -> CechGrou
     validate_map(pi).require("cech_groupoid: projection not a functor")
     cert = is_morita(pi)
     if not cert.ok:
-        raise InvalidStructureError("cech_groupoid: projection not Morita", _not_morita("pi", cert))
+        raise violation_error(
+            "cech_groupoid: projection not Morita",
+            "morita",
+            ("pi", cert.ff_witness, cert.es_witness),
+            "(map, ff_witness, es_witness)",
+        )
     kernel = tuple(k for k, (a, j, i) in enumerate(arrow_triples) if g.is_unit(a))
     return CechGroupoid(
         base=g, cover=cov, gu=gu, pi=pi, obj_pairs=obj_pairs, arrow_triples=arrow_triples, kernel_arrows=kernel

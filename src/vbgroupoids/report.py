@@ -3,7 +3,8 @@
 Checkers (``validate_groupoid``, ``check_ruth``, ``check_vbgroupoid``, ...)
 return a :class:`Report` listing every violated axiom together with a witness.
 Construction preconditions that must hold call :meth:`Report.require`, which
-raises :class:`InvalidStructureError` carrying the report.
+raises :class:`InvalidStructureError` carrying the report; a precondition that fails
+on one known witness raises :func:`violation_error`.
 
 The expensive checkers (``validate_groupoid``, ``check_ruth``, ``check_vbgroupoid``,
 ``check_vbmap``) are wrapped in :func:`checked_once`: within a process each of them
@@ -70,6 +71,11 @@ class Report:
             {"check": v.check, "witness": [repr(x) for x in v.witness], "detail": v.detail}
             for v in self.violations
         ]
+
+
+def violation_error(context: str, check: str, witness: tuple, detail: str = "") -> InvalidStructureError:
+    """The error for a precondition that fails with the single violation ``check`` at ``witness``."""
+    return InvalidStructureError(context, Report([Violation(check, witness, detail)]))
 
 
 def checked_once(check: Callable[[Any], Report]) -> Callable[[Any], Report]:

@@ -44,7 +44,7 @@ from .linalg import (
     preimage_space,
     two_term_complex,
 )
-from .report import InvalidStructureError, Report, Violation, checked_once
+from .report import InvalidStructureError, Report, checked_once, violation_error
 from .ruth import (
     Bundle,
     RuthMorphism,
@@ -132,10 +132,7 @@ class VBGroupoid:
         w = a.solve_matrix(b)
         if w is None:
             k = next(k for k in range(b.cols) if a.solve(b.col(k)) is None)
-            raise InvalidStructureError(
-                f"no inverse for basis vector {k} over arrow {g}",
-                Report([Violation("inverse-missing", (g, k))]),
-            )
+            raise violation_error(f"no inverse for basis vector {k} over arrow {g}", "inverse-missing", (g, k))
         return w
 
 
@@ -165,6 +162,15 @@ def core(v: VBGroupoid) -> CoreData:
 def is_acyclic(v: VBGroupoid) -> bool:
     """Whether the core anchor is a fiberwise isomorphism."""
     return all(a.is_invertible for a in core(v).anchor)
+
+
+def coords_in(basis: Matrix, image: Matrix, context: str, check: str, witness: tuple, detail: str = "") -> Matrix:
+    """Coordinates of ``image``'s columns in ``basis``; raise the violation ``check`` at ``witness``
+    if a column leaves its span."""
+    coords = basis.solve_matrix(image)
+    if coords is None:
+        raise violation_error(context, check, witness, detail)
+    return coords
 
 
 def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
@@ -470,13 +476,9 @@ def choose_cleavage(v: VBGroupoid) -> Cleavage:
     g = v.base
     sigma = []
     for a in range(g.n_arrows):
-        rinv = v.s_maps[a].solve_matrix(Matrix.identity(v.e_dims[g.src[a]]))
-        if rinv is None:
-            raise InvalidStructureError(
-                f"choose_cleavage: s not surjective at arrow {a}",
-                Report([Violation("s-surjective", (a,))]),
-            )
-        sigma.append(rinv)
+        identity = Matrix.identity(v.e_dims[g.src[a]])
+        context = f"choose_cleavage: s not surjective at arrow {a}"
+        sigma.append(coords_in(v.s_maps[a], identity, context, "s-surjective", (a,)))
     sigma = [v.u_maps[x] if g.is_unit(a) else sigma[a] for a, x in ((a, g.src[a]) for a in range(g.n_arrows))]
     c = Cleavage(sigma=tuple(sigma))
     check_cleavage(v, c).require("choose_cleavage: output invalid")
@@ -502,14 +504,8 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
         x = g.src[a]
         first = v.mult_of(a, g.unit[x], cleavage.sigma[a] * cd.anchor[x], cd.basis[x])
         m1, _ = v.mult_blocks(a, g.inv[a])
-        res = m1 * first
-        coords = cd.basis[g.tgt[a]].solve_matrix(res)
-        if coords is None:
-            raise InvalidStructureError(
-                f"split: rho_c not core-valued at arrow {a}",
-                Report([Violation("rho_c-core-valued", (a,))]),
-            )
-        rho_c.append(coords)
+        context = f"split: rho_c not core-valued at arrow {a}"
+        rho_c.append(coords_in(cd.basis[g.tgt[a]], m1 * first, context, "rho_c-core-valued", (a,)))
     gamma = {}
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
@@ -518,13 +514,8 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
         inv_lift = v.inverse_matrix(g12) * cleavage.sigma[g12]
         p2 = v.mult_of(g12, g.inv[g12], p1, inv_lift)
         defect = p2 - v.u_maps[y] * rho_e[g12]
-        coords = cd.basis[y].solve_matrix(defect)
-        if coords is None:
-            raise InvalidStructureError(
-                f"split: curvature not core-valued at pair {(g1, g2)}",
-                Report([Violation("gamma-core-valued", (g1, g2))]),
-            )
-        gamma[(g1, g2)] = -coords
+        context = f"split: curvature not core-valued at pair {(g1, g2)}"
+        gamma[(g1, g2)] = -coords_in(cd.basis[y], defect, context, "gamma-core-valued", (g1, g2))
     r = TwoTermRuth(
         base=g,
         e_dims=v.e_dims,
@@ -545,12 +536,8 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
             + m2 * (v.inverse_matrix(a) * cleavage.sigma[a] * v.s_maps[a])
             - v.u_maps[y] * rho_e[a] * v.s_maps[a]
         )
-        coords = cd.basis[y].solve_matrix(vert)
-        if coords is None:
-            raise InvalidStructureError(
-                f"split: vertical part not core-valued at arrow {a}",
-                Report([Violation("vertical-core-valued", (a,))]),
-            )
+        context = f"split: vertical part not core-valued at arrow {a}"
+        coords = coords_in(cd.basis[y], vert, context, "vertical-core-valued", (a,))
         arr.append(Matrix.vstack([coords, v.s_maps[a]]))
     iso = VBMap(
         source=v,
@@ -562,10 +549,7 @@ def split(v: VBGroupoid, cleavage: Optional[Cleavage] = None) -> tuple[TwoTermRu
     check_vbmap(iso).require("split: comparison map invalid")
     for a in range(g.n_arrows):
         if not iso.arr_maps[a].is_invertible:
-            raise InvalidStructureError(
-                f"split: comparison not invertible at arrow {a}",
-                Report([Violation("comparison-invertible", (a,))]),
-            )
+            raise violation_error(f"split: comparison not invertible at arrow {a}", "comparison-invertible", (a,))
     return r, iso
 
 
@@ -795,13 +779,7 @@ def core_map(f: VBMap, cd_src: CoreData, cd_tgt: CoreData, x: int) -> Matrix:
     g = f.source.base
     y = f.base_map.obj_map[x]
     img = f.arr_maps[g.unit[x]] * cd_src.basis[x]
-    coords = cd_tgt.basis[y].solve_matrix(img)
-    if coords is None:
-        raise InvalidStructureError(
-            f"core_map: image not in core at object {x}",
-            Report([Violation("core-map", (x,))]),
-        )
-    return coords
+    return coords_in(cd_tgt.basis[y], img, f"core_map: image not in core at object {x}", "core-map", (x,))
 
 
 def is_vb_morita(f: VBMap) -> VBMoritaCertificate:
@@ -997,38 +975,24 @@ def sub_vbgroupoid(
     e_dims = tuple(b.cols for b in o_basis)
     gdims = tuple(b.cols for b in a_basis)
 
-    def coords(basis: Matrix, m: Matrix, what: str) -> Matrix:
-        c = basis.solve_matrix(m)
-        if c is None:
-            raise InvalidStructureError(
-                f"sub_vbgroupoid: {what} leaves the subspace",
-                Report([Violation("sub-closed", ())]),
-            )
-        return c
+    def coords(basis: Matrix, m: Matrix, what: str, at: Any) -> Matrix:
+        context = f"sub_vbgroupoid: {what} at {at} leaves the subspace"
+        return coords_in(basis, m, context, "sub-closed", (what, at))
 
-    s_maps = tuple(
-        coords(o_basis[g.src[a]], v.s_maps[a] * a_basis[a], f"s at {a}") for a in range(g.n_arrows)
-    )
-    t_maps = tuple(
-        coords(o_basis[g.tgt[a]], v.t_maps[a] * a_basis[a], f"t at {a}") for a in range(g.n_arrows)
-    )
-    u_maps = tuple(
-        coords(a_basis[g.unit[x]], v.u_maps[x] * o_basis[x], f"u at {x}") for x in range(g.n_objects)
-    )
+    s_maps = tuple(coords(o_basis[g.src[a]], v.s_maps[a] * a_basis[a], "s", a) for a in range(g.n_arrows))
+    t_maps = tuple(coords(o_basis[g.tgt[a]], v.t_maps[a] * a_basis[a], "t", a) for a in range(g.n_arrows))
+    u_maps = tuple(coords(a_basis[g.unit[x]], v.u_maps[x] * o_basis[x], "u", x) for x in range(g.n_objects))
     m_maps = {}
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
         sub_fib = Matrix.hstack([s_maps[g1], -t_maps[g2]]).kernel()
         top, bottom = sub_fib.split_rows([gdims[g1], gdims[g2]])
         a, b = a_basis[g1] * top, a_basis[g2] * bottom
-        prod = coords(a_basis[g12], v.mult_of(g1, g2, a, b), f"m at {(g1, g2)}")
+        prod = coords(a_basis[g12], v.mult_of(g1, g2, a, b), "m", (g1, g2))
         comp = complement_space(Subspace.from_spanning(sub_fib))
         basis_full = Matrix.hstack([sub_fib, comp.basis])
         if not basis_full.is_invertible:
-            raise InvalidStructureError(
-                "sub_vbgroupoid: fib complement degenerate",
-                Report([Violation("fib-complement", ())]),
-            )
+            raise violation_error("sub_vbgroupoid: fib complement degenerate", "fib-complement", ())
         ext = Matrix.block([prod.rows], [prod.cols, comp.dim], {(0, 0): prod})
         m_maps[(g1, g2)] = ext * basis_full.inverse()
     out = VBGroupoid(
@@ -1105,16 +1069,10 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
         blocks = {(0, 0): Matrix.identity(c), (1, 1): cd.basis[x]}
         inj = Matrix.block([c, v.gamma_dims[g.unit[x]], c], [c, c], blocks)
         if Subspace.from_spanning(cd_i.basis[x]) != Subspace.from_spanning(inj):
-            raise InvalidStructureError(
-                f"arrow_vb: core mismatch at object {x}",
-                Report([Violation("core-mismatch", (x,))]),
-            )
+            raise violation_error(f"arrow_vb: core mismatch at object {x}", "core-mismatch", (x,))
         expected = Matrix.block([c, e], [c, c], {(0, 0): Matrix.identity(c), (1, 1): cd.anchor[x]})
         if vb.t_maps[g.unit[x]] * inj != expected:
-            raise InvalidStructureError(
-                f"arrow_vb: core anchor mismatch at object {x}",
-                Report([Violation("core-anchor", (x,))]),
-            )
+            raise violation_error(f"arrow_vb: core anchor mismatch at object {x}", "core-anchor", (x,))
     sigma = VBMap(
         source=vb,
         target=v,
@@ -1149,10 +1107,7 @@ def arrow_vb(v: VBGroupoid) -> ArrowVB:
     for name, f in (("sigma", sigma), ("tau", tau), ("mu", mu)):
         check_vbmap(f).require(f"arrow_vb: {name} invalid")
     if compose_vbmap(sigma, mu) != identity_vbmap(v) or compose_vbmap(tau, mu) != identity_vbmap(v):
-        raise InvalidStructureError(
-            "arrow_vb: sigma mu = tau mu = id fails",
-            Report([Violation("sigma-tau-retraction", ())]),
-        )
+        raise violation_error("arrow_vb: sigma mu = tau mu = id fails", "sigma-tau-retraction", ())
     alpha = tuple(Matrix.hstack([cd.basis[x], v.u_maps[x]]) for x in range(g.n_objects))
     universal = VBMapIso(phi=sigma, psi=tau, alpha=alpha)
     check_vbmap_iso(universal).require("arrow_vb: universal isomorphism invalid")
@@ -1201,19 +1156,13 @@ def cleavage_to_vbmap(v: VBGroupoid, c: Cleavage) -> CleavageMap:
     for a in range(g.n_arrows):
         k = ag.mu.arr_map[a]
         if rho.arr_maps[k] != Matrix.identity(v.gamma_dims[a]):
-            raise InvalidStructureError(
-                f"cleavage_to_vbmap: mu* rho != id at arrow {a}",
-                Report([Violation("mu-rho-identity", (a,))]),
-            )
+            raise violation_error(f"cleavage_to_vbmap: mu* rho != id at arrow {a}", "mu-rho-identity", (a,))
     tindex = {t: i for i, t in enumerate(ag.triples)}
     for a in range(g.n_arrows):
         x = g.src[a]
         k = tindex[(a, g.unit[x], g.unit[x])]
         if rho.arr_maps[k] * v.u_maps[x] != c.sigma[a]:
-            raise InvalidStructureError(
-                f"cleavage_to_vbmap: recovery fails at arrow {a}",
-                Report([Violation("cleavage-recovery", (a,))]),
-            )
+            raise violation_error(f"cleavage_to_vbmap: recovery fails at arrow {a}", "cleavage-recovery", (a,))
     return CleavageMap(arrow_data=ag, sigma_star=sigma_star, tau_star=tau_star, rho=rho)
 
 
@@ -1222,9 +1171,9 @@ def cleavage_to_vbmap(v: VBGroupoid, c: Cleavage) -> CleavageMap:
 
 @dataclass(frozen=True)
 class _Factorization:
-    path: VBGroupoid  # P = source x_target (squares of target)
+    path: VBGroupoid  # P = source (+) acyclic_vb on the core of target
     incl: VBMap  # source -> P, an equivalence
-    proj: VBMap  # P -> source, retraction of incl
+    proj: VBMap  # P -> source, the sum projection, retraction of incl
     fib: VBMap  # P -> target, the fibration factor
     h0: tuple[Subspace, ...]
     h1: tuple[Subspace, ...]
@@ -1237,44 +1186,10 @@ def _canonical_factorization(f: VBMap) -> _Factorization:
     v1, v2 = f.source, f.target
     g = v1.base
     cd2 = core(v2)
-    c2 = cd2.dims
-    e_dims = tuple(v1.e_dims[x] + c2[x] for x in range(g.n_objects))
-    cols = [(v1.gamma_dims[a], c2[g.tgt[a]], c2[g.src[a]]) for a in range(g.n_arrows)]
-    s_maps = []
-    t_maps = []
-    for a, (d, cy, cx) in enumerate(cols):
-        ex, ey = v1.e_dims[g.src[a]], v1.e_dims[g.tgt[a]]
-        s_maps.append(Matrix.block([ex, cx], cols[a], {(0, 0): v1.s_maps[a], (1, 2): Matrix.identity(cx)}))
-        t_maps.append(Matrix.block([ey, cy], cols[a], {(0, 0): v1.t_maps[a], (1, 1): Matrix.identity(cy)}))
-    u_maps = []
-    for x in range(g.n_objects):
-        blocks = {(0, 0): v1.u_maps[x], (1, 1): Matrix.identity(c2[x]), (2, 1): Matrix.identity(c2[x])}
-        u_maps.append(Matrix.block([v1.gamma_dims[g.unit[x]], c2[x], c2[x]], [v1.e_dims[x], c2[x]], blocks))
-    m_maps = {}
-    for g1, g2 in g.pairs:
-        m1, m2 = v1.mult_blocks(g1, g2)
-        ct, cs = cols[g1][1], cols[g2][2]
-        blocks = {(0, 0): m1, (0, 3): m2, (1, 1): Matrix.identity(ct), (2, 5): Matrix.identity(cs)}
-        m_maps[(g1, g2)] = Matrix.block([m1.rows, ct, cs], [*cols[g1], *cols[g2]], blocks)
-    path = VBGroupoid(
-        base=g,
-        e_dims=e_dims,
-        gamma_dims=tuple(map(sum, cols)),
-        s_maps=tuple(s_maps),
-        t_maps=tuple(t_maps),
-        u_maps=tuple(u_maps),
-        m_maps=m_maps,
-    )
+    proj = sum_projection_vb(v1, acyclic_vb(g, cd2.dims), side=0)
+    path = proj.source
     check_vbgroupoid(path).require("canonical factorization: path object invalid")
-    proj = VBMap(
-        source=path,
-        target=v1,
-        base_map=identity_map(g),
-        obj_maps=tuple(
-            Matrix.block([e], [e, c], {(0, 0): Matrix.identity(e)}) for e, c in zip(v1.e_dims, c2)
-        ),
-        arr_maps=tuple(Matrix.block([col[0]], col, {(0, 0): Matrix.identity(col[0])}) for col in cols),
-    )
+    cols = [(v1.gamma_dims[a], cd2.dims[g.tgt[a]], cd2.dims[g.src[a]]) for a in range(g.n_arrows)]
     # incl is the transpose of proj: it pads with zero core parts
     incl = VBMap(
         source=v1,
@@ -1302,10 +1217,7 @@ def _canonical_factorization(f: VBMap) -> _Factorization:
     for name, m in (("incl", incl), ("proj", proj), ("fib", fib)):
         check_vbmap(m).require(f"canonical factorization: {name} invalid")
     if compose_vbmap(fib, incl) != f:
-        raise InvalidStructureError(
-            "canonical factorization: fib incl != f",
-            Report([Violation("factorization", ())]),
-        )
+        raise violation_error("canonical factorization: fib incl != f", "factorization", ())
     k0 = tuple(kernel_space(fib.obj_maps[x]) for x in range(g.n_objects))
     k1 = tuple(kernel_space(fib.arr_maps[a]) for a in range(g.n_arrows))
     for x in range(g.n_objects):

@@ -31,6 +31,7 @@ from vbgroupoids.groupoid import cyclic_groupoid, identity_map, pair_groupoid, p
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.ruth import make_ruth
 from vbgroupoids.vb import (
+    VBGroupoid,
     VBMap,
     base_change,
     check_vbmap,
@@ -223,6 +224,41 @@ def test_descend_object_round_trip_on_pullback():
     out = descend_object(pull, prob, choose_cleavage(pull))
     assert out.descended == v0
     assert out.comparison.is_invertible
+
+
+def _reindexed_at_least_lifts(v, cech):
+    """v restricted to the lifts of base objects and arrows at their least cover indices, reindexed
+    by hand; the reference for ``base_change`` along ``CechGroupoid.section``."""
+    g = cech.base
+    lift_obj = [cech.obj_id(x, cech.min_index(x)) for x in range(g.n_objects)]
+    lift_arr = [
+        cech.arrow_id(a, cech.min_index(g.tgt[a]), cech.min_index(g.src[a])) for a in range(g.n_arrows)
+    ]
+    return VBGroupoid(
+        base=g,
+        e_dims=tuple(v.e_dims[lift_obj[x]] for x in range(g.n_objects)),
+        gamma_dims=tuple(v.gamma_dims[lift_arr[a]] for a in range(g.n_arrows)),
+        s_maps=tuple(v.s_maps[lift_arr[a]] for a in range(g.n_arrows)),
+        t_maps=tuple(v.t_maps[lift_arr[a]] for a in range(g.n_arrows)),
+        u_maps=tuple(v.u_maps[lift_obj[x]] for x in range(g.n_objects)),
+        m_maps={(g1, g2): v.m_maps[(lift_arr[g1], lift_arr[g2])] for (g1, g2) in g.pairs},
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,base_name,pad",
+    [
+        *((seed, "pt", pad) for seed in range(4) for pad in (False, True)),
+        (0, "z2", True),
+        (1, "pair2", True),
+        (None, "pt", False),
+    ],
+)
+def test_descended_object_is_the_least_index_reindex(seed, base_name, pad):
+    """Seed None is the rank-drop fixture."""
+    problem, v = rank_drop_fixture(0) if seed is None else make_object_descent_fixture(seed, base_name, 1, pad)
+    res = descend_pipeline(v, problem)
+    assert res.descended == _reindexed_at_least_lifts(res.stabilization.stabilized, problem.cech)
 
 
 def test_descend_object_requires_flatness():

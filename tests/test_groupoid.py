@@ -3,6 +3,7 @@
 import pytest
 
 from vbgroupoids import groupoid
+from vbgroupoids.generators import base_groupoids, honest_rep
 from vbgroupoids.groupoid import (
     GroupoidMap,
     arrow_groupoid,
@@ -15,13 +16,16 @@ from vbgroupoids.groupoid import (
     is_morita,
     make_groupoid,
     nerve,
+    orbit_transports,
     orbits_and_isotropy,
     pair_groupoid,
     point_groupoid,
     validate_groupoid,
     validate_map,
 )
+from vbgroupoids.linalg import Matrix
 from vbgroupoids.report import InvalidStructureError, Violation
+from vbgroupoids.ruth import check_ruth
 
 
 def test_point_and_z2_valid():
@@ -78,6 +82,78 @@ def test_every_arrow_is_a_product_of_at_most_three_generators(name):
     products |= {g.compose(a, b) for a in gens for b in gens if (a, b) in g.comp}
     products |= {g.compose(a, b) for a in gens for b in products if (a, b) in g.comp}
     assert products == set(range(g.n_arrows))
+
+
+def _spanning_transports(g):
+    """Per object: a basepoint and an arrow basepoint -> object, found by a depth-first search;
+    the reference for :func:`orbit_transports`."""
+    base_of = [-1] * g.n_objects
+    arrow_to = [-1] * g.n_objects
+    for x in range(g.n_objects):
+        if base_of[x] >= 0:
+            continue
+        base_of[x] = x
+        arrow_to[x] = g.unit[x]
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for a in range(g.n_arrows):
+                if g.src[a] == y and base_of[g.tgt[a]] < 0:
+                    z = g.tgt[a]
+                    base_of[z] = x
+                    arrow_to[z] = g.compose(a, arrow_to[y])
+                    frontier.append(z)
+                elif g.tgt[a] == y and base_of[g.src[a]] < 0:
+                    z = g.src[a]
+                    base_of[z] = x
+                    arrow_to[z] = g.compose(g.inv[a], arrow_to[y])
+                    frontier.append(z)
+    return base_of, arrow_to
+
+
+def _generating_arrows_by_search(g):
+    """Generating arrows found by a scan from the roots; the reference for :func:`generating_arrows`."""
+    orbits, isotropy = orbits_and_isotropy(g)
+    roots = {orb[0] for orb in orbits}
+    gens = {a for r in roots for a in isotropy[r]}
+    reached = set(roots)
+    for a in range(g.n_arrows):
+        if g.src[a] in roots and g.tgt[a] not in reached:
+            reached.add(g.tgt[a])
+            gens.update((a, g.inv[a]))
+    return tuple(sorted(gens))
+
+
+ZOO = {**base_groupoids(), **GENERATED}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_orbit_transports_match_the_spanning_search(name):
+    g = ZOO[name]
+    root, transport = orbit_transports(g)
+    base_of, arrow_to = _spanning_transports(g)
+    assert list(root) == base_of
+    others = [x for x in range(g.n_objects) if x != root[x]]
+    if name in base_groupoids() or name == "pair3":
+        assert all(len(g.hom(root[x], x)) == 1 for x in others)
+    for x in range(g.n_objects):
+        assert g.src[transport[x]] == root[x] and g.tgt[transport[x]] == x
+        if x not in others or len(g.hom(root[x], x)) == 1:
+            assert transport[x] == arrow_to[x]
+    assert generating_arrows(g) == _generating_arrows_by_search(g)
+
+
+def test_orbit_transports_take_the_lowest_arrow_when_there_are_two():
+    cech = cech_groupoid(cyclic_groupoid(2), [[0], [0]])
+    g = cech.gu
+    root, transport = orbit_transports(g)
+    assert root == (0, 0)
+    assert transport[0] == g.unit[0]
+    assert len(g.hom(0, 1)) == 2
+    assert transport[1] == min(g.hom(0, 1))
+    sign = honest_rep(g, lambda x0, h: Matrix.from_rows([[(-1) ** cech.arrow_triples[h][0]]]), lambda x0: 1)
+    assert check_ruth(sign).ok
+    assert sign.rho_e[transport[1]] == Matrix.identity(1)
 
 
 def _collapse_to_point(g):
@@ -168,6 +244,27 @@ def test_cech_double_cover_of_z2():
     assert cech.gu.n_arrows == 8
     assert is_morita(cech.pi).ok
     assert len(cech.kernel_arrows) == 4
+
+
+@pytest.mark.parametrize(
+    "base,cover",
+    [
+        (point_groupoid(), [[0], [0]]),
+        (point_groupoid(), [[0], [0], [0]]),
+        (cyclic_groupoid(2), [[0]] * 4),
+        (pair_groupoid(2), [[0], [0, 1]]),
+    ],
+)
+def test_cech_section_is_the_least_index_lift(base, cover):
+    cech = cech_groupoid(base, cover)
+    section = cech.section
+    assert validate_map(section).ok
+    assert compose_maps(cech.pi, section) == identity_map(base)
+    for x in range(base.n_objects):
+        assert cech.obj_pairs[section.obj_map[x]] == (x, cech.min_index(x))
+    for a in range(base.n_arrows):
+        lift = (a, cech.min_index(base.tgt[a]), cech.min_index(base.src[a]))
+        assert cech.arrow_triples[section.arr_map[a]] == lift
 
 
 def test_cech_rejects_non_cover():

@@ -1,5 +1,7 @@
-"""checked_once: the expensive checkers run once per passing value, with the same reports."""
+"""Reports: the expensive checkers run once per passing value, with the same reports, and
+errors carrying a report are built only in ``report.py``."""
 
+import ast
 import gc
 import json
 from dataclasses import replace
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import vbgroupoids
 from vbgroupoids import io as vio
 from vbgroupoids.cli import main
 from vbgroupoids.report import Report, Violation, checked_once
@@ -153,3 +156,18 @@ def test_checked_once_remembers_passing_values_weakly():
     gc.collect()
     assert check(Value(1)).ok
     assert runs == [1, -1, -1, 1]
+
+
+def test_errors_with_a_report_are_built_only_in_the_report_module():
+    """Elsewhere a failed precondition raises through ``Report.require`` or ``violation_error``,
+    never ``InvalidStructureError(..., Report([Violation(...)]))`` written out by hand."""
+    built = []
+    for path in sorted(Path(vbgroupoids.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("InvalidStructureError", "Violation"):
+                    built.append(f"{path.name}:{node.lineno} {name}")
+    assert built == []

@@ -15,7 +15,7 @@ from vbgroupoids.generators import (
     seed_ruths,
 )
 from vbgroupoids.groupoid import GroupoidMap, cyclic_groupoid, identity_map, point_groupoid
-from vbgroupoids.linalg import Matrix
+from vbgroupoids.linalg import Matrix, Subspace
 from vbgroupoids.report import InvalidStructureError, Violation
 from vbgroupoids.ruth import (
     check_ruth_morphism,
@@ -31,6 +31,8 @@ from vbgroupoids.ruth import (
 from vbgroupoids.vb import (
     NotVBMoritaError,
     VBGroupoid,
+    VBMap,
+    _canonical_factorization,
     acyclic_vb,
     arrow_vb,
     base_change,
@@ -56,6 +58,7 @@ from vbgroupoids.vb import (
     split,
     split_map,
     stable_decompose,
+    sub_vbgroupoid,
     sum_projection_vb,
     twist,
     zero_projection,
@@ -424,3 +427,75 @@ def test_direct_sum_vb_matches_ruth_sum(z2, sign):
     rhs = grothendieck(direct_sum(sign, trivial))
     assert lhs.gamma_dims == rhs.gamma_dims
     assert check_vbgroupoid(lhs).ok
+
+
+def _hand_built_path_and_proj(f):
+    """The path object and its projection as once assembled block by block; the reference for
+    building them as ``sum_projection_vb(source, acyclic_vb(base, core(target).dims))``."""
+    v1, v2 = f.source, f.target
+    g = v1.base
+    cd2 = core(v2)
+    c2 = cd2.dims
+    e_dims = tuple(v1.e_dims[x] + c2[x] for x in range(g.n_objects))
+    cols = [(v1.gamma_dims[a], c2[g.tgt[a]], c2[g.src[a]]) for a in range(g.n_arrows)]
+    s_maps = []
+    t_maps = []
+    for a, (d, cy, cx) in enumerate(cols):
+        ex, ey = v1.e_dims[g.src[a]], v1.e_dims[g.tgt[a]]
+        s_maps.append(Matrix.block([ex, cx], cols[a], {(0, 0): v1.s_maps[a], (1, 2): Matrix.identity(cx)}))
+        t_maps.append(Matrix.block([ey, cy], cols[a], {(0, 0): v1.t_maps[a], (1, 1): Matrix.identity(cy)}))
+    u_maps = []
+    for x in range(g.n_objects):
+        blocks = {(0, 0): v1.u_maps[x], (1, 1): Matrix.identity(c2[x]), (2, 1): Matrix.identity(c2[x])}
+        u_maps.append(Matrix.block([v1.gamma_dims[g.unit[x]], c2[x], c2[x]], [v1.e_dims[x], c2[x]], blocks))
+    m_maps = {}
+    for g1, g2 in g.pairs:
+        m1, m2 = v1.mult_blocks(g1, g2)
+        ct, cs = cols[g1][1], cols[g2][2]
+        blocks = {(0, 0): m1, (0, 3): m2, (1, 1): Matrix.identity(ct), (2, 5): Matrix.identity(cs)}
+        m_maps[(g1, g2)] = Matrix.block([m1.rows, ct, cs], [*cols[g1], *cols[g2]], blocks)
+    path = VBGroupoid(
+        base=g,
+        e_dims=e_dims,
+        gamma_dims=tuple(map(sum, cols)),
+        s_maps=tuple(s_maps),
+        t_maps=tuple(t_maps),
+        u_maps=tuple(u_maps),
+        m_maps=m_maps,
+    )
+    proj = VBMap(
+        source=path,
+        target=v1,
+        base_map=identity_map(g),
+        obj_maps=tuple(
+            Matrix.block([e], [e, c], {(0, 0): Matrix.identity(e)}) for e, c in zip(v1.e_dims, c2)
+        ),
+        arr_maps=tuple(Matrix.block([col[0]], col, {(0, 0): Matrix.identity(col[0])}) for col in cols),
+    )
+    return path, proj
+
+
+def test_path_object_from_constructors_equals_hand_built_one():
+    """Sum projections and gauge maps over every named base, targets with and without core."""
+    maps = []
+    for name, g in base_groupoids().items():
+        for rep in named_reps(name, g):
+            maps.append(grothendieck_map(sum_projection(rep, acyclic_ruth(rep), side=0)))
+        for i, r in enumerate(seed_ruths(name, g)):
+            maps.append(grothendieck_map(random_gauge(r, random.Random(i))[1]))
+    core_dims = [sum(core(f.target).dims) for f in maps]
+    assert 0 in core_dims and max(core_dims) > 0
+    for f in maps:
+        fact = _canonical_factorization(f)
+        path, proj = _hand_built_path_and_proj(f)
+        assert fact.path == path
+        assert fact.proj == proj
+
+
+def test_sub_vbgroupoid_not_closed_names_map_and_arrow(sign):
+    v = grothendieck(sign)
+    zero = [Subspace.zero(d) for d in v.e_dims]
+    full = [Subspace.from_spanning(Matrix.identity(d)) for d in v.gamma_dims]
+    with pytest.raises(InvalidStructureError, match="sub_vbgroupoid: s at 0 leaves the subspace") as exc:
+        sub_vbgroupoid(v, zero, full)
+    assert exc.value.report.violations == [Violation("sub-closed", ("s", 0))]
