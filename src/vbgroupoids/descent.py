@@ -5,7 +5,9 @@ descent data.  This module implements the two constructive halves:
 
 * ``descend_map``: a VB-map between pullbacks is isomorphic, after twisting by
   the integrated vertical obstruction cocycle, to one that kills the Cech
-  kernel and therefore descends to the base.
+  kernel and therefore descends to the base: the descended map is
+  ``base_change_map`` along ``CechGroupoid.section``, and its
+  ``base_change_map`` along ``CechGroupoid.pi`` is the twisted map again.
 * ``make_invertible`` / ``symmetrize_cleavage`` / ``flatten_cleavage`` /
   ``descend_object``: an arbitrary VB-groupoid over G_U is stabilized by an
   acyclic summand until its kernel quasi-action can be made invertible, the
@@ -34,6 +36,7 @@ from .vb import (
     VBMapIso,
     acyclic_vb,
     base_change,
+    base_change_map,
     check_cleavage,
     check_vbgroupoid,
     check_vbmap,
@@ -140,16 +143,12 @@ def _vertical_obstruction(
     problem: DescentProblem, psi: VBMap, cd_tgt: CoreData
 ) -> dict[int, Matrix]:
     """beta per kernel arrow, in core coordinates of the target."""
-    cech = problem.cech
+    gu = problem.gu
     beta = {}
-    for k in cech.kernel_arrows:
-        _, j, i = cech.arrow_triples[k]
-        src_obj = psi.source.base.src[k]
-        x = cech.obj_pairs[src_obj][0]
-        raw = psi.arr_maps[k] * psi.source.u_maps[src_obj] - psi.target.u_maps[
-            cech.obj_id(x, j)
-        ] * psi.obj_maps[src_obj]
-        coords = cd_tgt.basis[cech.obj_id(x, j)].solve_matrix(raw)
+    for k in problem.cech.kernel_arrows:
+        src_obj, tgt_obj = gu.src[k], gu.tgt[k]
+        raw = psi.arr_maps[k] * psi.source.u_maps[src_obj] - psi.target.u_maps[tgt_obj] * psi.obj_maps[src_obj]
+        coords = cd_tgt.basis[tgt_obj].solve_matrix(raw)
         if coords is None:
             raise DescentError(f"vertical obstruction not core-valued at kernel arrow {k}")
         beta[k] = coords
@@ -165,35 +164,29 @@ def descend_map(problem: DescentProblem, gamma: VBGroupoid, gamma_p: VBGroupoid,
     map off the least-index lifts.
     """
     cech = problem.cech
+    gu = cech.gu
     pull_src, _ = base_change(cech.pi, gamma)
     pull_tgt, _ = base_change(cech.pi, gamma_p)
     if psi.source != pull_src or psi.target != pull_tgt:
         raise ValueError("descend_map: psi endpoints are not the given pullbacks")
-    if psi.base_map != identity_map(cech.gu):
+    if psi.base_map != identity_map(gu):
         raise ValueError("descend_map: psi must cover the identity of the Cech groupoid")
     check_vbmap(psi).require("descend_map: psi invalid")
     cd_tgt = core(pull_tgt)
     beta = _vertical_obstruction(problem, psi, cd_tgt)
     # cocycle law, exactly
-    for x in range(cech.base.n_objects):
-        idx = cech.indices_containing(x)
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    kji = cech.kernel_arrow(x, j, i)
-                    kkj = cech.kernel_arrow(x, k, j)
-                    kki = cech.kernel_arrow(x, k, i)
-                    if beta[kkj] + beta[kji] != beta[kki]:
-                        raise DescentError(f"beta cocycle law fails at x={x}, (k,j,i)=({k},{j},{i})")
+    for kkj, kji in cech.kernel_pairs:
+        if beta[kkj] + beta[kji] != beta[gu.compose(kkj, kji)]:
+            x = cech.obj_pairs[gu.src[kji]][0]
+            (_, k, j), (_, _, i) = cech.arrow_triples[kkj], cech.arrow_triples[kji]
+            raise DescentError(f"beta cocycle law fails at x={x}, (k,j,i)=({k},{j},{i})")
     # integrate: alpha at (x, i) = sum_j lambda_j(x) beta_{ji}
-    alpha = []
-    for (x, i) in cech.obj_pairs:
-        acc = Matrix.zeros(cd_tgt.dims[cech.obj_id(x, i)], pull_src.e_dims[cech.obj_id(x, i)])
-        for j in cech.indices_containing(x):
-            w = problem.partition.weight(j, x)
-            if w:
-                acc = acc + beta[cech.kernel_arrow(x, j, i)].scale(w)
-        alpha.append(acc)
+    alpha = [Matrix.zeros(cd_tgt.dims[o], pull_src.e_dims[o]) for o in range(gu.n_objects)]
+    for k, b in beta.items():
+        x, j = cech.obj_pairs[gu.tgt[k]]
+        w = problem.partition.weight(j, x)
+        if w:
+            alpha[gu.src[k]] = alpha[gu.src[k]] + b.scale(w)
     twisted, iso = twist(psi, alpha)
     # post-twist cancellation: the kernel obstruction of the twisted map vanishes
     beta_after = _vertical_obstruction(problem, twisted, cd_tgt)
@@ -201,28 +194,14 @@ def descend_map(problem: DescentProblem, gamma: VBGroupoid, gamma_p: VBGroupoid,
         if not b.is_zero:
             raise DescentError(f"kernel not killed after twist at kernel arrow {k}")
     # lift-independence and quotient
-    g = cech.base
     lift = cech.section
     for ka, (a, j, i) in enumerate(cech.arrow_triples):
         if twisted.arr_maps[ka] != twisted.arr_maps[lift.arr_map[a]]:
             raise DescentError(f"twisted map differs across lifts of base arrow {a}")
-    phi = VBMap(
-        source=gamma,
-        target=gamma_p,
-        base_map=identity_map(g),
-        obj_maps=tuple(twisted.obj_maps[lift.obj_map[x]] for x in range(g.n_objects)),
-        arr_maps=tuple(twisted.arr_maps[lift.arr_map[a]] for a in range(g.n_arrows)),
-    )
+    phi = base_change_map(lift, twisted)
     check_vbmap(phi).require("descend_map: descended map invalid")
     # the pullback of phi is exactly the twisted map
-    repull = VBMap(
-        source=pull_src,
-        target=pull_tgt,
-        base_map=identity_map(cech.gu),
-        obj_maps=tuple(phi.obj_maps[p[0]] for p in cech.obj_pairs),
-        arr_maps=tuple(phi.arr_maps[t[0]] for t in cech.arrow_triples),
-    )
-    if repull != twisted:
+    if base_change_map(cech.pi, phi) != twisted:
         raise DescentError("pullback of the descended map differs from the twisted map")
     return DescendedMap(phi=phi, twisted=twisted, iso=iso, beta=beta)
 
@@ -251,43 +230,28 @@ def symmetrize_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> 
     is unital.  Requires the kernel quasi-action to be invertible.
     """
     check_cleavage(v, c).require("symmetrize_cleavage: invalid cleavage")
-    cech = problem.cech
+    cech, gu = problem.cech, problem.gu
     if not is_kernel_invertible(v, problem, c):
         raise DescentError("symmetrize_cleavage: kernel quasi-action not invertible")
     sigma = list(c.sigma)
     for k in cech.kernel_arrows:
         _, j, i = cech.arrow_triples[k]
         if j < i:
-            x = cech.obj_pairs[v.base.src[k]][0]
-            km = cech.kernel_arrow(x, i, j)
-            sigma[k] = v.inverse_matrix(km) * sigma[km] * kernel_transport(v, Cleavage(tuple(sigma)), km).inverse()
+            km = gu.inv[k]
+            sigma[k] = v.inverse_matrix(km) * sigma[km] * (v.t_maps[km] * sigma[km]).inverse()
     out = Cleavage(sigma=tuple(sigma))
     check_cleavage(v, out).require("symmetrize_cleavage: output invalid")
     for k in cech.kernel_arrows:
-        _, j, i = cech.arrow_triples[k]
-        x = cech.obj_pairs[v.base.src[k]][0]
-        km = cech.kernel_arrow(x, i, j)
-        if kernel_transport(v, out, k) * kernel_transport(v, out, km) != Matrix.identity(
-            v.e_dims[v.base.tgt[km]]
-        ):
+        km = gu.inv[k]
+        if kernel_transport(v, out, k) * kernel_transport(v, out, km) != Matrix.identity(v.e_dims[gu.tgt[km]]):
             raise DescentError(f"symmetrize_cleavage: rho_ji rho_ij != id at kernel arrow {k}")
     return out
 
 
 def is_u_flat(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> bool:
     """Whether sigma_{kj} sigma_{ji} = sigma_{ki} exactly on kernel pairs."""
-    cech = problem.cech
-    for x in range(cech.base.n_objects):
-        idx = cech.indices_containing(x)
-        for kk in idx:
-            for j in idx:
-                for i in idx:
-                    k1 = cech.kernel_arrow(x, kk, j)
-                    k2 = cech.kernel_arrow(x, j, i)
-                    k3 = cech.kernel_arrow(x, kk, i)
-                    if _lift_product(v, c, k1, k2) != c.sigma[k3]:
-                        return False
-    return True
+    gu = problem.gu
+    return all(_lift_product(v, c, k1, k2) == c.sigma[gu.compose(k1, k2)] for k1, k2 in problem.cech.kernel_pairs)
 
 
 def flatten_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage, partition: PartitionOfUnity) -> Cleavage:
@@ -302,19 +266,16 @@ def flatten_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage, partit
     ``min_index_partition(problem.cech)`` rather than ``problem.partition``).
     """
     check_cleavage(v, c).require("flatten_cleavage: invalid cleavage")
-    cech = problem.cech
+    cech, gu = problem.cech, problem.gu
     sigma = list(c.sigma)
     for k in cech.kernel_arrows:
-        _, j, i = cech.arrow_triples[k]
-        x = cech.obj_pairs[v.base.src[k]][0]
-        acc = Matrix.zeros(v.gamma_dims[k], v.e_dims[v.base.src[k]])
-        for r in cech.indices_containing(x):
-            w = partition.weight(r, x)
-            if w:
-                kjr = cech.kernel_arrow(x, j, r)
-                kri = cech.kernel_arrow(x, r, i)
-                acc = acc + _lift_product(v, c, kjr, kri).scale(w)
-        sigma[k] = acc
+        sigma[k] = Matrix.zeros(v.gamma_dims[k], v.e_dims[gu.src[k]])
+    for kjr, kri in cech.kernel_pairs:
+        x, r = cech.obj_pairs[gu.src[kjr]]
+        w = partition.weight(r, x)
+        if w:
+            k = gu.compose(kjr, kri)
+            sigma[k] = sigma[k] + _lift_product(v, c, kjr, kri).scale(w)
     out = Cleavage(sigma=tuple(sigma))
     check_cleavage(v, out).require("flatten_cleavage: output not a unital cleavage")
     if not is_u_flat(v, problem, out):
@@ -333,9 +294,7 @@ class Stabilization:
     projection: VBMap  # stabilized -> v, VB-Morita
 
 
-def _adjust_section(
-    v: VBGroupoid, cd: CoreData, cech: CechGroupoid, k: int, sigma_k: Matrix
-) -> Matrix:
+def _adjust_section(v: VBGroupoid, cd: CoreData, k: int, sigma_k: Matrix) -> Matrix:
     """Correct a kernel lift by core-valued data so its transport is invertible.
 
     Achievable transports differ from t sigma by anchor composed with an
@@ -398,7 +357,7 @@ def make_invertible(v: VBGroupoid, problem: DescentProblem) -> Stabilization:
     sigma = list(choose_cleavage(stab).sigma)
     for k in cech.kernel_arrows:
         if not gu.is_unit(k):
-            sigma[k] = _adjust_section(stab, cd, cech, k, sigma[k])
+            sigma[k] = _adjust_section(stab, cd, k, sigma[k])
     cleav = Cleavage(sigma=tuple(sigma))
     check_cleavage(stab, cleav).require("make_invertible: output cleavage invalid")
     if not is_kernel_invertible(stab, problem, cleav):
@@ -431,19 +390,15 @@ def descend_object(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> Desce
         raise ValueError("descend_object: input not over the Cech groupoid")
     if not is_u_flat(v, problem, c):
         raise DescentError("descend_object: cleavage is not U-flat")
-    g = cech.base
     descended, _ = base_change(cech.section, v)
     pull, _ = base_change(cech.pi, descended)
-    obj_maps = []
-    for oid, (x, i) in enumerate(cech.obj_pairs):
-        k = cech.kernel_arrow(x, i, cech.min_index(x))
-        obj_maps.append(kernel_transport(v, c, k))
+    # per object (x, i) of the Cech groupoid: the kernel arrow (x, min_index x) -> (x, i)
+    from_low = [cech.kernel_arrow(x, i, cech.min_index(x)) for (x, i) in cech.obj_pairs]
+    obj_maps = [kernel_transport(v, c, k) for k in from_low]
     arr_maps = []
-    for (a, j, i) in cech.arrow_triples:
-        x, y = g.src[a], g.tgt[a]
+    for ka, (a, _, _) in enumerate(cech.arrow_triples):
         la = cech.section.arr_map[a]
-        k_t = cech.kernel_arrow(y, j, cech.min_index(y))
-        k_s = cech.kernel_arrow(x, i, cech.min_index(x))
+        k_t, k_s = from_low[gu.tgt[ka]], from_low[gu.src[ka]]
         lift_t, lift_s = c.sigma[k_t] * v.t_maps[la], c.sigma[k_s] * v.s_maps[la]
         arr_maps.append(v.conjugate(k_t, la, k_s, lift_t, Matrix.identity(v.gamma_dims[la]), lift_s))
     comparison = VBMap(

@@ -37,7 +37,19 @@ from .ruth import (
     sum_projection,
     zero_ruth,
 )
-from .vb import VBGroupoid, VBMap, base_change, grothendieck
+from .vb import (
+    VBGroupoid,
+    VBMap,
+    acyclic_vb,
+    base_change,
+    base_change_map,
+    core,
+    direct_sum_vb,
+    grothendieck,
+    grothendieck_map,
+    split,
+    twist,
+)
 
 
 def base_groupoids() -> dict[str, FiniteGroupoid]:
@@ -231,43 +243,25 @@ def make_map_descent_fixture(
     problem = make_descent_problem(g, named_covers(base_name, g)[cover_index])
     reps = named_reps(base_name, g)
     rep = reps[seed % len(reps)]
-    acy = acyclic_ruth(rep)
     choice = seed % 3
     if choice == 0:
-        source, target = direct_sum(rep, acy), rep
-        mor = sum_projection(rep, acy, side=0)
+        mor = sum_projection(rep, acyclic_ruth(rep), side=0)
     elif choice == 1:
-        gauged, mor = random_gauge(rep, rng)
-        source, target = rep, gauged
+        _, mor = random_gauge(rep, rng)
     else:
-        source, target = rep, rep
         mor = identity_morphism(rep)
-    from .vb import grothendieck_map
-    from .groupoid import identity_map
-
     base_phi = grothendieck_map(mor)
-    gamma, gamma_prime = base_phi.source, base_phi.target
     cech = problem.cech
-    pull_src, _ = base_change(cech.pi, gamma)
-    pull_tgt, _ = base_change(cech.pi, gamma_prime)
-    psi = VBMap(
-        source=pull_src,
-        target=pull_tgt,
-        base_map=identity_map(cech.gu),
-        obj_maps=tuple(base_phi.obj_maps[p[0]] for p in cech.obj_pairs),
-        arr_maps=tuple(base_phi.arr_maps[t[0]] for t in cech.arrow_triples),
-    )
+    psi = base_change_map(cech.pi, base_phi)
     if twist_data:
-        from .vb import core, twist
-
-        cd = core(pull_tgt)
+        cd = core(psi.target)
         alpha = [
-            random_matrix(rng, cd.dims[k], pull_src.e_dims[k])
+            random_matrix(rng, cd.dims[k], psi.source.e_dims[k])
             for k in range(cech.gu.n_objects)
         ]
         psi, _ = twist(psi, alpha)
     return DescentFixture(
-        problem=problem, gamma=gamma, gamma_prime=gamma_prime, psi=psi, base_phi=base_phi
+        problem=problem, gamma=base_phi.source, gamma_prime=base_phi.target, psi=psi, base_phi=base_phi
     )
 
 
@@ -284,14 +278,10 @@ def make_object_descent_fixture(
     seed_ruth = direct_sum(rep, acyclic_ruth(rep)) if seed % 2 else acyclic_ruth(rep)
     v0 = grothendieck(seed_ruth)
     pull, _ = base_change(problem.cech.pi, v0)
-    from .vb import split as vb_split
-
-    r_pull, _ = vb_split(pull)
+    r_pull, _ = split(pull)
     perturbed, _ = random_gauge(r_pull, rng)
     v = grothendieck(perturbed)
     if pad:
-        from .vb import acyclic_vb, direct_sum_vb
-
         gu = problem.gu
         dims = tuple(1 if k % 2 == 0 else 0 for k in range(gu.n_objects))
         v = direct_sum_vb(v, acyclic_vb(gu, dims))
@@ -311,9 +301,7 @@ def rank_drop_fixture(seed: int = 0) -> tuple[DescentProblem, VBGroupoid]:
     rep = named_reps("pt", g)[0]
     v0 = grothendieck(acyclic_ruth(rep))
     pull, _ = base_change(problem.cech.pi, v0)
-    from .vb import split as vb_split
-
-    r_pull, _ = vb_split(pull)
+    r_pull, _ = split(pull)
     gu = problem.gu
     rng = random.Random(seed)
     phi_e = [Matrix.identity(d) for d in r_pull.e_dims]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Mapping, Optional, Sequence
 
 from .report import Report, checked_once, violation_error
@@ -465,6 +466,10 @@ class CechGroupoid:
     src(g) in U_i and tgt(g) in U_j.  The kernel consists of the arrows
     (unit(x), j, i); the projection pi drops cover indices and is Morita.
     ``section`` is the least-index lift, a functor with pi section = id.
+
+    Composition and inversion act on the indices alone over a unit, so descent
+    walks the kernel with ``gu.inv`` and ``gu.compose``: the inverse of
+    (u_x, j, i) is (u_x, i, j), and (u_x, k, j)(u_x, j, i) = (u_x, k, i).
     """
 
     base: FiniteGroupoid
@@ -500,6 +505,16 @@ class CechGroupoid:
             self.gu,
             tuple(self.obj_id(x, low(x)) for x in range(g.n_objects)),
             tuple(self.arrow_id(a, low(g.tgt[a]), low(g.src[a])) for a in range(g.n_arrows)),
+        )
+
+    @cached_property
+    def kernel_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The composable kernel pairs (x: k <- j, x: j <- i), whose composite is x: k <- i;
+        listed by x, then i, j, k over the cover indices containing x."""
+        return tuple(
+            (self.kernel_arrow(x, k, j), self.kernel_arrow(x, j, i))
+            for x in range(self.base.n_objects)
+            for i, j, k in product(self.indices_containing(x), repeat=3)
         )
 
     @cached_property

@@ -737,13 +737,10 @@ def split_map(
     return out
 
 
-def base_change(f: GroupoidMap, v: VBGroupoid) -> tuple[VBGroupoid, VBMap]:
-    """Reindex fibers along a functor into the base; returns (pullback, canonical map)."""
-    validate_map(f).require("base_change: invalid functor")
-    if f.cod != v.base:
-        raise ValueError("base_change: functor does not land in the base groupoid")
+def _reindex(f: GroupoidMap, v: VBGroupoid) -> VBGroupoid:
+    """The fibers of ``v`` reindexed along ``f``, unchecked: f*v over ``f.dom``."""
     d = f.dom
-    out = VBGroupoid(
+    return VBGroupoid(
         base=d,
         e_dims=tuple(v.e_dims[f.obj_map[x]] for x in range(d.n_objects)),
         gamma_dims=tuple(v.gamma_dims[f.arr_map[a]] for a in range(d.n_arrows)),
@@ -752,6 +749,15 @@ def base_change(f: GroupoidMap, v: VBGroupoid) -> tuple[VBGroupoid, VBMap]:
         u_maps=tuple(v.u_maps[f.obj_map[x]] for x in range(d.n_objects)),
         m_maps={(g1, g2): v.m_maps[(f.arr_map[g1], f.arr_map[g2])] for (g1, g2) in d.pairs},
     )
+
+
+def base_change(f: GroupoidMap, v: VBGroupoid) -> tuple[VBGroupoid, VBMap]:
+    """Reindex fibers along a functor into the base; returns (pullback, canonical map)."""
+    validate_map(f).require("base_change: invalid functor")
+    if f.cod != v.base:
+        raise ValueError("base_change: functor does not land in the base groupoid")
+    d = f.dom
+    out = _reindex(f, v)
     check_vbgroupoid(out).require("base_change: output invalid")
     canonical = VBMap(
         source=out,
@@ -762,6 +768,25 @@ def base_change(f: GroupoidMap, v: VBGroupoid) -> tuple[VBGroupoid, VBMap]:
     )
     check_vbmap(canonical).require("base_change: canonical map invalid")
     return out, canonical
+
+
+def base_change_map(f: GroupoidMap, phi: VBMap) -> VBMap:
+    """f*phi: f*V -> f*W for a VB-map phi: V -> W over the identity of ``f.cod``.
+
+    The endpoints are the reindexes that ``base_change`` builds and the matrices are
+    reindexed the same way.  Nothing is checked beyond the base map: a caller that
+    needs a certified map checks the result.
+    """
+    if phi.base_map != identity_map(f.cod):
+        raise ValueError("base_change_map: phi must cover the identity of the functor's codomain")
+    d = f.dom
+    return VBMap(
+        source=_reindex(f, phi.source),
+        target=_reindex(f, phi.target),
+        base_map=identity_map(d),
+        obj_maps=tuple(phi.obj_maps[f.obj_map[x]] for x in range(d.n_objects)),
+        arr_maps=tuple(phi.arr_maps[f.arr_map[a]] for a in range(d.n_arrows)),
+    )
 
 
 # -- VB-Morita certification ------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from vbgroupoids import descent
 from vbgroupoids.descent import (
     DescentError,
     PartitionOfUnity,
@@ -14,6 +15,7 @@ from vbgroupoids.descent import (
     flatten_cleavage,
     is_kernel_invertible,
     is_u_flat,
+    kernel_transport,
     make_descent_problem,
     make_invertible,
     min_index_partition,
@@ -21,25 +23,32 @@ from vbgroupoids.descent import (
     uniform_partition,
 )
 from vbgroupoids.generators import (
+    acyclic_ruth,
+    base_groupoids,
     make_map_descent_fixture,
     make_object_descent_fixture,
+    named_covers,
     named_reps,
     random_gauge,
     rank_drop_fixture,
 )
 from vbgroupoids.groupoid import cyclic_groupoid, identity_map, pair_groupoid, point_groupoid
 from vbgroupoids.linalg import Matrix
-from vbgroupoids.ruth import make_ruth
+from vbgroupoids.report import InvalidStructureError
+from vbgroupoids.ruth import direct_sum, identity_morphism, make_ruth
 from vbgroupoids.vb import (
+    Cleavage,
     VBGroupoid,
     VBMap,
     base_change,
+    base_change_map,
     check_vbmap,
     check_vbmap_iso,
     choose_cleavage,
     core,
     find_vbmap_iso,
     grothendieck,
+    grothendieck_map,
     is_vb_morita,
     split,
     twist,
@@ -123,8 +132,103 @@ def test_descend_map_cocycle_violation_detected():
         obj_maps=fx.psi.obj_maps,
         arr_maps=tuple(arr),
     )
-    with pytest.raises(Exception):
+    with pytest.raises((InvalidStructureError, DescentError)):
         descend_map(fx.problem, fx.gamma, fx.gamma_prime, bad)
+
+
+def _old_cocycle_failure(cech, beta):
+    """The first (x, k, j, i) where beta_kj + beta_ji != beta_ki, in the order of the old nested
+    loop; None when the cocycle law holds."""
+    for x in range(cech.base.n_objects):
+        idx = cech.indices_containing(x)
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    kji = cech.kernel_arrow(x, j, i)
+                    kkj = cech.kernel_arrow(x, k, j)
+                    kki = cech.kernel_arrow(x, k, i)
+                    if beta[kkj] + beta[kji] != beta[kki]:
+                        return x, k, j, i
+    return None
+
+
+@pytest.mark.parametrize("cover", [[[0], [0]], [[0], [0], [0]]])
+def test_descend_map_cocycle_break_names_the_failing_triple(monkeypatch, cover):
+    """A vertical obstruction broken at one non-unit kernel arrow fails the cocycle law, and the
+    error names the first failing x and (k,j,i) in the old loop order."""
+    g = cyclic_groupoid(2)
+    prob = make_descent_problem(g, cover)
+    rep = named_reps("z2", g)[0]
+    base_phi = grothendieck_map(identity_morphism(direct_sum(rep, acyclic_ruth(rep))))  # nonzero core
+    psi = base_change_map(prob.cech.pi, base_phi)
+    broken_at = next(k for k in prob.cech.kernel_arrows if not prob.gu.is_unit(k))
+    seen = []
+    real = descent._vertical_obstruction
+
+    def broken(problem, f, cd_tgt):
+        beta = real(problem, f, cd_tgt)
+        if not seen:
+            b = beta[broken_at]
+            beta[broken_at] = b + Matrix.from_rows([[F(1)] * b.cols] * b.rows, cols=b.cols)
+            seen.append(beta)
+        return beta
+
+    monkeypatch.setattr(descent, "_vertical_obstruction", broken)
+    with pytest.raises(DescentError) as info:
+        descend_map(prob, base_phi.source, base_phi.target, psi)
+    x, k, j, i = _old_cocycle_failure(prob.cech, seen[0])
+    assert str(info.value) == f"beta cocycle law fails at x={x}, (k,j,i)=({k},{j},{i})"
+
+
+def _hand_pulled_along_pi(cech, phi, pull_src, pull_tgt):
+    """The pullback of ``phi`` along ``cech.pi``, built by hand as ``descend_map`` and
+    ``make_map_descent_fixture`` used to build it; the reference for ``base_change_map``."""
+    return VBMap(
+        source=pull_src,
+        target=pull_tgt,
+        base_map=identity_map(cech.gu),
+        obj_maps=tuple(phi.obj_maps[p[0]] for p in cech.obj_pairs),
+        arr_maps=tuple(phi.arr_maps[t[0]] for t in cech.arrow_triples),
+    )
+
+
+def _hand_pulled_along_section(cech, twisted, gamma, gamma_p):
+    """The restriction of ``twisted`` to least-index lifts, built by hand as ``descend_map`` used
+    to build the descended map; the reference for ``base_change_map`` along ``cech.section``."""
+    g = cech.base
+    lift = cech.section
+    return VBMap(
+        source=gamma,
+        target=gamma_p,
+        base_map=identity_map(g),
+        obj_maps=tuple(twisted.obj_maps[lift.obj_map[x]] for x in range(g.n_objects)),
+        arr_maps=tuple(twisted.arr_maps[lift.arr_map[a]] for a in range(g.n_arrows)),
+    )
+
+
+@pytest.mark.parametrize("base_name", ["z2", "pair2", "pt+z2"])
+def test_base_change_map_is_the_hand_built_reindex(base_name):
+    for seed in range(6):
+        fx = make_map_descent_fixture(seed, base_name)
+        cech = fx.problem.cech
+        pull_src, _ = base_change(cech.pi, fx.gamma)
+        pull_tgt, _ = base_change(cech.pi, fx.gamma_prime)
+        pulled = base_change_map(cech.pi, fx.base_phi)
+        assert pulled == _hand_pulled_along_pi(cech, fx.base_phi, pull_src, pull_tgt)
+        assert (pulled.source, pulled.target) == (fx.psi.source, fx.psi.target)
+        restricted = base_change_map(cech.section, fx.psi)
+        assert restricted == _hand_pulled_along_section(cech, fx.psi, fx.gamma, fx.gamma_prime)
+
+
+def test_base_change_map_requires_an_identity_base():
+    fx = make_map_descent_fixture(0, "z2")
+    cech = fx.problem.cech
+    _, canonical = base_change(cech.pi, fx.gamma)  # covers pi, not an identity
+    with pytest.raises(ValueError, match="identity"):
+        base_change_map(identity_map(cech.gu), canonical)
+    # an identity-base map over the Cech groupoid, not over the codomain of pi
+    with pytest.raises(ValueError, match="identity"):
+        base_change_map(cech.pi, fx.psi)
 
 
 def random_matrix_like(psi, k):
@@ -279,3 +383,133 @@ def test_full_pipeline_round_trips():
         from vbgroupoids.vb import direct_sum_vb
 
         assert res.comparison.target == direct_sum_vb(v, res.stabilization.omega)
+
+
+# -- parity with the old x * idx^3 loops over kernel arrows ------------------------------------
+
+PARITY_COVERS = [("pt", 1), ("z2", 0), ("pair2", 1), ("pt+z2", 1)]  # pt three-fold, pt+z2 [[0], [0, 1]]
+
+
+def _old_kernel_pairs(cech):
+    out = []
+    for x in range(cech.base.n_objects):
+        idx = cech.indices_containing(x)
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    out.append((cech.kernel_arrow(x, k, j), cech.kernel_arrow(x, j, i)))
+    return out
+
+
+def _old_symmetrize(v, cech, c):
+    sigma = list(c.sigma)
+    for k in cech.kernel_arrows:
+        _, j, i = cech.arrow_triples[k]
+        if j < i:
+            x = cech.obj_pairs[v.base.src[k]][0]
+            km = cech.kernel_arrow(x, i, j)
+            sigma[k] = v.inverse_matrix(km) * sigma[km] * kernel_transport(v, Cleavage(tuple(sigma)), km).inverse()
+    return Cleavage(sigma=tuple(sigma))
+
+
+def _old_is_u_flat(v, cech, c):
+    for x in range(cech.base.n_objects):
+        idx = cech.indices_containing(x)
+        for kk in idx:
+            for j in idx:
+                for i in idx:
+                    k1 = cech.kernel_arrow(x, kk, j)
+                    k2 = cech.kernel_arrow(x, j, i)
+                    k3 = cech.kernel_arrow(x, kk, i)
+                    if v.mult_of(k1, k2, c.sigma[k1] * kernel_transport(v, c, k2), c.sigma[k2]) != c.sigma[k3]:
+                        return False
+    return True
+
+
+def _old_average(v, cech, c, partition):
+    """The averaged cleavage of the old ``flatten_cleavage``, before its flatness check."""
+    sigma = list(c.sigma)
+    for k in cech.kernel_arrows:
+        _, j, i = cech.arrow_triples[k]
+        x = cech.obj_pairs[v.base.src[k]][0]
+        acc = Matrix.zeros(v.gamma_dims[k], v.e_dims[v.base.src[k]])
+        for r in cech.indices_containing(x):
+            w = partition.weight(r, x)
+            if w:
+                kjr = cech.kernel_arrow(x, j, r)
+                kri = cech.kernel_arrow(x, r, i)
+                lift = v.mult_of(kjr, kri, c.sigma[kjr] * kernel_transport(v, c, kri), c.sigma[kri])
+                acc = acc + lift.scale(w)
+        sigma[k] = acc
+    return Cleavage(sigma=tuple(sigma))
+
+
+def _old_comparison(v, cech, c, pull):
+    g = cech.base
+    obj_maps = []
+    for oid, (x, i) in enumerate(cech.obj_pairs):
+        k = cech.kernel_arrow(x, i, cech.min_index(x))
+        obj_maps.append(kernel_transport(v, c, k))
+    arr_maps = []
+    for (a, j, i) in cech.arrow_triples:
+        x, y = g.src[a], g.tgt[a]
+        la = cech.section.arr_map[a]
+        k_t = cech.kernel_arrow(y, j, cech.min_index(y))
+        k_s = cech.kernel_arrow(x, i, cech.min_index(x))
+        lift_t, lift_s = c.sigma[k_t] * v.t_maps[la], c.sigma[k_s] * v.s_maps[la]
+        arr_maps.append(v.conjugate(k_t, la, k_s, lift_t, Matrix.identity(v.gamma_dims[la]), lift_s))
+    return VBMap(
+        source=pull,
+        target=v,
+        base_map=identity_map(cech.gu),
+        obj_maps=tuple(obj_maps),
+        arr_maps=tuple(arr_maps),
+    )
+
+
+@pytest.mark.parametrize("base_name,cover_index", PARITY_COVERS)
+def test_kernel_pairs_and_inverses_match_the_old_enumeration(base_name, cover_index):
+    g = base_groupoids()[base_name]
+    cech = make_descent_problem(g, named_covers(base_name, g)[cover_index]).cech
+    assert cech.kernel_pairs == tuple(_old_kernel_pairs(cech))
+    for x in range(g.n_objects):
+        for i in cech.indices_containing(x):
+            for j in cech.indices_containing(x):
+                assert cech.gu.inv[cech.kernel_arrow(x, j, i)] == cech.kernel_arrow(x, i, j)
+
+
+@pytest.mark.parametrize(
+    "base_name,cover_index,pad",
+    [(b, ci, pad) for b, ci in PARITY_COVERS for pad in (False, True)] + [(None, None, False)],
+)
+def test_cleavage_surgery_and_descent_match_the_old_loops(base_name, cover_index, pad):
+    """base_name None is the rank-drop fixture."""
+    refused = []
+    for seed in range(4):
+        if base_name is None:
+            problem, v = rank_drop_fixture(seed)
+        else:
+            problem, v = make_object_descent_fixture(seed, base_name, cover_index, pad)
+        cech = problem.cech
+        stab = make_invertible(v, problem)
+        w = stab.stabilized
+        sym = symmetrize_cleavage(w, problem, stab.cleavage)
+        assert sym == _old_symmetrize(w, cech, stab.cleavage)
+        flat = flatten_cleavage(w, problem, sym, min_index_partition(cech))
+        assert flat == _old_average(w, cech, sym, min_index_partition(cech))
+        assert is_u_flat(w, problem, flat) and _old_is_u_flat(w, cech, flat)
+        assert is_u_flat(w, problem, stab.cleavage) == _old_is_u_flat(w, cech, stab.cleavage)
+        # spread-out averaging: the same cleavage where it is flat, the same refusal where not
+        uniform = uniform_partition(cech)
+        averaged = _old_average(w, cech, sym, uniform)
+        if _old_is_u_flat(w, cech, averaged):
+            assert flatten_cleavage(w, problem, sym, uniform) == averaged
+        else:
+            refused.append((base_name, seed))
+            with pytest.raises(DescentError, match="flatness"):
+                flatten_cleavage(w, problem, sym, uniform)
+        out = descend_object(w, problem, flat)
+        assert out.descended == _reindexed_at_least_lifts(w, cech)
+        assert out.comparison == _old_comparison(w, cech, flat, base_change(cech.pi, out.descended)[0])
+    if (base_name, pad) == ("pt", False):
+        assert refused  # the three-fold cover exercises the refusal
