@@ -393,8 +393,9 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
             gauged, _ = random_gauge(base_r, rng)
             out["gauged0"] = vio.ruth_to_json(gauged, base_name)
         return out
-    if kind == "cech-pullback":
-        fx = make_map_descent_fixture(seed, base_name if base_name in zoo else "z2", 0)
+    if kind in ("cech-pullback", "cech-pullback-core"):
+        base_name = base_name if base_name in zoo else "z2"
+        fx = make_map_descent_fixture(seed, base_name, 0, with_core=kind == "cech-pullback-core")
         return {
             **_cech_objects(fx.problem),
             "gamma": vio.vbgroupoid_to_json(fx.gamma, "base"),

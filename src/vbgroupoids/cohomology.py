@@ -1,4 +1,4 @@
-"""Cochain complexes over finite groupoids: differentiable, ruth, linear, VB.
+"""Cochain complexes over finite groupoids: ruth, linear, VB.
 
 Bundle-valued cochains live on nerve strings, with the value of a degree-q
 cochain at (g_1, ..., g_q) in the fiber over tgt(g_1).  Linear cochains on a
@@ -99,21 +99,6 @@ def _quasi_action_differential(
             face = rho[s[0]] if i == 0 else Matrix.identity(bc.sizes[q][t_idx]).scale((-1) ** i)
             blocks.append(((si, t_idx), face))
     return Matrix.block(bc.sizes[q + 1], bc.sizes[q], blocks)
-
-
-def differentiable_complex(rep: TwoTermRuth, p_max: int) -> CochainComplex:
-    """The complex C(G, E) of an honest representation (C = 0, gamma = 0)."""
-    check_ruth(rep).require("differentiable_complex: invalid input")
-    if any(d != 0 for d in rep.c_dims):
-        raise ValueError("differentiable_complex: input must have trivial core (C = 0)")
-    if any(not m.is_zero for m in rep.gamma.values()):
-        raise ValueError("differentiable_complex: input must have zero curvature")
-    nv = nerve(rep.base, p_max)
-    bc = _BundleCochains(nv, rep.e_dims)
-    diffs = tuple(_quasi_action_differential(nv, bc, rep.rho_e, q) for q in range(p_max))
-    out = CochainComplex(0, p_max, tuple(bc.dim(q) for q in range(p_max + 1)), diffs)
-    _require_d_squared_zero(out, "differentiable_complex: D^2 != 0", bc.string_at)
-    return out
 
 
 # -- ruth cochain complex -----------------------------------------------------------

@@ -234,9 +234,14 @@ def named_covers(name: str, g: FiniteGroupoid) -> list[list[list[int]]]:
 
 
 def make_map_descent_fixture(
-    seed: int, base_name: str = "z2", cover_index: int = 0, twist_data: bool = True
+    seed: int, base_name: str = "z2", cover_index: int = 0, twist_data: bool = True, with_core: bool = False
 ) -> DescentFixture:
-    """psi := (pullback of a known map) twisted by random vertical data."""
+    """psi := (pullback of a known map) twisted by random vertical data.
+
+    The known map is built from an honest representation rep, so its target has core 0 and
+    the twist changes nothing, unless ``with_core``: then it is the gauge map of
+    rep (+) acyclic(rep), whose target has a core as large as rep.
+    """
     rng = random.Random(seed)
     zoo = base_groupoids()
     g = zoo[base_name]
@@ -244,7 +249,9 @@ def make_map_descent_fixture(
     reps = named_reps(base_name, g)
     rep = reps[seed % len(reps)]
     choice = seed % 3
-    if choice == 0:
+    if with_core:
+        _, mor = random_gauge(direct_sum(rep, acyclic_ruth(rep)), rng)
+    elif choice == 0:
         mor = sum_projection(rep, acyclic_ruth(rep), side=0)
     elif choice == 1:
         _, mor = random_gauge(rep, rng)

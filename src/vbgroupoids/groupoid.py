@@ -226,18 +226,30 @@ def orbit_transports(g: FiniteGroupoid) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def generating_arrows(g: FiniteGroupoid) -> tuple[int, ...]:
-    """Arrows T, sorted, such that every arrow is a product of arrows in T.
+    """Arrows T, sorted, such that every arrow is a nonempty product of arrows in T.
 
-    Per orbit, with root r and transports c_x from :func:`orbit_transports`: the
-    isotropy at r, and for every other object x of the orbit c_x and its inverse.  An
-    arrow g: x -> y is c_y (c_y^-1 g c_x) c_x^-1, where the middle factor lies in the
-    isotropy at r and c_x (c_y) is left out when x (y) is r.
+    Per orbit, with root r its least object: the non-unit isotropy at r; if the orbit has
+    more objects r < x_1 < ... < x_k, the cycle r -> x_1 -> ... -> x_k -> r, each step the
+    lowest-id arrow between its two objects; and if r is alone with trivial isotropy, its
+    unit.  An arrow g: x -> y is p_y h p_x, with p_x: x -> r and p_y: r -> y along the cycle
+    (empty at r) and h = p_y^-1 g p_x^-1 in the isotropy at r, left out when it is the unit.
+    That word is empty only for the unit of r, which is then sigma^n for a non-unit sigma at
+    r of order n, or the whole cycle, or itself in T.
     """
-    root, transport = orbit_transports(g)
-    gens = {a for r in set(root) for a in g.isotropy(r)}
-    for x in range(g.n_objects):
-        if root[x] != x:
-            gens.update((transport[x], g.inv[transport[x]]))
+    orbits, isotropy = orbits_and_isotropy(g)
+    step = {}  # object -> the next object of its orbit's cycle
+    gens = []
+    for orb in orbits:
+        r = orb[0]
+        gens += [a for a in isotropy[r] if a != g.unit[r]]
+        if len(orb) > 1:
+            step.update(zip(orb, orb[1:] + orb[:1]))
+        elif len(isotropy[r]) == 1:
+            gens.append(g.unit[r])
+    for a in range(g.n_arrows):
+        if step.get(g.src[a]) == g.tgt[a]:
+            gens.append(a)
+            del step[g.src[a]]
     return tuple(sorted(gens))
 
 

@@ -88,6 +88,17 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("base", ["z2", "pair2"])
+def test_descend_map_on_a_core_recipe_reports_nonzero_beta(base, tmp_path, capsys):
+    path = tmp_path / "core.json"
+    assert main(["gen", "--recipe", f"cech-pullback-core:{base}", "--seed", "0", "--out", str(path)]) == 0
+    argv = ["descend", str(path), "--cover", "cover", "--map", "psi", "--gamma", "gamma", "--gamma-prime", "gamma_prime"]
+    capsys.readouterr()
+    code, events = run_cli(argv, capsys)
+    assert code == 0
+    assert events[0]["event"] == "descend-map" and events[0]["beta_nonzero"] and events[0]["descended_ok"]
+
+
 def test_gen_unknown_recipe_exit_two(capsys):
     code, events = run_cli(["gen", "--recipe", "nope"], capsys)
     assert code == 2

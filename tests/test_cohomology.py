@@ -12,7 +12,6 @@ from vbgroupoids.cohomology import (
     _displayed_cancellation,
     _zero_last_two_term,
     assemble_ruth_differential,
-    differentiable_complex,
     homotopy_operator,
     hvb_equals_hlin,
     induced_map_vb,
@@ -24,9 +23,9 @@ from vbgroupoids.cohomology import (
 )
 from vbgroupoids.generators import acyclic_ruth, named_reps, random_gauge, random_matrix
 from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, point_groupoid
-from vbgroupoids.linalg import Matrix, betti_numbers, complex_cohomology
+from vbgroupoids.linalg import CochainComplex, Matrix, betti_numbers, complex_cohomology
 from vbgroupoids.report import InvalidStructureError
-from vbgroupoids.ruth import direct_sum, make_ruth, zero_ruth
+from vbgroupoids.ruth import TwoTermRuth, check_ruth, direct_sum, make_ruth, zero_ruth
 from vbgroupoids.vb import (
     Cleavage,
     VBGroupoid,
@@ -97,6 +96,22 @@ def _brute_force_rep_betti(rep, p_max):
         dprev = mats[q - 1] if q >= 1 else Matrix.zeros(dims[q], 0)
         betti[q] = (dims[q] - dq.rank()) - dprev.rank()
     return betti
+
+
+def differentiable_complex(rep: TwoTermRuth, p_max: int) -> CochainComplex:
+    """The complex C(G, E) of an honest representation (C = 0, gamma = 0): the quasi-action
+    differential alone, an independent reference for ``ruth_complex`` in degrees >= 0."""
+    check_ruth(rep).require("differentiable_complex: invalid input")
+    if any(d != 0 for d in rep.c_dims):
+        raise ValueError("differentiable_complex: input must have trivial core (C = 0)")
+    if any(not m.is_zero for m in rep.gamma.values()):
+        raise ValueError("differentiable_complex: input must have zero curvature")
+    nv = nerve(rep.base, p_max)
+    bc = cohomology._BundleCochains(nv, rep.e_dims)
+    diffs = tuple(cohomology._quasi_action_differential(nv, bc, rep.rho_e, q) for q in range(p_max))
+    out = CochainComplex(0, p_max, tuple(bc.dim(q) for q in range(p_max + 1)), diffs)
+    cohomology._require_d_squared_zero(out, "differentiable_complex: D^2 != 0", bc.string_at)
+    return out
 
 
 def test_differentiable_point():

@@ -115,6 +115,21 @@ def test_descend_map_twisted_round_trip():
         assert iso is not None
 
 
+@pytest.mark.parametrize("base_name", ["pt", "z2", "pair2", "pt+z2"])
+@pytest.mark.parametrize("cover_index", [0, 1])
+def test_descend_map_with_core_meets_nonzero_beta(base_name, cover_index):
+    """A fixture target with a core: the twist moves psi, beta is nonzero on some kernel arrow,
+    and the descended map still recovers the one psi was made from."""
+    fx = make_map_descent_fixture(0, base_name, cover_index, with_core=True)
+    assert any(core(fx.psi.target).dims)
+    untwisted = make_map_descent_fixture(0, base_name, cover_index, twist_data=False, with_core=True)
+    assert fx.psi != untwisted.psi
+    res = descend_map(fx.problem, fx.gamma, fx.gamma_prime, fx.psi)
+    assert any(not b.is_zero for b in res.beta.values())
+    assert check_vbmap_iso(res.iso).ok
+    assert find_vbmap_iso(fx.base_phi, res.phi) is not None
+
+
 def test_descend_map_cocycle_violation_detected():
     fx = make_map_descent_fixture(3, "z2", 0, twist_data=False)
     cech = fx.problem.cech

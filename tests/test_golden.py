@@ -48,6 +48,10 @@ STDOUT_CASES = [
     ("cohomology-vb-sum-z2-0.jsonl", "cohomology {d}/groth-sum0.json sum0.groth --pmax 3"),
     ("cohomology-map-cech-pullback-z2-0.jsonl", "cohomology {d}/gen-cech-pullback-z2-0.json psi --pmax 2"),
     ("morita-cech-pullback-z2-0.jsonl", "morita {d}/gen-cech-pullback-z2-0.json psi"),
+    (
+        "descend-map-cech-pullback-core-z2-0.jsonl",
+        "descend {d}/gen-cech-pullback-core-z2-0.json --cover cover --map psi --gamma gamma --gamma-prime gamma_prime",
+    ),
 ]
 
 # (golden file, vbg arguments that write it into "{o}")
@@ -68,6 +72,7 @@ SETUP = [
     "gen --recipe gauge:z3 --seed 4 --out {d}",
     "gen --recipe sum:z2 --seed 0 --out {d}",
     "gen --recipe cech-pullback:z2 --seed 0 --out {d}",
+    "gen --recipe cech-pullback-core:z2 --seed 0 --out {d}",
     "gen --recipe perturbed-pullback:pt --seed 2 --out {d}",
     "gen --recipe gauge:z2 --seed 4 --out {d}",
     "gen --recipe gauge:pair2 --seed 3 --out {d}",

@@ -67,21 +67,12 @@ GENERATED = {
 
 
 def test_generating_arrows_of_pair_and_cyclic():
-    # pair(3): the unit at 0, arrows 0 -> 1 and 0 -> 2 (ids 3, 6) and their inverses (1, 2)
-    assert generating_arrows(pair_groupoid(3)) == (0, 1, 2, 3, 6)
-    assert generating_arrows(cyclic_groupoid(3)) == (0, 1, 2)
-
-
-@pytest.mark.parametrize("name", sorted(GENERATED))
-def test_every_arrow_is_a_product_of_at_most_three_generators(name):
-    g = GENERATED[name]
-    gens = generating_arrows(g)
-    orbits, iso = orbits_and_isotropy(g)
-    assert len(gens) == sum(len(iso[orb[0]]) + 2 * (len(orb) - 1) for orb in orbits)
-    products = set(gens)
-    products |= {g.compose(a, b) for a in gens for b in gens if (a, b) in g.comp}
-    products |= {g.compose(a, b) for a in gens for b in products if (a, b) in g.comp}
-    assert products == set(range(g.n_arrows))
+    # pair(3): the cycle 0 -> 1 -> 2 -> 0 (ids 3, 7, 2); Z_3: the non-unit isotropy
+    assert generating_arrows(pair_groupoid(3)) == (2, 3, 7)
+    assert generating_arrows(cyclic_groupoid(3)) == (1, 2)
+    # a lone object with trivial isotropy keeps its unit; next to Z_2 (arrows 1, 2) as well
+    assert generating_arrows(point_groupoid()) == (0,)
+    assert generating_arrows(disjoint_union(point_groupoid(), cyclic_groupoid(2))) == (0, 2)
 
 
 def _spanning_transports(g):
@@ -111,19 +102,6 @@ def _spanning_transports(g):
     return base_of, arrow_to
 
 
-def _generating_arrows_by_search(g):
-    """Generating arrows found by a scan from the roots; the reference for :func:`generating_arrows`."""
-    orbits, isotropy = orbits_and_isotropy(g)
-    roots = {orb[0] for orb in orbits}
-    gens = {a for r in roots for a in isotropy[r]}
-    reached = set(roots)
-    for a in range(g.n_arrows):
-        if g.src[a] in roots and g.tgt[a] not in reached:
-            reached.add(g.tgt[a])
-            gens.update((a, g.inv[a]))
-    return tuple(sorted(gens))
-
-
 ZOO = {**base_groupoids(), **GENERATED}
 
 
@@ -140,7 +118,41 @@ def test_orbit_transports_match_the_spanning_search(name):
         assert g.src[transport[x]] == root[x] and g.tgt[transport[x]] == x
         if x not in others or len(g.hom(root[x], x)) == 1:
             assert transport[x] == arrow_to[x]
-    assert generating_arrows(g) == _generating_arrows_by_search(g)
+
+
+def _cycle_generators(g):
+    """The generating set built from hom-sets over the orbits of the spanning search; the
+    reference for :func:`generating_arrows`."""
+    base_of, _ = _spanning_transports(g)
+    gens = set()
+    for r in set(base_of):
+        orbit = sorted(x for x in range(g.n_objects) if base_of[x] == r)
+        isotropy = g.hom(r, r)
+        gens |= {a for a in isotropy if not g.is_unit(a)}
+        if len(orbit) > 1:
+            gens |= {min(g.hom(x, y)) for x, y in zip(orbit, orbit[1:] + orbit[:1])}
+        elif len(isotropy) == 1:
+            gens.add(g.unit[r])
+    return tuple(sorted(gens))
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_every_arrow_is_a_word_in_the_generators(name):
+    g = ZOO[name]
+    gens = generating_arrows(g)
+    assert gens == _cycle_generators(g)
+    orbits, iso = orbits_and_isotropy(g)
+    # per orbit: the non-unit isotropy, the cycle when there are n > 1 objects, else a lone unit
+    sizes = [len(iso[orb[0]]) - 1 + (len(orb) if len(orb) > 1 else 0) for orb in orbits]
+    lone_trivial = [orb for orb in orbits if len(orb) == 1 and len(iso[orb[0]]) == 1]
+    assert len(gens) == sum(sizes) + len(lone_trivial)
+    # the nonempty words: close the generators under left multiplication by a generator
+    words, grown = set(gens), True
+    while grown:
+        more = {g.compose(t, w) for t in gens for w in words if (t, w) in g.comp}
+        grown = not more <= words
+        words |= more
+    assert words == set(range(g.n_arrows))
 
 
 def test_orbit_transports_take_the_lowest_arrow_when_there_are_two():

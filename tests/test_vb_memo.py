@@ -1,5 +1,6 @@
 """The per-call memos of check_vbgroupoid and check_vbmap, the stacked mult_of, the
-batched inverse_matrix and the associativity pass over generating arrows.
+batched inverse_matrix, and the associativity and VB-map multiplicativity passes over
+generating arrows.
 
 The oracle is a copy of the checkers as they were before the memos: every arrow, pair and
 triple is computed afresh, the product is the two-block form ``m1 a + m2 b`` and the
@@ -10,16 +11,19 @@ for the one it replaced.  Fib bases are shared by value, which could go wrong wh
 s and t maps along two strings agree in some places and not in others.  Associativity is
 first computed only on triples that start with a generating arrow; on mutants that break
 associativity alone the report must still equal the oracle's, and every case outside the
-reduced pass's gate must compute every triple.
+reduced pass's gate must compute every triple.  The same holds for a VB-map's
+multiplicativity, computed first only on pairs that start with a generating arrow.
 """
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 from vbgroupoids import io as vio
 from vbgroupoids import vb
+from vbgroupoids.descent import descend_pipeline, make_descent_problem
 from vbgroupoids.generators import acyclic_ruth, honest_rep, named_reps, random_gauge, random_matrix, shifted_ruth
 from vbgroupoids.groupoid import (
     FiniteGroupoid,
@@ -544,17 +548,20 @@ def test_mutant_fails_on_and_off_the_generating_arrows():
     assert _entries(raw_check(bad)) == _entries(reference_check(bad))
 
 
-def _computed_triples(monkeypatch) -> list[tuple[int, ...]]:
-    """The triples at which ``check_vbgroupoid`` computes associativity from now on: each
-    computation reads the Fib basis of its triple once."""
+def _computed(monkeypatch, length: int = 3, checker: str = "check_vbgroupoid") -> list[tuple[int, ...]]:
+    """The strings of ``length`` arrows at which ``checker`` computes an identity from now on:
+    each computation reads the Fib basis of its string once.  A checker that calls another
+    builds its own Fib memo, so only the ones ``checker`` builds are counted."""
     computed = []
     fib_slots = vb._fib_slots
 
     def counting(v):
         fib = fib_slots(v)
+        if sys._getframe(1).f_code.co_name != checker:
+            return fib
 
         def counted(arrows):
-            if len(arrows) == 3:
+            if len(arrows) == length:
                 computed.append(tuple(arrows))
             return fib(arrows)
 
@@ -564,25 +571,25 @@ def _computed_triples(monkeypatch) -> list[tuple[int, ...]]:
     return computed
 
 
-def _z2_k4() -> VBGroupoid:
+def _z2_k4(seed: int = 5) -> VBGroupoid:
     """A gauge-randomized pullback to the Cech groupoid of Z_2 by 4 copies: 4 objects, 32 arrows,
     every structure matrix its own object, so no two triples share a memo key."""
     cech = cech_groupoid(Z2, [[0]] * 4)
     trivial = named_reps("z2", Z2)[0]
-    r, _ = random_gauge(pullback_ruth(cech.pi, direct_sum(trivial, acyclic_ruth(trivial))), random.Random(5))
+    r, _ = random_gauge(pullback_ruth(cech.pi, direct_sum(trivial, acyclic_ruth(trivial))), random.Random(seed))
     return grothendieck(r)
 
 
 def test_valid_object_computes_associativity_only_from_generators(monkeypatch):
     v = _z2_k4()
     gens = generating_arrows(v.base)
-    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 8, 2048)
-    computed = _computed_triples(monkeypatch)
+    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 5, 2048)
+    computed = _computed(monkeypatch)
     listed = []
     all_triples = FiniteGroupoid.triples
     monkeypatch.setattr(FiniteGroupoid, "triples", lambda g: listed.append(g) or all_triples(g))
     assert raw_check(v).ok
-    assert len(computed) == 512
+    assert len(computed) == 320
     # built from the generators in the order of the full list, which is never enumerated
     assert computed == [x for x in all_triples(v.base) if x[0] in set(gens)]
     assert listed == []
@@ -604,7 +611,7 @@ def test_invalid_base_takes_the_full_loop(monkeypatch):
     base = _flipped_cech()
     assert not validate_groupoid(base).ok
     v = acyclic_vb(base, [1] * base.n_objects)
-    computed = _computed_triples(monkeypatch)
+    computed = _computed(monkeypatch)
     assert raw_check(v).ok
     assert sorted(computed) == sorted(base.triples())
 
@@ -627,7 +634,7 @@ def test_earlier_failure_takes_the_full_loop(monkeypatch):
     v = direct_sum_vb(CORED["pair3"], _bare_bundle(PAIR3, 2))
     expected = reference_check(v)
     assert {x.check for x in expected.violations} == {"s-surjective", "t-surjective", "unit-section-s", "unit-section-t"}
-    computed = _computed_triples(monkeypatch)
+    computed = _computed(monkeypatch)
     assert _entries(raw_check(v)) == _entries(expected)
     assert len(computed) == len(PAIR3.triples())
 
@@ -643,6 +650,106 @@ def test_inverse_failure_takes_the_full_loop(monkeypatch):
         return solved(self, g)
 
     monkeypatch.setattr(VBGroupoid, "inverse_matrix", missing_at_1)
-    computed = _computed_triples(monkeypatch)
+    computed = _computed(monkeypatch)
     assert _entries(raw_check(v)) == [("inverse-missing", (1,), "")]
     assert len(computed) == len(PAIR3.triples())
+
+
+# -- VB-map multiplicativity from the generating arrows ----------------------------------
+
+
+def _twisted(v: VBGroupoid, seed: int) -> VBMap:
+    """The identity of ``v`` twisted by random core-valued data: a valid map with nonzero
+    vertical parts."""
+    rng = random.Random(seed)
+    cd = core(v)
+    alpha = [random_matrix(rng, cd.dims[x], v.e_dims[x]) for x in range(v.base.n_objects)]
+    return twist(identity_vbmap(v), alpha)[0]
+
+
+TWISTED = {name: _twisted(v, 20) for name, v in CORED.items()}
+
+
+def _multiplicativity_mutant(f: VBMap, seed: int) -> VBMap:
+    """``f`` with K R added to its matrix at one or two non-unit arrows, K a basis of
+    ker [s'; t'] over the image arrow and R random.
+
+    The change lies in ker s' cap ker t', so source- and target-compat still hold, and
+    unit-compat reads no changed arrow.  Only mult-compat can fail."""
+    rng = random.Random(seed)
+    g, w = f.source.base, f.target
+    arr_maps = list(f.arr_maps)
+    for a in rng.sample([a for a in range(g.n_arrows) if not g.is_unit(a)], rng.choice((1, 2))):
+        fa = f.base_map.arr_map[a]
+        k = Matrix.vstack([w.s_maps[fa], w.t_maps[fa]]).kernel()
+        arr_maps[a] = arr_maps[a] + k * random_matrix(rng, k.cols, arr_maps[a].cols)
+    return replace(f, arr_maps=tuple(arr_maps))
+
+
+MAP_MUTANTS = [(name, seed) for name, count in (("pair3", 30), ("cech3", 10)) for seed in range(count)]
+
+
+@pytest.mark.parametrize("name,seed", MAP_MUTANTS)
+def test_multiplicativity_mutant_matches_full_loop(name, seed):
+    bad = _multiplicativity_mutant(TWISTED[name], seed)
+    expected = reference_mult_compat(bad)
+    assert expected
+    assert _entries(check_vbmap.__wrapped__(bad)) == [("mult-compat", x, "") for x in expected]
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED))
+def test_map_mutant_fails_on_and_off_the_generating_arrows(name):
+    # the reduced pass finds the pairs that start with a generator; the full loop adds the rest
+    gens = set(generating_arrows(CORED[name].base))
+    bad = _multiplicativity_mutant(TWISTED[name], 0)
+    assert {x[0] in gens for x in reference_mult_compat(bad)} == {True, False}
+
+
+def test_valid_map_computes_multiplicativity_only_from_generators(monkeypatch):
+    f = _twisted(_z2_k4(), 21)
+    g = f.source.base
+    gens = set(generating_arrows(g))
+    computed = _computed(monkeypatch, 2, "check_vbmap")
+    assert check_vbmap.__wrapped__(f).ok
+    assert (len(g.pairs), len(computed)) == (256, 40)
+    assert computed == [p for p in g.pairs if p[0] in gens]
+
+
+def test_invalid_map_computes_every_pair(monkeypatch):
+    g = CECH3.gu
+    bad = _multiplicativity_mutant(TWISTED["cech3"], 1)
+    expected = reference_mult_compat(bad)
+    computed = _computed(monkeypatch, 2, "check_vbmap")
+    assert _entries(check_vbmap.__wrapped__(bad)) == [("mult-compat", x, "") for x in expected] != []
+    # the reduced pass, which fails, then every pair
+    assert computed == [p for p in g.pairs if p[0] in set(generating_arrows(g))] + list(g.pairs)
+
+
+def test_earlier_map_failure_computes_every_pair(monkeypatch):
+    f = TWISTED["pair3"]
+    shift = Matrix.identity(f.obj_maps[1].rows).scale(2)
+    bad = replace(f, obj_maps=tuple(m + shift if x == 1 else m for x, m in enumerate(f.obj_maps)))
+    computed = _computed(monkeypatch, 2, "check_vbmap")
+    assert "source-compat" in {x.check for x in check_vbmap.__wrapped__(bad).violations}
+    assert computed == list(PAIR3.pairs)
+
+
+def test_map_over_an_invalid_source_computes_every_pair(monkeypatch):
+    # the identity of a non-associative VB-groupoid passes every VB-map law, but the reduced
+    # pass is not proven over it
+    bad = _associativity_mutant(CORED["pair3"], 0)
+    assert not check_vbgroupoid(bad).ok
+    computed = _computed(monkeypatch, 2, "check_vbmap")
+    assert check_vbmap.__wrapped__(identity_vbmap(bad)).ok
+    assert computed == list(PAIR3.pairs)
+
+
+def test_descend_pipeline_makes_no_extra_raw_object_check(monkeypatch):
+    # one raw run where the object is built and two inside the pipeline: the gate of every
+    # check_vbmap call finds both ends already checked
+    runs = []
+    fib_slots = vb._fib_slots
+    monkeypatch.setattr(vb, "_fib_slots", lambda v: runs.append(sys._getframe(1).f_code.co_name) or fib_slots(v))
+    v = _z2_k4(6)
+    descend_pipeline(v, make_descent_problem(Z2, [[0]] * 4))
+    assert runs.count("check_vbgroupoid") == 3
