@@ -8,11 +8,23 @@ Rationals serialize as strings like ``-3/7`` (denominator omitted when 1),
 matrices as row-major nested arrays of such strings.  Ruths omit unit-arrow
 entries (implied identity/zero).  Object and arrow ids are the contiguous
 integers 0..n-1.  Loading validates every object before use unless disabled.
+
+A matrix entry in the writers' form (ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
+denominator) is read with ``int`` alone; every other entry goes through
+:func:`frac_from_str`, so the reader accepts exactly the entries ``Fraction`` parsing
+accepts, with the same values and the same ParseError texts.  Within one
+:func:`loads_instance`, equal matrices are one object: each parsed ``Matrix`` is looked
+up by value in a dict kept for that call, and the first one read is returned for every
+later equal one.  The lookup is by the parsed value, never by the raw JSON, which
+would take ``true`` or ``1.0`` for ``1``.  So the identity-keyed memo of
+``check_vbgroupoid`` sees a pulled-back object read from a file as it sees the one
+``base_change`` built.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -76,22 +88,45 @@ def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tup
     return out
 
 
+_WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+Shared = dict[Matrix, Matrix]
+
+
+def _ratio(x: Any) -> tuple[int, int]:
+    """A matrix entry as a (numerator, nonzero denominator) pair, not always in lowest terms."""
+    m = _WRITTEN(x) if type(x) is str else None
+    if m is not None:
+        num, den = m.groups()
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts: frac_from_str reports it
+            pass
+        else:
+            if d:
+                return n, d
+    return frac_from_str(x).as_integer_ratio()
+
+
 def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[frac_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def matrix_from_json(data: Any, rows: int, cols: int, where: str = "") -> Matrix:
+def matrix_from_json(data: Any, rows: int, cols: int, where: str = "", shared: Optional[Shared] = None) -> Matrix:
+    """The ``rows`` x ``cols`` matrix ``data``, else a ParseError.
+
+    With ``shared``, the first matrix in it equal to the one read is returned instead,
+    and a new value joins it.
+    """
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} matrix rows")
     try:
-        out = Matrix.from_rows([[frac_from_str(x) for x in row] for row in data], cols=cols)
+        out = Matrix.from_ratios([[_ratio(x) for x in row] for row in data], cols=cols)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{where}: {e}") from None
-    if out.cols != cols and rows > 0:
+    if out.cols != cols:
         raise ParseError(f"{where}: expected {cols} matrix columns")
-    if rows == 0:
-        return Matrix.zeros(0, cols)
-    return out
+    return out if shared is None else shared.setdefault(out, out)
 
 
 def groupoid_to_json(g: FiniteGroupoid) -> dict:
@@ -155,7 +190,9 @@ def ruth_to_json(r: TwoTermRuth, base: str) -> dict:
     return out
 
 
-def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> TwoTermRuth:
+def ruth_from_json(
+    data: dict, base: FiniteGroupoid, where: str = "ruth", shared: Optional[Shared] = None
+) -> TwoTermRuth:
     g = base
     e_tab, c_tab = _table(data, "E", g.n_objects, where), _table(data, "C", g.n_objects, where)
     try:
@@ -164,19 +201,19 @@ def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> Two
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
     anchor = {
-        x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]")
+        x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]", shared)
         for x, m in _table(data, "anchor", g.n_objects, where).items()
     }
     rho_e = {
-        a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]")
+        a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]", shared)
         for a, m in _table(data, "rhoE", g.n_arrows, where).items()
     }
     rho_c = {
-        a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]")
+        a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]", shared)
         for a, m in _table(data, "rhoC", g.n_arrows, where).items()
     }
     gamma = {
-        (g1, g2): matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{g1},{g2}]")
+        (g1, g2): matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{g1},{g2}]", shared)
         for (g1, g2), m in _pair_table(data, "gamma", g, where).items()
     }
     return make_ruth(g, e, c, anchor=anchor, rho_e=rho_e, rho_c=rho_c, gamma=gamma)
@@ -196,7 +233,9 @@ def vbgroupoid_to_json(v: VBGroupoid, base: str) -> dict:
     }
 
 
-def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroupoid") -> VBGroupoid:
+def vbgroupoid_from_json(
+    data: dict, base: FiniteGroupoid, where: str = "vbgroupoid", shared: Optional[Shared] = None
+) -> VBGroupoid:
     g = base
     n, m = g.n_objects, g.n_arrows
     e_tab, gd_tab = _table(data, "E", n, where), _table(data, "Gamma", m, where)
@@ -206,9 +245,9 @@ def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroup
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
     s, t, u = _table(data, "s", m, where), _table(data, "t", m, where), _table(data, "u", n, where)
-    s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]") for a in range(m))
-    t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]") for a in range(m))
-    u_maps = tuple(matrix_from_json(u[x], gd[g.unit[x]], e[x], f"{where}.u[{x}]") for x in range(n))
+    s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]", shared) for a in range(m))
+    t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]", shared) for a in range(m))
+    u_maps = tuple(matrix_from_json(u[x], gd[g.unit[x]], e[x], f"{where}.u[{x}]", shared) for x in range(n))
     mult = _pair_table(data, "m", g, where)
     m_maps = {}
     for g1, g2 in g.pairs:
@@ -216,7 +255,7 @@ def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroup
             raise ParseError(f"{where}: missing multiplication entry {g1},{g2}")
         g12 = g.compose(g1, g2)
         m_maps[(g1, g2)] = matrix_from_json(
-            mult[(g1, g2)], gd[g12], gd[g1] + gd[g2], f"{where}.m[{g1},{g2}]"
+            mult[(g1, g2)], gd[g12], gd[g1] + gd[g2], f"{where}.m[{g1},{g2}]", shared
         )
     return VBGroupoid(
         base=g, e_dims=e, gamma_dims=gd, s_maps=s_maps, t_maps=t_maps, u_maps=u_maps, m_maps=m_maps
@@ -238,7 +277,9 @@ def vbmap_to_json(f: VBMap, source: str, target: str) -> dict:
     }
 
 
-def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: str = "vbmap") -> VBMap:
+def vbmap_from_json(
+    data: dict, source: VBGroupoid, target: VBGroupoid, where: str = "vbmap", shared: Optional[Shared] = None
+) -> VBMap:
     g = source.base
     bm_data = data.get("base_map", {})
     cod, at = target.base, f"{where}.base_map"
@@ -247,11 +288,11 @@ def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: s
     bm = GroupoidMap(g, target.base, obj_map, arr_map)
     obj, arr = _table(data, "obj", g.n_objects, where), _table(data, "arr", g.n_arrows, where)
     obj_maps = tuple(
-        matrix_from_json(obj[x], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]")
+        matrix_from_json(obj[x], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]", shared)
         for x in range(g.n_objects)
     )
     arr_maps = tuple(
-        matrix_from_json(arr[a], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]")
+        matrix_from_json(arr[a], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]", shared)
         for a in range(g.n_arrows)
     )
     return VBMap(source=source, target=target, base_map=bm, obj_maps=obj_maps, arr_maps=arr_maps)
@@ -312,6 +353,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
             raise ParseError(f"{name}: an object must be a JSON object with a string 'type'")
     inst = Instance(objects={}, kinds={}, raw=raw)
     loading: list[str] = []
+    shared: Shared = {}
 
     def load(name: str) -> None:
         if name in loading:
@@ -325,7 +367,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
             if ref not in inst.objects:
                 load(ref)
         try:
-            inst.objects[name] = _load_one(inst, name, data, validate)
+            inst.objects[name] = _load_one(inst, name, data, validate, shared)
         except (InvalidStructureError, ParseError):
             raise
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
@@ -339,7 +381,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
     return inst
 
 
-def _load_one(inst: Instance, name: str, data: dict, validate: bool):
+def _load_one(inst: Instance, name: str, data: dict, validate: bool, shared: Shared):
     kind = data["type"]
     if kind == "groupoid":
         g = groupoid_from_json(data, name)
@@ -360,20 +402,20 @@ def _load_one(inst: Instance, name: str, data: dict, validate: bool):
         return f
     if kind == "ruth":
         base = inst.get(data["base"], "groupoid")
-        r = ruth_from_json(data, base, name)
+        r = ruth_from_json(data, base, name, shared)
         if validate:
             check_ruth(r).require(f"{name}: invalid ruth")
         return r
     if kind == "vbgroupoid":
         base = inst.get(data["base"], "groupoid")
-        v = vbgroupoid_from_json(data, base, name)
+        v = vbgroupoid_from_json(data, base, name, shared)
         if validate:
             check_vbgroupoid(v).require(f"{name}: invalid VB-groupoid")
         return v
     if kind == "vbmap":
         source = inst.get(data["source"], "vbgroupoid")
         target = inst.get(data["target"], "vbgroupoid")
-        f = vbmap_from_json(data, source, target, name)
+        f = vbmap_from_json(data, source, target, name, shared)
         if validate:
             check_vbmap(f).require(f"{name}: invalid VB-map")
         return f

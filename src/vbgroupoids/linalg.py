@@ -144,7 +144,16 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
-        ratios = [[frac(x).as_integer_ratio() for x in r] for r in rows]
+        return Matrix.from_ratios([[frac(x).as_integer_ratio() for x in r] for r in rows], cols)
+
+    @staticmethod
+    def from_ratios(ratios: Sequence[Sequence[tuple[int, int]]], cols: Optional[int] = None) -> "Matrix":
+        """The matrix with entry ``n / d`` at (i, j), where ``(n, d) = ratios[i][j]`` and ``d != 0``.
+
+        The pairs need not be in lowest terms: the canonical form is reached in the
+        constructor.  The width is the length of the first row, or ``cols`` when there is
+        no row; a row of another length raises ValueError.
+        """
         if ratios:
             cols = len(ratios[0])
         elif cols is None:

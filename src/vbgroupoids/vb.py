@@ -73,6 +73,8 @@ class VBGroupoid:
     t_maps: tuple[Matrix, ...]  # per arrow: Gamma_g -> E_{tgt g}
     u_maps: tuple[Matrix, ...]  # per object: E_x -> Gamma_{unit x}
     m_maps: dict[tuple[int, int], Matrix] = field(hash=False)  # per composable pair, full matrix
+    # inverse_matrix results by arrow: successes only, so a failing inversion raises on every call
+    _inverses: dict[int, Matrix] = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def mult_blocks(self, g: int, h: int) -> tuple[Matrix, Matrix]:
         """Column blocks (M1, M2) of the full multiplication on Gamma_g (+) Gamma_h."""
@@ -122,7 +124,10 @@ class VBGroupoid:
         return Matrix.block(heights, [self.gamma_dims[a] for a in arrows], blocks).kernel()
 
     def inverse_matrix(self, g: int) -> Matrix:
-        """The linear inversion Gamma_g -> Gamma_{g inv}, solved from the axioms."""
+        """The linear inversion Gamma_g -> Gamma_{g inv}, solved from the axioms once per arrow."""
+        w = self._inverses.get(g)
+        if w is not None:
+            return w
         base = self.base
         gi = base.inv[g]
         m1, m2 = self.mult_blocks(g, gi)
@@ -133,6 +138,7 @@ class VBGroupoid:
         if w is None:
             k = next(k for k in range(b.cols) if a.solve(b.col(k)) is None)
             raise violation_error(f"no inverse for basis vector {k} over arrow {g}", "inverse-missing", (g, k))
+        self._inverses[g] = w
         return w
 
 
@@ -207,13 +213,14 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     """Every VB-groupoid axiom of ``v``, one violation per failing arrow, pair or triple.
 
     A pullback built by reindexing (``base_change``, ``descend_object``) reuses one
-    ``Matrix`` object for many arrows, pairs and triples.  So each identity past the
-    shape checks is computed once per distinct tuple of the structure matrices it
-    reads, keyed by their ``id()``s, and its result is then recorded for every arrow,
-    pair or triple with that key.  Identity keys are sound: a ``Matrix`` is immutable,
-    the dimensions an identity reads equal the shapes of its key matrices once the
-    shape checks pass, and the memo lives only for this call, during which ``v`` keeps
-    every key matrix alive, so no ``id`` is reused.  Fib bases are shared by value
+    ``Matrix`` object for many arrows, pairs and triples, and so does a loaded instance,
+    since ``io.loads_instance`` returns one object for the equal matrices of one file.
+    So each identity past the shape checks is computed once per distinct tuple of the
+    structure matrices it reads, keyed by their ``id()``s, and its result is then
+    recorded for every arrow, pair or triple with that key.  Identity keys are sound: a
+    ``Matrix`` is immutable, the dimensions an identity reads equal the shapes of its key
+    matrices once the shape checks pass, and the memo lives only for this call, during
+    which ``v`` keeps every key matrix alive, so no ``id`` is reused.  Fib bases are shared by value
     (:func:`_fib_slots`): a Fib space depends only on the s and t maps along its string, and a
     ``Matrix`` is immutable and compares and hashes by value, so equal keys give equal kernels.
 

@@ -7,10 +7,10 @@ import pytest
 
 from vbgroupoids import io as vio
 from vbgroupoids.generators import named_reps, random_gauge, seed_ruths
-from vbgroupoids.groupoid import cyclic_groupoid, pair_groupoid
+from vbgroupoids.groupoid import cech_groupoid, cyclic_groupoid, pair_groupoid
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.ruth import make_ruth
-from vbgroupoids.vb import grothendieck, grothendieck_map, identity_vbmap
+from vbgroupoids.vb import base_change, grothendieck, grothendieck_map, identity_vbmap
 
 
 def test_rational_strings():
@@ -32,6 +32,61 @@ def test_matrix_entries_must_be_rational_strings(entry):
     with pytest.raises(vio.ParseError, match="bad rational"):
         vio.matrix_from_json([["1", entry]], 1, 2, "m")
     assert vio.matrix_from_json([["1", 2]], 1, 2, "m") == Matrix.from_rows([[1, 2]])
+
+
+_LONG = "7" * 5000  # more digits than int() converts by default
+
+# the writers' form -?[0-9]+(/[0-9]+)? read with int() alone, its edge cases, and entries
+# in every other form, which go through frac_from_str
+ENTRY_CORPUS = [
+    "0", "-0", "00", "-00/3", "1", "-1", "12", "3/07", "6/4", "-6/4", "0/5", "-3/7",
+    "1/0", "1/00", "-0/0", "+3", " 3", "3 ", "3\n", "1_0", "1/1_0", "٣", "3/٣", "²",
+    "0.5", "1e3", "3/-7", "3/+7", "--3", "-", "", "/3", "3/", "3/7/2", "0x10", "inf", "nan",
+    True, False, 0.5, 1.0, None, [], {}, 3, -2, 10**40,
+    _LONG, "-" + _LONG, "1/" + _LONG, _LONG + "/" + _LONG, "7" * 4300, "1/" + "7" * 4300,
+]
+
+
+def _read(x):
+    try:
+        return vio.matrix_from_json([[x]], 1, 1, "m")
+    except vio.ParseError as e:
+        return str(e)
+
+
+def _reference(x):
+    """The reader before int() parsing: every entry through frac_from_str."""
+    try:
+        return Matrix.from_rows([[vio.frac_from_str(x)]])
+    except vio.ParseError as e:
+        return f"m: {e}"
+
+
+@pytest.mark.parametrize("entry", ENTRY_CORPUS, ids=lambda x: repr(x)[:24])
+def test_entry_reader_matches_frac_from_str(entry):
+    assert _read(entry) == _reference(entry)
+
+
+def test_entry_corpus_covers_both_outcomes():
+    read = [_read(x) for x in ENTRY_CORPUS]
+    assert sum(isinstance(r, Matrix) for r in read) >= 20
+    assert sum(isinstance(r, str) for r in read) >= 20
+
+
+def test_matrix_reader_matches_frac_from_str_on_written_forms():
+    rng = random.Random(3)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        data = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                n, d = rng.randint(-30, 30), rng.randint(1, 12)
+                # unreduced "6/4", bare integers, and a zero or sign written oddly
+                row.append(rng.choice([f"{n}/{d}", str(n), f"{n * d}/{d * d}", f"-0/{d}", f"{n}/0{d}"]))
+            data.append(row)
+        expected = Matrix.from_rows([[vio.frac_from_str(x) for x in row] for row in data])
+        assert vio.matrix_from_json(data, rows, cols, "m") == expected
 
 
 def test_ragged_matrix_rows_are_parse_errors():
@@ -126,3 +181,31 @@ def test_cover_must_cover_every_object(sets, missing):
         vio.loads_instance(vio.dumps_instance(objects))
     objects["c"]["sets"] = [[0], [0, 1]]
     assert vio.loads_instance(vio.dumps_instance(objects)).get("c", "cover")[1] == ((0,), (0, 1))
+
+
+# -- one object per distinct matrix within a load -------------------------------------------
+
+
+def test_loaded_cech_pullback_has_one_object_per_distinct_matrix():
+    z2 = cyclic_groupoid(2)
+    r, _ = random_gauge(seed_ruths("z2", z2)[-2], random.Random(5))
+    cech = cech_groupoid(z2, [[0], [0], [0]])
+    pulled, _ = base_change(cech.pi, grothendieck(r))
+    text = vio.dumps_instance({"gu": vio.groupoid_to_json(cech.gu), "v": vio.vbgroupoid_to_json(pulled, "gu")})
+    loaded = vio.loads_instance(text).get("v", "vbgroupoid")
+    assert loaded == pulled
+    assert len({id(m) for m in loaded.s_maps}) == len(set(loaded.s_maps)) < cech.gu.n_arrows
+    matrices = [*loaded.s_maps, *loaded.t_maps, *loaded.u_maps, *loaded.m_maps.values()]
+    assert len({id(m) for m in matrices}) == len(set(matrices))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_entry_equal_to_an_earlier_valid_one_is_still_rejected(bad):
+    # true == 1 and 1.0 == 1 hash alike: only a key on the parsed matrix keeps them apart
+    z2 = cyclic_groupoid(2)
+    objects = {"g": vio.groupoid_to_json(z2), "v": vio.vbgroupoid_to_json(grothendieck(named_reps("z2", z2)[0]), "g")}
+    objects["v"]["s"]["0"] = [[1]]
+    objects["v"]["s"]["1"] = [[bad]]
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert str(err.value) == f"v.s[1]: bad rational {bad!r}: want a string like '-3/7'"

@@ -381,13 +381,40 @@ def test_inverse_matrix_witness_is_first_inconsistent_vector():
     assert exc.value.report.violations == [Violation("inverse-missing", (1, 1))]
 
 
+def test_inverse_matrix_is_kept_per_object_and_failures_raise_again():
+    v = replace(V)
+    first = v.inverse_matrix(1)
+    assert v.inverse_matrix(1) is first
+    # the kept inverses are not part of the value, and a replaced object starts without them
+    assert v == V and hash(v) == hash(V) and "_inverses" not in repr(v)
+    assert replace(v).inverse_matrix(1) is not first
+    m = V.m_maps[(1, 1)]
+    shift = Matrix.block([1, m.rows - 1], [1, 1, m.cols - 2], {(0, 1): Matrix.identity(1)})
+    bad = replace(V, m_maps={**V.m_maps, (1, 1): m + shift})
+    for _ in range(2):
+        with pytest.raises(InvalidStructureError, match="basis vector 1 over arrow 1"):
+            bad.inverse_matrix(1)
+
+
 # -- Fib bases shared by value ---------------------------------------------------------------
 
 
 def _loaded(v: VBGroupoid) -> VBGroupoid:
-    """``v`` written to an instance file and read back: one ``Matrix`` object per entry."""
+    """``v`` written to an instance file and read back, with every matrix copied into a fresh
+    object: one ``Matrix`` object per entry (a load alone shares equal matrices)."""
     text = vio.dumps_instance({"g": vio.groupoid_to_json(v.base), "v": vio.vbgroupoid_to_json(v, "g")})
-    return vio.loads_instance(text).get("v", "vbgroupoid")
+    w = vio.loads_instance(text).get("v", "vbgroupoid")
+
+    def fresh(ms):
+        return tuple(Matrix.from_rows(m.data, m.cols) for m in ms)
+
+    return replace(
+        w,
+        s_maps=fresh(w.s_maps),
+        t_maps=fresh(w.t_maps),
+        u_maps=fresh(w.u_maps),
+        m_maps=dict(zip(w.m_maps, fresh(w.m_maps.values()))),
+    )
 
 
 def _transport(v: VBGroupoid, psi: list[Matrix]) -> VBGroupoid:
