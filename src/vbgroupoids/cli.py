@@ -7,7 +7,9 @@ error.  Usage errors (a malformed option value, an unknown command, a missing
 required option, ``gen`` without ``--out``) are JSON events too: an
 ``{"event": "error", "kind": "usage"}`` line, then the summary, then exit
 code 2.  Identical inputs and seeds produce byte-identical output; wall-clock
-timing is printed to stderr only when --timings is given.
+timing is printed to stderr only when --timings is given.  The options --pmax,
+--seed, --out and --timings may come before or after the command; a value given
+after the command wins.
 """
 
 from __future__ import annotations
@@ -443,20 +445,29 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+def _common_options(argument_default=None) -> _Parser:
+    """The options that ``vbg`` and every command accept, with ``argument_default`` for all four."""
+    common = _Parser(add_help=False, argument_default=argument_default)
     common.add_argument(
         "--pmax", type=int, help="max cochain degree, at least 1 (default: $VBG_PMAX or 3)"
     )
     common.add_argument("--seed", type=int, help="default: $VBG_SEED or 0")
-    common.add_argument("--out", default=os.environ.get("VBG_OUT"))
+    common.add_argument("--out", help="default: $VBG_OUT")
     common.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
-    p = _Parser(prog="vbg", description=__doc__, parents=[common])
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="vbg", description=__doc__, parents=[_common_options()])
+    p.set_defaults(out=os.environ.get("VBG_OUT"))
+    # a command's copies set nothing unless given, so a value given before the command
+    # survives the command's parser, and one given after the command replaces it
+    command_options = _common_options(argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name: str, *positional: str):
         func, help_text = COMMANDS[name]
-        c = sub.add_parser(name, help=help_text, parents=[common])
+        c = sub.add_parser(name, help=help_text, parents=[command_options])
         c.set_defaults(func=func)
         for arg in positional:
             c.add_argument(arg)

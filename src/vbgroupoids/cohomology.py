@@ -13,7 +13,7 @@ cohomology only in degrees <= p_max - 1, and every report here respects that.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .vb import (
     choose_cleavage,
     coords_in,
     dual_vb,
+    fib_key,
     grothendieck,
 )
 
@@ -180,6 +181,10 @@ class LinComplex:
     fib_bases: tuple[tuple[Matrix, ...], ...]  # per degree, per string
     offsets: tuple[tuple[int, ...], ...]
     complex: CochainComplex  # degrees 0 .. p_max
+    # per degree, per string: the fib_key of its Fib space (an object's is dim E_x)
+    fib_keys: tuple[tuple[tuple, ...], ...] = field(compare=False, repr=False)
+    # _zero_last_vectors by (fib_key, zeros), shared by every projectable-condition call
+    _zero_last: dict[tuple, Matrix] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def dim(self, p: int) -> int:
         return self.complex.dim(p)
@@ -200,37 +205,71 @@ def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> Matri
 
 
 def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
+    """The linear complex of ``v`` in degrees 0 .. p_max; D^2 = 0 is checked.
+
+    Work is shared between strings with the same :func:`~vbgroupoids.vb.fib_key`: one Fib
+    basis is built per key, and the coordinates of the first and the last face of a string
+    of two or more arrows are computed once per key.  Those faces drop the first or the last
+    slot, so they read only Fib(s) and the Fib spaces of s without its first or last arrow,
+    whose keys are a suffix or a prefix of the key of s (or, for one arrow, the width of its
+    key's last or first matrix).  Inner faces read m and are computed for every string.
+    Only successes are kept, so the first failing (string, face) in loop order is reported.
+
+    In a Grothendieck VB-groupoid whose s-maps are all one matrix, Fib(g_1, ..., g_p)
+    depends only on (g_2, ..., g_p), so a key is shared by every choice of g_1.
+    """
     nv = nerve(v.base, p_max)
-    g = v.base
+    fib_keys = [tuple((v.e_dims[x],) for x in nv.strings[0])]
     fib_bases: list[tuple[Matrix, ...]] = [tuple(Matrix.identity(v.e_dims[x]) for x in nv.strings[0])]
+    by_key: dict[tuple, Matrix] = {}
     for p in range(1, p_max + 1):
-        fib_bases.append(tuple(v.fib_string_basis(s) for s in nv.strings[p]))
+        keys = tuple(fib_key(v, s) for s in nv.strings[p])
+        for s, k in zip(nv.strings[p], keys):
+            if k not in by_key:
+                by_key[k] = v.fib_string_basis(s)
+        fib_keys.append(keys)
+        fib_bases.append(tuple(by_key[k] for k in keys))
     sizes = [[b.cols for b in level] for level in fib_bases]
     offsets = [tuple(accumulate(level, initial=0)) for level in sizes]
     dims = tuple(offs[-1] for offs in offsets)
     diffs = []
+    outer: dict[tuple[tuple, int], Matrix] = {}  # (key, face) -> signed coordinate block
     for p in range(p_max):
         blocks = []
         for si, s in enumerate(nv.strings[p + 1]):
             fib = fib_bases[p + 1][si]
             for i in range(p + 2):
                 t_idx = nv.face(p + 1, i)[si]
-                if p == 0:
-                    coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
-                else:
-                    coords = coords_in(
-                        fib_bases[p][t_idx],
-                        _face_image(v, s, i, fib),
-                        f"lin_complex: face image leaves Fib at degree {p + 1}",
-                        "face-in-fib",
-                        (p + 1, s, i),
-                        "(degree, string, face)",
-                    )
-                blocks.append(((si, t_idx), coords.transpose().scale((-1) ** i)))
+                shared = (fib_keys[p + 1][si], i) if p and i in (0, p + 1) else None
+                block = outer.get(shared)
+                if block is None:
+                    if p == 0:
+                        coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
+                    else:
+                        coords = coords_in(
+                            fib_bases[p][t_idx],
+                            _face_image(v, s, i, fib),
+                            f"lin_complex: face image leaves Fib at degree {p + 1}",
+                            "face-in-fib",
+                            (p + 1, s, i),
+                            "(degree, string, face)",
+                        )
+                    block = coords.transpose().scale((-1) ** i)
+                    if shared:
+                        outer[shared] = block
+                blocks.append(((si, t_idx), block))
         diffs.append(Matrix.block(sizes[p + 1], sizes[p], blocks))
     cx = CochainComplex(0, p_max, dims, tuple(diffs))
     _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", lambda q, row: _string_at(nv, offsets, q, row))
-    return LinComplex(vb=v, p_max=p_max, nerve=nv, fib_bases=tuple(fib_bases), offsets=tuple(offsets), complex=cx)
+    return LinComplex(
+        vb=v,
+        p_max=p_max,
+        nerve=nv,
+        fib_bases=tuple(fib_bases),
+        offsets=tuple(offsets),
+        complex=cx,
+        fib_keys=tuple(fib_keys),
+    )
 
 
 def _zero_last_vectors(v: VBGroupoid, s: tuple[int, ...], fib: Matrix, zeros: int = 1) -> Matrix:
@@ -244,19 +283,26 @@ def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[t
     Rows cover condition (i) at degree p and condition (ii') through the
     differential into degree p + 1; each block is labelled (degree, string).
     """
-    v = lin.vb
     nv = lin.nerve
+
+    def zero_last(q: int, si: int) -> Matrix:
+        """_zero_last_vectors of the si-th degree-q string, once per (fib_key, zeros) of ``lin``."""
+        key = (lin.fib_keys[q][si], zeros)
+        if key not in lin._zero_last:
+            lin._zero_last[key] = _zero_last_vectors(lin.vb, nv.strings[q][si], lin.fib_bases[q][si], zeros)
+        return lin._zero_last[key]
+
     rows: list[tuple[tuple[int, tuple], Matrix]] = []
     if p >= zeros:
         sizes = lin.sizes(p)
         for si, s in enumerate(nv.strings[p]):
-            z = _zero_last_vectors(v, s, lin.fib_bases[p][si], zeros)
+            z = zero_last(p, si)
             if z.cols:
                 rows.append(((p, s), Matrix.block([z.cols], sizes, {(0, si): z.transpose()})))
     if zeros <= p + 1 <= lin.p_max:
         delta_rows = lin.complex.differential(p).split_rows(lin.sizes(p + 1))
         for si, s in enumerate(nv.strings[p + 1]):
-            z = _zero_last_vectors(v, s, lin.fib_bases[p + 1][si], zeros)
+            z = zero_last(p + 1, si)
             if z.cols:
                 rows.append(((p + 1, s), z.transpose() * delta_rows[si]))
     return rows

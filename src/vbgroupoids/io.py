@@ -113,13 +113,16 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(data: Any, rows: int, cols: int, where: str = "", shared: Optional[Shared] = None) -> Matrix:
-    """The ``rows`` x ``cols`` matrix ``data``, else a ParseError.
+    """The ``rows`` x ``cols`` matrix ``data``, a list of rows that are lists, else a ParseError.
 
     With ``shared``, the first matrix in it equal to the one read is returned instead,
     and a new value joins it.
     """
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} matrix rows")
+    bad = next((i for i, row in enumerate(data) if not isinstance(row, list)), None)
+    if bad is not None:
+        raise ParseError(f"{where}: matrix row {bad} is not a list")
     try:
         out = Matrix.from_ratios([[_ratio(x) for x in row] for row in data], cols=cols)
     except (TypeError, ValueError) as e:

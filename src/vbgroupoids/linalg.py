@@ -19,7 +19,8 @@ and ``inverse`` use, also back-substitutes over them.  ``solve_matrix`` reduces
 columns.  When A's rows include the unit row e_j for every column j, as every ``kernel``
 basis and identity do, ``solve_matrix`` eliminates nothing: such an A has full column
 rank, so a solution is unique if it exists, and it can only be B's rows at those unit
-rows; one product A X = B decides whether it is one.
+rows.  A X equals B on the rows it was read from by construction, so only A's other rows
+are multiplied and compared with B's to decide whether it is one.
 
 Cohomology is counted from ranks, not constructed: dim H^p = dim C^p - rk d^p - rk d^{p-1},
 and a chain map f induces on H^p a map of rank rk [A; T] - rk A - rk d'^{p-1}, where [A; T]
@@ -114,6 +115,11 @@ class Matrix:
     ``den > 0``, and ``den`` coprime to the numerators taken together; so equal matrices
     have equal fields, and equality and hashing are by value.  A stored row dict is never
     changed after construction, so results may share rows with their operands.
+
+    ``__init__`` reaches the canonical form with a gcd pass over every row.  A result that
+    is canonical by construction skips that pass through the private :meth:`_canonical`,
+    whose caller must guarantee the invariant: ``den > 0``, no zero numerators, and ``den``
+    coprime to the numerators.  Each such caller says in one line why it holds.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_hash")
@@ -139,6 +145,17 @@ class Matrix:
         self._num = tuple(num)
         self._den = den
         self._hash = None
+
+    @classmethod
+    def _canonical(cls, rows: int, cols: int, num: Sequence[dict[int, int]], den: int = 1) -> "Matrix":
+        """Internal: the matrix of ``num`` over ``den``, which must already be in canonical form."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._num = tuple(num)
+        m._den = den
+        m._hash = None
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -170,11 +187,13 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [{}] * rows)
+        # canonical: denominator 1
+        return Matrix._canonical(rows, cols, [{}] * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [{i: 1} for i in range(n)])
+        # canonical: denominator 1
+        return Matrix._canonical(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -191,7 +210,9 @@ class Matrix:
             raise ValueError("vstack: col mismatch")
         den = lcm(*(b._den for b in blocks))
         num = [r if b._den == den else {j: x * (den // b._den) for j, x in r.items()} for b in blocks for r in b._num]
-        return Matrix(sum(b.rows for b in blocks), cols, num, den)
+        # canonical: for a prime p dividing den, the block whose denominator has p's full
+        # power has a numerator prime to p, and its factor den // b._den is prime to p
+        return Matrix._canonical(sum(b.rows for b in blocks), cols, num, den)
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -226,7 +247,10 @@ class Matrix:
                     row[c] = row.get(c, 0) + x * f
         if len({pos for pos, _ in pairs}) < len(pairs):
             out = [{c: x for c, x in row.items() if x} for row in out]
-        return Matrix(r_off[-1], c_off[-1], out, den)
+            return Matrix(r_off[-1], c_off[-1], out, den)
+        # canonical when no position repeats, by the argument of ``vstack``: no two blocks
+        # share an entry, so each keeps its numerators times a factor prime to such a p
+        return Matrix._canonical(r_off[-1], c_off[-1], out, den)
 
     # -- basics -------------------------------------------------------------
 
@@ -294,9 +318,12 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self._num], self._den)
+        # canonical: the same numerators up to sign over the same denominator
+        return Matrix._canonical(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self._num], self._den)
 
     def scale(self, c) -> "Matrix":
+        if isinstance(c, (int, Fraction)) and c in (1, -1):
+            return self if c == 1 else -self
         c = frac(c)
         if not c:
             return Matrix.zeros(self.rows, self.cols)
@@ -309,6 +336,12 @@ class Matrix:
         b_num = other._num
         out = []
         for arow in self._num:
+            if len(arow) == 1:
+                # one entry a at column k: the row is a times B's row k, with no zero to filter
+                ((k, a),) = arow.items()
+                brow = b_num[k]
+                out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
+                continue
             acc: dict[int, int] = {}
             for k, a in arow.items():
                 for j, b in b_num[k].items():
@@ -321,7 +354,8 @@ class Matrix:
         for i, r in enumerate(self._num):
             for j, x in r.items():
                 out[j][i] = x
-        return Matrix(self.cols, self.rows, out, self._den)
+        # canonical: the same numerators over the same denominator
+        return Matrix._canonical(self.cols, self.rows, out, self._den)
 
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
         pos = {j: k for k, j in enumerate(idx)}
@@ -330,7 +364,11 @@ class Matrix:
         return Matrix(self.rows, len(pos), [{pos[j]: x for j, x in r.items() if j in pos} for r in self._num], self._den)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(len(idx), self.cols, [self._num[i] for i in idx], self._den)
+        num = [self._num[i] for i in idx]
+        if self._den == 1:
+            # canonical: denominator 1
+            return Matrix._canonical(len(num), self.cols, num)
+        return Matrix(len(num), self.cols, num, self._den)
 
     def split_rows(self, heights: Sequence[int]) -> list["Matrix"]:
         """The consecutive row blocks of the given heights: the inverse of ``vstack``."""
@@ -400,7 +438,9 @@ class Matrix:
         Read path: if ``self`` has a unit row e_j (one entry, equal to 1) for every
         column j, it has full column rank, so X is unique if it exists, and row j of X
         is B's row at the first e_j.  X is read off so, with no elimination, and
-        returned when ``self @ X == B``.
+        returned when ``self @ X == B``.  On the rows read that holds by construction,
+        so only the other rows of ``self``, repeated unit rows among them, are
+        multiplied by X and compared with B's.
 
         Otherwise one ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in
         the columns of ``self`` are those of ``self``'s own RREF, and a column of B is
@@ -419,8 +459,12 @@ class Matrix:
                 if x == self._den:
                     unit.setdefault(j, i)
         if len(unit) == n:
-            X = B.take_rows([unit[j] for j in range(n)])
-            return X if self * X == B else None
+            read = [unit[j] for j in range(n)]
+            X = B.take_rows(read)
+            rest = sorted(set(range(self.rows)).difference(read))
+            if rest and self.take_rows(rest) * X != B.take_rows(rest):
+                return None
+            return X
         R, piv = Matrix.hstack([self, B]).rref()
         if piv and piv[-1] >= n:
             return None

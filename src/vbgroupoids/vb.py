@@ -179,18 +179,26 @@ def coords_in(basis: Matrix, image: Matrix, context: str, check: str, witness: t
     return coords
 
 
-def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
-    """``arrows -> v.slots(arrows, v.fib_string_basis(arrows))`` for strings of two or more
-    arrows, with one kernel per distinct value of the matrices that define Fib along the string.
+def fib_key(v: VBGroupoid, arrows: Sequence[int]) -> tuple:
+    """A key that determines ``v.fib_string_basis(arrows)`` and the heights of its slots.
 
-    Fib(g_1, ..., g_p) is the kernel of a block matrix built from s_{g_i} and t_{g_{i+1}} alone,
-    so the key is those matrices by value, in string order; their shapes fix the block heights
-    and widths.  The memo lives in the returned function, so it lasts one checker call.
+    Fib(g_1, ..., g_p) for p >= 2 is the kernel of a block matrix built from s_{g_i} and
+    t_{g_{i+1}} alone, so the key is those matrices by value, in string order; their shapes fix
+    the block heights and widths.  Fib of one arrow is its whole fiber, keyed by its dimension.
     """
-    memo: dict[tuple[Matrix, ...], tuple[Matrix, ...]] = {}
+    if len(arrows) == 1:
+        return (v.gamma_dims[arrows[0]],)
+    return tuple(m for a, b in zip(arrows, arrows[1:]) for m in (v.s_maps[a], v.t_maps[b]))
+
+
+def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
+    """``arrows -> v.slots(arrows, v.fib_string_basis(arrows))``, with one kernel per distinct
+    :func:`fib_key`.  The memo lives in the returned function, so it lasts one checker call.
+    """
+    memo: dict[tuple, tuple[Matrix, ...]] = {}
 
     def fib(arrows: Sequence[int]) -> tuple[Matrix, ...]:
-        key = tuple(m for a, b in zip(arrows, arrows[1:]) for m in (v.s_maps[a], v.t_maps[b]))
+        key = fib_key(v, arrows)
         if key not in memo:
             memo[key] = tuple(v.slots(arrows, v.fib_string_basis(arrows)))
         return memo[key]

@@ -164,6 +164,41 @@ def test_pmax_env_override(sign_file, capsys, monkeypatch):
     assert max(degrees) == 1
 
 
+def test_pmax_before_the_command_is_kept(sign_file, capsys):
+    _, events = run_cli(["--pmax", "2", "cohomology", str(sign_file), "sign"], capsys)
+    assert max(d["p"] for d in events[0]["degrees"]) == 1
+    # a value after the command wins
+    _, events = run_cli(["--pmax", "2", "cohomology", str(sign_file), "sign", "--pmax", "4"], capsys)
+    assert max(d["p"] for d in events[0]["degrees"]) == 3
+
+
+def test_seed_before_the_command_is_kept(tmp_path, capsys):
+    assert main(["--seed", "4", "gen", "--recipe", "gauge:z3", "--out", str(tmp_path / "before")]) == 0
+    assert main(["gen", "--recipe", "gauge:z3", "--seed", "4", "--out", str(tmp_path / "after")]) == 0
+    assert main(["--seed", "0", "gen", "--recipe", "gauge:z3", "--seed", "4", "--out", str(tmp_path / "both")]) == 0
+    capsys.readouterr()
+    written = [(tmp_path / d / "gen-gauge-z3-4.json").read_bytes() for d in ("before", "after", "both")]
+    assert written[0] == written[1] == written[2]
+
+
+def test_out_before_the_command_is_kept(sign_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("VBG_OUT", raising=False)
+    code, events = run_cli(["--out", str(tmp_path / "before"), "dual", str(sign_file), "sign"], capsys)
+    assert code == 0
+    assert [e["path"] for e in events if e["event"] == "written"] == [str(tmp_path / "before" / "dual-sign.json")]
+    assert (tmp_path / "before" / "dual-sign.json").is_file()
+    args = ["--out", str(tmp_path / "before"), "dual", str(sign_file), "sign", "--out", str(tmp_path / "after")]
+    _, events = run_cli(args, capsys)
+    assert [e["path"] for e in events if e["event"] == "written"] == [str(tmp_path / "after" / "dual-sign.json")]
+
+
+def test_timings_before_the_command_is_kept(sign_file, capsys):
+    assert main(["--timings", "check", str(sign_file)]) == 0
+    assert capsys.readouterr().err.startswith("elapsed: ")
+    assert main(["check", str(sign_file)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("pmax", ["0", "-1"])
 def test_pmax_below_one_is_usage_error(sign_file, tmp_path, capsys, pmax):
     code, _ = run_cli(["groth", str(sign_file), "sign", "--out", str(tmp_path)], capsys)
@@ -281,6 +316,18 @@ def test_malformed_instance_is_parse_error(tmp_path, capsys, case):
     assert events[0]["event"] == "error" and events[0]["kind"] == "parse"
     assert events[-1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", [str, dict], ids=["string", "object"])
+def test_matrix_row_that_is_not_a_list_is_parse_error(descent_files, tmp_path, capsys, kind):
+    payload = json.loads(descent_files["object"].read_text())
+    s0 = payload["objects"]["object"]["s"]["0"]
+    s0[0] = "".join(s0[0]) if kind is str else {str(j): x for j, x in enumerate(s0[0])}
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(payload))
+    code, events = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert events[0]["kind"] == "parse" and "matrix row 0 is not a list" in events[0]["message"]
 
 
 @pytest.fixture(scope="module")

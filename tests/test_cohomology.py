@@ -22,7 +22,7 @@ from vbgroupoids.cohomology import (
     vb_subcomplex,
 )
 from vbgroupoids.generators import acyclic_ruth, named_reps, random_gauge, random_matrix
-from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, point_groupoid
+from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, pair_groupoid, point_groupoid
 from vbgroupoids.linalg import CochainComplex, Matrix, betti_numbers, complex_cohomology
 from vbgroupoids.report import InvalidStructureError
 from vbgroupoids.ruth import TwoTermRuth, check_ruth, direct_sum, make_ruth, zero_ruth
@@ -33,6 +33,8 @@ from vbgroupoids.vb import (
     base_change,
     choose_cleavage,
     core,
+    dual_vb,
+    fib_key,
     grothendieck,
     identity_vbmap,
     is_vb_morita,
@@ -422,10 +424,23 @@ def test_lin_complex_d_squared_witness(monkeypatch, curved):
     assert (violation.check, violation.witness) == ("d-squared", (0, (0, 0), (1, 0)))
 
 
-def test_lin_complex_face_leaves_fib_witness(monkeypatch, z2, curved):
-    # the first face image from degree 3, after the three faces of each 2-string
-    n = 3 * len(nerve(z2, 2).strings[2])
-    _fail_call(monkeypatch, cohomology, "_face_image", n, _double_first_slot)
+def _fail_faces(monkeypatch, bad) -> list:
+    """Make ``_face_image`` return ``_double_first_slot`` on every (string, face) that ``bad``
+    accepts; return the list of (string, face) pairs it is called on."""
+    real = cohomology._face_image
+    calls = []
+
+    def patched(v, s, i, fib):
+        calls.append((s, i))
+        return _double_first_slot(real, v, s, i, fib) if bad(s, i) else real(v, s, i, fib)
+
+    monkeypatch.setattr(cohomology, "_face_image", patched)
+    return calls
+
+
+def test_lin_complex_face_leaves_fib_witness(monkeypatch, curved):
+    # the first face image from degree 3
+    _fail_faces(monkeypatch, lambda s, i: (s, i) == ((0, 0, 0), 0))
     with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
         lin_complex(grothendieck(curved), 3)
     [violation] = exc.value.report.violations
@@ -434,6 +449,62 @@ def test_lin_complex_face_leaves_fib_witness(monkeypatch, z2, curved):
         (3, (0, 0, 0), 0),
         "(degree, string, face)",
     )
+
+
+def test_lin_complex_shared_outer_face_fault_is_reported_at_first_string(monkeypatch, curved):
+    v = grothendieck(curved)
+    # one s-map value: Fib(g1, g2, g3) depends on (g2, g3) alone, so (0, 1, 1) and (1, 1, 1) share
+    # their outer faces, and a fault there is met at the first of them in loop order
+    assert fib_key(v, (0, 1, 1)) == fib_key(v, (1, 1, 1))
+    _fail_faces(monkeypatch, lambda s, i: i == 0 and s[1:] == (1, 1))
+    with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
+        lin_complex(v, 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("face-in-fib", (3, (0, 1, 1), 0))
+
+
+def _unshared_lin_diffs(v, p_max: int) -> list[Matrix]:
+    """The differentials of ``lin_complex`` with one Fib basis and one face per string."""
+    nv = nerve(v.base, p_max)
+    bases = [[Matrix.identity(v.e_dims[x]) for x in nv.strings[0]]]
+    bases += [[v.fib_string_basis(s) for s in nv.strings[p]] for p in range(1, p_max + 1)]
+    diffs = []
+    for p in range(p_max):
+        blocks = []
+        for si, s in enumerate(nv.strings[p + 1]):
+            fib = bases[p + 1][si]
+            for i in range(p + 2):
+                t_idx = nv.face(p + 1, i)[si]
+                if p == 0:
+                    coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
+                else:
+                    coords = bases[p][t_idx].solve_matrix(cohomology._face_image(v, s, i, fib))
+                blocks.append(((si, t_idx), coords.transpose().scale((-1) ** i)))
+        diffs.append(Matrix.block([b.cols for b in bases[p + 1]], [b.cols for b in bases[p]], blocks))
+    return diffs
+
+
+def test_lin_complex_equals_unshared_construction(sign, curved):
+    pair2 = pair_groupoid(2)
+    objects = [
+        grothendieck(curved),
+        dual_vb(grothendieck(curved)),
+        grothendieck(direct_sum(sign, acyclic_ruth(sign))),
+        acyclic_vb(pair2, (1, 2)),
+        grothendieck(random_gauge(acyclic_ruth(named_reps("pair2", pair2)[0]), random.Random(5))[0]),
+    ]
+    for v in objects:
+        assert list(lin_complex(v, 3).complex.diffs) == _unshared_lin_diffs(v, 3)
+
+
+def test_lin_complex_computes_outer_faces_once_per_key(monkeypatch, curved):
+    v = grothendieck(curved)
+    calls = _fail_faces(monkeypatch, lambda s, i: False)
+    lin_complex(v, 3)
+    # each degree-3 key is shared by the strings (0, g2, g3) and (1, g2, g3): the second reads
+    # its first and last face from the first, and computes only the inner faces
+    for s in nerve(v.base, 3).strings[3]:
+        assert sorted(i for t, i in calls if t == s) == ([0, 1, 2, 3] if s[0] == 0 else [1, 2])
 
 
 def test_vb_subcomplex_closure_witness(monkeypatch, curved):

@@ -98,6 +98,13 @@ def test_ragged_matrix_rows_are_parse_errors():
         vio.matrix_from_json([["1", "2"], ["3", "4"]], 2, 3, "m")
 
 
+@pytest.mark.parametrize("row", ["12", {"1": 0, "2": 1}], ids=["string", "object"])
+def test_matrix_row_must_be_a_list(row):
+    # a string or an object would otherwise be read by its characters or keys, as ["1", "2"]
+    with pytest.raises(vio.ParseError, match="m: matrix row 1 is not a list"):
+        vio.matrix_from_json([["3", "4"], row], 2, 2, "m")
+
+
 def test_groupoid_round_trip():
     g = pair_groupoid(2)
     data = vio.groupoid_to_json(g)

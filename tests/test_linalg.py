@@ -383,6 +383,28 @@ def test_solve_matrix_read_path_matches_elimination(data):
         assert a * x == b
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_matrix_read_path_checks_repeated_unit_rows(data):
+    # X is read at the first e_j; a second e_j is among the rows the product is checked on
+    n = data.draw(st.integers(1, 4))
+    j = data.draw(st.integers(0, n - 1))
+    rows = [[int(i == c) for c in range(n)] for i in range(n)] + [[int(j == c) for c in range(n)]]
+    a = Matrix.from_rows(data.draw(st.permutations(rows)), cols=n)
+    k = data.draw(st.integers(1, 3))
+    b = a * data.draw(_matrices(rows=n, cols=k))
+    x = a.solve_matrix(b)
+    assert x is not None and x == _dense_solve_matrix(a, b)
+    e_j = tuple(F(int(j == c)) for c in range(n))
+    later = [i for i, r in enumerate(a.data) if r == e_j][1]
+    # B changed in one column at the later copy of e_j only: no X fits both copies
+    change = [[F(0)] * k for _ in range(a.rows)]
+    change[later][data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from([F(1), F(-1, 2), F(3)]))
+    bad = b + Matrix.from_rows(change, cols=k)
+    assert a.solve_matrix(bad) is None
+    assert _dense_solve_matrix(a, bad) is None
+
+
 def _count_eliminations(monkeypatch) -> list:
     """Record the row count of every elimination from now on.  ``rank``, ``rref`` and so
     every caller of either reduce through ``_echelon``, so every route is counted."""
@@ -504,6 +526,48 @@ def test_block_adds_repeated_positions_like_dense_reference(data):
     pairs = [*zip(positions, grids), (cancel, g), (cancel, [[-x for x in r] for r in g])]
     got = Matrix.block(heights, widths, [(pos, Matrix.from_rows(grid, cols=widths[pos[1]])) for pos, grid in pairs])
     _same(got, _ref_block(heights, widths, pairs), sum(widths))
+
+
+def _renormalized(m: Matrix) -> Matrix:
+    """``m``'s rows passed through the normalizing constructor."""
+    return Matrix(m.rows, m.cols, m._num, m._den)
+
+
+@st.composite
+def _shared_factor_grids(draw, rows, cols):
+    """Grids whose denominators divide 36, so blocks share primes at different powers."""
+    entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36])))
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_results_built_without_normalization_are_canonical(data):
+    m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = (Matrix.from_rows(data.draw(_shared_factor_grids(m, n)), cols=n) for _ in range(2))
+    c = Matrix.from_rows(data.draw(_shared_factor_grids(k, n)), cols=n)
+    d = Matrix.from_rows(data.draw(_shared_factor_grids(m, k)), cols=k)
+    integral = Matrix.from_rows([[x.numerator for x in r] for r in a.data], cols=n)
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=5)) if m else []
+    results = [
+        Matrix.vstack([a, b, c]),
+        Matrix.hstack([a, d, b]),
+        Matrix.block([m, k], [n, k], {(0, 0): a, (1, 0): c, (0, 1): d}),
+        Matrix.block_diag([a, c, d]),
+        a.transpose(),
+        -a,
+        a.scale(1),
+        a.scale(-1),
+        Matrix.identity(n),
+        Matrix.zeros(m, n),
+        integral.take_rows(rows),
+        a.take_rows(rows),
+        a * Matrix.identity(n),
+        Matrix.identity(m) * a,
+    ]
+    for r in results:
+        ref = _renormalized(r)
+        assert (r.rows, r.cols, r._num, r._den) == (ref.rows, ref.cols, ref._num, ref._den)
 
 
 def test_split_rows_rejects_heights_that_miss_the_row_count():
