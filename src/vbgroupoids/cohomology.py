@@ -193,6 +193,13 @@ class LinComplex:
         """The block size dim Fib(s) of each degree-p string s."""
         return [b.cols for b in self.fib_bases[p]]
 
+    def zero_last(self, p: int, si: int, zeros: int = 1) -> Matrix:
+        """_zero_last_vectors of the si-th degree-p string, once per (fib_key, zeros)."""
+        key = (self.fib_keys[p][si], zeros)
+        if key not in self._zero_last:
+            self._zero_last[key] = _zero_last_vectors(self.vb, self.nerve.strings[p][si], self.fib_bases[p][si], zeros)
+        return self._zero_last[key]
+
 
 def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> Matrix:
     """Rows of the i-th face applied to a basis of Fib(s); result in face coordinates."""
@@ -284,25 +291,17 @@ def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[t
     differential into degree p + 1; each block is labelled (degree, string).
     """
     nv = lin.nerve
-
-    def zero_last(q: int, si: int) -> Matrix:
-        """_zero_last_vectors of the si-th degree-q string, once per (fib_key, zeros) of ``lin``."""
-        key = (lin.fib_keys[q][si], zeros)
-        if key not in lin._zero_last:
-            lin._zero_last[key] = _zero_last_vectors(lin.vb, nv.strings[q][si], lin.fib_bases[q][si], zeros)
-        return lin._zero_last[key]
-
     rows: list[tuple[tuple[int, tuple], Matrix]] = []
     if p >= zeros:
         sizes = lin.sizes(p)
         for si, s in enumerate(nv.strings[p]):
-            z = zero_last(p, si)
+            z = lin.zero_last(p, si, zeros)
             if z.cols:
                 rows.append(((p, s), Matrix.block([z.cols], sizes, {(0, si): z.transpose()})))
     if zeros <= p + 1 <= lin.p_max:
         delta_rows = lin.complex.differential(p).split_rows(lin.sizes(p + 1))
         for si, s in enumerate(nv.strings[p + 1]):
-            z = zero_last(p + 1, si)
+            z = lin.zero_last(p + 1, si, zeros)
             if z.cols:
                 rows.append(((p + 1, s), z.transpose() * delta_rows[si]))
     return rows
@@ -425,15 +424,14 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     return Matrix.block(lin.sizes(p - 1), lin.sizes(p), blocks)
 
 
-def cancellation_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
-    """I = id + (-1)^p (h delta - delta h) on degree p (needs p <= p_max - 1)."""
-    h_up = homotopy_operator(lin, c, p + 1)
-    h_here = homotopy_operator(lin, c, p) if p >= 1 else Matrix.zeros(0, lin.dim(0))
+def cancellation_operator(lin: LinComplex, p: int, h_here: Matrix, h_up: Matrix) -> Matrix:
+    """I = id + (-1)^p (h delta - delta h) on degree p (needs p <= p_max - 1), from the homotopy
+    operators h_here = h_p and h_up = h_{p+1} (at p = 0, h_here is the 0 x dim C^0 zero map)."""
     delta_here = lin.complex.differential(p)
     delta_below = lin.complex.differential(p - 1)
     ident = Matrix.identity(lin.dim(p))
     hd = h_up * delta_here
-    dh = (delta_below * h_here) if p >= 1 else Matrix.zeros(lin.dim(0), lin.dim(0))
+    dh = delta_below * h_here
     sign = 1 if p % 2 == 0 else -1
     comm = hd - dh
     return ident + (comm if sign == 1 else -comm)
@@ -487,8 +485,8 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     return Matrix.block(lin.sizes(p), lin.sizes(p), blocks)
 
 
-def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, Matrix]:
-    """Evaluate I on trailing-zero tuples and the proof's two-term expression.
+def _zero_last_two_term(lin: LinComplex, p: int, cancellation: Matrix) -> tuple[Matrix, Matrix]:
+    """Evaluate I = ``cancellation`` on trailing-zero tuples and the proof's two-term expression.
 
     Returns (lhs, rhs) as maps from degree-p cochain coordinates to stacked
     values on all trailing-zero basis vectors; they must agree exactly.
@@ -497,13 +495,13 @@ def _zero_last_two_term(lin: LinComplex, c: Cleavage, p: int) -> tuple[Matrix, M
     g = v.base
     nv = lin.nerve
     sizes = lin.sizes(p)
-    eye_rows = cancellation_operator(lin, c, p).split_rows(sizes)
+    eye_rows = cancellation.split_rows(sizes)
     lhs_rows = []
     rhs_rows = []
     sgn_p = 1 if p % 2 == 0 else -1
     for si, s in enumerate(nv.strings[p]):
         fib = lin.fib_bases[p][si]
-        z = _zero_last_vectors(v, s, fib, 1)
+        z = lin.zero_last(p, si)
         if z.cols == 0:
             continue
         lhs_rows.append(z.transpose() * eye_rows[si])
@@ -577,11 +575,18 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
     inclusion_iso = _iso_below(cert, p_max)
     homotopy_identity = True
     zero_last_identity = True
+    # h_p for p = 2 .. p_max and I_p for p = 2 .. p_max - 1, each built once; I_p reads h_p and h_{p+1}
+    h: dict[int, Matrix] = {}
+    cancellation: dict[int, Matrix] = {}
     for p in range(2, p_max):
-        if cancellation_operator(lin, cleavage, p) != _displayed_cancellation(lin, cleavage, p):
+        h[p + 1] = homotopy_operator(lin, cleavage, p + 1)
+        if p not in h:
+            h[p] = homotopy_operator(lin, cleavage, p)
+        cancellation[p] = cancellation_operator(lin, p, h[p], h[p + 1])
+        if cancellation[p] != _displayed_cancellation(lin, cleavage, p):
             homotopy_identity = False
     for p in range(2, p_max):
-        lhs, rhs = _zero_last_two_term(lin, cleavage, p)
+        lhs, rhs = _zero_last_two_term(lin, p, cancellation[p])
         if lhs != rhs:
             zero_last_identity = False
     filtration_ok = True
@@ -613,7 +618,8 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
     if filtration_ok:
         # top filtration level must reach the full linear complex
         for p in range(1, p_max):
-            if prev_bases[p].rank() != lin.dim(p):
+            # kernel bases have unit rows at their free columns, so their column rank is full
+            if prev_bases[p].cols != lin.dim(p):
                 filtration_ok = False
     return HvbHlinReport(
         p_max=p_max,

@@ -8,10 +8,10 @@ usual "strings of composable arrows" one: ``compose(g1, g2)`` is defined when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .report import Report, checked_once, violation_error
 
@@ -26,13 +26,10 @@ class FiniteGroupoid:
     inv: tuple[int, ...]
     comp: dict[tuple[int, int], int] = field(hash=False)
     # derived, filled in __post_init__
-    pairs: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    pairs: tuple[tuple[int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        pairs = tuple(
-            (g1, g2) for g1 in range(self.n_arrows) for g2 in range(self.n_arrows) if self.src[g1] == self.tgt[g2]
-        )
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", composable_strings(self, 2)[-1])
 
     def compose(self, g1: int, g2: int) -> int:
         try:
@@ -58,12 +55,27 @@ class FiniteGroupoid:
 
     def triples(self) -> list[tuple[int, int, int]]:
         """Composable triples (g1, g2, g3) with src g_i = tgt g_{i+1}."""
-        return [
-            (g1, g2, g3)
-            for (g1, g2) in self.pairs
-            for g3 in range(self.n_arrows)
-            if self.src[g2] == self.tgt[g3]
-        ]
+        return list(composable_strings(self, 3)[-1])
+
+
+def composable_strings(
+    g: FiniteGroupoid, length: int, first: Optional[Iterable[int]] = None
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The composable strings (g_1, ..., g_p) of ``g``, src g_i = tgt g_{i+1}, for p = 1 .. length.
+
+    Entry p - 1 lists the strings of p arrows in lexicographic order, each extending a string
+    of entry p - 2 by one arrow.  With ``first``, only the strings whose first arrow is in
+    ``first`` are listed, in its order, so a sorted ``first`` gives a subsequence of the full
+    lists.  Arrows are joined by the values of the src and tgt tables, which need not be
+    valid object ids: a table that ``validate_groupoid`` rejects still gets its strings.
+    """
+    into: dict[int, list[int]] = {}  # tgt value -> the arrows with that target, ascending
+    for h in range(g.n_arrows):
+        into.setdefault(g.tgt[h], []).append(h)
+    levels = [tuple((a,) for a in (range(g.n_arrows) if first is None else first))] if length >= 1 else []
+    while len(levels) < length:
+        levels.append(tuple(s + (h,) for s in levels[-1] for h in into.get(g.src[s[-1]], ())))
+    return levels
 
 
 def make_groupoid(
@@ -382,18 +394,7 @@ class NerveStrings:
 
 def nerve(g: FiniteGroupoid, p_max: int) -> NerveStrings:
     validate_groupoid(g).require("nerve: invalid groupoid")
-    levels: list[tuple] = [tuple(range(g.n_objects))]
-    if p_max >= 1:
-        levels.append(tuple((a,) for a in range(g.n_arrows)))
-    for p in range(2, p_max + 1):
-        prev = levels[p - 1]
-        cur = []
-        for s in prev:
-            x = g.src[s[-1]]
-            for a in range(g.n_arrows):
-                if g.tgt[a] == x:
-                    cur.append(s + (a,))
-        levels.append(tuple(cur))
+    levels = [tuple(range(g.n_objects)), *composable_strings(g, p_max)]
     index = tuple({s: i for i, s in enumerate(lv)} for lv in levels)
     return NerveStrings(groupoid=g, p_max=p_max, strings=tuple(levels), index=index)
 
@@ -420,13 +421,7 @@ class ArrowGroupoid:
 
 def arrow_groupoid(g: FiniteGroupoid) -> ArrowGroupoid:
     validate_groupoid(g).require("arrow_groupoid: invalid groupoid")
-    triples = tuple(
-        (gp, h, gg)
-        for gp in range(g.n_arrows)
-        for h in range(g.n_arrows)
-        for gg in range(g.n_arrows)
-        if g.src[gp] == g.tgt[h] and g.src[h] == g.tgt[gg]
-    )
+    triples = composable_strings(g, 3)[-1]
     tindex = {t: i for i, t in enumerate(triples)}
     src = tuple(t[2] for t in triples)
     tgt = tuple(t[0] for t in triples)
@@ -434,14 +429,15 @@ def arrow_groupoid(g: FiniteGroupoid) -> ArrowGroupoid:
     inv = tuple(
         tindex[(t[2], g.compose_many(g.inv[t[2]], g.inv[t[1]], g.inv[t[0]]), t[0])] for t in triples
     )
-    comp: dict[tuple[int, int], int] = {}
-    for i1, t1 in enumerate(triples):
-        for i2, t2 in enumerate(triples):
-            if t1[2] == t2[0]:  # src of t1 = tgt of t2 as objects (arrows of g)
-                comp[(i1, i2)] = tindex[(t1[0], g.compose_many(t1[1], t1[2], t2[1]), t2[2])]
-    gi = FiniteGroupoid(
-        n_objects=g.n_arrows, n_arrows=len(triples), src=src, tgt=tgt, unit=unit, inv=inv, comp=comp
+    # the tables alone give the composable pairs (t1, t2), those with src t1 = t1[2] = t2[0] = tgt t2
+    shape = FiniteGroupoid(
+        n_objects=g.n_arrows, n_arrows=len(triples), src=src, tgt=tgt, unit=unit, inv=inv, comp={}
     )
+    comp = {}
+    for i1, i2 in shape.pairs:
+        (gpp, hp, gp), (_, h, gg) = triples[i1], triples[i2]
+        comp[(i1, i2)] = tindex[(gpp, g.compose_many(hp, gp, h), gg)]
+    gi = replace(shape, comp=comp)
     validate_groupoid(gi).require("arrow_groupoid: constructed groupoid invalid")
     sigma = GroupoidMap(gi, g, tuple(g.src), tuple(g.compose(t[1], t[2]) for t in triples))
     tau = GroupoidMap(gi, g, tuple(g.tgt), tuple(g.compose(t[0], t[1]) for t in triples))
@@ -559,14 +555,15 @@ def cech_groupoid(g: FiniteGroupoid, cover: Sequence[Sequence[int]]) -> CechGrou
     tgt = tuple(oidx[(g.tgt[a], j)] for (a, j, i) in arrow_triples)
     unit = tuple(aidx[(g.unit[x], i, i)] for (x, i) in obj_pairs)
     inv = tuple(aidx[(g.inv[a], i, j)] for (a, j, i) in arrow_triples)
-    comp: dict[tuple[int, int], int] = {}
-    for k1, (a1, j1, i1) in enumerate(arrow_triples):
-        for k2, (a2, j2, i2) in enumerate(arrow_triples):
-            if i1 == j2 and g.src[a1] == g.tgt[a2]:
-                comp[(k1, k2)] = aidx[(g.compose(a1, a2), j1, i2)]
-    gu = FiniteGroupoid(
-        n_objects=len(obj_pairs), n_arrows=len(arrow_triples), src=src, tgt=tgt, unit=unit, inv=inv, comp=comp
+    # the tables alone give the composable pairs: (a1, j1, i1)(a2, j2, i2) with (src a1, i1) = (tgt a2, j2)
+    shape = FiniteGroupoid(
+        n_objects=len(obj_pairs), n_arrows=len(arrow_triples), src=src, tgt=tgt, unit=unit, inv=inv, comp={}
     )
+    comp = {}
+    for k1, k2 in shape.pairs:
+        (a1, j1, _), (a2, _, i2) = arrow_triples[k1], arrow_triples[k2]
+        comp[(k1, k2)] = aidx[(g.compose(a1, a2), j1, i2)]
+    gu = replace(shape, comp=comp)
     validate_groupoid(gu).require("cech_groupoid: constructed groupoid invalid")
     pi = GroupoidMap(gu, g, tuple(p[0] for p in obj_pairs), tuple(t[0] for t in arrow_triples))
     validate_map(pi).require("cech_groupoid: projection not a functor")

@@ -310,7 +310,6 @@ class Instance:
 
     objects: dict[str, Any]
     kinds: dict[str, str]
-    raw: dict
 
     def get(self, name: str, kind: Optional[str] = None):
         if name not in self.objects:
@@ -354,7 +353,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
     for name, data in raw.items():
         if not isinstance(data, dict) or not isinstance(data.get("type"), str):
             raise ParseError(f"{name}: an object must be a JSON object with a string 'type'")
-    inst = Instance(objects={}, kinds={}, raw=raw)
+    inst = Instance(objects={}, kinds={})
     loading: list[str] = []
     shared: Shared = {}
 

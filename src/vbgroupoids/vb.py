@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .groupoid import (
     ArrowGroupoid,
@@ -26,6 +26,7 @@ from .groupoid import (
     GroupoidMap,
     arrow_groupoid,
     compose_maps,
+    composable_strings,
     generating_arrows,
     identity_map,
     is_morita,
@@ -206,14 +207,21 @@ def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
     return fib
 
 
-def _generated_strings(g: FiniteGroupoid, length: int) -> list[tuple[int, ...]]:
-    """The composable strings of ``length`` arrows whose first arrow lies in
-    :func:`~vbgroupoids.groupoid.generating_arrows` of ``g``, in the order of the full list."""
-    into = [[h for h in range(g.n_arrows) if g.tgt[h] == x] for x in range(g.n_objects)]
-    strings = [(t,) for t in generating_arrows(g)]
-    for _ in range(length - 1):
-        strings = [(*s, h) for s in strings for h in into[g.src[s[-1]]]]
-    return strings
+def _failing_strings(
+    g: FiniteGroupoid, length: int, reduced: bool, law: Callable[..., bool]
+) -> list[tuple[int, ...]]:
+    """The composable strings of ``length`` arrows of ``g`` on which ``law`` fails, in order.
+
+    With ``reduced``, ``law`` is first tried only on the strings whose first arrow lies in
+    :func:`~vbgroupoids.groupoid.generating_arrows` of ``g``, and if it holds on all of them no
+    other string is tried.  Otherwise every string is tried, so the failures are those of the
+    full list, in its order.
+    """
+    if reduced:
+        failed = [x for x in composable_strings(g, length, generating_arrows(g))[-1] if not law(*x)]
+        if not failed:
+            return failed
+    return [x for x in composable_strings(g, length)[-1] if not law(*x)]
 
 
 @checked_once
@@ -354,26 +362,19 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             inverse_failures.append((a, *failed))
 
     def associative(g1: int, g2: int, g3: int) -> bool:
-        a, b, c = fib((g1, g2, g3))
-        left = v.mult_of(g.compose(g1, g2), g3, v.mult_of(g1, g2, a, b), c)
-        right = v.mult_of(g1, g.compose(g2, g3), a, v.mult_of(g2, g3, b, c))
-        return left == right
+        g12, g23 = g.compose(g1, g2), g.compose(g2, g3)
 
-    def non_associative(triples: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-        failed = []
-        for g1, g2, g3 in triples:
-            g12, g23 = g.compose(g1, g2), g.compose(g2, g3)
-            reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
-            if not once("associativity", reads, lambda: associative(g1, g2, g3)):
-                failed.append((g1, g2, g3))
-        return failed
+        def compute() -> bool:
+            a, b, c = fib((g1, g2, g3))
+            left = v.mult_of(g12, g3, v.mult_of(g1, g2, a, b), c)
+            right = v.mult_of(g1, g23, a, v.mult_of(g2, g3, b, c))
+            return left == right
+
+        reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
+        return once("associativity", reads, compute)
 
     reduced = rep.ok and not inverse_failures and validate_groupoid(g).ok
-    if reduced:
-        bad = non_associative(_generated_strings(g, 3))
-    if not reduced or bad:
-        bad = non_associative(g.triples())
-    for x in bad:
+    for x in _failing_strings(g, 3, reduced, associative):
         rep.add("associativity", x)
     for a, check, detail in inverse_failures:
         rep.add(check, (a,), detail)
@@ -648,22 +649,14 @@ def check_vbmap(f: VBMap) -> Report:
             rep.add("unit-compat", (x,))
     fib = _fib_slots(v)
 
-    def non_multiplicative(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        failed = []
-        for g1, g2 in pairs:
-            a, b = fib((g1, g2))
-            lhs = f.arr_maps[g.compose(g1, g2)] * v.mult_of(g1, g2, a, b)
-            rhs = w.mult_of(bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
-            if lhs != rhs:
-                failed.append((g1, g2))
-        return failed
+    def multiplicative(g1: int, g2: int) -> bool:
+        a, b = fib((g1, g2))
+        lhs = f.arr_maps[g.compose(g1, g2)] * v.mult_of(g1, g2, a, b)
+        rhs = w.mult_of(bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
+        return lhs == rhs
 
     reduced = rep.ok and validate_groupoid(g).ok and check_vbgroupoid(v).ok and check_vbgroupoid(w).ok
-    if reduced:
-        bad = non_multiplicative(_generated_strings(g, 2))
-    if not reduced or bad:
-        bad = non_multiplicative(g.pairs)
-    for x in bad:
+    for x in _failing_strings(g, 2, reduced, multiplicative):
         rep.add("mult-compat", x)
     return rep
 

@@ -12,6 +12,7 @@ from vbgroupoids.cohomology import (
     _displayed_cancellation,
     _zero_last_two_term,
     assemble_ruth_differential,
+    cancellation_operator,
     homotopy_operator,
     hvb_equals_hlin,
     induced_map_vb,
@@ -553,12 +554,26 @@ def test_zero_last_witness(monkeypatch, curved):
     def all_of_fib(real, v, s, fib, zeros):
         return Matrix.identity(fib.cols)
 
+    c = choose_cleavage(v)
+    cancellation = cancellation_operator(lin, 2, homotopy_operator(lin, c, 2), homotopy_operator(lin, c, 3))
     # all of Fib instead of the vectors with a zero last slot, for the second 2-string
     _fail_call(monkeypatch, cohomology, "_zero_last_vectors", 1, all_of_fib)
     with pytest.raises(InvalidStructureError, match="zero-last evaluation: tuple not in Fib") as exc:
-        _zero_last_two_term(lin, choose_cleavage(v), 2)
+        _zero_last_two_term(lin, 2, cancellation)
     [violation] = exc.value.report.violations
     assert (violation.check, violation.witness) == ("zero-last-in-fib", (2, (0, 1), (1, 1)))
+
+
+def test_hvb_equals_hlin_builds_each_operator_once(monkeypatch, curved):
+    calls = []
+    h, cancel = cohomology.homotopy_operator, cohomology.cancellation_operator
+    monkeypatch.setattr(cohomology, "homotopy_operator", lambda lin, c, p: calls.append(("h", p)) or h(lin, c, p))
+    monkeypatch.setattr(
+        cohomology, "cancellation_operator", lambda lin, p, *hs: calls.append(("I", p)) or cancel(lin, p, *hs)
+    )
+    assert hvb_equals_hlin(grothendieck(curved), 4).ok
+    # h_3 and h_2 for I_2, then h_4 for I_3; the zero-last check reads I_2 and I_3 again
+    assert calls == [("h", 3), ("h", 2), ("I", 2), ("h", 4), ("I", 3)]
 
 
 def test_pullback_lin_witness(curved):

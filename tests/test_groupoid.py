@@ -1,5 +1,8 @@
 """Finite groupoids: axioms, Morita criterion, nerves, squares, covers."""
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from vbgroupoids import groupoid
@@ -9,6 +12,7 @@ from vbgroupoids.groupoid import (
     arrow_groupoid,
     cech_groupoid,
     compose_maps,
+    composable_strings,
     cyclic_groupoid,
     disjoint_union,
     generating_arrows,
@@ -203,6 +207,83 @@ def test_nerve_counts():
     assert len(nerve(point_groupoid(), 3).strings[3]) == 1
     assert len(nerve(cyclic_groupoid(2), 2).strings[2]) == 4
     assert len(nerve(pair_groupoid(2), 2).strings[2]) == 8
+
+
+STRING_BASES = {
+    "pt": point_groupoid(),
+    "z3": cyclic_groupoid(3),
+    "pair3": pair_groupoid(3),
+    "pt+z2": disjoint_union(point_groupoid(), cyclic_groupoid(2)),
+    "cech3-z2": cech_groupoid(cyclic_groupoid(2), [[0]] * 3).gu,
+    "arrow-z2": arrow_groupoid(cyclic_groupoid(2)).gi,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_BASES))
+def test_composable_strings_match_brute_force(name):
+    g = STRING_BASES[name]
+    full = composable_strings(g, 4)
+    reduced = composable_strings(g, 4, first=generating_arrows(g))
+    assert len(full) == len(reduced) == 4
+    gens = set(generating_arrows(g))
+    for p in range(1, 5):
+        brute = [
+            s for s in product(range(g.n_arrows), repeat=p) if all(g.src[a] == g.tgt[b] for a, b in zip(s, s[1:]))
+        ]
+        assert list(full[p - 1]) == brute
+        assert list(reduced[p - 1]) == [s for s in brute if s[0] in gens]
+    assert g.pairs == full[1] and g.triples() == list(full[2])
+    assert composable_strings(g, 0) == []
+
+
+def test_composable_strings_join_by_table_values():
+    # tables that validate_groupoid rejects: a target value 7 that is no object, and a source value -1
+    shape = replace(point_groupoid(), n_arrows=3, src=(0, -1, 7), tgt=(7, 0, -1), comp={})
+    brute = [(a, b) for a, b in product(range(3), repeat=2) if shape.src[a] == shape.tgt[b]]
+    assert shape.pairs == tuple(brute) == ((0, 1), (1, 2), (2, 0))
+
+
+def _reference_comp(gi, compose):
+    """The composition table of ``gi`` from a scan over all n^2 pairs of its arrows."""
+    return {
+        (k1, k2): compose(k1, k2)
+        for k1 in range(gi.n_arrows)
+        for k2 in range(gi.n_arrows)
+        if gi.src[k1] == gi.tgt[k2]
+    }
+
+
+@pytest.mark.parametrize("g,cover", [(cyclic_groupoid(2), [[0]] * 3), (pair_groupoid(2), [[0, 1], [1]])])
+def test_cech_composition_table_equals_quadratic_reference(g, cover):
+    cech = cech_groupoid(g, cover)
+    triples = cech.arrow_triples
+
+    def compose(k1, k2):
+        (a1, j1, _), (a2, _, i2) = triples[k1], triples[k2]
+        return cech.arrow_id(g.compose(a1, a2), j1, i2)
+
+    reference = _reference_comp(cech.gu, compose)
+    assert cech.gu.comp == reference and list(cech.gu.comp) == list(reference)
+
+
+@pytest.mark.parametrize(
+    "g", [cyclic_groupoid(2), pair_groupoid(2), disjoint_union(point_groupoid(), cyclic_groupoid(2))]
+)
+def test_arrow_composition_table_equals_quadratic_reference(g):
+    ag = arrow_groupoid(g)
+    triples = list(ag.triples)
+
+    def compose(i1, i2):
+        (gpp, hp, gp), (_, h, gg) = triples[i1], triples[i2]
+        return triples.index((gpp, g.compose_many(hp, gp, h), gg))
+
+    reference = _reference_comp(ag.gi, compose)
+    assert ag.gi.comp == reference and list(ag.gi.comp) == list(reference)
+
+
+def test_pairs_is_derived_only():
+    with pytest.raises(TypeError):
+        groupoid.FiniteGroupoid(1, 1, (0,), (0,), (0,), (0,), {(0, 0): 0}, pairs=())
 
 
 def test_nerve_simplicial_identities():

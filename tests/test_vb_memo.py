@@ -612,14 +612,14 @@ def test_valid_object_computes_associativity_only_from_generators(monkeypatch):
     gens = generating_arrows(v.base)
     assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 5, 2048)
     computed = _computed(monkeypatch)
-    listed = []
-    all_triples = FiniteGroupoid.triples
-    monkeypatch.setattr(FiniteGroupoid, "triples", lambda g: listed.append(g) or all_triples(g))
+    firsts = []
+    strings = vb.composable_strings
+    monkeypatch.setattr(vb, "composable_strings", lambda g, n, first=None: firsts.append(first) or strings(g, n, first))
     assert raw_check(v).ok
     assert len(computed) == 320
     # built from the generators in the order of the full list, which is never enumerated
-    assert computed == [x for x in all_triples(v.base) if x[0] in set(gens)]
-    assert listed == []
+    assert computed == [x for x in v.base.triples() if x[0] in set(gens)]
+    assert firsts == [gens]
 
 
 def _flipped_cech() -> FiniteGroupoid:
