@@ -10,16 +10,23 @@ code 2.  Identical inputs and seeds produce byte-identical output; wall-clock
 timing is printed to stderr only when --timings is given.  The options --pmax,
 --seed, --out and --timings may come before or after the command; a value given
 after the command wins.
+
+A plain command line is read without argparse: a known command with its
+positionals and required options, long options spelt out in full, each value in
+its own token and not starting with ``-``, integers for --pmax and --seed, and
+command options only after the command.  Anything else, help and every usage
+error included, goes to the argparse parser, which gives the same namespace for
+a plain line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import io as vio
 from .cohomology import hvb_equals_hlin, induced_map_vb, ruth_complex, ruth_vs_dual_vb
@@ -29,16 +36,6 @@ from .descent import (
     descend_map,
     descend_pipeline,
     make_descent_problem,
-)
-from .generators import (
-    acyclic_ruth,
-    base_groupoids,
-    make_map_descent_fixture,
-    make_object_descent_fixture,
-    named_reps,
-    rank_drop_fixture,
-    random_gauge,
-    seed_ruths,
 )
 from .groupoid import FiniteGroupoid, is_morita, validate_groupoid, validate_map
 from .linalg import betti_numbers
@@ -54,8 +51,6 @@ from .vb import (
     split,
 )
 
-import random
-
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -63,13 +58,6 @@ def _emit(obj: dict) -> None:
 
 class UsageError(Exception):
     """A bad command line or environment setting (exit 2)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line as a UsageError."""
-
-    def error(self, message: str):
-        raise UsageError(message)
 
 
 # option -> (environment variable, default), read only when the option is not given
@@ -90,7 +78,7 @@ def _fill_env_defaults(args) -> None:
 def _load(path: str) -> vio.Instance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise vio.ParseError(f"cannot read {path}: {e}") from None
     return vio.loads_instance(text)
 
@@ -118,6 +106,8 @@ def _write_out(args, inst: vio.Instance, base: FiniteGroupoid, stem: str, object
 def cmd_check(args) -> int:
     inst = _load(args.file)
     names = args.names.split(",") if args.names else sorted(inst.objects)
+    if not names:
+        raise vio.ParseError(f"{args.file} has no objects to check")
     failed = 0
     for name in names:
         obj = inst.get(name)
@@ -371,6 +361,20 @@ def _cech_objects(problem: DescentProblem) -> dict[str, dict]:
 
 
 def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
+    # only gen needs these, so no other command pays for importing them
+    import random
+
+    from .generators import (
+        acyclic_ruth,
+        base_groupoids,
+        make_map_descent_fixture,
+        make_object_descent_fixture,
+        named_reps,
+        rank_drop_fixture,
+        random_gauge,
+        seed_ruths,
+    )
+
     rng = random.Random(seed)
     parts = recipe.split(":")
     kind = parts[0]
@@ -433,57 +437,107 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# command -> (function, help, positionals, options, required options), where options maps
+# each command option, a long option with one value, to its help text or None; every
+# command also takes _COMMON and --timings
 COMMANDS = {
-    "check": (cmd_check, "validate named objects in an instance file"),
-    "groth": (cmd_groth, "Grothendieck construction of a ruth"),
-    "split": (cmd_split, "split a VB-groupoid along the canonical cleavage"),
-    "morita": (cmd_morita, "Morita / VB-Morita certification"),
-    "dual": (cmd_dual, "dual ruth or dual VB-groupoid"),
-    "cohomology": (cmd_cohomology, "cohomology tables and verdicts"),
-    "descend": (cmd_descend, "Cech descent of maps or objects"),
-    "gen": (cmd_gen, "generate a deterministic instance file"),
+    "check": (
+        cmd_check,
+        "validate named objects in an instance file",
+        ("file",),
+        {"names": "comma-separated object names (default: all)"},
+        (),
+    ),
+    "groth": (cmd_groth, "Grothendieck construction of a ruth", ("file", "name"), {}, ()),
+    "split": (cmd_split, "split a VB-groupoid along the canonical cleavage", ("file", "name"), {}, ()),
+    "morita": (cmd_morita, "Morita / VB-Morita certification", ("file", "name"), {}, ()),
+    "dual": (cmd_dual, "dual ruth or dual VB-groupoid", ("file", "name"), {}, ()),
+    "cohomology": (cmd_cohomology, "cohomology tables and verdicts", ("file", "name"), {}, ()),
+    "descend": (
+        cmd_descend,
+        "Cech descent of maps or objects",
+        ("file",),
+        dict.fromkeys(("cover", "partition", "map", "gamma", "gamma-prime", "object")),
+        ("cover",),
+    ),
+    "gen": (cmd_gen, "generate a deterministic instance file", (), {"recipe": None}, ("recipe",)),
+}
+
+# the options of vbg and of every command besides --timings, with their help; those in
+# _INT_ENV take integers
+_COMMON = {
+    "pmax": "max cochain degree, at least 1 (default: $VBG_PMAX or 3)",
+    "seed": "default: $VBG_SEED or 0",
+    "out": "default: $VBG_OUT",
 }
 
 
-def _common_options(argument_default=None) -> _Parser:
-    """The options that ``vbg`` and every command accept, with ``argument_default`` for all four."""
-    common = _Parser(add_help=False, argument_default=argument_default)
-    common.add_argument(
-        "--pmax", type=int, help="max cochain degree, at least 1 (default: $VBG_PMAX or 3)"
-    )
-    common.add_argument("--seed", type=int, help="default: $VBG_SEED or 0")
-    common.add_argument("--out", help="default: $VBG_OUT")
-    common.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
-    return common
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser`` gives for a plain ``argv`` (see the module docstring), else None."""
+    values = {**dict.fromkeys(_COMMON), "out": os.environ.get("VBG_OUT"), "timings": False}
+    command, positionals, options = None, [], _COMMON
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--timings":
+            values["timings"] = True
+        elif token.startswith("--") and token[2:] in options:
+            value = next(tokens, "")
+            if not value or value.startswith("-"):
+                return None
+            dest = token[2:].replace("-", "_")
+            if dest in _INT_ENV:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            values[dest] = value
+        elif not token or token.startswith("-"):
+            return None
+        elif command is None:
+            if token not in COMMANDS:
+                return None
+            command, options = token, {**_COMMON, **COMMANDS[token][3]}
+        else:
+            positionals.append(token)
+    if command is None:
+        return None
+    func, _, names, command_options, required = COMMANDS[command]
+    if len(positionals) != len(names) or any(opt.replace("-", "_") not in values for opt in required):
+        return None
+    for opt in command_options:
+        values.setdefault(opt.replace("-", "_"), None)
+    return SimpleNamespace(**values, command=command, func=func, **dict(zip(names, positionals)))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="vbg", description=__doc__, parents=[_common_options()])
+def build_parser():
+    """The argparse parser of ``vbg``; it reports a bad command line as a UsageError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            raise UsageError(message)
+
+    def common_options(argument_default=None) -> Parser:
+        common = Parser(add_help=False, argument_default=argument_default)
+        for opt, help_text in _COMMON.items():
+            common.add_argument(f"--{opt}", type=int if opt in _INT_ENV else None, help=help_text)
+        common.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
+        return common
+
+    # --help shows the docstring without its last paragraph, which is about parsing
+    p = Parser(prog="vbg", description=__doc__.rsplit("\n\n", 1)[0], parents=[common_options()])
     p.set_defaults(out=os.environ.get("VBG_OUT"))
     # a command's copies set nothing unless given, so a value given before the command
     # survives the command's parser, and one given after the command replaces it
-    command_options = _common_options(argparse.SUPPRESS)
+    command_options = common_options(argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *positional: str):
-        func, help_text = COMMANDS[name]
+    for name, (func, help_text, positionals, options, required) in COMMANDS.items():
         c = sub.add_parser(name, help=help_text, parents=[command_options])
         c.set_defaults(func=func)
-        for arg in positional:
+        for arg in positionals:
             c.add_argument(arg)
-        return c
-
-    add("check", "file").add_argument("--names", help="comma-separated object names (default: all)")
-    for name in ("groth", "split", "morita", "dual", "cohomology"):
-        add(name, "file", "name")
-    c = add("descend", "file")
-    c.add_argument("--cover", required=True)
-    c.add_argument("--partition")
-    c.add_argument("--map")
-    c.add_argument("--gamma")
-    c.add_argument("--gamma-prime", dest="gamma_prime")
-    c.add_argument("--object")
-    add("gen").add_argument("--recipe", required=True)
+        for opt, opt_help in options.items():
+            c.add_argument(f"--{opt}", required=opt in required, help=opt_help)
     return p
 
 
@@ -492,7 +546,7 @@ def _run(argv: list[str]) -> int:
     command = next((a for a in argv if a in COMMANDS), None)
     timings = False
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_plain(argv) or build_parser().parse_args(argv)
         command, timings = args.command, args.timings
         _fill_env_defaults(args)
         code = args.func(args)

@@ -65,6 +65,27 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_file_that_is_not_utf8_is_parse_error(sign_file, tmp_path, capsys):
+    # a Latin-1 object name: the bytes are not UTF-8, so the file cannot be read as text
+    path = tmp_path / "latin1.json"
+    path.write_bytes(sign_file.read_text().replace('"sign"', '"sign\u00e9"').encode("latin-1"))
+    code, events = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "parse" and str(path) in events[0]["message"]
+    assert events[1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
+
+
+def test_check_with_nothing_to_check_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(vio.dumps_instance({}))
+    code, events = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error", "summary"]
+    assert events[0]["kind"] == "parse" and "no objects" in events[0]["message"]
+    assert events[1] == {"command": "check", "event": "summary", "exit": 2, "ok": False}
+
+
 def test_groth_split_round_trip_bytes(sign_file, tmp_path, capsys):
     out1 = tmp_path / "o1"
     code, _ = run_cli(["groth", str(sign_file), "sign", "--out", str(out1)], capsys)
