@@ -543,11 +543,12 @@ def build_parser():
 
 def _run(argv: list[str]) -> int:
     start = time.monotonic()
-    command = next((a for a in argv if a in COMMANDS), None)
-    timings = False
+    # argparse sets ``command`` here before it parses the command's own arguments, so after a
+    # failed parse it names the command chosen, or stays None when none was
+    args, timings = SimpleNamespace(command=None), False
     try:
-        args = _parse_plain(argv) or build_parser().parse_args(argv)
-        command, timings = args.command, args.timings
+        args = _parse_plain(argv) or build_parser().parse_args(argv, args)
+        timings = args.timings
         _fill_env_defaults(args)
         code = args.func(args)
     except UsageError as e:
@@ -562,7 +563,7 @@ def _run(argv: list[str]) -> int:
     except ValueError as e:
         _emit({"event": "error", "kind": "value", "message": str(e)})
         code = 1
-    _emit({"event": "summary", "command": command, "exit": code, "ok": code == 0})
+    _emit({"event": "summary", "command": args.command, "exit": code, "ok": code == 0})
     if timings:
         sys.stderr.write(f"elapsed: {time.monotonic() - start:.3f}s\n")
     return code

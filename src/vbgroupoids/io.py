@@ -12,13 +12,7 @@ integers 0..n-1.  Loading validates every object before use unless disabled.
 A matrix entry in the writers' form (ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
 denominator) is read with ``int`` alone; every other entry goes through
 :func:`frac_from_str`, so the reader accepts exactly the entries ``Fraction`` parsing
-accepts, with the same values and the same ParseError texts.  Within one
-:func:`loads_instance`, equal matrices are one object: each parsed ``Matrix`` is looked
-up by value in a dict kept for that call, and the first one read is returned for every
-later equal one.  The lookup is by the parsed value, never by the raw JSON, which
-would take ``true`` or ``1.0`` for ``1``.  So the identity-keyed memo of
-``check_vbgroupoid`` sees a pulled-back object read from a file as it sees the one
-``base_change`` built.
+accepts, with the same values and the same ParseError texts.
 """
 
 from __future__ import annotations
@@ -90,8 +84,6 @@ def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tup
 
 _WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
-Shared = dict[Matrix, Matrix]
-
 
 def _ratio(x: Any) -> tuple[int, int]:
     """A matrix entry as a (numerator, nonzero denominator) pair, not always in lowest terms."""
@@ -112,12 +104,8 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[frac_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def matrix_from_json(data: Any, rows: int, cols: int, where: str = "", shared: Optional[Shared] = None) -> Matrix:
-    """The ``rows`` x ``cols`` matrix ``data``, a list of rows that are lists, else a ParseError.
-
-    With ``shared``, the first matrix in it equal to the one read is returned instead,
-    and a new value joins it.
-    """
+def matrix_from_json(data: Any, rows: int, cols: int, where: str = "") -> Matrix:
+    """The ``rows`` x ``cols`` matrix ``data``, a list of rows that are lists, else a ParseError."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} matrix rows")
     bad = next((i for i, row in enumerate(data) if not isinstance(row, list)), None)
@@ -129,7 +117,7 @@ def matrix_from_json(data: Any, rows: int, cols: int, where: str = "", shared: O
         raise ParseError(f"{where}: {e}") from None
     if out.cols != cols:
         raise ParseError(f"{where}: expected {cols} matrix columns")
-    return out if shared is None else shared.setdefault(out, out)
+    return out
 
 
 def groupoid_to_json(g: FiniteGroupoid) -> dict:
@@ -193,9 +181,7 @@ def ruth_to_json(r: TwoTermRuth, base: str) -> dict:
     return out
 
 
-def ruth_from_json(
-    data: dict, base: FiniteGroupoid, where: str = "ruth", shared: Optional[Shared] = None
-) -> TwoTermRuth:
+def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> TwoTermRuth:
     g = base
     e_tab, c_tab = _table(data, "E", g.n_objects, where), _table(data, "C", g.n_objects, where)
     try:
@@ -204,19 +190,19 @@ def ruth_from_json(
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
     anchor = {
-        x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]", shared)
+        x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]")
         for x, m in _table(data, "anchor", g.n_objects, where).items()
     }
     rho_e = {
-        a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]", shared)
+        a: matrix_from_json(m, e[g.tgt[a]], e[g.src[a]], f"{where}.rhoE[{a}]")
         for a, m in _table(data, "rhoE", g.n_arrows, where).items()
     }
     rho_c = {
-        a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]", shared)
+        a: matrix_from_json(m, c[g.tgt[a]], c[g.src[a]], f"{where}.rhoC[{a}]")
         for a, m in _table(data, "rhoC", g.n_arrows, where).items()
     }
     gamma = {
-        (g1, g2): matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{g1},{g2}]", shared)
+        (g1, g2): matrix_from_json(m, c[g.tgt[g1]], e[g.src[g2]], f"{where}.gamma[{g1},{g2}]")
         for (g1, g2), m in _pair_table(data, "gamma", g, where).items()
     }
     return make_ruth(g, e, c, anchor=anchor, rho_e=rho_e, rho_c=rho_c, gamma=gamma)
@@ -236,9 +222,7 @@ def vbgroupoid_to_json(v: VBGroupoid, base: str) -> dict:
     }
 
 
-def vbgroupoid_from_json(
-    data: dict, base: FiniteGroupoid, where: str = "vbgroupoid", shared: Optional[Shared] = None
-) -> VBGroupoid:
+def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroupoid") -> VBGroupoid:
     g = base
     n, m = g.n_objects, g.n_arrows
     e_tab, gd_tab = _table(data, "E", n, where), _table(data, "Gamma", m, where)
@@ -248,18 +232,16 @@ def vbgroupoid_from_json(
     except KeyError as k:
         raise ParseError(f"{where}: missing dimension entry {k}") from None
     s, t, u = _table(data, "s", m, where), _table(data, "t", m, where), _table(data, "u", n, where)
-    s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]", shared) for a in range(m))
-    t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]", shared) for a in range(m))
-    u_maps = tuple(matrix_from_json(u[x], gd[g.unit[x]], e[x], f"{where}.u[{x}]", shared) for x in range(n))
+    s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]") for a in range(m))
+    t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]") for a in range(m))
+    u_maps = tuple(matrix_from_json(u[x], gd[g.unit[x]], e[x], f"{where}.u[{x}]") for x in range(n))
     mult = _pair_table(data, "m", g, where)
     m_maps = {}
     for g1, g2 in g.pairs:
         if (g1, g2) not in mult:
             raise ParseError(f"{where}: missing multiplication entry {g1},{g2}")
         g12 = g.compose(g1, g2)
-        m_maps[(g1, g2)] = matrix_from_json(
-            mult[(g1, g2)], gd[g12], gd[g1] + gd[g2], f"{where}.m[{g1},{g2}]", shared
-        )
+        m_maps[(g1, g2)] = matrix_from_json(mult[(g1, g2)], gd[g12], gd[g1] + gd[g2], f"{where}.m[{g1},{g2}]")
     return VBGroupoid(
         base=g, e_dims=e, gamma_dims=gd, s_maps=s_maps, t_maps=t_maps, u_maps=u_maps, m_maps=m_maps
     )
@@ -280,9 +262,7 @@ def vbmap_to_json(f: VBMap, source: str, target: str) -> dict:
     }
 
 
-def vbmap_from_json(
-    data: dict, source: VBGroupoid, target: VBGroupoid, where: str = "vbmap", shared: Optional[Shared] = None
-) -> VBMap:
+def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: str = "vbmap") -> VBMap:
     g = source.base
     bm_data = data.get("base_map", {})
     cod, at = target.base, f"{where}.base_map"
@@ -291,11 +271,11 @@ def vbmap_from_json(
     bm = GroupoidMap(g, target.base, obj_map, arr_map)
     obj, arr = _table(data, "obj", g.n_objects, where), _table(data, "arr", g.n_arrows, where)
     obj_maps = tuple(
-        matrix_from_json(obj[x], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]", shared)
+        matrix_from_json(obj[x], target.e_dims[obj_map[x]], source.e_dims[x], f"{where}.obj[{x}]")
         for x in range(g.n_objects)
     )
     arr_maps = tuple(
-        matrix_from_json(arr[a], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]", shared)
+        matrix_from_json(arr[a], target.gamma_dims[arr_map[a]], source.gamma_dims[a], f"{where}.arr[{a}]")
         for a in range(g.n_arrows)
     )
     return VBMap(source=source, target=target, base_map=bm, obj_maps=obj_maps, arr_maps=arr_maps)
@@ -355,7 +335,6 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
             raise ParseError(f"{name}: an object must be a JSON object with a string 'type'")
     inst = Instance(objects={}, kinds={})
     loading: list[str] = []
-    shared: Shared = {}
 
     def load(name: str) -> None:
         if name in loading:
@@ -369,7 +348,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
             if ref not in inst.objects:
                 load(ref)
         try:
-            inst.objects[name] = _load_one(inst, name, data, validate, shared)
+            inst.objects[name] = _load_one(inst, name, data, validate)
         except (InvalidStructureError, ParseError):
             raise
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
@@ -383,7 +362,7 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
     return inst
 
 
-def _load_one(inst: Instance, name: str, data: dict, validate: bool, shared: Shared):
+def _load_one(inst: Instance, name: str, data: dict, validate: bool):
     kind = data["type"]
     if kind == "groupoid":
         g = groupoid_from_json(data, name)
@@ -404,20 +383,20 @@ def _load_one(inst: Instance, name: str, data: dict, validate: bool, shared: Sha
         return f
     if kind == "ruth":
         base = inst.get(data["base"], "groupoid")
-        r = ruth_from_json(data, base, name, shared)
+        r = ruth_from_json(data, base, name)
         if validate:
             check_ruth(r).require(f"{name}: invalid ruth")
         return r
     if kind == "vbgroupoid":
         base = inst.get(data["base"], "groupoid")
-        v = vbgroupoid_from_json(data, base, name, shared)
+        v = vbgroupoid_from_json(data, base, name)
         if validate:
             check_vbgroupoid(v).require(f"{name}: invalid VB-groupoid")
         return v
     if kind == "vbmap":
         source = inst.get(data["source"], "vbgroupoid")
         target = inst.get(data["target"], "vbgroupoid")
-        f = vbmap_from_json(data, source, target, name, shared)
+        f = vbmap_from_json(data, source, target, name)
         if validate:
             check_vbmap(f).require(f"{name}: invalid VB-map")
         return f

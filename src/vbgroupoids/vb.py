@@ -192,19 +192,24 @@ def fib_key(v: VBGroupoid, arrows: Sequence[int]) -> tuple:
     return tuple(m for a, b in zip(arrows, arrows[1:]) for m in (v.s_maps[a], v.t_maps[b]))
 
 
-def _fib_slots(v: VBGroupoid) -> Callable[[Sequence[int]], tuple[Matrix, ...]]:
-    """``arrows -> v.slots(arrows, v.fib_string_basis(arrows))``, with one kernel per distinct
-    :func:`fib_key`.  The memo lives in the returned function, so it lasts one checker call.
-    """
-    memo: dict[tuple, tuple[Matrix, ...]] = {}
+def _call_memo(v: VBGroupoid) -> tuple[Callable[..., Any], Callable[[Sequence[int]], tuple]]:
+    """``(once, fib)`` over one memo that lasts one checker call on ``v``.
 
-    def fib(arrows: Sequence[int]) -> tuple[Matrix, ...]:
-        key = fib_key(v, arrows)
+    ``once(key, compute)`` is ``compute()``, computed once per distinct ``key``; a checker's keys
+    start with the identity's name, so they never equal a Fib key.  ``fib(arrows)`` is
+    ``v.slots(arrows, v.fib_string_basis(arrows))``, computed once per distinct :func:`fib_key`.
+    """
+    memo: dict[tuple, Any] = {}
+
+    def once(key: tuple, compute: Callable[[], Any]) -> Any:
         if key not in memo:
-            memo[key] = tuple(v.slots(arrows, v.fib_string_basis(arrows)))
+            memo[key] = compute()
         return memo[key]
 
-    return fib
+    def fib(arrows: Sequence[int]) -> tuple[Matrix, ...]:
+        return once(fib_key(v, arrows), lambda: tuple(v.slots(arrows, v.fib_string_basis(arrows))))
+
+    return once, fib
 
 
 def _failing_strings(
@@ -228,17 +233,12 @@ def _failing_strings(
 def check_vbgroupoid(v: VBGroupoid) -> Report:
     """Every VB-groupoid axiom of ``v``, one violation per failing arrow, pair or triple.
 
-    A pullback built by reindexing (``base_change``, ``descend_object``) reuses one
-    ``Matrix`` object for many arrows, pairs and triples, and so does a loaded instance,
-    since ``io.loads_instance`` returns one object for the equal matrices of one file.
-    So each identity past the shape checks is computed once per distinct tuple of the
-    structure matrices it reads, keyed by their ``id()``s, and its result is then
-    recorded for every arrow, pair or triple with that key.  Identity keys are sound: a
-    ``Matrix`` is immutable, the dimensions an identity reads equal the shapes of its key
-    matrices once the shape checks pass, and the memo lives only for this call, during
-    which ``v`` keeps every key matrix alive, so no ``id`` is reused.  Fib bases are shared by value
-    (:func:`_fib_slots`): a Fib space depends only on the s and t maps along its string, and a
-    ``Matrix`` is immutable and compares and hashes by value, so equal keys give equal kernels.
+    A pullback built by reindexing (``base_change``, ``descend_object``) or read from a file
+    repeats equal structure matrices over many arrows, pairs and triples.  So each identity
+    past the shape checks is computed once per distinct tuple of the structure matrices it
+    reads, and its result is then recorded for every arrow, pair or triple with that key; a
+    Fib basis is computed once per :func:`fib_key` (:func:`_call_memo`).  The keys hold the
+    matrices themselves, which is sound because a ``Matrix`` is immutable and equal by value.
 
     Associativity is first computed only on the triples whose first arrow lies in
     T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is
@@ -292,18 +292,11 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     if not rep.ok:
         return rep
     s, t, u, m = v.s_maps, v.t_maps, v.u_maps, v.m_maps
-    memo: dict[tuple, Any] = {}
-
-    def once(identity: str, reads: tuple[Matrix, ...], compute: Callable[[], Any]) -> Any:
-        key = (identity, *map(id, reads))
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
+    once, fib = _call_memo(v)
     for a in range(g.n_arrows):
-        if not once("s-surjective", (s[a],), lambda: s[a].rank() == s[a].rows):
+        if not once(("s-surjective", s[a]), lambda: s[a].rank() == s[a].rows):
             rep.add("s-surjective", (a,))
-        if not once("t-surjective", (t[a],), lambda: t[a].rank() == t[a].rows):
+        if not once(("t-surjective", t[a]), lambda: t[a].rank() == t[a].rows):
             rep.add("t-surjective", (a,))
     for x in range(g.n_objects):
         unit = g.unit[x]
@@ -311,8 +304,6 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             rep.add("unit-section-s", (x,))
         if t[unit] * u[x] != Matrix.identity(v.e_dims[x]):
             rep.add("unit-section-t", (x,))
-
-    fib = _fib_slots(v)
 
     def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
@@ -323,7 +314,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
         reads = (s[g1], t[g2], m[(g1, g2)], s[g12], t[g12], s[g2], t[g1])
-        source_ok, target_ok = once("mult-ends", reads, lambda: mult_ends(g1, g2))
+        source_ok, target_ok = once(("mult-ends", *reads), lambda: mult_ends(g1, g2))
         if not source_ok:
             rep.add("mult-source", (g1, g2))
         if not target_ok:
@@ -333,12 +324,12 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         ly, rx = g.unit[g.tgt[a]], g.unit[g.src[a]]
         uy, ux = u[g.tgt[a]], u[g.src[a]]
         left_ok = once(
-            "unit-law-left", (uy, t[a], m[(ly, a)]), lambda: v.mult_of(ly, a, uy * t[a], one) == one
+            ("unit-law-left", uy, t[a], m[(ly, a)]), lambda: v.mult_of(ly, a, uy * t[a], one) == one
         )
         if not left_ok:
             rep.add("unit-law-left", (a,))
         right_ok = once(
-            "unit-law-right", (ux, s[a], m[(a, rx)]), lambda: v.mult_of(a, rx, one, ux * s[a]) == one
+            ("unit-law-right", ux, s[a], m[(a, rx)]), lambda: v.mult_of(a, rx, one, ux * s[a]) == one
         )
         if not right_ok:
             rep.add("unit-law-right", (a,))
@@ -357,7 +348,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     for a in range(g.n_arrows):
         ai = g.inv[a]
         reads = (m[(a, ai)], t[ai], u[g.tgt[a]], t[a], s[a], m[(ai, a)], u[g.src[a]])
-        failed = once("inverse", reads, lambda: inverse_law(a))
+        failed = once(("inverse", *reads), lambda: inverse_law(a))
         if failed:
             inverse_failures.append((a, *failed))
 
@@ -371,7 +362,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             return left == right
 
         reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
-        return once("associativity", reads, compute)
+        return once(("associativity", *reads), compute)
 
     reduced = rep.ok and not inverse_failures and validate_groupoid(g).ok
     for x in _failing_strings(g, 3, reduced, associative):
@@ -647,7 +638,7 @@ def check_vbmap(f: VBMap) -> Report:
     for x in range(g.n_objects):
         if f.arr_maps[g.unit[x]] * v.u_maps[x] != w.u_maps[bm.obj_map[x]] * f.obj_maps[x]:
             rep.add("unit-compat", (x,))
-    fib = _fib_slots(v)
+    _, fib = _call_memo(v)
 
     def multiplicative(g1: int, g2: int) -> bool:
         a, b = fib((g1, g2))

@@ -252,8 +252,20 @@ def test_non_integer_env_is_usage_error(sign_file, capsys, monkeypatch, var):
         (["nope"], None),
         (["gen"], "gen"),
         (["gen", "--recipe", "gauge:z3"], "gen"),
+        # the summary names the command the parser chose, not an option value spelt like one
+        (["--out", "check", "gen"], "gen"),
+        (["--seed", "x", "gen"], None),
+        (["check", "F", "extra"], "check"),
     ],
-    ids=["bad-pmax", "unknown-command", "gen-without-recipe", "gen-without-out"],
+    ids=[
+        "bad-pmax",
+        "unknown-command",
+        "gen-without-recipe",
+        "gen-without-out",
+        "option-value-named-like-a-command",
+        "bad-option-before-the-command",
+        "extra-argument-after-the-command",
+    ],
 )
 def test_bad_command_line_is_usage_event(capsys, monkeypatch, args, command):
     monkeypatch.delenv("VBG_OUT", raising=False)

@@ -93,6 +93,7 @@ CI_FALLBACK = [
     ["--pm", "2", "cohomology", "g/gen-gauge-pair2-3.json", "gauged0"],
     ["--pmax=2", "cohomology", "g/gen-gauge-pair2-3.json", "gauged0"],
     ["check", "-h"],
+    ["--out", "check", "gen"],
 ]
 
 

@@ -10,7 +10,9 @@ from vbgroupoids.generators import named_reps, random_gauge, seed_ruths
 from vbgroupoids.groupoid import cech_groupoid, cyclic_groupoid, pair_groupoid
 from vbgroupoids.linalg import Matrix
 from vbgroupoids.ruth import make_ruth
-from vbgroupoids.vb import base_change, grothendieck, grothendieck_map, identity_vbmap
+from vbgroupoids.vb import base_change, check_vbgroupoid, grothendieck, grothendieck_map, identity_vbmap
+
+from test_vb_memo import reference_check
 
 
 def test_rational_strings():
@@ -190,10 +192,10 @@ def test_cover_must_cover_every_object(sets, missing):
     assert vio.loads_instance(vio.dumps_instance(objects)).get("c", "cover")[1] == ((0,), (0, 1))
 
 
-# -- one object per distinct matrix within a load -------------------------------------------
+# -- a loaded pullback ---------------------------------------------------------------------
 
 
-def test_loaded_cech_pullback_has_one_object_per_distinct_matrix():
+def test_loaded_cech_pullback_equals_the_built_one_and_checks_as_the_oracle():
     z2 = cyclic_groupoid(2)
     r, _ = random_gauge(seed_ruths("z2", z2)[-2], random.Random(5))
     cech = cech_groupoid(z2, [[0], [0], [0]])
@@ -201,14 +203,14 @@ def test_loaded_cech_pullback_has_one_object_per_distinct_matrix():
     text = vio.dumps_instance({"gu": vio.groupoid_to_json(cech.gu), "v": vio.vbgroupoid_to_json(pulled, "gu")})
     loaded = vio.loads_instance(text).get("v", "vbgroupoid")
     assert loaded == pulled
-    assert len({id(m) for m in loaded.s_maps}) == len(set(loaded.s_maps)) < cech.gu.n_arrows
-    matrices = [*loaded.s_maps, *loaded.t_maps, *loaded.u_maps, *loaded.m_maps.values()]
-    assert len({id(m) for m in matrices}) == len(set(matrices))
+    assert len(set(loaded.s_maps)) < cech.gu.n_arrows
+    assert check_vbgroupoid.__wrapped__(loaded).violations == reference_check(loaded).violations == []
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
 def test_entry_equal_to_an_earlier_valid_one_is_still_rejected(bad):
-    # true == 1 and 1.0 == 1 hash alike: only a key on the parsed matrix keeps them apart
+    # true == 1 and 1.0 == 1, but a matrix entry must be a rational: the second entry is rejected
+    # although it compares equal to the first
     z2 = cyclic_groupoid(2)
     objects = {"g": vio.groupoid_to_json(z2), "v": vio.vbgroupoid_to_json(grothendieck(named_reps("z2", z2)[0]), "g")}
     objects["v"]["s"]["0"] = [[1]]

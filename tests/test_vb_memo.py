@@ -4,19 +4,21 @@ generating arrows.
 
 The oracle is a copy of the checkers as they were before the memos: every arrow, pair and
 triple is computed afresh, the product is the two-block form ``m1 a + m2 b`` and the
-inversion is solved one basis vector at a time.  Reindexed objects share one ``Matrix``
-object among many arrows, pairs and triples, which is where the identity memo could go
-wrong; a structure matrix swapped for a different one of the same shape must not be taken
-for the one it replaced.  Fib bases are shared by value, which could go wrong where the
-s and t maps along two strings agree in some places and not in others.  Associativity is
-first computed only on triples that start with a generating arrow; on mutants that break
-associativity alone the report must still equal the oracle's, and every case outside the
-reduced pass's gate must compute every triple.  The same holds for a VB-map's
+inversion is solved one basis vector at a time.  Reindexed and loaded objects repeat equal
+structure matrices over many arrows, pairs and triples, and the memo keys identities and Fib
+bases by the values of the matrices they read, which is where it could go wrong: a structure
+matrix swapped for a different one of the same shape must not be taken for the one it
+replaced, and strings whose s and t maps agree in some places and not in others must not
+share a Fib basis.  Equal matrices held as distinct objects must share every result.
+Associativity is first computed only on triples that start with a generating arrow; on
+mutants that break associativity alone the report must still equal the oracle's, and every
+case outside the reduced pass's gate must compute every triple.  The same holds for a VB-map's
 multiplicativity, computed first only on pairs that start with a generating arrow.
 """
 
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -400,21 +402,9 @@ def test_inverse_matrix_is_kept_per_object_and_failures_raise_again():
 
 
 def _loaded(v: VBGroupoid) -> VBGroupoid:
-    """``v`` written to an instance file and read back, with every matrix copied into a fresh
-    object: one ``Matrix`` object per entry (a load alone shares equal matrices)."""
+    """``v`` written to an instance file and read back: one ``Matrix`` object per entry."""
     text = vio.dumps_instance({"g": vio.groupoid_to_json(v.base), "v": vio.vbgroupoid_to_json(v, "g")})
-    w = vio.loads_instance(text).get("v", "vbgroupoid")
-
-    def fresh(ms):
-        return tuple(Matrix.from_rows(m.data, m.cols) for m in ms)
-
-    return replace(
-        w,
-        s_maps=fresh(w.s_maps),
-        t_maps=fresh(w.t_maps),
-        u_maps=fresh(w.u_maps),
-        m_maps=dict(zip(w.m_maps, fresh(w.m_maps.values()))),
-    )
+    return vio.loads_instance(text).get("v", "vbgroupoid")
 
 
 def _transport(v: VBGroupoid, psi: list[Matrix]) -> VBGroupoid:
@@ -487,17 +477,43 @@ def test_shared_valid_object_matches_oracle(name):
     assert raw_check(SHARED[name]).violations == reference_check(SHARED[name]).violations == []
 
 
-@pytest.mark.parametrize("table", ["s_maps", "t_maps", "m_maps"])
-@pytest.mark.parametrize("name", sorted(SHARED))
-def test_shared_object_with_bumped_entry_matches_oracle(name, table):
-    v = SHARED[name]
+def _bumped(v: VBGroupoid, table: str) -> VBGroupoid:
+    """``v`` with the entry of ``table`` at the first non-unit arrow, or at the first pair that
+    holds it, bumped."""
     d = v.base
     a = next(a for a in range(d.n_arrows) if not d.is_unit(a))
     key = next(p for p in d.pairs if a in p) if table == "m_maps" else a
-    bad = _swap(v, table, key, _bump(getattr(v, table)[key]))
+    return _swap(v, table, key, _bump(getattr(v, table)[key]))
+
+
+@pytest.mark.parametrize("table", ["s_maps", "t_maps", "m_maps"])
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_object_with_bumped_entry_matches_oracle(name, table):
+    bad = _bumped(SHARED[name], table)
     expected = reference_check(bad)
     assert not expected.ok
     assert _entries(raw_check(bad)) == _entries(expected)
+
+
+@pytest.mark.parametrize("table", [None, "s_maps", "t_maps", "m_maps"])
+def test_equal_matrices_held_apart_are_computed_once(monkeypatch, table):
+    # the pullback holds one Matrix object per distinct value, the loaded copy one per entry
+    computed = Counter()
+    call_memo = vb._call_memo
+
+    def counting(v):
+        once, fib = call_memo(v)
+        return lambda key, compute: once(key, lambda: computed.update([key[0]]) or compute()), fib
+
+    monkeypatch.setattr(vb, "_call_memo", counting)
+    counts = {}
+    for name, v in (("pulled", PULLED), ("loaded", SHARED["loaded"])):
+        bad = v if table is None else _bumped(v, table)
+        computed.clear()
+        assert _entries(raw_check(bad)) == _entries(reference_check(bad))
+        counts[name] = Counter(computed)
+    assert counts["loaded"] == counts["pulled"]
+    assert counts["loaded"]["s-surjective"] < PULLED.base.n_arrows
 
 
 @pytest.mark.parametrize("name", sorted(SHARED))
@@ -578,29 +594,41 @@ def test_mutant_fails_on_and_off_the_generating_arrows():
 def _computed(monkeypatch, length: int = 3, checker: str = "check_vbgroupoid") -> list[tuple[int, ...]]:
     """The strings of ``length`` arrows at which ``checker`` computes an identity from now on:
     each computation reads the Fib basis of its string once.  A checker that calls another
-    builds its own Fib memo, so only the ones ``checker`` builds are counted."""
+    builds its own memo, so only the ones ``checker`` builds are counted."""
     computed = []
-    fib_slots = vb._fib_slots
+    call_memo = vb._call_memo
 
     def counting(v):
-        fib = fib_slots(v)
+        once, fib = call_memo(v)
         if sys._getframe(1).f_code.co_name != checker:
-            return fib
+            return once, fib
 
         def counted(arrows):
             if len(arrows) == length:
                 computed.append(tuple(arrows))
             return fib(arrows)
 
-        return counted
+        return once, counted
 
-    monkeypatch.setattr(vb, "_fib_slots", counting)
+    monkeypatch.setattr(vb, "_call_memo", counting)
     return computed
+
+
+def _tried(monkeypatch) -> list[tuple[int, ...]]:
+    """The strings at which a checker tries a law from now on, computed or found in its memo."""
+    tried = []
+    failing_strings = vb._failing_strings
+
+    def counting(g, length, reduced, law):
+        return failing_strings(g, length, reduced, lambda *x: tried.append(x) or law(*x))
+
+    monkeypatch.setattr(vb, "_failing_strings", counting)
+    return tried
 
 
 def _z2_k4(seed: int = 5) -> VBGroupoid:
     """A gauge-randomized pullback to the Cech groupoid of Z_2 by 4 copies: 4 objects, 32 arrows,
-    every structure matrix its own object, so no two triples share a memo key."""
+    and no two triples read equal structure matrices, so none shares a memo key."""
     cech = cech_groupoid(Z2, [[0]] * 4)
     trivial = named_reps("z2", Z2)[0]
     r, _ = random_gauge(pullback_ruth(cech.pi, direct_sum(trivial, acyclic_ruth(trivial))), random.Random(seed))
@@ -638,9 +666,10 @@ def test_invalid_base_takes_the_full_loop(monkeypatch):
     base = _flipped_cech()
     assert not validate_groupoid(base).ok
     v = acyclic_vb(base, [1] * base.n_objects)
-    computed = _computed(monkeypatch)
+    tried = _tried(monkeypatch)
     assert raw_check(v).ok
-    assert sorted(computed) == sorted(base.triples())
+    # tried, not computed: the equal matrices of the acyclic VB-groupoid share their memo keys
+    assert sorted(tried) == sorted(base.triples())
 
 
 def _bare_bundle(base: FiniteGroupoid, x: int) -> VBGroupoid:
@@ -775,8 +804,8 @@ def test_descend_pipeline_makes_no_extra_raw_object_check(monkeypatch):
     # one raw run where the object is built and two inside the pipeline: the gate of every
     # check_vbmap call finds both ends already checked
     runs = []
-    fib_slots = vb._fib_slots
-    monkeypatch.setattr(vb, "_fib_slots", lambda v: runs.append(sys._getframe(1).f_code.co_name) or fib_slots(v))
+    call_memo = vb._call_memo
+    monkeypatch.setattr(vb, "_call_memo", lambda v: runs.append(sys._getframe(1).f_code.co_name) or call_memo(v))
     v = _z2_k4(6)
     descend_pipeline(v, make_descent_problem(Z2, [[0]] * 4))
     assert runs.count("check_vbgroupoid") == 3
