@@ -576,6 +576,51 @@ def test_hvb_equals_hlin_builds_each_operator_once(monkeypatch, curved):
     assert calls == [("h", 3), ("h", 2), ("I", 2), ("h", 4), ("I", 3)]
 
 
+def _verdicts(rep) -> tuple[bool, ...]:
+    return (rep.inclusion_iso, rep.homotopy_identity, rep.zero_last_identity, rep.filtration_quasi_iso, rep.ok)
+
+
+def test_hvb_equals_hlin_reports_a_broken_displayed_cancellation(monkeypatch, curved):
+    # I_2 is checked against the displayed expression with one entry off
+    _fail_call(monkeypatch, cohomology, "_displayed_cancellation", 0, _bump)
+    assert _verdicts(hvb_equals_hlin(grothendieck(curved), 4)) == (True, False, True, True, False)
+
+
+def test_hvb_equals_hlin_reports_a_broken_zero_last_identity(monkeypatch, curved):
+    def rhs_off(real, lin, p, cancellation):
+        lhs, rhs = real(lin, p, cancellation)
+        return lhs, _bump(lambda: rhs)
+
+    _fail_call(monkeypatch, cohomology, "_zero_last_two_term", 1, rhs_off)
+    assert _verdicts(hvb_equals_hlin(grothendieck(curved), 4)) == (True, True, False, True, False)
+
+
+def _rank_zero_in_degree_0(cert):
+    return replace(cert, degrees={**cert.degrees, 0: (1, 1, 0)})
+
+
+# call 0 of _filtration_bases, _subcomplex_from_bases and chain_map_is_quasi_iso builds F_1 (the
+# VB-subcomplex) or its inclusion into the linear complex; call 1 is filtration level 2
+FILTRATION_FAULTS = {
+    "level-not-closed": ("_subcomplex_from_bases", 1, lambda real, lin, bases: (None, 0)),
+    "inclusion-not-solvable": (
+        "_filtration_bases",
+        1,
+        lambda real, lin, level: [Matrix.zeros(lin.dim(p), 0) for p in range(lin.p_max)],
+    ),
+    "inclusion-not-quasi-iso": ("chain_map_is_quasi_iso", 1, lambda real, *args: _rank_zero_in_degree_0(real(*args))),
+    # F_3 replaced by F_2, which is closed and includes into itself, but is not all of degree 2
+    "top-level-short": ("_filtration_bases", 2, lambda real, lin, level: real(lin, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILTRATION_FAULTS))
+def test_hvb_equals_hlin_reports_a_broken_filtration(monkeypatch, curved, fault):
+    name, n, wrong = FILTRATION_FAULTS[fault]
+    _fail_call(monkeypatch, cohomology, name, n, wrong)
+    assert _verdicts(hvb_equals_hlin(grothendieck(curved), 3)) == (True, True, True, False, False)
+
+
 def test_pullback_lin_witness(curved):
     v = grothendieck(curved)
     lin = lin_complex(v, 2)
