@@ -301,6 +301,9 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_descend(args) -> int:
+    missing = [opt for opt, name in (("--gamma", args.gamma), ("--gamma-prime", args.gamma_prime)) if not name]
+    if args.map and missing:
+        raise UsageError(f"descend --map needs {' and '.join(missing)}")
     inst = _load(args.file)
     base, sets = inst.get(args.cover, "cover")
     partition = inst.get(args.partition, "partition") if args.partition else None

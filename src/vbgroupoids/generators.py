@@ -300,7 +300,7 @@ def rank_drop_fixture(seed: int = 0) -> tuple[DescentProblem, VBGroupoid]:
 
     The gauge data is chosen so that phi_e - anchor mu is singular on a
     kernel arrow, exercising the section-correction branch of
-    make_invertible.
+    make_invertible.  The fixture is fixed: ``seed`` does not change it.
     """
     zoo = base_groupoids()
     g = zoo["pt"]
@@ -310,7 +310,6 @@ def rank_drop_fixture(seed: int = 0) -> tuple[DescentProblem, VBGroupoid]:
     pull, _ = base_change(problem.cech.pi, v0)
     r_pull, _ = split(pull)
     gu = problem.gu
-    rng = random.Random(seed)
     phi_e = [Matrix.identity(d) for d in r_pull.e_dims]
     phi_c = [Matrix.identity(d) for d in r_pull.c_dims]
     mu = []

@@ -195,13 +195,21 @@ def fib_key(v: VBGroupoid, arrows: Sequence[int]) -> tuple:
 def _call_memo(v: VBGroupoid) -> tuple[Callable[..., Any], Callable[[Sequence[int]], tuple]]:
     """``(once, fib)`` over one memo that lasts one checker call on ``v``.
 
-    ``once(key, compute)`` is ``compute()``, computed once per distinct ``key``; a checker's keys
-    start with the identity's name, so they never equal a Fib key.  ``fib(arrows)`` is
+    ``once(key, compute)`` is ``compute()``, computed once per distinct ``key``, where the
+    matrices in a key are structure matrices of ``v`` and compare by value.  The structure
+    matrices are numbered by value once, when the memo is made, and each is replaced by its
+    number in the key, so a lookup compares integers, not matrices.  A checker's keys start with
+    the identity's name, so they never equal a Fib key.  ``fib(arrows)`` is
     ``v.slots(arrows, v.fib_string_basis(arrows))``, computed once per distinct :func:`fib_key`.
     """
+    by_value: dict[Matrix, int] = {}
+    # v holds every structure matrix until the call ends, so no id is reused while the memo lives
+    structure = (*v.s_maps, *v.t_maps, *v.u_maps, *v.m_maps.values())
+    number = {id(m): by_value.setdefault(m, len(by_value)) for m in structure}
     memo: dict[tuple, Any] = {}
 
     def once(key: tuple, compute: Callable[[], Any]) -> Any:
+        key = tuple(number[id(x)] if isinstance(x, Matrix) else x for x in key)
         if key not in memo:
             memo[key] = compute()
         return memo[key]
@@ -237,8 +245,9 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     repeats equal structure matrices over many arrows, pairs and triples.  So each identity
     past the shape checks is computed once per distinct tuple of the structure matrices it
     reads, and its result is then recorded for every arrow, pair or triple with that key; a
-    Fib basis is computed once per :func:`fib_key` (:func:`_call_memo`).  The keys hold the
-    matrices themselves, which is sound because a ``Matrix`` is immutable and equal by value.
+    Fib basis is computed once per :func:`fib_key` (:func:`_call_memo`).  The keys compare the
+    matrices by value, through numbers given to them once per call, which is sound because a
+    ``Matrix`` is immutable.
 
     Associativity is first computed only on the triples whose first arrow lies in
     T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is

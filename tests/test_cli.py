@@ -414,6 +414,20 @@ def test_partition_over_another_cover_is_usage_error(descent_files, tmp_path, ca
     assert events[1] == {"command": "descend", "event": "summary", "exit": 2, "ok": False}
 
 
+@pytest.mark.parametrize(
+    "given,missing",
+    [([], "--gamma and --gamma-prime"), (["--gamma", "gamma"], "--gamma-prime"), (["--gamma-prime", "gamma_prime"], "--gamma")],
+)
+def test_descend_map_without_its_vb_groupoids_is_usage_error(descent_files, capsys, given, missing):
+    argv = ["descend", str(descent_files["psi"]), "--cover", "cover", "--map", "psi", *given]
+    code, events = run_cli(argv, capsys)
+    assert code == 2
+    assert events == [
+        {"event": "error", "kind": "usage", "message": f"descend --map needs {missing}"},
+        {"command": "descend", "event": "summary", "exit": 2, "ok": False},
+    ]
+
+
 def test_cover_leaving_an_object_uncovered_is_parse_error(descent_files, tmp_path, capsys):
     payload = json.loads(descent_files["psi"].read_text())
     payload["objects"]["cover"]["sets"] = [[]]
