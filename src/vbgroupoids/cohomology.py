@@ -201,7 +201,7 @@ class LinComplex:
         return self._zero_last[key]
 
     def functional(
-        self, p: int, s: tuple, string: tuple[int, ...], image: Matrix, sign: int, where: tuple[str, str, str]
+        self, p: int, s: tuple[int, ...], string: tuple[int, ...], image: Matrix, sign: int, where: tuple[str, str, str]
     ) -> tuple[int, Matrix]:
         """The index of the degree-p ``string`` and ``sign`` times the transposed coordinates of
         ``image`` in the Fib basis of ``string``: the block that sends a cochain on ``string`` to
