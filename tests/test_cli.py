@@ -417,6 +417,7 @@ def test_partition_over_another_cover_is_usage_error(descent_files, tmp_path, ca
 @pytest.mark.parametrize(
     "given,missing",
     [([], "--gamma and --gamma-prime"), (["--gamma", "gamma"], "--gamma-prime"), (["--gamma-prime", "gamma_prime"], "--gamma")],
+    ids=["neither", "gamma-only", "gamma-prime-only"],
 )
 def test_descend_map_without_its_vb_groupoids_is_usage_error(descent_files, capsys, given, missing):
     argv = ["descend", str(descent_files["psi"]), "--cover", "cover", "--map", "psi", *given]
