@@ -441,3 +441,24 @@ def test_cover_leaving_an_object_uncovered_is_parse_error(descent_files, tmp_pat
     assert [e["event"] for e in events] == ["error", "summary"]
     assert events[0]["kind"] == "parse" and "cover" in events[0]["message"] and "[0]" in events[0]["message"]
     assert events[1] == {"command": "descend", "event": "summary", "exit": 2, "ok": False}
+
+
+def test_check_reports_every_kind(tmp_path, capsys):
+    from test_io import every_kind
+
+    path = tmp_path / "kinds.json"
+    path.write_text(vio.dumps_instance(every_kind()))
+    code, events = run_cli(["check", str(path)], capsys)
+    assert code == 0
+    checked = {"ok": True, "violations": []}
+    unchecked = {"ok": True, "note": "no checker"}
+    assert events == [
+        {"event": "check", "name": "c", "type": "cover", **unchecked},
+        {"event": "check", "name": "f", "type": "groupoid_map", **checked},
+        {"event": "check", "name": "g", "type": "groupoid", **checked},
+        {"event": "check", "name": "m", "type": "vbmap", **checked},
+        {"event": "check", "name": "p", "type": "partition", **unchecked},
+        {"event": "check", "name": "r", "type": "ruth", **checked},
+        {"event": "check", "name": "v", "type": "vbgroupoid", **checked},
+        {"command": "check", "event": "summary", "exit": 0, "ok": True},
+    ]

@@ -218,3 +218,109 @@ def test_entry_equal_to_an_earlier_valid_one_is_still_rejected(bad):
     with pytest.raises(vio.ParseError) as err:
         vio.loads_instance(vio.dumps_instance(objects))
     assert str(err.value) == f"v.s[1]: bad rational {bad!r}: want a string like '-3/7'"
+
+
+# -- what the loader reports -----------------------------------------------------------
+
+
+def every_kind() -> dict[str, dict]:
+    """One valid object of each of the seven types, over Z_2."""
+    z2 = cyclic_groupoid(2)
+    v = grothendieck(named_reps("z2", z2)[1])
+    return {
+        "g": vio.groupoid_to_json(z2),
+        "f": {"type": "groupoid_map", "dom": "g", "cod": "g", "object_map": [[0, 0]], "arrow_map": [[0, 0], [1, 1]]},
+        "r": vio.ruth_to_json(named_reps("z2", z2)[1], "g"),
+        "v": vio.vbgroupoid_to_json(v, "g"),
+        "m": vio.vbmap_to_json(identity_vbmap(v), "v", "v"),
+        "c": {"type": "cover", "base": "g", "sets": [[0], [0]]},
+        "p": {"type": "partition", "cover": "c", "weights": {"0,0": "1/3", "1,0": "2/3"}},
+    }
+
+
+def test_every_kind_loads():
+    inst = vio.loads_instance(vio.dumps_instance(every_kind()))
+    assert inst.kinds == {
+        "c": "cover", "f": "groupoid_map", "g": "groupoid", "m": "vbmap", "p": "partition", "r": "ruth", "v": "vbgroupoid"
+    }
+
+
+@pytest.mark.parametrize(
+    "name,field,value,message",
+    [
+        ("f", "dom", "r", "object 'r' has type ruth, wanted groupoid"),
+        ("f", "cod", "v", "object 'v' has type vbgroupoid, wanted groupoid"),
+        ("r", "base", "c", "object 'c' has type cover, wanted groupoid"),
+        ("v", "base", "f", "object 'f' has type groupoid_map, wanted groupoid"),
+        ("m", "source", "r", "object 'r' has type ruth, wanted vbgroupoid"),
+        ("m", "target", "g", "object 'g' has type groupoid, wanted vbgroupoid"),
+        ("c", "base", "m", "object 'm' has type vbmap, wanted groupoid"),
+        ("p", "cover", "p", "unresolvable references among: ['p']"),
+        ("p", "cover", "g", "object 'g' has type groupoid, wanted cover"),
+        ("r", "base", "nosuch", "r: unresolvable reference base='nosuch'"),
+        ("r", "base", 3, "r: unresolvable reference base=3"),
+    ],
+)
+def test_reference_errors_name_the_reference(name, field, value, message):
+    objects = every_kind()
+    objects[name][field] = value
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert str(err.value) == message
+
+
+def test_references_resolve_before_any_is_type_checked():
+    # dom has the wrong type and cod is missing: resolving cod fails first
+    objects = every_kind()
+    objects["f"].update(dom="r", cod="nosuch")
+    with pytest.raises(vio.ParseError, match=re.escape("f: unresolvable reference cod='nosuch'")):
+        vio.loads_instance(vio.dumps_instance(objects))
+    # both have the wrong type: dom is reported
+    objects["f"].update(dom="r", cod="v")
+    with pytest.raises(vio.ParseError, match=re.escape("object 'r' has type ruth, wanted groupoid")):
+        vio.loads_instance(vio.dumps_instance(objects))
+
+
+def test_unknown_type_is_named():
+    objects = every_kind()
+    objects["x"] = {"type": "nosuch"}
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert str(err.value) == "x: unknown type 'nosuch'"
+
+
+def _break(objects: dict, name: str) -> None:
+    if name == "g":
+        objects["g"]["compose"] = [[g1, g2, 0] for g1, g2, _ in objects["g"]["compose"]]
+    elif name == "f":
+        objects["f"]["arrow_map"] = [[0, 1], [1, 1]]
+    elif name == "r":
+        objects["r"]["rhoE"]["1"] = [["2"]]
+    elif name == "v":
+        objects["v"]["t"]["1"] = [["2"]]
+    elif name == "m":
+        objects["m"]["obj"]["0"] = [["2"]]
+    else:
+        objects["p"]["weights"]["1,0"] = "1/3"
+
+
+@pytest.mark.parametrize(
+    "name,context",
+    [
+        ("g", "g: invalid groupoid"),
+        ("f", "f: invalid groupoid map"),
+        ("r", "r: invalid ruth"),
+        ("v", "v: invalid VB-groupoid"),
+        ("m", "m: invalid VB-map"),
+        ("p", "p: invalid partition"),
+    ],
+)
+def test_invalid_object_is_reported_in_its_context(name, context):
+    from vbgroupoids.report import InvalidStructureError
+
+    objects = every_kind()
+    _break(objects, name)
+    with pytest.raises(InvalidStructureError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert err.value.context == context
+    assert not err.value.report.ok
