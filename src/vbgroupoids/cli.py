@@ -4,12 +4,13 @@ Reports stream as JSON lines on stdout so long verification suites can be
 monitored; the final line is a summary with the exit status.  Exit codes:
 0 = all checks passed, 1 = a mathematical check failed, 2 = input or usage
 error.  Usage errors (a malformed option value, an unknown command, a missing
-required option, ``gen`` without ``--out``) are JSON events too: an
-``{"event": "error", "kind": "usage"}`` line, then the summary, then exit
-code 2.  Identical inputs and seeds produce byte-identical output; wall-clock
-timing is printed to stderr only when --timings is given.  The options --pmax,
---seed, --out and --timings may come before or after the command; a value given
-after the command wins.
+required option, ``gen`` without ``--out``, ``descend`` with both or neither of
+``--map`` and ``--object``, ``descend --map`` without ``--gamma`` and
+``--gamma-prime``) are JSON events too: an ``{"event": "error", "kind": "usage"}``
+line, then the summary, then exit code 2.  Identical inputs and seeds produce
+byte-identical output; wall-clock timing is printed to stderr only when
+--timings is given.  The options --pmax, --seed, --out and --timings may come
+before or after the command; a value given after the command wins.
 
 A plain command line is read without argparse: a known command with its
 positionals and required options, long options spelt out in full, each value in
@@ -37,19 +38,11 @@ from .descent import (
     descend_pipeline,
     make_descent_problem,
 )
-from .groupoid import FiniteGroupoid, is_morita, validate_groupoid, validate_map
+from .groupoid import FiniteGroupoid, is_morita
 from .linalg import betti_numbers
 from .report import InvalidStructureError
-from .ruth import check_ruth, direct_sum, dual_ruth
-from .vb import (
-    check_vbgroupoid,
-    check_vbmap,
-    choose_cleavage,
-    dual_vb,
-    grothendieck,
-    is_vb_morita,
-    split,
-)
+from .ruth import direct_sum, dual_ruth
+from .vb import check_vbmap, choose_cleavage, dual_vb, grothendieck, is_vb_morita, split
 
 
 def _emit(obj: dict) -> None:
@@ -112,19 +105,11 @@ def cmd_check(args) -> int:
     for name in names:
         obj = inst.get(name)
         kind = inst.kinds[name]
-        if kind == "groupoid":
-            rep = validate_groupoid(obj)
-        elif kind == "groupoid_map":
-            rep = validate_map(obj)
-        elif kind == "ruth":
-            rep = check_ruth(obj)
-        elif kind == "vbgroupoid":
-            rep = check_vbgroupoid(obj)
-        elif kind == "vbmap":
-            rep = check_vbmap(obj)
-        else:
+        check = vio.KINDS[kind].check
+        if check is None:
             _emit({"event": "check", "name": name, "type": kind, "ok": True, "note": "no checker"})
             continue
+        rep = check(obj)
         _emit(
             {
                 "event": "check",
@@ -266,9 +251,9 @@ def cmd_cohomology(args) -> int:
                     {
                         "p": p,
                         "dim_lin": rep.dims_lin[p],
-                        "dim_vb": rep.dims_vb[p] if p < len(rep.dims_vb) else None,
-                        "dim_H_lin": rep.h_lin[p] if p < len(rep.h_lin) else None,
-                        "dim_H_vb": rep.h_vb[p] if p < len(rep.h_vb) else None,
+                        "dim_vb": rep.dims_vb[p],
+                        "dim_H_lin": rep.h_lin[p],
+                        "dim_H_vb": rep.h_vb[p],
                     }
                     for p in range(p_max)
                 ],
@@ -301,6 +286,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_descend(args) -> int:
+    if bool(args.map) == bool(args.object):
+        raise UsageError("descend needs either --map or --object")
     missing = [opt for opt, name in (("--gamma", args.gamma), ("--gamma-prime", args.gamma_prime)) if not name]
     if args.map and missing:
         raise UsageError(f"descend --map needs {' and '.join(missing)}")
@@ -336,22 +323,20 @@ def cmd_descend(args) -> int:
             },
         )
         return 0
-    if args.object:
-        v = inst.get(args.object, "vbgroupoid")
-        result = descend_pipeline(v, problem)
-        _emit(
-            {
-                "event": "descend-object",
-                "object": args.object,
-                "omega_dims": list(result.stabilization.omega.e_dims),
-                "descended_e_dims": list(result.descended.e_dims),
-                "comparison_invertible": result.comparison.is_invertible,
-            }
-        )
-        name, descended = f"{args.object}.descended", result.descended
-        _write_out(args, inst, base, args.object, lambda b: {name: vio.vbgroupoid_to_json(descended, b)})
-        return 0
-    raise vio.ParseError("descend: need --map (with --gamma/--gamma-prime) or --object")
+    v = inst.get(args.object, "vbgroupoid")
+    result = descend_pipeline(v, problem)
+    _emit(
+        {
+            "event": "descend-object",
+            "object": args.object,
+            "omega_dims": list(result.stabilization.omega.e_dims),
+            "descended_e_dims": list(result.descended.e_dims),
+            "comparison_invertible": result.comparison.is_invertible,
+        }
+    )
+    name, descended = f"{args.object}.descended", result.descended
+    _write_out(args, inst, base, args.object, lambda b: {name: vio.vbgroupoid_to_json(descended, b)})
+    return 0
 
 
 def _cech_objects(problem: DescentProblem) -> dict[str, dict]:
@@ -383,9 +368,14 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
     kind = parts[0]
     base_name = parts[1] if len(parts) > 1 else "z2"
     zoo = base_groupoids()
-    if kind in ("honest", "gauge", "acyclic", "sum"):
-        if base_name not in zoo:
-            raise vio.ParseError(f"gen: unknown base {base_name!r}")
+    ruth_recipes = ("honest", "gauge", "acyclic", "sum")
+    if kind not in (*ruth_recipes, "cech-pullback", "cech-pullback-core", "perturbed-pullback", "rank-drop"):
+        raise vio.ParseError(f"gen: unknown recipe {recipe!r}")
+    if kind == "rank-drop" and len(parts) > 1:
+        raise vio.ParseError(f"gen: rank-drop takes no base, got {base_name!r}")
+    if base_name not in zoo:
+        raise vio.ParseError(f"gen: unknown base {base_name!r}")
+    if kind in ruth_recipes:
         g = zoo[base_name]
         out = {base_name: vio.groupoid_to_json(g)}
         seeds = seed_ruths(base_name, g)
@@ -403,7 +393,6 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
             out["gauged0"] = vio.ruth_to_json(gauged, base_name)
         return out
     if kind in ("cech-pullback", "cech-pullback-core"):
-        base_name = base_name if base_name in zoo else "z2"
         fx = make_map_descent_fixture(seed, base_name, 0, with_core=kind == "cech-pullback-core")
         return {
             **_cech_objects(fx.problem),
@@ -414,12 +403,10 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
             "gamma_prime.pulled": vio.vbgroupoid_to_json(fx.psi.target, "gu"),
         }
     if kind == "perturbed-pullback":
-        problem, v = make_object_descent_fixture(seed, base_name if base_name in zoo else "pt", 1)
+        problem, v = make_object_descent_fixture(seed, base_name, 1)
         return {**_cech_objects(problem), "object": vio.vbgroupoid_to_json(v, "gu")}
-    if kind == "rank-drop":
-        problem, v = rank_drop_fixture(seed)
-        return {**_cech_objects(problem), "object": vio.vbgroupoid_to_json(v, "gu")}
-    raise vio.ParseError(f"gen: unknown recipe {recipe!r}")
+    problem, v = rank_drop_fixture(seed)
+    return {**_cech_objects(problem), "object": vio.vbgroupoid_to_json(v, "gu")}
 
 
 def cmd_gen(args) -> int:

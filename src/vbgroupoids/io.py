@@ -8,6 +8,8 @@ Rationals serialize as strings like ``-3/7`` (denominator omitted when 1),
 matrices as row-major nested arrays of such strings.  Ruths omit unit-arrow
 entries (implied identity/zero).  Object and arrow ids are the contiguous
 integers 0..n-1.  Loading validates every object before use unless disabled.
+The table :data:`KINDS` is the one place that says, for each object type, which
+objects it refers to and how it is read and validated.
 
 A matrix entry in the writers' form (ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
 denominator) is read with ``int`` alone; every other entry goes through
@@ -21,12 +23,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .descent import PartitionOfUnity
 from .groupoid import FiniteGroupoid, GroupoidMap, make_groupoid, validate_groupoid, validate_map
 from .linalg import Matrix
-from .report import InvalidStructureError
+from .report import InvalidStructureError, Report
 from .ruth import TwoTermRuth, check_ruth, make_ruth
 from .vb import VBGroupoid, VBMap, check_vbgroupoid, check_vbmap
 
@@ -281,6 +283,36 @@ def vbmap_from_json(data: dict, source: VBGroupoid, target: VBGroupoid, where: s
     return VBMap(source=source, target=target, base_map=bm, obj_maps=obj_maps, arr_maps=arr_maps)
 
 
+def groupoid_map_from_json(data: dict, dom: FiniteGroupoid, cod: FiniteGroupoid, where: str) -> GroupoidMap:
+    obj_map = _pairs_to_table(data.get("object_map", []), dom.n_objects, cod.n_objects, where)
+    arr_map = _pairs_to_table(data.get("arrow_map", []), dom.n_arrows, cod.n_arrows, where)
+    return GroupoidMap(dom, cod, obj_map, arr_map)
+
+
+def cover_from_json(data: dict, base: FiniteGroupoid, where: str) -> tuple[FiniteGroupoid, tuple]:
+    """``(base, sets)``; sets that are not a list of id lists covering every object are a ParseError."""
+    sets = data.get("sets")
+    if not isinstance(sets, list):
+        raise ParseError(f"{where}: cover needs a list of sets")
+    cover = tuple(tuple(sorted({_id(x, base.n_objects, where) for x in s})) for s in sets)
+    missing = sorted(set(range(base.n_objects)).difference(*cover))
+    if missing:
+        raise ParseError(f"{where}: not a cover: objects {missing} uncovered")
+    return (base, cover)
+
+
+def partition_from_json(data: dict, cover: tuple, where: str) -> PartitionOfUnity:
+    """A partition of unity on the ``(base, sets)`` of :func:`cover_from_json`, validated as it is read."""
+    base, sets = cover
+    weights = {}
+    for key, w in data.get("weights", {}).items():
+        i, x = key.split(",")
+        weights[(_id(i, len(sets), where), _id(x, base.n_objects, where))] = frac_from_str(w)
+    p = PartitionOfUnity(cover=sets, weights=weights)
+    p.validate(base.n_objects).require(f"{where}: invalid partition")
+    return p
+
+
 # -- instance files -----------------------------------------------------------------
 
 
@@ -304,19 +336,40 @@ def dumps_instance(objects: dict[str, dict]) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-# the names each object type refers to; they load first
-_REFERENCES = {
-    "groupoid_map": ("dom", "cod"),
-    "ruth": ("base",),
-    "vbgroupoid": ("base",),
-    "vbmap": ("source", "target"),
-    "cover": ("base",),
-    "partition": ("cover",),
+@dataclass(frozen=True)
+class Kind:
+    """How an object type loads.
+
+    Each field of ``refs`` names an object of the type paired with it; ``read(data, *those
+    objects, name)`` builds the object; ``check``, None where the reader validates, reports
+    as ``"<name>: invalid <label>"``.
+    """
+
+    refs: tuple[tuple[str, str], ...]
+    read: Callable[..., Any]
+    check: Optional[Callable[[Any], Report]]
+    label: str
+
+
+# Each checker is looked up by its module-level name when it runs, so that rebinding the
+# name (bench/tracing.py wraps checkers this way) reaches the checks made here too.
+KINDS = {
+    "groupoid": Kind((), groupoid_from_json, lambda g: validate_groupoid(g), "groupoid"),
+    "groupoid_map": Kind(
+        (("dom", "groupoid"), ("cod", "groupoid")), groupoid_map_from_json, lambda f: validate_map(f), "groupoid map"
+    ),
+    "ruth": Kind((("base", "groupoid"),), ruth_from_json, lambda r: check_ruth(r), "ruth"),
+    "vbgroupoid": Kind((("base", "groupoid"),), vbgroupoid_from_json, lambda v: check_vbgroupoid(v), "VB-groupoid"),
+    "vbmap": Kind(
+        (("source", "vbgroupoid"), ("target", "vbgroupoid")), vbmap_from_json, lambda f: check_vbmap(f), "VB-map"
+    ),
+    "cover": Kind((("base", "groupoid"),), cover_from_json, None, "cover"),
+    "partition": Kind((("cover", "cover"),), partition_from_json, None, "partition"),
 }
 
 
 def loads_instance(text: str, validate: bool = True) -> Instance:
-    """Decode and validate every object, each after the objects it refers to.
+    """Decode and validate every object, each after the objects it refers to, as :data:`KINDS` says.
 
     Any malformed object ends in a ParseError that names it; a failed validation
     raises InvalidStructureError.
@@ -340,19 +393,25 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
         if name in loading:
             raise ParseError(f"unresolvable references among: {sorted(loading[loading.index(name):])}")
         data = raw[name]
+        kind = KINDS.get(data["type"])
+        if kind is None:
+            raise ParseError(f"{name}: unknown type {data['type']!r}")
         loading.append(name)
-        for key in _REFERENCES.get(data["type"], ()):
+        for key, _ in kind.refs:
             ref = data.get(key)
             if not isinstance(ref, str) or ref not in raw:
                 raise ParseError(f"{name}: unresolvable reference {key}={ref!r}")
             if ref not in inst.objects:
                 load(ref)
         try:
-            inst.objects[name] = _load_one(inst, name, data, validate)
+            obj = kind.read(data, *(inst.get(data[key], want) for key, want in kind.refs), name)
+            if validate and kind.check is not None:
+                kind.check(obj).require(f"{name}: invalid {kind.label}")
         except (InvalidStructureError, ParseError):
             raise
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{name}: malformed {data['type']}: {type(e).__name__}: {e}") from None
+        inst.objects[name] = obj
         inst.kinds[name] = data["type"]
         loading.pop()
 
@@ -360,64 +419,3 @@ def loads_instance(text: str, validate: bool = True) -> Instance:
         if name not in inst.objects:
             load(name)
     return inst
-
-
-def _load_one(inst: Instance, name: str, data: dict, validate: bool):
-    kind = data["type"]
-    if kind == "groupoid":
-        g = groupoid_from_json(data, name)
-        if validate:
-            validate_groupoid(g).require(f"{name}: invalid groupoid")
-        return g
-    if kind == "groupoid_map":
-        dom = inst.get(data["dom"], "groupoid")
-        cod = inst.get(data["cod"], "groupoid")
-        f = GroupoidMap(
-            dom,
-            cod,
-            _pairs_to_table(data.get("object_map", []), dom.n_objects, cod.n_objects, name),
-            _pairs_to_table(data.get("arrow_map", []), dom.n_arrows, cod.n_arrows, name),
-        )
-        if validate:
-            validate_map(f).require(f"{name}: invalid groupoid map")
-        return f
-    if kind == "ruth":
-        base = inst.get(data["base"], "groupoid")
-        r = ruth_from_json(data, base, name)
-        if validate:
-            check_ruth(r).require(f"{name}: invalid ruth")
-        return r
-    if kind == "vbgroupoid":
-        base = inst.get(data["base"], "groupoid")
-        v = vbgroupoid_from_json(data, base, name)
-        if validate:
-            check_vbgroupoid(v).require(f"{name}: invalid VB-groupoid")
-        return v
-    if kind == "vbmap":
-        source = inst.get(data["source"], "vbgroupoid")
-        target = inst.get(data["target"], "vbgroupoid")
-        f = vbmap_from_json(data, source, target, name)
-        if validate:
-            check_vbmap(f).require(f"{name}: invalid VB-map")
-        return f
-    if kind == "cover":
-        base = inst.get(data["base"], "groupoid")
-        sets = data.get("sets")
-        if not isinstance(sets, list):
-            raise ParseError(f"{name}: cover needs a list of sets")
-        cover = tuple(tuple(sorted({_id(x, base.n_objects, name) for x in s})) for s in sets)
-        missing = sorted(set(range(base.n_objects)).difference(*cover))
-        if missing:
-            raise ParseError(f"{name}: not a cover: objects {missing} uncovered")
-        return (base, cover)
-    if kind == "partition":
-        base, sets = inst.get(data["cover"], "cover")
-        weights = {}
-        for key, w in data.get("weights", {}).items():
-            i, x = key.split(",")
-            weights[(_id(i, len(sets), name), _id(x, base.n_objects, name))] = frac_from_str(w)
-        p = PartitionOfUnity(cover=sets, weights=weights)
-        if validate:
-            p.validate(base.n_objects).require(f"{name}: invalid partition")
-        return p
-    raise ParseError(f"{name}: unknown type {kind!r}")

@@ -462,3 +462,39 @@ def test_check_reports_every_kind(tmp_path, capsys):
         {"event": "check", "name": "v", "type": "vbgroupoid", **checked},
         {"command": "check", "event": "summary", "exit": 0, "ok": True},
     ]
+
+
+@pytest.mark.parametrize(
+    "given",
+    [[], ["--object", "object", "--map", "psi", "--gamma", "gamma", "--gamma-prime", "gamma_prime"]],
+    ids=["neither", "both"],
+)
+def test_descend_needs_either_map_or_object(tmp_path, capsys, given):
+    # raised before the file is read: the file does not exist
+    code, events = run_cli(["descend", str(tmp_path / "absent.json"), "--cover", "cover", *given], capsys)
+    assert code == 2
+    assert events == [
+        {"event": "error", "kind": "usage", "message": "descend needs either --map or --object"},
+        {"command": "descend", "event": "summary", "exit": 2, "ok": False},
+    ]
+
+
+@pytest.mark.parametrize(
+    "recipe,message",
+    [
+        ("cech-pullback:nosuch", "gen: unknown base 'nosuch'"),
+        ("cech-pullback-core:nosuch", "gen: unknown base 'nosuch'"),
+        ("perturbed-pullback:zz", "gen: unknown base 'zz'"),
+        ("gauge:zz", "gen: unknown base 'zz'"),
+        ("rank-drop:z2", "gen: rank-drop takes no base, got 'z2'"),
+        ("nosuch:zz", "gen: unknown recipe 'nosuch:zz'"),
+    ],
+)
+def test_gen_rejects_a_base_it_cannot_use(tmp_path, capsys, recipe, message):
+    code, events = run_cli(["gen", "--recipe", recipe, "--seed", "0", "--out", str(tmp_path / "g")], capsys)
+    assert code == 2
+    assert events == [
+        {"event": "error", "kind": "parse", "message": message},
+        {"command": "gen", "event": "summary", "exit": 2, "ok": False},
+    ]
+    assert not (tmp_path / "g").exists()
