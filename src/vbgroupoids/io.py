@@ -7,9 +7,10 @@ One self-describing container per file::
 Rationals serialize as strings like ``-3/7`` (denominator omitted when 1),
 matrices as row-major nested arrays of such strings.  Ruths omit unit-arrow
 entries (implied identity/zero).  Object and arrow ids are the contiguous
-integers 0..n-1.  Loading validates every object before use unless disabled.
-The table :data:`KINDS` is the one place that says, for each object type, which
-objects it refers to and how it is read and validated.
+integers 0..n-1.  Loading validates every object before use unless disabled;
+covers and partitions are validated as they are read, always.  The table
+:data:`KINDS` is the one place that says, for each object type, which objects it
+refers to and how it is read and validated.
 
 A matrix entry in the writers' form (ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
 denominator) is read with ``int`` alone; every other entry goes through
