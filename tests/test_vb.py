@@ -9,21 +9,24 @@ import pytest
 from vbgroupoids.generators import (
     acyclic_ruth,
     base_groupoids,
+    named_covers,
     named_reps,
     random_gauge,
     random_matrix,
     seed_ruths,
 )
-from vbgroupoids.groupoid import GroupoidMap, cyclic_groupoid, identity_map, point_groupoid
+from vbgroupoids.groupoid import GroupoidMap, cech_groupoid, cyclic_groupoid, identity_map, point_groupoid
 from vbgroupoids.linalg import Matrix, Subspace
 from vbgroupoids.report import InvalidStructureError, Violation
 from vbgroupoids.ruth import (
     check_ruth_morphism,
     compose_ruth_morphisms,
     direct_sum,
+    dual_ruth,
     identity_morphism,
     is_quasi_iso,
     make_ruth,
+    pullback_ruth,
     sum_projection,
     zero_morphism,
     zero_ruth,
@@ -499,3 +502,28 @@ def test_sub_vbgroupoid_not_closed_names_map_and_arrow(sign):
     with pytest.raises(InvalidStructureError, match="sub_vbgroupoid: s at 0 leaves the subspace") as exc:
         sub_vbgroupoid(v, zero, full)
     assert exc.value.report.violations == [Violation("sub-closed", ("s", 0))]
+
+
+def _gauged_seeds(name: str, g, gauges: int = 3) -> list:
+    """``gauges`` random gauges of each seed ruth of a named base."""
+    rng = random.Random(name)
+    return [random_gauge(r, rng)[0] for r in seed_ruths(name, g) for _ in range(gauges)]
+
+
+@pytest.mark.parametrize("name", sorted(base_groupoids()))
+def test_split_inverts_grothendieck_and_dual_commutes_with_it(name):
+    g = base_groupoids()[name]
+    for r in _gauged_seeds(name, g):
+        v = grothendieck(r)
+        assert split(v)[0] == r
+        assert dual_vb(v) == grothendieck(dual_ruth(r))
+
+
+@pytest.mark.parametrize("name", sorted(base_groupoids()))
+def test_split_of_a_cech_base_change_is_the_pulled_back_ruth(name):
+    g = base_groupoids()[name]
+    for cover in named_covers(name, g):
+        pi = cech_groupoid(g, cover).pi
+        for r in _gauged_seeds(name, g, gauges=1):
+            pulled, _ = base_change(pi, grothendieck(r))
+            assert split(pulled)[0] == pullback_ruth(pi, r)
