@@ -6,11 +6,12 @@ monitored; the final line is a summary with the exit status.  Exit codes:
 error.  Usage errors (a malformed option value, an unknown command, a missing
 required option, ``gen`` without ``--out``, ``descend`` with both or neither of
 ``--map`` and ``--object``, ``descend --map`` without ``--gamma`` and
-``--gamma-prime``) are JSON events too: an ``{"event": "error", "kind": "usage"}``
-line, then the summary, then exit code 2.  Identical inputs and seeds produce
-byte-identical output; wall-clock timing is printed to stderr only when
---timings is given.  The options --pmax, --seed, --out and --timings may come
-before or after the command; a value given after the command wins.
+``--gamma-prime``, ``descend --object`` with ``--partition``) are JSON events
+too: an ``{"event": "error", "kind": "usage"}`` line, then the summary, then
+exit code 2.  Identical inputs and seeds produce byte-identical output;
+wall-clock timing is printed to stderr only when --timings is given.  The
+options --pmax, --seed, --out and --timings may come before or after the
+command; a value given after the command wins.
 
 A plain command line is read without argparse: a known command with its
 positionals and required options, long options spelt out in full, each value in
@@ -216,15 +217,15 @@ def cmd_cohomology(args) -> int:
     if p_max < 1:
         raise UsageError(f"--pmax must be at least 1, got {p_max}")
     if kind == "ruth":
-        rc = ruth_complex(obj, p_max)
-        betti = betti_numbers(rc.complex)
+        cx = ruth_complex(obj, p_max)
+        betti = betti_numbers(cx)
         _emit(
             {
                 "event": "cohomology",
                 "name": args.name,
                 "kind": "ruth",
                 "degrees": [
-                    {"p": p, "dim": rc.complex.dim(p), "dim_H": betti[p]} for p in range(-1, p_max)
+                    {"p": p, "dim": cx.dim(p), "dim_H": betti[p]} for p in range(-1, p_max)
                 ],
             }
         )
@@ -291,6 +292,8 @@ def cmd_descend(args) -> int:
     missing = [opt for opt, name in (("--gamma", args.gamma), ("--gamma-prime", args.gamma_prime)) if not name]
     if args.map and missing:
         raise UsageError(f"descend --map needs {' and '.join(missing)}")
+    if args.object and args.partition:
+        raise UsageError("descend --object takes no --partition")
     inst = _load(args.file)
     base, sets = inst.get(args.cover, "cover")
     partition = inst.get(args.partition, "partition") if args.partition else None
@@ -364,14 +367,13 @@ def _gen_objects(recipe: str, seed: int) -> dict[str, dict]:
     )
 
     rng = random.Random(seed)
-    parts = recipe.split(":")
-    kind = parts[0]
-    base_name = parts[1] if len(parts) > 1 else "z2"
+    kind, colon, base_name = recipe.partition(":")
+    base_name = base_name if colon else "z2"
     zoo = base_groupoids()
     ruth_recipes = ("honest", "gauge", "acyclic", "sum")
     if kind not in (*ruth_recipes, "cech-pullback", "cech-pullback-core", "perturbed-pullback", "rank-drop"):
         raise vio.ParseError(f"gen: unknown recipe {recipe!r}")
-    if kind == "rank-drop" and len(parts) > 1:
+    if kind == "rank-drop" and colon:
         raise vio.ParseError(f"gen: rank-drop takes no base, got {base_name!r}")
     if base_name not in zoo:
         raise vio.ParseError(f"gen: unknown base {base_name!r}")

@@ -7,7 +7,10 @@ the VB-subcomplex consists of the projectable ones.  All differentials are
 assembled as exact block matrices; d o d = 0 is a hard constructor check.
 
 Degree truncation: a complex built with ``p_max`` carries trustworthy
-cohomology only in degrees <= p_max - 1, and every report here respects that.
+cohomology only in degrees <= p_max - 1.  A subcomplex of the linear complex is
+given by bases in every degree 0 .. p_max, with the identity at p_max, because
+the truncated complex imposes no condition there; reports read only the
+degrees below p_max.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .groupoid import NerveStrings, nerve
 from .linalg import CochainComplex, Matrix, QuasiIsoCertificate, betti_numbers, chain_map_is_quasi_iso
 from .report import violation_error
-from .ruth import TwoTermRuth, check_ruth
+from .ruth import TwoTermRuth, check_ruth, dual_ruth
 from .vb import (
     Cleavage,
     VBGroupoid,
@@ -29,7 +32,6 @@ from .vb import (
     check_vbmap,
     choose_cleavage,
     coords_in,
-    dual_vb,
     fib_key,
     grothendieck,
 )
@@ -41,9 +43,21 @@ from .vb import (
 RUTH_DIFFERENTIAL_SIGNS = (1, 1, -1, 1)
 
 
-def _string_at(nv: NerveStrings, offsets: Sequence[Sequence[int]], q: int, row: int) -> tuple:
-    """The degree-q string whose coordinate block holds ``row``."""
-    return nv.strings[q][bisect_right(offsets[q], row) - 1]
+class _Layout:
+    """Cochain coordinates with one block per nerve string: ``sizes[q]`` lists the block size
+    of each q-string, and the degree-q space is their direct sum in string order."""
+
+    def __init__(self, nv: NerveStrings, sizes: list[list[int]]):
+        self.nerve = nv
+        self.sizes = sizes
+        self.offsets = [list(accumulate(level, initial=0)) for level in sizes]
+
+    def dim(self, q: int) -> int:
+        return self.offsets[q][-1] if 0 <= q < len(self.offsets) else 0
+
+    def string_at(self, q: int, row: int) -> tuple:
+        """The degree-q string whose coordinate block holds ``row``."""
+        return self.nerve.strings[q][bisect_right(self.offsets[q], row) - 1]
 
 
 def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callable[[int, int], object]) -> None:
@@ -68,31 +82,13 @@ def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callab
 # -- bundle-valued cochains -------------------------------------------------------
 
 
-class _BundleCochains:
-    """Offsets for C^q(G, B) = (+) over q-strings of the fiber at tgt(g_1)."""
-
-    def __init__(self, nv: NerveStrings, dims: Sequence[int]):
-        self.nerve = nv
-        g = nv.groupoid
-        self.anchor_obj = [[s if q == 0 else g.tgt[s[0]] for s in nv.strings[q]] for q in range(nv.p_max + 1)]
-        self.sizes = [[dims[x] for x in objs] for objs in self.anchor_obj]  # block size per q-string
-        self.offsets = [list(accumulate(sizes, initial=0)) for sizes in self.sizes]
-
-    def dim(self, q: int) -> int:
-        return self.offsets[q][-1] if 0 <= q <= self.nerve.p_max else 0
-
-    def string_at(self, q: int, row: int) -> tuple:
-        return _string_at(self.nerve, self.offsets, q, row)
-
-
-def _quasi_action_differential(
-    nv: NerveStrings, bc: _BundleCochains, rho: Sequence[Matrix], q: int
-) -> Matrix:
-    """The degree-1 operator of a (quasi-)action on bundle cochains, C^q -> C^{q+1}.
+def _quasi_action_differential(bc: _Layout, rho: Sequence[Matrix], q: int) -> Matrix:
+    """The degree-1 operator of a (quasi-)action on bundle cochains ``bc``, C^q -> C^{q+1}.
 
     (D w)(g_1..g_{q+1}) = rho_{g_1} w(g_2..) + sum_i (-1)^i w(..g_i g_{i+1}..)
                           + (-1)^{q+1} w(g_1..g_q).
     """
+    nv = bc.nerve
     blocks = []
     for si, s in enumerate(nv.strings[q + 1]):
         for i in range(q + 2):
@@ -105,27 +101,21 @@ def _quasi_action_differential(
 # -- ruth cochain complex -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuthComplex:
-    """C(G, E (+) C[1]) with degree-p space C^p(G,E) (+) C^{p+1}(G,C)."""
-
-    ruth: TwoTermRuth
-    p_max: int
-    complex: CochainComplex  # degrees -1 .. p_max
-
-
 def assemble_ruth_differential(
     r: TwoTermRuth, p_max: int, signs: tuple[int, int, int, int] = RUTH_DIFFERENTIAL_SIGNS
-) -> RuthComplex:
-    """Build the total complex with explicit component signs; D^2 = 0 is enforced."""
+) -> CochainComplex:
+    """C(G, E (+) C[1]) in degrees -1 .. p_max, with degree-p space C^p(G,E) (+) C^{p+1}(G,C),
+    built with explicit component signs; D^2 = 0 is enforced."""
     s_e, s_anchor, s_c, s_gamma = signs
-    nv = nerve(r.base, p_max + 1)
-    bce = _BundleCochains(nv, r.e_dims)
-    bcc = _BundleCochains(nv, r.c_dims)
     g = r.base
+    nv = nerve(g, p_max + 1)
+    # the object tgt(g_1) whose fibers hold the values at (g_1, ..., g_q), and x for a 0-string x
+    objs = [[s if q == 0 else g.tgt[s[0]] for s in level] for q, level in enumerate(nv.strings)]
+    bce = _Layout(nv, [[r.e_dims[x] for x in level] for level in objs])
+    bcc = _Layout(nv, [[r.c_dims[x] for x in level] for level in objs])
 
     def anchor_insertion(q: int) -> Matrix:
-        return Matrix.block_diag([r.anchor[x] for x in bce.anchor_obj[q]])
+        return Matrix.block_diag([r.anchor[x] for x in objs[q]])
 
     def curvature_pairing(q: int) -> Matrix:
         # C^q(G,E) -> C^{q+2}(G,C): (gamma w)(g_1..g_{q+2}) = gamma_{g_1,g_2} w(g_3..)
@@ -135,35 +125,29 @@ def assemble_ruth_differential(
         ]
         return Matrix.block(bcc.sizes[q + 2], bce.sizes[q], blocks)
 
-    dims: list[int] = []
-    e_dims_at: list[int] = []
-    for p in range(-1, p_max + 1):
-        de = bce.dim(p) if p >= 0 else 0
-        dims.append(de + bcc.dim(p + 1))
-        e_dims_at.append(de)
     diffs = []
     for p in range(-1, p_max):
         # block rows: C^{p+1}(G,E), C^{p+2}(G,C); block columns: C^p(G,E), C^{p+1}(G,C)
         blocks = {}
         if p >= 0:
-            blocks[(0, 0)] = _quasi_action_differential(nv, bce, r.rho_e, p).scale(s_e)
+            blocks[(0, 0)] = _quasi_action_differential(bce, r.rho_e, p).scale(s_e)
             blocks[(1, 0)] = curvature_pairing(p).scale(s_gamma)
         blocks[(0, 1)] = anchor_insertion(p + 1).scale(s_anchor)
-        blocks[(1, 1)] = _quasi_action_differential(nv, bcc, r.rho_c, p + 1).scale(s_c)
-        heights = [e_dims_at[p + 2], dims[p + 2] - e_dims_at[p + 2]]
-        diffs.append(Matrix.block(heights, [e_dims_at[p + 1], dims[p + 1] - e_dims_at[p + 1]], blocks))
-    cx = CochainComplex(-1, p_max, tuple(dims), tuple(diffs))
+        blocks[(1, 1)] = _quasi_action_differential(bcc, r.rho_c, p + 1).scale(s_c)
+        diffs.append(Matrix.block([bce.dim(p + 1), bcc.dim(p + 2)], [bce.dim(p), bcc.dim(p + 1)], blocks))
+    dims = tuple(bce.dim(p) + bcc.dim(p + 1) for p in range(-1, p_max + 1))
+    cx = CochainComplex(-1, p_max, dims, tuple(diffs))
 
     def row_string(q: int, row: int) -> tuple:
         # degree q of the total complex is C^q(G,E) (+) C^{q+1}(G,C)
-        de = e_dims_at[q + 1]
+        de = bce.dim(q)
         return ("E", bce.string_at(q, row)) if row < de else ("C", bcc.string_at(q + 1, row - de))
 
     _require_d_squared_zero(cx, f"ruth differential for signs {signs}: D^2 != 0", row_string)
-    return RuthComplex(ruth=r, p_max=p_max, complex=cx)
+    return cx
 
 
-def ruth_complex(r: TwoTermRuth, p_max: int) -> RuthComplex:
+def ruth_complex(r: TwoTermRuth, p_max: int) -> CochainComplex:
     check_ruth(r).require("ruth_complex: invalid ruth")
     return assemble_ruth_differential(r, p_max)
 
@@ -177,9 +161,8 @@ class LinComplex:
 
     vb: VBGroupoid
     p_max: int
-    nerve: NerveStrings
+    layout: _Layout  # block sizes dim Fib(s)
     fib_bases: tuple[tuple[Matrix, ...], ...]  # per degree, per string
-    offsets: tuple[tuple[int, ...], ...]
     complex: CochainComplex  # degrees 0 .. p_max
     # per degree, per string: the fib_key of its Fib space (an object's is dim E_x)
     fib_keys: tuple[tuple[tuple, ...], ...] = field(compare=False, repr=False)
@@ -189,15 +172,12 @@ class LinComplex:
     def dim(self, p: int) -> int:
         return self.complex.dim(p)
 
-    def sizes(self, p: int) -> list[int]:
-        """The block size dim Fib(s) of each degree-p string s."""
-        return [b.cols for b in self.fib_bases[p]]
-
     def zero_last(self, p: int, si: int, zeros: int = 1) -> Matrix:
         """_zero_last_vectors of the si-th degree-p string, once per (fib_key, zeros)."""
         key = (self.fib_keys[p][si], zeros)
         if key not in self._zero_last:
-            self._zero_last[key] = _zero_last_vectors(self.vb, self.nerve.strings[p][si], self.fib_bases[p][si], zeros)
+            s = self.layout.nerve.strings[p][si]
+            self._zero_last[key] = _zero_last_vectors(self.vb, s, self.fib_bases[p][si], zeros)
         return self._zero_last[key]
 
     def functional(
@@ -210,7 +190,7 @@ class LinComplex:
         ``where`` is (context, check, role); if a column of ``image`` leaves Fib, the violation
         ``check`` is raised at (p, s, string) with the detail "(degree, string, <role> string)".
         """
-        t_idx = self.nerve.index[p][string]
+        t_idx = self.layout.nerve.index[p][string]
         context, check, role = where
         coords = coords_in(
             self.fib_bases[p][t_idx], image, context, check, (p, s, string), f"(degree, string, {role} string)"
@@ -253,9 +233,7 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                 by_key[k] = v.fib_string_basis(s)
         fib_keys.append(keys)
         fib_bases.append(tuple(by_key[k] for k in keys))
-    sizes = [[b.cols for b in level] for level in fib_bases]
-    offsets = [tuple(accumulate(level, initial=0)) for level in sizes]
-    dims = tuple(offs[-1] for offs in offsets)
+    layout = _Layout(nv, [[b.cols for b in level] for level in fib_bases])
     diffs = []
     outer: dict[tuple[tuple, int], Matrix] = {}  # (key, face) -> signed coordinate block
     for p in range(p_max):
@@ -282,17 +260,11 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                     if shared:
                         outer[shared] = block
                 blocks.append(((si, t_idx), block))
-        diffs.append(Matrix.block(sizes[p + 1], sizes[p], blocks))
-    cx = CochainComplex(0, p_max, dims, tuple(diffs))
-    _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", lambda q, row: _string_at(nv, offsets, q, row))
+        diffs.append(Matrix.block(layout.sizes[p + 1], layout.sizes[p], blocks))
+    cx = CochainComplex(0, p_max, tuple(layout.dim(p) for p in range(p_max + 1)), tuple(diffs))
+    _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", layout.string_at)
     return LinComplex(
-        vb=v,
-        p_max=p_max,
-        nerve=nv,
-        fib_bases=tuple(fib_bases),
-        offsets=tuple(offsets),
-        complex=cx,
-        fib_keys=tuple(fib_keys),
+        vb=v, p_max=p_max, layout=layout, fib_bases=tuple(fib_bases), complex=cx, fib_keys=tuple(fib_keys)
     )
 
 
@@ -307,16 +279,16 @@ def _projectable_blocks(lin: LinComplex, p: int, zeros: int = 1) -> list[tuple[t
     Rows cover condition (i) at degree p and condition (ii') through the
     differential into degree p + 1; each block is labelled (degree, string).
     """
-    nv = lin.nerve
+    nv = lin.layout.nerve
     rows: list[tuple[tuple[int, tuple], Matrix]] = []
     if p >= zeros:
-        sizes = lin.sizes(p)
+        sizes = lin.layout.sizes[p]
         for si, s in enumerate(nv.strings[p]):
             z = lin.zero_last(p, si, zeros)
             if z.cols:
                 rows.append(((p, s), Matrix.block([z.cols], sizes, {(0, si): z.transpose()})))
     if zeros <= p + 1 <= lin.p_max:
-        delta_rows = lin.complex.differential(p).split_rows(lin.sizes(p + 1))
+        delta_rows = lin.complex.differential(p).split_rows(lin.layout.sizes[p + 1])
         for si, s in enumerate(nv.strings[p + 1]):
             z = lin.zero_last(p + 1, si, zeros)
             if z.cols:
@@ -331,14 +303,13 @@ def _projectable_conditions(lin: LinComplex, p: int, zeros: int) -> Matrix:
 
 @dataclass(frozen=True)
 class VBSubcomplex:
-    """The projectable subcomplex, with a hybrid top degree for truncation.
+    """The projectable subcomplex of a linear complex truncated at p_max.
 
-    ``bases[p]`` gives the subspace basis in linear coordinates for degrees
-    0 .. p_max - 1; the associated complex uses the full linear space in the
-    top degree p_max so kernel computations at p_max - 1 stay honest.
+    ``bases[p]`` gives the subspace basis in linear coordinates for degrees 0 .. p_max.  It is
+    the identity at p_max, where the truncated complex imposes no condition, so that kernel
+    computations at p_max - 1 stay honest; ``complex`` is the complex on these bases.
     """
 
-    lin: LinComplex
     bases: tuple[Matrix, ...]
     complex: CochainComplex
 
@@ -348,27 +319,22 @@ def _subcomplex_from_bases(
 ) -> tuple[Optional[CochainComplex], Optional[int]]:
     """The complex on ``bases`` and None, or None and the first degree whose basis
     delta maps out of the span of the next one."""
-    p_top = lin.p_max
-    dims = tuple(b.cols for b in bases) + (lin.dim(p_top),)
     diffs = []
-    for p in range(p_top):
-        delta = lin.complex.differential(p)
-        if p + 1 < p_top:
-            coords = bases[p + 1].solve_matrix(delta * bases[p])
-            if coords is None:
-                return None, p
-            diffs.append(coords)
-        else:
-            diffs.append(delta * bases[p])
-    return CochainComplex(0, p_top, dims, tuple(diffs)), None
+    for p in range(lin.p_max):
+        coords = bases[p + 1].solve_matrix(lin.complex.differential(p) * bases[p])
+        if coords is None:
+            return None, p
+        diffs.append(coords)
+    return CochainComplex(0, lin.p_max, tuple(b.cols for b in bases), tuple(diffs)), None
 
 
 def _filtration_bases(lin: LinComplex, level: int) -> list[Matrix]:
-    """Bases of the filtration level F_level in degrees 0 .. p_max - 1: the cochains that
-    vanish, with their coboundaries, on tuples whose last ``level`` slots are zero."""
+    """Bases of the filtration level F_level in degrees 0 .. p_max: the cochains that vanish,
+    with their coboundaries, on tuples whose last ``level`` slots are zero.  Degree 0 has no
+    such tuples and degree p_max no coboundaries, so both are the whole space."""
     return [
-        _projectable_conditions(lin, p, level).kernel() if p else Matrix.identity(lin.dim(0))
-        for p in range(lin.p_max)
+        _projectable_conditions(lin, p, level).kernel() if 0 < p < lin.p_max else Matrix.identity(lin.dim(p))
+        for p in range(lin.p_max + 1)
     ]
 
 
@@ -392,7 +358,7 @@ def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
             (p, j, violated),
             "(degree, basis column, (degree, string) of a condition its coboundary violates)",
         )
-    return VBSubcomplex(lin=lin, bases=tuple(bases), complex=cx)
+    return VBSubcomplex(bases=tuple(bases), complex=cx)
 
 
 # -- the homotopy operator and the comparison of H_VB with H_lin ------------------------
@@ -416,7 +382,7 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     """h: C^p_lin -> C^{p-1}_lin, (h phi)(w) = phi(w, sigma(w)^{-1})."""
     v = lin.vb
     g = v.base
-    nv = lin.nerve
+    nv = lin.layout.nerve
     blocks = []
     if p == 1:
         # Fib of a 1-string is the whole fiber, with the identity as basis: the lift is its own coordinates
@@ -424,13 +390,13 @@ def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
             ux = g.unit[x]
             appended = v.inverse_matrix(ux) * v.u_maps[x]
             blocks.append(((x, nv.index[1][(ux,)]), appended.transpose()))
-        return Matrix.block(lin.sizes(0), lin.sizes(1), blocks)
+        return Matrix.block(lin.layout.sizes[0], lin.layout.sizes[1], blocks)
     where = ("homotopy_operator: extended tuple not in Fib", "lift-in-fib", "extended")
     for si, s in enumerate(nv.strings[p - 1]):
         ext_string, ext = _append_lift_matrix(lin, c, s, lin.fib_bases[p - 1][si])
         t_idx, block = lin.functional(p, s, ext_string, ext, 1, where)
         blocks.append(((si, t_idx), block))
-    return Matrix.block(lin.sizes(p - 1), lin.sizes(p), blocks)
+    return Matrix.block(lin.layout.sizes[p - 1], lin.layout.sizes[p], blocks)
 
 
 def cancellation_operator(lin: LinComplex, p: int, h_here: Matrix, h_up: Matrix) -> Matrix:
@@ -444,7 +410,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     """The proof's four-term expression for I, assembled on full bases (p >= 2)."""
     v = lin.vb
     g = v.base
-    nv = lin.nerve
+    nv = lin.layout.nerve
     blocks = []
     where = ("displayed cancellation: tuple not in Fib", "term-in-fib", "term")
 
@@ -474,7 +440,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         prod_tail = g.compose_many(*s[1:])
         inv_tail = v.inverse_matrix(prod_tail) * (c.sigma[prod_tail] * src_last)
         place_term(si, s, s[1:] + (g.inv[prod_tail],), [*tail, inv_tail], -sgn_p)
-    return Matrix.block(lin.sizes(p), lin.sizes(p), blocks)
+    return Matrix.block(lin.layout.sizes[p], lin.layout.sizes[p], blocks)
 
 
 def _zero_last_two_term(lin: LinComplex, p: int, cancellation: Matrix) -> tuple[Matrix, Matrix]:
@@ -485,8 +451,8 @@ def _zero_last_two_term(lin: LinComplex, p: int, cancellation: Matrix) -> tuple[
     """
     v = lin.vb
     g = v.base
-    nv = lin.nerve
-    sizes = lin.sizes(p)
+    nv = lin.layout.nerve
+    sizes = lin.layout.sizes[p]
     eye_rows = cancellation.split_rows(sizes)
     lhs_rows = []
     rhs_rows = []
@@ -525,11 +491,10 @@ def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
         if cx is None:
             return False
         fmap: dict[int, Matrix] = {}
-        for p in range(p_max):
+        for p in range(p_max + 1):
             fmap[p] = bases[p].solve_matrix(prev_bases[p])
             if fmap[p] is None:
                 return False
-        fmap[p_max] = Matrix.identity(lin.dim(p_max))
         if not _iso_below(chain_map_is_quasi_iso(prev_cx, cx, fmap), p_max):
             return False
         prev_bases, prev_cx = bases, cx
@@ -584,10 +549,8 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
     check_cleavage(v, cleavage).require("hvb_equals_hlin: invalid cleavage")
     lin = lin_complex(v, p_max)
     sub = vb_subcomplex(lin)
-    fmap = {p: sub.bases[p] for p in range(p_max)}
-    fmap[p_max] = Matrix.identity(lin.dim(p_max))
     # the inclusion's certificate carries both cohomologies: (dim H_VB, dim H_lin, rank)
-    cert = chain_map_is_quasi_iso(sub.complex, lin.complex, fmap)
+    cert = chain_map_is_quasi_iso(sub.complex, lin.complex, dict(enumerate(sub.bases)))
     h_vb = tuple(cert.degrees[p][0] for p in range(p_max))
     h_lin = tuple(cert.degrees[p][1] for p in range(p_max))
     inclusion_iso = _iso_below(cert, p_max)
@@ -610,7 +573,7 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
     return HvbHlinReport(
         p_max=p_max,
         dims_lin=tuple(lin.dim(p) for p in range(p_max + 1)),
-        dims_vb=tuple(b.cols for b in sub.bases),
+        dims_vb=tuple(b.cols for b in sub.bases[:p_max]),
         h_lin=h_lin,
         h_vb=h_vb,
         inclusion_iso=inclusion_iso,
@@ -643,12 +606,12 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
     """The pullback chain map f*: C_lin(target of f) -> C_lin(source of f)."""
     v = f.source
     bm = f.base_map
-    nv = lin_src.nerve
+    nv = lin_src.layout.nerve
     where = ("pullback_lin: image tuple not in Fib", "pullback-in-fib", "image")
     out: dict[int, Matrix] = {}
     p_max = lin_src.p_max
     blocks0 = [((x, bm.obj_map[x]), f.obj_maps[x].transpose()) for x in range(v.base.n_objects)]
-    out[0] = Matrix.block(lin_src.sizes(0), lin_tgt.sizes(0), blocks0)
+    out[0] = Matrix.block(lin_src.layout.sizes[0], lin_tgt.layout.sizes[0], blocks0)
     for p in range(1, p_max + 1):
         blocks = []
         for si, s in enumerate(nv.strings[p]):
@@ -657,7 +620,7 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
             mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
             t_idx, block = lin_tgt.functional(p, s, image_string, mapped, 1, where)
             blocks.append(((si, t_idx), block))
-        out[p] = Matrix.block(lin_src.sizes(p), lin_tgt.sizes(p), blocks)
+        out[p] = Matrix.block(lin_src.layout.sizes[p], lin_tgt.layout.sizes[p], blocks)
     return out
 
 
@@ -679,14 +642,13 @@ def induced_map_vb(f: VBMap, p_max: int) -> InducedMapReport:
     sub_tgt = vb_subcomplex(lin_tgt)
     preserves = True
     fmap: dict[int, Matrix] = {}
-    for p in range(p_max):
+    for p in range(p_max + 1):
         image = pmat[p] * sub_tgt.bases[p]
         coords = sub_src.bases[p].solve_matrix(image)
         if coords is None:
             preserves = False
             coords = Matrix.zeros(sub_src.bases[p].cols, sub_tgt.bases[p].cols)
         fmap[p] = coords
-    fmap[p_max] = pmat[p_max]
     cert = chain_map_is_quasi_iso(sub_tgt.complex, sub_src.complex, fmap)
     return InducedMapReport(
         p_max=p_max,
@@ -715,12 +677,14 @@ class ShiftReport:
 def ruth_vs_dual_vb(r: TwoTermRuth, p_max: int, ruth_betti: Optional[Mapping[int, int]] = None) -> ShiftReport:
     """dim H^n(G, E (+) C) vs dim H^{n+1}_VB(Gamma*) for n <= p_max - 2.
 
-    ``ruth_betti``, when given, must be ``betti_numbers(ruth_complex(r, p_max).complex)``;
-    a caller that already holds that table passes it so the complex is not built twice.
+    ``ruth_betti``, when given, must be ``betti_numbers(ruth_complex(r, p_max))``; a caller
+    that already holds that table passes it so the complex is not built twice.  Gamma* is
+    built as the Grothendieck construction of the dual ruth: ``dual_vb`` of grothendieck(r)
+    would split it along its canonical cleavage, which gives back r.
     """
     if ruth_betti is None:
-        ruth_betti = betti_numbers(ruth_complex(r, p_max).complex)
-    dual = dual_vb(grothendieck(r))
+        ruth_betti = betti_numbers(ruth_complex(r, p_max))
+    dual = grothendieck(dual_ruth(r))
     h_vb = betti_numbers(vb_subcomplex(lin_complex(dual, p_max)).complex)
     degrees = tuple(range(-1, p_max - 1))
     return ShiftReport(

@@ -34,6 +34,7 @@ from .ruth import (
     gauge_transform,
     identity_morphism,
     make_ruth,
+    pullback_ruth,
     sum_projection,
     zero_ruth,
 )
@@ -41,13 +42,11 @@ from .vb import (
     VBGroupoid,
     VBMap,
     acyclic_vb,
-    base_change,
     base_change_map,
     core,
     direct_sum_vb,
     grothendieck,
     grothendieck_map,
-    split,
     twist,
 )
 
@@ -283,9 +282,7 @@ def make_object_descent_fixture(
     reps = named_reps(base_name, g)
     rep = reps[seed % len(reps)]
     seed_ruth = direct_sum(rep, acyclic_ruth(rep)) if seed % 2 else acyclic_ruth(rep)
-    v0 = grothendieck(seed_ruth)
-    pull, _ = base_change(problem.cech.pi, v0)
-    r_pull, _ = split(pull)
+    r_pull = pullback_ruth(problem.cech.pi, seed_ruth)
     perturbed, _ = random_gauge(r_pull, rng)
     v = grothendieck(perturbed)
     if pad:
@@ -306,9 +303,7 @@ def rank_drop_fixture(seed: int = 0) -> tuple[DescentProblem, VBGroupoid]:
     g = zoo["pt"]
     problem = make_descent_problem(g, [[0], [0]])
     rep = named_reps("pt", g)[0]
-    v0 = grothendieck(acyclic_ruth(rep))
-    pull, _ = base_change(problem.cech.pi, v0)
-    r_pull, _ = split(pull)
+    r_pull = pullback_ruth(problem.cech.pi, acyclic_ruth(rep))
     gu = problem.gu
     phi_e = [Matrix.identity(d) for d in r_pull.e_dims]
     phi_c = [Matrix.identity(d) for d in r_pull.c_dims]

@@ -479,6 +479,18 @@ def test_descend_needs_either_map_or_object(tmp_path, capsys, given):
     ]
 
 
+def test_descend_object_with_a_partition_is_usage_error(tmp_path, capsys):
+    # the object pipeline flattens with the least-index partition, so a given one would be ignored;
+    # raised before the file is read: the file does not exist
+    argv = ["descend", str(tmp_path / "absent.json"), "--cover", "cover", "--object", "object", "--partition", "part"]
+    code, events = run_cli(argv, capsys)
+    assert code == 2
+    assert events == [
+        {"event": "error", "kind": "usage", "message": "descend --object takes no --partition"},
+        {"command": "descend", "event": "summary", "exit": 2, "ok": False},
+    ]
+
+
 @pytest.mark.parametrize(
     "recipe,message",
     [
@@ -491,6 +503,24 @@ def test_descend_needs_either_map_or_object(tmp_path, capsys, given):
     ],
 )
 def test_gen_rejects_a_base_it_cannot_use(tmp_path, capsys, recipe, message):
+    code, events = run_cli(["gen", "--recipe", recipe, "--seed", "0", "--out", str(tmp_path / "g")], capsys)
+    assert code == 2
+    assert events == [
+        {"event": "error", "kind": "parse", "message": message},
+        {"command": "gen", "event": "summary", "exit": 2, "ok": False},
+    ]
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize(
+    "recipe,message",
+    [
+        ("gauge:z2:junk", "gen: unknown base 'z2:junk'"),
+        ("perturbed-pullback:pt:", "gen: unknown base 'pt:'"),
+        ("rank-drop::", "gen: rank-drop takes no base, got ':'"),
+    ],
+)
+def test_gen_reads_everything_after_the_first_colon_as_the_base(tmp_path, capsys, recipe, message):
     code, events = run_cli(["gen", "--recipe", recipe, "--seed", "0", "--out", str(tmp_path / "g")], capsys)
     assert code == 2
     assert events == [
