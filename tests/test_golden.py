@@ -47,6 +47,10 @@ STDOUT_CASES = [
     ("cohomology-vb-gauge-pair2-3.jsonl", "cohomology {d}/pair2/groth-gauged0.json gauged0.groth --pmax 3"),
     ("cohomology-vb-sum-z2-0.jsonl", "cohomology {d}/groth-sum0.json sum0.groth --pmax 3"),
     ("cohomology-map-cech-pullback-z2-0.jsonl", "cohomology {d}/gen-cech-pullback-z2-0.json psi --pmax 2"),
+    # p_max = 1, the smallest trusted range: degree 0 alone (degrees -1 .. 0 for the ruth)
+    ("cohomology-ruth-gauge-pair2-3-pmax1.jsonl", "cohomology {d}/gen-gauge-pair2-3.json gauged0 --pmax 1"),
+    ("cohomology-vb-gauge-pair2-3-pmax1.jsonl", "cohomology {d}/pair2/groth-gauged0.json gauged0.groth --pmax 1"),
+    ("cohomology-map-cech-pullback-z2-0-pmax1.jsonl", "cohomology {d}/gen-cech-pullback-z2-0.json psi --pmax 1"),
     ("morita-cech-pullback-z2-0.jsonl", "morita {d}/gen-cech-pullback-z2-0.json psi"),
     (
         "descend-map-cech-pullback-core-z2-0.jsonl",
