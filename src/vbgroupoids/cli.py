@@ -224,9 +224,7 @@ def cmd_cohomology(args) -> int:
                 "event": "cohomology",
                 "name": args.name,
                 "kind": "ruth",
-                "degrees": [
-                    {"p": p, "dim": cx.dim(p), "dim_H": betti[p]} for p in range(-1, p_max)
-                ],
+                "degrees": [{"p": p, "dim": cx.dim(p), "dim_H": h} for p, h in betti.items()],
             }
         )
         shift = ruth_vs_dual_vb(obj, p_max, betti)
@@ -249,14 +247,8 @@ def cmd_cohomology(args) -> int:
                 "name": args.name,
                 "kind": "vbgroupoid",
                 "degrees": [
-                    {
-                        "p": p,
-                        "dim_lin": rep.dims_lin[p],
-                        "dim_vb": rep.dims_vb[p],
-                        "dim_H_lin": rep.h_lin[p],
-                        "dim_H_vb": rep.h_vb[p],
-                    }
-                    for p in range(p_max)
+                    {"p": p, "dim_lin": dl, "dim_vb": dv, "dim_H_lin": hl, "dim_H_vb": hv}
+                    for p, (dl, dv, hl, hv) in enumerate(zip(rep.dims_lin, rep.dims_vb, rep.h_lin, rep.h_vb))
                 ],
                 "verdicts": {
                     "equal_dims": rep.h_lin == rep.h_vb,

@@ -6,11 +6,8 @@ VB-groupoid are functionals on the fibered products Fib^p along base strings;
 the VB-subcomplex consists of the projectable ones.  All differentials are
 assembled as exact block matrices; d o d = 0 is a hard constructor check.
 
-Degree truncation: a complex built with ``p_max`` carries trustworthy
-cohomology only in degrees <= p_max - 1.  A subcomplex of the linear complex is
-given by bases in every degree 0 .. p_max, with the identity at p_max, because
-the truncated complex imposes no condition there; reports read only the
-degrees below p_max.
+Every complex built here with ``p_max`` is ``truncated``: ``linalg`` reports its
+cohomology only below p_max.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
-from .linalg import CochainComplex, Matrix, QuasiIsoCertificate, betti_numbers, chain_map_is_quasi_iso
+from .linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso
 from .report import violation_error
 from .ruth import TwoTermRuth, check_ruth, dual_ruth
 from .vb import (
@@ -136,7 +133,7 @@ def assemble_ruth_differential(
         blocks[(1, 1)] = _quasi_action_differential(bcc, r.rho_c, p + 1).scale(s_c)
         diffs.append(Matrix.block([bce.dim(p + 1), bcc.dim(p + 2)], [bce.dim(p), bcc.dim(p + 1)], blocks))
     dims = tuple(bce.dim(p) + bcc.dim(p + 1) for p in range(-1, p_max + 1))
-    cx = CochainComplex(-1, p_max, dims, tuple(diffs))
+    cx = CochainComplex(-1, p_max, dims, tuple(diffs), truncated=True)
 
     def row_string(q: int, row: int) -> tuple:
         # degree q of the total complex is C^q(G,E) (+) C^{q+1}(G,C)
@@ -261,7 +258,7 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                         outer[shared] = block
                 blocks.append(((si, t_idx), block))
         diffs.append(Matrix.block(layout.sizes[p + 1], layout.sizes[p], blocks))
-    cx = CochainComplex(0, p_max, tuple(layout.dim(p) for p in range(p_max + 1)), tuple(diffs))
+    cx = CochainComplex(0, p_max, tuple(layout.dim(p) for p in range(p_max + 1)), tuple(diffs), truncated=True)
     _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", layout.string_at)
     return LinComplex(
         vb=v, p_max=p_max, layout=layout, fib_bases=tuple(fib_bases), complex=cx, fib_keys=tuple(fib_keys)
@@ -305,9 +302,9 @@ def _projectable_conditions(lin: LinComplex, p: int, zeros: int) -> Matrix:
 class VBSubcomplex:
     """The projectable subcomplex of a linear complex truncated at p_max.
 
-    ``bases[p]`` gives the subspace basis in linear coordinates for degrees 0 .. p_max.  It is
-    the identity at p_max, where the truncated complex imposes no condition, so that kernel
-    computations at p_max - 1 stay honest; ``complex`` is the complex on these bases.
+    ``bases[p]`` gives the subspace basis in linear coordinates for degrees 0 .. p_max (the
+    identity at p_max, where the truncated complex imposes no condition); ``complex`` is the
+    complex on these bases.
     """
 
     bases: tuple[Matrix, ...]
@@ -325,7 +322,7 @@ def _subcomplex_from_bases(
         if coords is None:
             return None, p
         diffs.append(coords)
-    return CochainComplex(0, lin.p_max, tuple(b.cols for b in bases), tuple(diffs)), None
+    return CochainComplex(0, lin.p_max, tuple(b.cols for b in bases), tuple(diffs), truncated=True), None
 
 
 def _filtration_bases(lin: LinComplex, level: int) -> list[Matrix]:
@@ -336,11 +333,6 @@ def _filtration_bases(lin: LinComplex, level: int) -> list[Matrix]:
         _projectable_conditions(lin, p, level).kernel() if 0 < p < lin.p_max else Matrix.identity(lin.dim(p))
         for p in range(lin.p_max + 1)
     ]
-
-
-def _iso_below(cert: QuasiIsoCertificate, p_max: int) -> bool:
-    """Whether dim H_source = dim H_target = rank in every degree below ``p_max``."""
-    return all(h_src == h_tgt == rank for h_src, h_tgt, rank in (cert.degrees[p] for p in range(p_max)))
 
 
 def vb_subcomplex(lin: LinComplex) -> VBSubcomplex:
@@ -495,7 +487,7 @@ def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
             fmap[p] = bases[p].solve_matrix(prev_bases[p])
             if fmap[p] is None:
                 return False
-        if not _iso_below(chain_map_is_quasi_iso(prev_cx, cx, fmap), p_max):
+        if not chain_map_is_quasi_iso(prev_cx, cx, fmap).ok:
             return False
         prev_bases, prev_cx = bases, cx
     # kernel bases have unit rows at their free columns, so their column rank is full
@@ -506,7 +498,7 @@ def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
 class HvbHlinReport:
     """The verdicts of :func:`hvb_equals_hlin`.
 
-    ``inclusion_iso`` and the dimensions cover degrees 0 .. p_max - 1.  ``homotopy_identity``
+    ``inclusion_iso`` and the cohomology cover degrees 0 .. p_max - 1.  ``homotopy_identity``
     and ``zero_last_identity`` are checked in degrees 2 .. p_max - 1, and
     ``filtration_quasi_iso`` at filtration levels 2 .. p_max.  For p_max <= 2 the two
     identities are true without checking anything, and so is the filtration for p_max = 1; at
@@ -515,7 +507,7 @@ class HvbHlinReport:
 
     p_max: int
     dims_lin: tuple[int, ...]  # cochain dims, degrees 0 .. p_max
-    dims_vb: tuple[int, ...]  # degrees 0 .. p_max - 1
+    dims_vb: tuple[int, ...]  # cochain dims, degrees 0 .. p_max - 1
     h_lin: tuple[int, ...]  # degrees 0 .. p_max - 1
     h_vb: tuple[int, ...]
     inclusion_iso: bool
@@ -551,9 +543,8 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
     sub = vb_subcomplex(lin)
     # the inclusion's certificate carries both cohomologies: (dim H_VB, dim H_lin, rank)
     cert = chain_map_is_quasi_iso(sub.complex, lin.complex, dict(enumerate(sub.bases)))
-    h_vb = tuple(cert.degrees[p][0] for p in range(p_max))
-    h_lin = tuple(cert.degrees[p][1] for p in range(p_max))
-    inclusion_iso = _iso_below(cert, p_max)
+    h_vb = tuple(d[0] for d in cert.degrees.values())
+    h_lin = tuple(d[1] for d in cert.degrees.values())
     homotopy_identity = True
     zero_last_identity = True
     # h_p for p = 2 .. p_max and I_p for p = 2 .. p_max - 1, each built once; I_p reads h_p and h_{p+1}
@@ -576,7 +567,7 @@ def hvb_equals_hlin(v: VBGroupoid, p_max: int, cleavage: Optional[Cleavage] = No
         dims_vb=tuple(b.cols for b in sub.bases[:p_max]),
         h_lin=h_lin,
         h_vb=h_vb,
-        inclusion_iso=inclusion_iso,
+        inclusion_iso=cert.ok,
         homotopy_identity=homotopy_identity,
         zero_last_identity=zero_last_identity,
         filtration_quasi_iso=_filtration_quasi_iso(lin, sub),
@@ -654,9 +645,9 @@ def induced_map_vb(f: VBMap, p_max: int) -> InducedMapReport:
         p_max=p_max,
         chain_map_ok=chain_ok,
         preserves_projectable=preserves,
-        h_vb_source=tuple(cert.degrees[p][1] for p in range(p_max)),
-        h_vb_target=tuple(cert.degrees[p][0] for p in range(p_max)),
-        ranks=tuple(cert.degrees[p][2] for p in range(p_max)),
+        h_vb_source=tuple(d[1] for d in cert.degrees.values()),
+        h_vb_target=tuple(d[0] for d in cert.degrees.values()),
+        ranks=tuple(d[2] for d in cert.degrees.values()),
     )
 
 
@@ -686,7 +677,7 @@ def ruth_vs_dual_vb(r: TwoTermRuth, p_max: int, ruth_betti: Optional[Mapping[int
         ruth_betti = betti_numbers(ruth_complex(r, p_max))
     dual = grothendieck(dual_ruth(r))
     h_vb = betti_numbers(vb_subcomplex(lin_complex(dual, p_max)).complex)
-    degrees = tuple(range(-1, p_max - 1))
+    degrees = tuple(n for n in ruth_betti if n + 1 in h_vb)
     return ShiftReport(
         degrees=degrees,
         ruth_dims=tuple(ruth_betti[n] for n in degrees),

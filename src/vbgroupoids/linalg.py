@@ -559,13 +559,15 @@ class CochainComplex:
     """Finite complex of Q-vector spaces; zero outside [p_min, p_max].
 
     ``diffs[i]`` maps degree ``p_min + i`` to ``p_min + i + 1`` and must
-    compose to zero with its successor.
+    compose to zero with its successor.  A ``truncated`` complex is cut off at p_max:
+    d^{p_max} is unknown, so its cohomology is known only in degrees p_min .. p_max - 1.
     """
 
     p_min: int
     p_max: int
     dims: tuple[int, ...]
     diffs: tuple[Matrix, ...]
+    truncated: bool = False
 
     def __post_init__(self):
         n = self.p_max - self.p_min + 1
@@ -577,6 +579,10 @@ class CochainComplex:
 
     def degrees(self) -> range:
         return range(self.p_min, self.p_max + 1)
+
+    def cohomology_degrees(self) -> range:
+        """The degrees whose cohomology the complex determines."""
+        return range(self.p_min, self.p_max if self.truncated else self.p_max + 1)
 
     def dim(self, p: int) -> int:
         if p < self.p_min or p > self.p_max:
@@ -625,7 +631,7 @@ def _require_complex(c: CochainComplex) -> dict[int, int]:
 
 
 def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
-    """Per-degree cohomology with deterministic representatives, from kernels.
+    """Cohomology in ``c.cohomology_degrees()`` with deterministic representatives, from kernels.
 
     Nothing in the package calls it: the tests keep it as the kernel-based reference
     for :func:`betti_numbers` and :func:`chain_map_is_quasi_iso`, and the benchmark's
@@ -633,7 +639,7 @@ def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
     """
     _require_complex(c)
     out: dict[int, CohomologyDegree] = {}
-    for p in c.degrees():
+    for p in c.cohomology_degrees():
         ker = c.differential(p).kernel()
         im = c.differential(p - 1)
         aug = Matrix.hstack([im, ker])
@@ -645,14 +651,15 @@ def complex_cohomology(c: CochainComplex) -> dict[int, CohomologyDegree]:
 
 
 def betti_numbers(c: CochainComplex) -> dict[int, int]:
-    """dim H^p = dim C^p - rk d^p - rk d^{p-1}, from one ``rank`` per differential.
+    """dim H^p = dim C^p - rk d^p - rk d^{p-1} for p in ``c.cohomology_degrees()``, from one
+    ``rank`` per differential.
 
     Raises ValueError naming the first degree where d o d != 0 (checked once per complex
     object; a failing complex is checked again, and raises again, on every call).  Computes
     no kernels or representatives.
     """
     rank = _require_complex(c)
-    return {p: c.dim(p) - rank.get(p, 0) - rank.get(p - 1, 0) for p in c.degrees()}
+    return {p: c.dim(p) - rank.get(p, 0) - rank.get(p - 1, 0) for p in c.cohomology_degrees()}
 
 
 @dataclass(frozen=True)
@@ -668,7 +675,8 @@ def chain_map_is_quasi_iso(
 
     ``f[p]`` maps degree p of ``c`` to degree p of ``cp``; missing degrees are
     zero maps.  Raises ValueError if f fails to commute with differentials, or if either
-    complex has d o d != 0.
+    complex has d o d != 0.  Degrees from the p_max of a truncated complex up are not
+    reported: their cohomology is unknown.  Commutation is checked in every degree.
 
     Every entry is a difference of ranks, with no kernel, representative or solve.  The
     induced map has rank dim (f(Z^p) + B'^p) / B'^p, and f(Z^p) + B'^p = T(ker A) for the
@@ -689,7 +697,7 @@ def chain_map_is_quasi_iso(
     rk, rkp = _require_complex(c), _require_complex(cp)
     degrees: dict[int, tuple[int, int, int]] = {}
     ok = True
-    for p in range(lo, hi + 1):
+    for p in range(lo, min([hi + 1] + [x.p_max for x in (c, cp) if x.truncated])):
         d1 = c.dim(p) - rk.get(p, 0) - rk.get(p - 1, 0)
         d2 = cp.dim(p) - rkp.get(p, 0) - rkp.get(p - 1, 0)
         rank = 0

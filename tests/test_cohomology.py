@@ -24,7 +24,7 @@ from vbgroupoids.cohomology import (
 )
 from vbgroupoids.generators import acyclic_ruth, named_reps, random_gauge, random_matrix
 from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, pair_groupoid, point_groupoid
-from vbgroupoids.linalg import CochainComplex, Matrix, betti_numbers, complex_cohomology
+from vbgroupoids.linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso, complex_cohomology
 from vbgroupoids.report import InvalidStructureError
 from vbgroupoids.ruth import TwoTermRuth, check_ruth, direct_sum, make_ruth, zero_ruth
 from vbgroupoids.vb import (
@@ -320,6 +320,22 @@ def test_shift_report_reuses_given_ruth_betti(z2, sign, monkeypatch):
     assert ruth_vs_dual_vb(sign, 3, betti) == expected
 
 
+def test_truncated_complexes_report_cohomology_below_p_max(trivial):
+    # ruth, linear and VB complexes are cut off at p_max, so their tables and certificates stop
+    # one degree short of it; the same complexes untruncated keep every degree
+    lin = lin_complex(grothendieck(trivial), 3)
+    sub = vb_subcomplex(lin)
+    for cx in (ruth_complex(trivial, 3), lin.complex, sub.complex):
+        below = list(range(cx.p_min, 3))
+        assert cx.truncated and list(betti_numbers(cx)) == list(complex_cohomology(cx)) == below
+        whole = replace(cx, truncated=False)
+        assert list(betti_numbers(whole)) == list(complex_cohomology(whole)) == below + [3]
+    inclusion = dict(enumerate(sub.bases))
+    assert list(chain_map_is_quasi_iso(sub.complex, lin.complex, inclusion).degrees) == [0, 1, 2]
+    untruncated = [replace(cx, truncated=False) for cx in (sub.complex, lin.complex)]
+    assert list(chain_map_is_quasi_iso(*untruncated, inclusion).degrees) == [0, 1, 2, 3]
+
+
 # -- rank-only Betti numbers, check-once, and the witnesses of failed constructions -------
 
 
@@ -599,7 +615,8 @@ def test_hvb_equals_hlin_reports_a_broken_zero_last_identity(monkeypatch, curved
 
 
 def _rank_zero_in_degree_0(cert):
-    return replace(cert, degrees={**cert.degrees, 0: (1, 1, 0)})
+    # a certificate's ok agrees with its degrees, so a faked degree fails it too
+    return replace(cert, ok=False, degrees={**cert.degrees, 0: (1, 1, 0)})
 
 
 # call 0 of _filtration_bases, _subcomplex_from_bases and chain_map_is_quasi_iso builds F_1 (the

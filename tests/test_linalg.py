@@ -952,3 +952,22 @@ def test_quasi_iso_examples():
     assert collapse.ok
     dead = chain_map_is_quasi_iso(stalled, zero, {0: Matrix.zeros(0, 1), 1: Matrix.zeros(0, 1)})
     assert not dead.ok
+
+
+def test_truncated_complex_reports_no_top_degree():
+    # the identity in degree 0 and zero in degree 1 between two complexes with d^0 = 0: a chain
+    # map that fails to be a quasi-isomorphism only in the top degree
+    stalled = CochainComplex(0, 1, (1, 1), (Matrix.zeros(1, 1),))
+    cut = CochainComplex(0, 1, (1, 1), (Matrix.zeros(1, 1),), truncated=True)
+    f = {0: Matrix.identity(1), 1: Matrix.zeros(1, 1)}
+    assert list(stalled.cohomology_degrees()) == [0, 1] and list(cut.cohomology_degrees()) == [0]
+    assert betti_numbers(stalled) == {0: 1, 1: 1} and betti_numbers(cut) == {0: 1}
+    assert list(complex_cohomology(stalled)) == [0, 1] and list(complex_cohomology(cut)) == [0]
+    full = chain_map_is_quasi_iso(stalled, stalled, f)
+    assert not full.ok and full.degrees == {0: (1, 1, 1), 1: (1, 1, 0)}
+    for c, cp in ((cut, cut), (cut, stalled), (stalled, cut)):
+        cert = chain_map_is_quasi_iso(c, cp, f)
+        assert cert.ok and cert.degrees == {0: (1, 1, 1)}
+    # commutation is still checked into the top degree
+    with pytest.raises(ValueError, match="chain map"):
+        chain_map_is_quasi_iso(cut, CochainComplex(0, 1, (1, 1), (Matrix.identity(1),), truncated=True), f)
