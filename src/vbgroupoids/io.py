@@ -7,10 +7,11 @@ One self-describing container per file::
 Rationals serialize as strings like ``-3/7`` (denominator omitted when 1),
 matrices as row-major nested arrays of such strings.  Ruths omit unit-arrow
 entries (implied identity/zero).  Object and arrow ids are the contiguous
-integers 0..n-1.  Loading validates every object before use unless disabled;
-covers and partitions are validated as they are read, always.  The table
-:data:`KINDS` is the one place that says, for each object type, which objects it
-refers to and how it is read and validated.
+integers 0..n-1: JSON integers, or decimal strings only as JSON object keys.
+Dimensions are non-negative JSON integers.  Loading validates every object
+before use unless disabled; covers and partitions are validated as they are
+read, always.  The table :data:`KINDS` is the one place that says, for each
+object type, which objects it refers to and how it is read and validated.
 
 A matrix entry in the writers' form (ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
 denominator) is read with ``int`` alone; every other entry goes through
@@ -58,27 +59,39 @@ def frac_from_str(s: str) -> Fraction:
 
 
 def _id(value: Any, size: int, where: str) -> int:
-    """``value`` (an int, or a JSON key holding one) as an id in 0..size-1, else a ParseError.
-
-    A key must be an id written the way the writers write it: ``"03"`` is not key 3.
-    """
-    if isinstance(value, str) and value.lstrip("-").isdigit() and str(int(value)) == value:
-        value = int(value)
+    """``value``, a JSON integer, as an id in 0..size-1, else a ParseError."""
     if type(value) is not int or not 0 <= value < size:
         raise ParseError(f"{where}: id {value!r} is not in 0..{size - 1}")
     return value
 
 
+def _key(key: str, size: int, where: str) -> int:
+    """A JSON object key as an id in 0..size-1, written the way the writers write it: ``"03"``
+    is not key 3.  Only keys may hold ids as strings."""
+    return _id(int(key) if key.lstrip("-").isdigit() and str(int(key)) == key else key, size, where)
+
+
 def _table(data: dict, key: str, size: int, where: str) -> dict[int, Any]:
     """The table ``data[key]`` by id; a key that is not an id in 0..size-1 is a ParseError."""
-    return {_id(k, size, f"{where}.{key}"): v for k, v in data.get(key, {}).items()}
+    return {_key(k, size, f"{where}.{key}"): v for k, v in data.get(key, {}).items()}
+
+
+def _dims(data: dict, key: str, size: int, where: str) -> tuple[int, ...]:
+    """The dimension table ``data[key]`` by id; each entry must be a non-negative JSON integer."""
+    tab = _table(data, key, size, where)
+    for x in range(size):
+        if x not in tab:
+            raise ParseError(f"{where}: missing dimension entry {x}")
+        if type(tab[x]) is not int or tab[x] < 0:
+            raise ParseError(f"{where}.{key}[{x}]: dimension {tab[x]!r} is not a non-negative integer")
+    return tuple(tab[x] for x in range(size))
 
 
 def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tuple[int, int], Any]:
     """The table ``data[key]`` by ``"g1,g2"`` keys, each a composable pair of ``g``, else a ParseError."""
     out = {}
     for k, v in data.get(key, {}).items():
-        pair = tuple(_id(x, g.n_arrows, f"{where}.{key}") for x in k.split(","))
+        pair = tuple(_key(x, g.n_arrows, f"{where}.{key}") for x in k.split(","))
         if pair not in g.comp:
             raise ParseError(f"{where}.{key}: {k!r} is not a composable pair")
         out[pair] = v
@@ -186,12 +199,7 @@ def ruth_to_json(r: TwoTermRuth, base: str) -> dict:
 
 def ruth_from_json(data: dict, base: FiniteGroupoid, where: str = "ruth") -> TwoTermRuth:
     g = base
-    e_tab, c_tab = _table(data, "E", g.n_objects, where), _table(data, "C", g.n_objects, where)
-    try:
-        e = tuple(int(e_tab[x]) for x in range(g.n_objects))
-        c = tuple(int(c_tab[x]) for x in range(g.n_objects))
-    except KeyError as k:
-        raise ParseError(f"{where}: missing dimension entry {k}") from None
+    e, c = _dims(data, "E", g.n_objects, where), _dims(data, "C", g.n_objects, where)
     anchor = {
         x: matrix_from_json(m, e[x], c[x], f"{where}.anchor[{x}]")
         for x, m in _table(data, "anchor", g.n_objects, where).items()
@@ -228,12 +236,7 @@ def vbgroupoid_to_json(v: VBGroupoid, base: str) -> dict:
 def vbgroupoid_from_json(data: dict, base: FiniteGroupoid, where: str = "vbgroupoid") -> VBGroupoid:
     g = base
     n, m = g.n_objects, g.n_arrows
-    e_tab, gd_tab = _table(data, "E", n, where), _table(data, "Gamma", m, where)
-    try:
-        e = tuple(int(e_tab[x]) for x in range(n))
-        gd = tuple(int(gd_tab[a]) for a in range(m))
-    except KeyError as k:
-        raise ParseError(f"{where}: missing dimension entry {k}") from None
+    e, gd = _dims(data, "E", n, where), _dims(data, "Gamma", m, where)
     s, t, u = _table(data, "s", m, where), _table(data, "t", m, where), _table(data, "u", n, where)
     s_maps = tuple(matrix_from_json(s[a], e[g.src[a]], gd[a], f"{where}.s[{a}]") for a in range(m))
     t_maps = tuple(matrix_from_json(t[a], e[g.tgt[a]], gd[a], f"{where}.t[{a}]") for a in range(m))
@@ -308,7 +311,7 @@ def partition_from_json(data: dict, cover: tuple, where: str) -> PartitionOfUnit
     weights = {}
     for key, w in data.get("weights", {}).items():
         i, x = key.split(",")
-        weights[(_id(i, len(sets), where), _id(x, base.n_objects, where))] = frac_from_str(w)
+        weights[(_key(i, len(sets), where), _key(x, base.n_objects, where))] = frac_from_str(w)
     p = PartitionOfUnity(cover=sets, weights=weights)
     p.validate(base.n_objects).require(f"{where}: invalid partition")
     return p

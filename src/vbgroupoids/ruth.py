@@ -385,9 +385,9 @@ def gauge_transform(
 def dual_ruth(r: TwoTermRuth) -> TwoTermRuth:
     """Dual ruth on (C*, E*): transposes along inverse arrows.
 
-    Convention (frozen; the choice is an implementation artifact documented in
-    the README): anchor* = anchor^T, rho_e* at g = rho_c at g^{-1} transposed,
-    rho_c* at g = rho_e at g^{-1} transposed, and
+    Convention (frozen; the choice is an implementation artifact pinned by
+    ``tests/test_ruth.py::test_dual_sign_convention_search``): anchor* = anchor^T,
+    rho_e* at g = rho_c at g^{-1} transposed, rho_c* at g = rho_e at g^{-1} transposed, and
     gamma*_{g,h} = gamma_{h^{-1},g^{-1}} transposed with sign +1.
     """
     check_ruth(r).require("dual_ruth: invalid input")

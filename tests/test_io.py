@@ -324,3 +324,47 @@ def test_invalid_object_is_reported_in_its_context(name, context):
         vio.loads_instance(vio.dumps_instance(objects))
     assert err.value.context == context
     assert not err.value.report.ok
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1", -1])
+@pytest.mark.parametrize("name,table", [("r", "E"), ("r", "C"), ("v", "Gamma")])
+def test_dimension_must_be_a_non_negative_integer(name, table, bad):
+    # int() would read 1.9, true and "1" as 1, and -1 would fail later as a matrix shape
+    objects = every_kind()
+    objects[name][table]["1" if table == "Gamma" else "0"] = bad
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    entry = "[1]" if table == "Gamma" else "[0]"
+    assert str(err.value) == f"{name}.{table}{entry}: dimension {bad!r} is not a non-negative integer"
+
+
+@pytest.mark.parametrize(
+    "name,path,value,message",
+    [
+        ("g", ("arrows", 1, "src"), "0", "g: id '0' is not in 0..0"),
+        ("g", ("unit", 0, 1), "0", "g: id '0' is not in 0..1"),
+        ("g", ("inverse", 1, 0), "1", "g: id '1' is not in 0..1"),
+        ("g", ("compose", 3, 2), "0", "g: id '0' is not in 0..1"),
+        ("f", ("arrow_map", 1, 1), "1", "f: id '1' is not in 0..1"),
+        ("m", ("base_map", "object_map", 0, 0), "0", "m.base_map: id '0' is not in 0..0"),
+        ("c", ("sets", 1), "0", "c: id '0' is not in 0..0"),
+    ],
+)
+def test_ids_in_value_positions_are_json_integers(name, path, value, message):
+    # only JSON object keys hold ids as decimal strings
+    objects = every_kind()
+    *inner, last = path
+    target = objects[name]
+    for step in inner:
+        target = target[step]
+    target[last] = value
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert str(err.value) == message
+
+
+def test_cover_set_written_as_a_string_is_rejected():
+    # "01" would otherwise be read as the set [0, 1]
+    objects = {"g": vio.groupoid_to_json(pair_groupoid(2)), "c": {"type": "cover", "base": "g", "sets": ["01", "01"]}}
+    with pytest.raises(vio.ParseError, match=re.escape("c: id '0' is not in 0..1")):
+        vio.loads_instance(vio.dumps_instance(objects))
