@@ -42,6 +42,7 @@ from .vb import (
     check_vbmap,
     choose_cleavage,
     core,
+    identity_vbmap,
     is_vb_morita,
     sum_projection_vb,
     twist,
@@ -346,11 +347,9 @@ def make_invertible(v: VBGroupoid, problem: DescentProblem) -> Stabilization:
         top = max(v.e_dims[cech.obj_id(x, i)] for i in idx)
         for i in idx:
             pad[cech.obj_id(x, i)] = top - v.e_dims[cech.obj_id(x, i)]
-    if any(pad):
-        omega = acyclic_vb(gu, tuple(pad))
-    else:
-        omega = zero_vb(gu)
-    projection = sum_projection_vb(v, omega, side=0)
+    omega = acyclic_vb(gu, tuple(pad)) if any(pad) else zero_vb(gu)
+    # with no padding, v (+) 0 and its projection onto v are v and its identity, by value
+    projection = sum_projection_vb(v, omega, side=0) if any(pad) else identity_vbmap(v)
     stab = projection.source
     check_vbgroupoid(stab).require("make_invertible: stabilized object invalid")
     cd = core(stab)

@@ -150,11 +150,13 @@ def groupoid_to_json(g: FiniteGroupoid) -> dict:
 def groupoid_from_json(data: dict, where: str = "groupoid") -> FiniteGroupoid:
     objs = data.get("objects")
     arrows = data.get("arrows")
-    if not isinstance(objs, list) or objs != list(range(len(objs))):
-        raise ParseError(f"{where}: object ids must be 0..n-1 in order")
-    ids = [a.get("id") for a in arrows] if isinstance(arrows, list) else None
-    if ids != list(range(len(ids or []))):
-        raise ParseError(f"{where}: arrow ids must be 0..m-1 in order")
+    if not isinstance(objs, list) or not isinstance(arrows, list):
+        raise ParseError(f"{where}: objects and arrows must be lists, with ids 0..n-1 in order")
+    # entry i must be the id i as a JSON integer: compared with ==, false would pass for 0 and 1.0 for 1
+    for key, ids in (("objects", objs), ("arrows", [a.get("id") for a in arrows])):
+        for i, x in enumerate(ids):
+            if _id(x, len(ids), f"{where}.{key}[{i}]") != i:
+                raise ParseError(f"{where}.{key}[{i}]: id {x} is out of order")
     n, m = len(objs), len(arrows)
     unit = [-1] * n
     for x, u in data.get("unit", []):

@@ -22,6 +22,9 @@ rank, so a solution is unique if it exists, and it can only be B's rows at those
 rows.  A X equals B on the rows it was read from by construction, so only A's other rows
 are multiplied and compared with B's to decide whether it is one.
 
+The VB structure checks use :func:`fibered_product`, which glues a block-bidiagonal kernel
+basis from smaller ones, and :func:`products_equal`, which compares products with no matrix built.
+
 Cohomology is counted from ranks, not constructed: dim H^p = dim C^p - rk d^p - rk d^{p-1},
 and a chain map f induces on H^p a map of rank rk [A; T] - rk A - rk d'^{p-1}, where [A; T]
 = [[d^p, 0], [f^p, d'^{p-1}]] is the mapping-cone differential.  It holds because
@@ -105,6 +108,25 @@ def _echelon(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
                 break
             row = _reduce(row, prow, c)
     return kept
+
+
+def _times(a_num: Sequence[dict[int, int]], b_num: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+    """The numerator rows of A B from those of A and B, with no zero entries.  A row may be one
+    of B's own row dicts, so the result must not be changed in place."""
+    out = []
+    for arow in a_num:
+        if len(arow) == 1:
+            # one entry a at column k: the row is a times B's row k, with no zero to filter
+            ((k, a),) = arow.items()
+            brow = b_num[k]
+            out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
+            continue
+        acc: dict[int, int] = {}
+        for k, a in arow.items():
+            for j, b in b_num[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 class Matrix:
@@ -333,21 +355,7 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        b_num = other._num
-        out = []
-        for arow in self._num:
-            if len(arow) == 1:
-                # one entry a at column k: the row is a times B's row k, with no zero to filter
-                ((k, a),) = arow.items()
-                brow = b_num[k]
-                out.append(brow if a == 1 else {j: a * b for j, b in brow.items()})
-                continue
-            acc: dict[int, int] = {}
-            for k, a in arow.items():
-                for j, b in b_num[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return Matrix(self.rows, other.cols, out, self._den * other._den)
+        return Matrix(self.rows, other.cols, _times(self._num, other._num), self._den * other._den)
 
     def transpose(self) -> "Matrix":
         out: list[dict[int, int]] = [{} for _ in range(self.cols)]
@@ -485,6 +493,80 @@ class Matrix:
         if piv[:n] != tuple(range(n)):
             raise ValueError("inverse: singular matrix")
         return R.take_cols(range(n, 2 * n))
+
+
+# -- glued kernels and stacked products ---------------------------------------
+
+
+def fibered_product(first: Sequence[Matrix], rest: Sequence[Matrix]) -> Optional[tuple[Matrix, ...]]:
+    """The row blocks of the rref kernel basis of M = [[X, -Y, 0], [0, N]], glued, or None.
+
+    ``first`` is (A, B), the row blocks of the rref kernel basis of [X | -Y], and ``rest`` those,
+    R_0, R_1, ..., of N, whose first block column is Y's.  If B = [0 | I], M's basis is
+    (A_free | A_B R_0, 0 | R_0, 0 | R_1, ...), A = [A_free | A_B] cut like B; else None.  B = [0 | I]
+    means ker [X | -Y] maps onto Y's coordinates, so Y's columns lie in X's span and none is a pivot
+    (as when X is surjective).  So M's pivots are those of its block rows, and its free columns
+    X's free columns, then N's.  The glued vectors lie in ker M ([A_B; I] R_0 in ker [X | -Y], R in
+    ker N) and carry the unit pattern on those columns (A_B is zero on X's free columns), and a
+    kernel vector is fixed by its free coordinates.
+    """
+    a, b = first
+    n, k = b.rows, b.cols - b.rows
+    if b._den != 1 or list(b._num) != [{k + i: 1} for i in range(n)]:
+        return None
+    r0, f = rest[0], rest[0]._den
+    if r0.rows != n:
+        raise ValueError(f"fibered_product: {n} rows in the shared block, {r0.rows} in the next")
+    head = [{j: x * f for j, x in r.items() if j < k} for r in a._num]  # A_free, over A_B R_0's denominator
+    for row, glued in zip(head, _times([{j - k: x for j, x in r.items() if j >= k} for r in a._num], r0._num)):
+        row.update((k + j, x) for j, x in glued.items())
+    out = [Matrix(a.rows, k + r0.cols, head, a._den * f)]
+    for r in rest:
+        # canonical: the numerators and denominator of a canonical matrix, moved k columns right
+        out.append(Matrix._canonical(r.rows, k + r.cols, [{k + j: x for j, x in w.items()} for w in r._num], r._den))
+    return tuple(out)
+
+
+def _scaled(num: Sequence[dict[int, int]], f: int) -> Sequence[dict[int, int]]:
+    return num if f == 1 else [{j: x * f for j, x in r.items()} for r in num]
+
+
+def _evaluate(term, memo: Optional[dict]) -> tuple[Sequence[dict[int, int]], int, int]:
+    """A term as (numerator rows, width, denominator), with no zero entries, not in lowest terms."""
+    if isinstance(term, Matrix):
+        return term._num, term.cols, term._den
+    if memo is not None and id(term) in memo:
+        return memo[id(term)][1]
+    m = term[0]
+    num, width, den = _evaluate(term[1], memo) if len(term) > 1 else ((), None, 1)
+    for part in term[2:]:
+        pnum, pwidth, pden = _evaluate(part, memo)
+        if pwidth != width:
+            raise ValueError(f"products_equal: parts of widths {width} and {pwidth}")
+        common = den if pden == den else lcm(den, pden)
+        num, den = [*_scaled(num, common // den), *_scaled(pnum, common // pden)], common
+    if width is None or len(num) != m.cols:
+        raise ValueError(f"products_equal: parts of {len(num)} rows under a {m.rows}x{m.cols} matrix")
+    value = _times(m._num, num), width, m._den * den
+    if memo is not None:
+        memo[id(term)] = term, value  # kept with the term, whose id is then not reused
+    return value
+
+
+def products_equal(left, right, memo: Optional[dict] = None) -> bool:
+    """Whether two products of stacked blocks are equal, as ``==`` on the built matrices says.
+
+    A term is a :class:`Matrix` or a tuple ``(M, part, ...)``, meaning ``M * Matrix.vstack(parts)``;
+    sides are evaluated on integer numerators, and their denominators cross-multiplied at the end.
+    Parts that do not stack under M raise ValueError.  A ``memo`` dict passed to several calls
+    keeps product terms' values by identity, so a term they share is evaluated once.
+    """
+    lnum, lcols, ld = _evaluate(left, memo)
+    rnum, rcols, rd = _evaluate(right, memo)
+    if len(lnum) != len(rnum) or lcols != rcols:
+        return False
+    g = gcd(ld, rd)
+    return list(_scaled(lnum, rd // g)) == list(_scaled(rnum, ld // g))
 
 
 # -- subspaces ---------------------------------------------------------------

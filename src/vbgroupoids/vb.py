@@ -40,9 +40,11 @@ from .linalg import (
     Subspace,
     chain_map_is_quasi_iso,
     complement_space,
+    fibered_product,
     intersection_spaces,
     kernel_space,
     preimage_space,
+    products_equal,
     two_term_complex,
 )
 from .report import InvalidStructureError, Report, checked_once, violation_error
@@ -198,24 +200,30 @@ def _call_memo(v: VBGroupoid) -> tuple[Callable[..., Any], Callable[[Sequence[in
     ``once(key, compute)`` is ``compute()``, computed once per distinct ``key``, where the
     matrices in a key are structure matrices of ``v`` and compare by value.  The structure
     matrices are numbered by value once, when the memo is made, and each is replaced by its
-    number in the key, so a lookup compares integers, not matrices.  A checker's keys start with
-    the identity's name, so they never equal a Fib key.  ``fib(arrows)`` is
-    ``v.slots(arrows, v.fib_string_basis(arrows))``, computed once per distinct :func:`fib_key`.
+    number in the key, found by its id (any other element stands for itself), so a lookup
+    compares integers, not matrices.  A checker's keys start with the identity's name, so they
+    never equal a Fib key.  ``fib(arrows)`` is ``v.slots(arrows, v.fib_string_basis(arrows))``,
+    computed once per distinct :func:`fib_key`, and glued for 3 or more arrows (see
+    :func:`check_vbgroupoid`).
     """
     by_value: dict[Matrix, int] = {}
-    # v holds every structure matrix until the call ends, so no id is reused while the memo lives
+    # v holds every structure matrix until the call ends, so no other object has the id of one
     structure = (*v.s_maps, *v.t_maps, *v.u_maps, *v.m_maps.values())
     number = {id(m): by_value.setdefault(m, len(by_value)) for m in structure}
     memo: dict[tuple, Any] = {}
 
     def once(key: tuple, compute: Callable[[], Any]) -> Any:
-        key = tuple(number[id(x)] if isinstance(x, Matrix) else x for x in key)
+        key = tuple(map(number.get, map(id, key), key))
         if key not in memo:
             memo[key] = compute()
         return memo[key]
 
     def fib(arrows: Sequence[int]) -> tuple[Matrix, ...]:
-        return once(fib_key(v, arrows), lambda: tuple(v.slots(arrows, v.fib_string_basis(arrows))))
+        def compute() -> tuple[Matrix, ...]:
+            glued = fibered_product(fib(arrows[:2]), fib(arrows[1:])) if len(arrows) > 2 else None
+            return tuple(v.slots(arrows, v.fib_string_basis(arrows))) if glued is None else glued
+
+        return once(fib_key(v, arrows), compute)
 
     return once, fib
 
@@ -247,7 +255,11 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     reads, and its result is then recorded for every arrow, pair or triple with that key; a
     Fib basis is computed once per :func:`fib_key` (:func:`_call_memo`).  The keys compare the
     matrices by value, through numbers given to them once per call, which is sound because a
-    ``Matrix`` is immutable.
+    ``Matrix`` is immutable.  A Fib basis of 3 or more arrows is glued (``linalg.fibered_product``)
+    from those of its first pair and of the rest, whose keys are a prefix and a suffix of its key;
+    ``fib_string_basis`` computes it only where the glue does not apply, which needs an s that is
+    not surjective.  The laws compare products with ``linalg.products_equal``, which builds no
+    intermediate matrix.
 
     Associativity is first computed only on the triples whose first arrow lies in
     T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is
@@ -308,17 +320,17 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         if not once(("t-surjective", t[a]), lambda: t[a].rank() == t[a].rows):
             rep.add("t-surjective", (a,))
     for x in range(g.n_objects):
-        unit = g.unit[x]
-        if s[unit] * u[x] != Matrix.identity(v.e_dims[x]):
+        unit, one = g.unit[x], Matrix.identity(v.e_dims[x])
+        if not products_equal((s[unit], u[x]), one):
             rep.add("unit-section-s", (x,))
-        if t[unit] * u[x] != Matrix.identity(v.e_dims[x]):
+        if not products_equal((t[unit], u[x]), one):
             rep.add("unit-section-t", (x,))
 
     def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
         a, b = fib((g1, g2))
-        prod = v.mult_of(g1, g2, a, b)
-        return s[g12] * prod == s[g2] * b, t[g12] * prod == t[g1] * a
+        prod, memo = (m[(g1, g2)], a, b), {}
+        return products_equal((s[g12], prod), (s[g2], b), memo), products_equal((t[g12], prod), (t[g1], a), memo)
 
     for g1, g2 in g.pairs:
         g12 = g.compose(g1, g2)
@@ -332,15 +344,10 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         one = Matrix.identity(v.gamma_dims[a])
         ly, rx = g.unit[g.tgt[a]], g.unit[g.src[a]]
         uy, ux = u[g.tgt[a]], u[g.src[a]]
-        left_ok = once(
-            ("unit-law-left", uy, t[a], m[(ly, a)]), lambda: v.mult_of(ly, a, uy * t[a], one) == one
-        )
-        if not left_ok:
+        left, right = (m[(ly, a)], (uy, t[a]), one), (m[(a, rx)], one, (ux, s[a]))
+        if not once(("unit-law-left", uy, t[a], m[(ly, a)]), lambda: products_equal(left, one)):
             rep.add("unit-law-left", (a,))
-        right_ok = once(
-            ("unit-law-right", ux, s[a], m[(a, rx)]), lambda: v.mult_of(a, rx, one, ux * s[a]) == one
-        )
-        if not right_ok:
+        if not once(("unit-law-right", ux, s[a], m[(a, rx)]), lambda: products_equal(right, one)):
             rep.add("unit-law-right", (a,))
 
     def inverse_law(a: int) -> Optional[tuple[str, str]]:
@@ -349,9 +356,8 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
             inv = v.inverse_matrix(a)
         except InvalidStructureError:
             return "inverse-missing", ""
-        d = v.gamma_dims[a]
-        lhs = v.mult_of(g.inv[a], a, inv, Matrix.identity(d))
-        return None if lhs == u[g.src[a]] * s[a] else ("inverse-law", "inv(v) v != unit(s v)")
+        lhs = (m[(g.inv[a], a)], inv, Matrix.identity(v.gamma_dims[a]))
+        return None if products_equal(lhs, (u[g.src[a]], s[a])) else ("inverse-law", "inv(v) v != unit(s v)")
 
     inverse_failures = []
     for a in range(g.n_arrows):
@@ -366,9 +372,8 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
 
         def compute() -> bool:
             a, b, c = fib((g1, g2, g3))
-            left = v.mult_of(g12, g3, v.mult_of(g1, g2, a, b), c)
-            right = v.mult_of(g1, g23, a, v.mult_of(g2, g3, b, c))
-            return left == right
+            left = (m[(g12, g3)], (m[(g1, g2)], a, b), c)
+            return products_equal(left, (m[(g1, g23)], a, (m[(g2, g3)], b, c)))
 
         reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
         return once(("associativity", *reads), compute)
@@ -640,20 +645,20 @@ def check_vbmap(f: VBMap) -> Report:
         return rep
     for a in range(g.n_arrows):
         fa = bm.arr_map[a]
-        if w.s_maps[fa] * f.arr_maps[a] != f.obj_maps[g.src[a]] * v.s_maps[a]:
+        if not products_equal((w.s_maps[fa], f.arr_maps[a]), (f.obj_maps[g.src[a]], v.s_maps[a])):
             rep.add("source-compat", (a,))
-        if w.t_maps[fa] * f.arr_maps[a] != f.obj_maps[g.tgt[a]] * v.t_maps[a]:
+        if not products_equal((w.t_maps[fa], f.arr_maps[a]), (f.obj_maps[g.tgt[a]], v.t_maps[a])):
             rep.add("target-compat", (a,))
     for x in range(g.n_objects):
-        if f.arr_maps[g.unit[x]] * v.u_maps[x] != w.u_maps[bm.obj_map[x]] * f.obj_maps[x]:
+        if not products_equal((f.arr_maps[g.unit[x]], v.u_maps[x]), (w.u_maps[bm.obj_map[x]], f.obj_maps[x])):
             rep.add("unit-compat", (x,))
     _, fib = _call_memo(v)
 
     def multiplicative(g1: int, g2: int) -> bool:
         a, b = fib((g1, g2))
-        lhs = f.arr_maps[g.compose(g1, g2)] * v.mult_of(g1, g2, a, b)
-        rhs = w.mult_of(bm.arr_map[g1], bm.arr_map[g2], f.arr_maps[g1] * a, f.arr_maps[g2] * b)
-        return lhs == rhs
+        lhs = (f.arr_maps[g.compose(g1, g2)], (v.m_maps[(g1, g2)], a, b))
+        rhs = (w.m_maps[(bm.arr_map[g1], bm.arr_map[g2])], (f.arr_maps[g1], a), (f.arr_maps[g2], b))
+        return products_equal(lhs, rhs)
 
     reduced = rep.ok and validate_groupoid(g).ok and check_vbgroupoid(v).ok and check_vbgroupoid(w).ok
     for x in _failing_strings(g, 2, reduced, multiplicative):

@@ -4,7 +4,8 @@ Each example takes one generated instance file, breaks it in one place (a ragged
 row, a float or non-numeric entry, a wrong row count, a matrix that is not a list, a
 missing key or a junk value) and runs one of ``check``, ``split``, ``groth`` or ``dual``
 on it in process.  The examples are derandomized and bounded, so the test is a fixed
-regression guard.
+regression guard.  A second test gives one id or dimension another JSON type and requires
+the parse error that names it.
 """
 
 import contextlib
@@ -116,3 +117,23 @@ def test_mutated_gen_file_ends_in_summary_without_traceback(gen_files, tmp_path_
     summary = json.loads(stdout.splitlines()[-1])
     assert summary == {"event": "summary", "command": command, "exit": code, "ok": code == 0}
     assert "Traceback" not in stderr
+
+
+# the fields whose values are ids or dimensions; object keys are not values, and may hold ids as decimal strings
+INT_FIELDS = ("objects", "arrows", "unit", "inverse", "compose", "sets", "E", "C", "Gamma")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(file=st.integers(0, len(RECIPES) - 1), pick=st.integers(0, 10**6), value=st.sampled_from((True, 1.0, "1")))
+def test_integer_field_of_another_json_type_is_a_parse_error(gen_files, tmp_path_factory, file, pick, value):
+    # true == 1 and 1.0 == 1, and int("1") == 1, so each would pass for the integer 1 if compared or converted
+    doc = copy.deepcopy(gen_files[file])
+    fields = [p for p, x in _paths(doc["objects"]) if type(x) is int and p[1] in INT_FIELDS]
+    _set(doc["objects"], fields[pick % len(fields)], value)
+    path = tmp_path_factory.mktemp("fuzz") / "retyped.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = _run(["check", str(path)])
+    error, summary = map(json.loads, stdout.splitlines()[-2:])
+    assert code == 2 and summary["exit"] == 2
+    assert error["event"] == "error" and error["kind"] == "parse"
+    assert repr(value) in error["message"]

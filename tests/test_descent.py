@@ -528,3 +528,19 @@ def test_cleavage_surgery_and_descent_match_the_old_loops(base_name, cover_index
         assert out.comparison == _old_comparison(w, cech, flat, base_change(cech.pi, out.descended)[0])
     if (base_name, pad) == ("pt", False):
         assert refused  # the three-fold cover exercises the refusal
+
+
+@pytest.mark.parametrize("seed,base_name,cover_index", [(3, "z2", 0), (7, "pt", 1), (4, "pair2", 0)])
+def test_make_invertible_without_padding_projects_by_the_identity(monkeypatch, seed, base_name, cover_index):
+    # equal fiber ranks need no padding: v (+) 0 and its projection onto v are v and its identity
+    from vbgroupoids.vb import sum_projection_vb, zero_vb
+
+    prob, v = _perturbed_pullback(seed, base_name, cover_index)
+    certified = []
+    is_vb_morita_ = descent.is_vb_morita
+    monkeypatch.setattr(descent, "is_vb_morita", lambda f: certified.append(f) or is_vb_morita_(f))
+    stab = make_invertible(v, prob)
+    assert stab.omega == zero_vb(prob.gu)
+    assert stab.projection == sum_projection_vb(v, zero_vb(prob.gu))
+    assert stab.stabilized == v and stab.projection.source is stab.stabilized
+    assert certified == [stab.projection] and is_vb_morita(stab.projection).ok

@@ -368,3 +368,27 @@ def test_cover_set_written_as_a_string_is_rejected():
     objects = {"g": vio.groupoid_to_json(pair_groupoid(2)), "c": {"type": "cover", "base": "g", "sets": ["01", "01"]}}
     with pytest.raises(vio.ParseError, match=re.escape("c: id '0' is not in 0..1")):
         vio.loads_instance(vio.dumps_instance(objects))
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("objects", 0), False, "g.objects[0]: id False is not in 0..0"),
+        (("objects", 0), 0.0, "g.objects[0]: id 0.0 is not in 0..0"),
+        (("objects", 0), "0", "g.objects[0]: id '0' is not in 0..0"),
+        (("arrows", 1, "id"), 1.0, "g.arrows[1]: id 1.0 is not in 0..1"),
+        (("arrows", 1, "id"), True, "g.arrows[1]: id True is not in 0..1"),
+        (("arrows", 0, "id"), 1, "g.arrows[0]: id 1 is out of order"),
+    ],
+)
+def test_object_and_arrow_ids_are_json_integers_in_order(path, value, message):
+    # compared with ==, false would pass for the id 0 and 1.0 for the id 1
+    objects = every_kind()
+    *inner, last = path
+    target = objects["g"]
+    for step in inner:
+        target = target[step]
+    target[last] = value
+    with pytest.raises(vio.ParseError) as err:
+        vio.loads_instance(vio.dumps_instance(objects))
+    assert str(err.value) == message

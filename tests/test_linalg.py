@@ -971,3 +971,98 @@ def test_truncated_complex_reports_no_top_degree():
     # commutation is still checked into the top degree
     with pytest.raises(ValueError, match="chain map"):
         chain_map_is_quasi_iso(cut, CochainComplex(0, 1, (1, 1), (Matrix.identity(1),), truncated=True), f)
+
+
+# -- glued kernels and stacked products ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fibered_product_is_the_kernel_of_the_whole_matrix(data):
+    # M = [[X, -Y, 0], [0, X', -Y']]: the glue applies exactly when no column of Y is a pivot
+    r0, r1, d1, d2, d3 = (data.draw(st.integers(0, 3)) for _ in range(5))
+    x, y = data.draw(_matrices(r0, d1)), data.draw(_matrices(r0, d2))
+    x2, y2 = data.draw(_matrices(r1, d2)), data.draw(_matrices(r1, d3))
+    whole = Matrix.block([r0, r1], [d1, d2, d3], {(0, 0): x, (0, 1): -y, (1, 1): x2, (1, 2): -y2})
+    first = Matrix.hstack([x, -y]).kernel().split_rows([d1, d2])
+    rest = Matrix.hstack([x2, -y2]).kernel().split_rows([d2, d3])
+    glued = linalg.fibered_product(first, rest)
+    if any(p >= d1 for p in Matrix.hstack([x, -y]).rref()[1]):
+        assert glued is None
+    else:
+        assert glued == tuple(whole.kernel().split_rows([d1, d2, d3]))
+
+
+def test_fibered_product_needs_a_free_shared_block():
+    # X = 0 leaves the column of Y a pivot: B is not [0 | I]
+    first = Matrix.hstack([M([[0]]), M([[-1]])]).kernel().split_rows([1, 1])
+    assert linalg.fibered_product(first, [Matrix.identity(1)]) is None
+    # X = 1: the one kernel vector is (1, 1), and Fib of (X, Y, one more block) glues
+    first = Matrix.hstack([M([[1]]), M([[-1]])]).kernel().split_rows([1, 1])
+    assert linalg.fibered_product(first, [Matrix.identity(1)]) == (Matrix.identity(1), Matrix.identity(1))
+    with pytest.raises(ValueError, match="fibered_product"):
+        linalg.fibered_product(first, [Matrix.identity(2)])
+
+
+def _built(term) -> Matrix:
+    """A term of ``products_equal`` built as a matrix."""
+    return term if isinstance(term, Matrix) else term[0] * Matrix.vstack([_built(p) for p in term[1:]])
+
+
+@st.composite
+def _terms(draw, rows, cols, depth=2):
+    """A random term of value ``rows`` x ``cols``: a matrix, or a matrix over 1 to 3 stacked terms."""
+    if depth == 0 or draw(st.booleans()):
+        return Matrix.from_rows(draw(_shared_factor_grids(rows, cols)), cols=cols)
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    m = Matrix.from_rows(draw(_shared_factor_grids(rows, sum(heights))), cols=sum(heights))
+    return (m, *(draw(_terms(h, cols, depth - 1)) for h in heights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_equal_is_equality_of_the_built_matrices(data):
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    left = data.draw(_terms(rows, cols))
+    # another term of any shape, the built value (in lowest terms), or the same value scaled through 6 and 1/6
+    right = data.draw(
+        st.one_of(
+            _terms(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))),
+            st.just(_built(left)),
+            st.just((Matrix.identity(rows).scale(F(1, 6)), (Matrix.identity(rows).scale(6), left))),
+        )
+    )
+    assert linalg.products_equal(left, right) == (_built(left) == _built(right))
+    assert linalg.products_equal(left, right, {}) == (_built(left) == _built(right))
+
+
+def test_products_equal_cross_multiplies_denominators():
+    a = M([["1/2", 1], [0, "1/3"]])
+    two, half = Matrix.identity(2).scale(2), Matrix.identity(2).scale(F(1, 2))
+    assert linalg.products_equal((half, (two, a)), a)
+    assert linalg.products_equal((two, a), (a, two))
+    assert not linalg.products_equal((two, a), a)
+    assert not linalg.products_equal((half, a), (a, M([[1, 0], [0, "1/3"]])))
+    # different shapes are unequal, empty ones included
+    assert not linalg.products_equal(a, M([["1/2", 1]]))
+    assert not linalg.products_equal(Matrix.zeros(2, 0), Matrix.zeros(0, 2))
+
+
+def test_products_equal_rejects_parts_that_do_not_stack():
+    a = M([[1, 2]])
+    with pytest.raises(ValueError, match="2 rows under a 1x1 matrix"):
+        linalg.products_equal((M([[1]]), a, a), a)
+    with pytest.raises(ValueError, match="widths 2 and 1"):
+        linalg.products_equal((M([[1, 1]]), a, M([[1]])), a)
+    with pytest.raises(ValueError, match="0 rows under a 1x2 matrix"):
+        linalg.products_equal((a,), a)
+
+
+def test_products_equal_memo_evaluates_a_shared_term_once(monkeypatch):
+    calls = []
+    times = linalg._times
+    monkeypatch.setattr(linalg, "_times", lambda a, b: calls.append(len(a)) or times(a, b))
+    prod, memo = (M([[1, 2]]), M([[1]]), M([[3]])), {}
+    assert linalg.products_equal((M([[2]]), prod), M([[14]]), memo)
+    assert linalg.products_equal((M([[1]]), prod), M([[7]]), memo)
+    assert len(calls) == 3

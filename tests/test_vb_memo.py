@@ -22,16 +22,28 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vbgroupoids import io as vio
-from vbgroupoids import vb
+from vbgroupoids import linalg, vb
 from vbgroupoids.descent import descend_pipeline, make_descent_problem
-from vbgroupoids.generators import acyclic_ruth, honest_rep, named_reps, random_gauge, random_matrix, shifted_ruth
+from vbgroupoids.generators import (
+    acyclic_ruth,
+    base_groupoids,
+    honest_rep,
+    make_map_descent_fixture,
+    named_reps,
+    random_gauge,
+    random_matrix,
+    seed_ruths,
+    shifted_ruth,
+)
 from vbgroupoids.groupoid import (
     FiniteGroupoid,
     GroupoidMap,
     arrow_groupoid,
     cech_groupoid,
+    composable_strings,
     cyclic_groupoid,
     generating_arrows,
     pair_groupoid,
@@ -809,3 +821,70 @@ def test_descend_pipeline_makes_no_extra_raw_object_check(monkeypatch):
     v = _z2_k4(6)
     descend_pipeline(v, make_descent_problem(Z2, [[0]] * 4))
     assert runs.count("check_vbgroupoid") == 3
+
+
+# -- Fib bases of 3 or more arrows glued from a pair and a suffix ---------------------------
+
+
+@st.composite
+def _generated(draw) -> VBGroupoid:
+    """A generated VB-groupoid, moved along random invertible maps on every Gamma_g or not:
+    gauge (the Grothendieck construction of a gauge-randomized seed ruth), cech-pullback (the
+    source of a descent fixture's twisted map, a pullback to a Cech groupoid), or twisted (the
+    target of a twisted map whose target has a core)."""
+    kind, seed = draw(st.sampled_from(("gauge", "cech-pullback", "twisted"))), draw(st.integers(0, 30))
+    if kind == "gauge":
+        name = draw(st.sampled_from(sorted(base_groupoids())))
+        ruths = seed_ruths(name, base_groupoids()[name])
+        v = grothendieck(random_gauge(ruths[seed % len(ruths)], random.Random(seed))[0])
+    else:
+        fx = make_map_descent_fixture(seed, draw(st.sampled_from(("pt", "z2", "pair2"))), with_core=kind == "twisted")
+        v = fx.psi.source if kind == "cech-pullback" else fx.psi.target
+    return _moved(v) if draw(st.booleans()) else v
+
+
+def _slots(v: VBGroupoid, arrows: tuple[int, ...]) -> tuple[Matrix, ...]:
+    return tuple(v.slots(arrows, v.fib_string_basis(arrows)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_generated())
+def test_glued_fib_bases_equal_the_kernels(v):
+    # s is surjective on every arrow, so every string glues, through the memo as well
+    _, fib = vb._call_memo(v)
+    for length in (3, 4):
+        for x in composable_strings(v.base, length)[-1]:
+            full = _slots(v, x)
+            assert linalg.fibered_product(_slots(v, x[:2]), _slots(v, x[1:])) == full
+            assert fib(x) == full
+
+
+def _zero_source(base: FiniteGroupoid) -> VBGroupoid:
+    """Like ``_bare_bundle``, s is not surjective, but every fiber has dimension 1 (the zero fibers
+    of ``_bare_bundle`` glue trivially): s = 0 and t = 1, so the column of t_h is a pivot of
+    [s_g | -t_h] and no Fib basis glues."""
+    n, m = base.n_objects, base.n_arrows
+    return VBGroupoid(
+        base=base,
+        e_dims=(1,) * n,
+        gamma_dims=(1,) * m,
+        s_maps=(Matrix.zeros(1, 1),) * m,
+        t_maps=(Matrix.identity(1),) * m,
+        u_maps=(Matrix.identity(1),) * n,
+        m_maps={p: Matrix.from_rows([[1, 1]]) for p in base.pairs},
+    )
+
+
+def test_fib_basis_that_does_not_glue_is_the_kernel(monkeypatch):
+    v = _zero_source(PAIR3)
+    triples = composable_strings(PAIR3, 3)[-1]
+    assert all(linalg.fibered_product(_slots(v, x[:2]), _slots(v, x[1:])) is None for x in triples)
+    expected = [_slots(v, x) for x in triples]
+    kernels = []
+    fib_string_basis = VBGroupoid.fib_string_basis
+    monkeypatch.setattr(VBGroupoid, "fib_string_basis", lambda self, x: kernels.append(x) or fib_string_basis(self, x))
+    _, fib = vb._call_memo(v)
+    assert [fib(x) for x in triples] == expected
+    # every string shares its s and t maps, so one key per length: the pair's kernel, then the triple's
+    assert [len(x) for x in kernels] == [2, 3]
+    assert _entries(raw_check(v)) == _entries(reference_check(v))
