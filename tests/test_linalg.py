@@ -1002,6 +1002,8 @@ def test_fibered_product_needs_a_free_shared_block():
     assert linalg.fibered_product(first, [Matrix.identity(1)]) == (Matrix.identity(1), Matrix.identity(1))
     with pytest.raises(ValueError, match="fibered_product"):
         linalg.fibered_product(first, [Matrix.identity(2)])
+    # [0 | I] means entries equal to 1, so a shared block of 1/2 does not glue
+    assert linalg.fibered_product((Matrix.identity(1), Matrix.identity(1).scale(F(1, 2))), [Matrix.identity(1)]) is None
 
 
 def _built(term) -> Matrix:
