@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .groupoid import CechGroupoid, FiniteGroupoid, cech_groupoid, identity_map
-from .linalg import Matrix, complement_space, image_space, preimage_space
+from .linalg import Matrix, complement_space, image_space, preimage_space, products_equal
 from .report import Report
 from .vb import (
     Cleavage,
@@ -250,9 +250,13 @@ def symmetrize_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> 
 
 
 def is_u_flat(v: VBGroupoid, problem: DescentProblem, c: Cleavage) -> bool:
-    """Whether sigma_{kj} sigma_{ji} = sigma_{ki} exactly on kernel pairs."""
-    gu = problem.gu
-    return all(_lift_product(v, c, k1, k2) == c.sigma[gu.compose(k1, k2)] for k1, k2 in problem.cech.kernel_pairs)
+    """Whether sigma_{kj} sigma_{ji} = sigma_{ki} exactly on kernel pairs, each product compared
+    as :func:`_lift_product` would build it, m [sigma_{k1} (t_{k2} sigma_{k2}); sigma_{k2}]."""
+    gu, m, t, sigma = problem.gu, v.m_maps, v.t_maps, c.sigma
+    return all(
+        products_equal((m[(k1, k2)], (sigma[k1], (t[k2], sigma[k2])), sigma[k2]), sigma[gu.compose(k1, k2)])
+        for k1, k2 in problem.cech.kernel_pairs
+    )
 
 
 def flatten_cleavage(v: VBGroupoid, problem: DescentProblem, c: Cleavage, partition: PartitionOfUnity) -> Cleavage:

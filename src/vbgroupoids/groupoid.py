@@ -9,7 +9,7 @@ usual "strings of composable arrows" one: ``compose(g1, g2)`` is defined when
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -240,29 +240,52 @@ def orbit_transports(g: FiniteGroupoid) -> tuple[tuple[int, ...], tuple[int, ...
 def generating_arrows(g: FiniteGroupoid) -> tuple[int, ...]:
     """Arrows T, sorted, such that every arrow is a nonempty product of arrows in T.
 
-    Per orbit, with root r its least object: the non-unit isotropy at r; if the orbit has
-    more objects r < x_1 < ... < x_k, the cycle r -> x_1 -> ... -> x_k -> r, each step the
-    lowest-id arrow between its two objects; and if r is alone with trivial isotropy, its
-    unit.  An arrow g: x -> y is p_y h p_x, with p_x: x -> r and p_y: r -> y along the cycle
-    (empty at r) and h = p_y^-1 g p_x^-1 in the isotropy at r, left out when it is the unit.
-    That word is empty only for the unit of r, which is then sigma^n for a non-unit sigma at
-    r of order n, or the whole cycle, or itself in T.
+    Per orbit, with root r its least object: if the orbit has more objects r < x_1 < ... < x_k,
+    the cycle r -> x_1 -> ... -> x_k -> r, each step but the last the lowest-id arrow between
+    its two objects, and the last the arrow x_k -> r whose loop l, the composite of the cycle at
+    r, generates the largest subgroup of the isotropy at r (the lowest id on a tie); then each
+    isotropy arrow at r, in id order, that is not yet in the subgroup generated by l and the
+    isotropy arrows taken before it; and if r is alone with trivial isotropy, its unit.
+
+    An arrow g: x -> y is p_y h p_x, with p_x: x -> r and p_y: r -> y along the cycle (empty at
+    r) and h = p_y^-1 g p_x^-1 in the isotropy at r.  The isotropy is finite, so the semigroup
+    generated by l and the isotropy arrows in T is the group they generate, which is the whole
+    isotropy; and l is a product of the cycle's arrows.  So h, the unit included, is a nonempty
+    product of arrows in T, unless r is alone with trivial isotropy, where its unit is in T.
     """
     orbits, isotropy = orbits_and_isotropy(g)
-    step = {}  # object -> the next object of its orbit's cycle
     gens = []
     for orb in orbits:
         r = orb[0]
-        gens += [a for a in isotropy[r] if a != g.unit[r]]
+        loops = []
         if len(orb) > 1:
-            step.update(zip(orb, orb[1:] + orb[:1]))
-        elif len(isotropy[r]) == 1:
+            cycle = [next(a for a in range(g.n_arrows) if (g.src[a], g.tgt[a]) == step) for step in zip(orb, orb[1:])]
+            path = reduce(lambda p, a: g.compose(a, p), cycle, g.unit[r])  # r -> x_k
+            closing = [a for a in range(g.n_arrows) if (g.src[a], g.tgt[a]) == (orb[-1], r)]
+            last = max(closing, key=lambda a: (len(_generated(g, r, [g.compose(a, path)])), -a))
+            gens += [*cycle, last]
+            loops.append(g.compose(last, path))
+        span = _generated(g, r, loops)
+        for a in isotropy[r]:
+            if a not in span:
+                gens.append(a)
+                loops.append(a)
+                span = _generated(g, r, loops)
+        if len(orb) == 1 and len(isotropy[r]) == 1:
             gens.append(g.unit[r])
-    for a in range(g.n_arrows):
-        if step.get(g.src[a]) == g.tgt[a]:
-            gens.append(a)
-            del step[g.src[a]]
     return tuple(sorted(gens))
+
+
+def _generated(g: FiniteGroupoid, r: int, loops: Sequence[int]) -> set[int]:
+    """The subgroup of the isotropy at ``r`` generated by the loops at ``r`` in ``loops``."""
+    span, frontier = {g.unit[r]}, [g.unit[r]]
+    while frontier:
+        h = frontier.pop()
+        for ah in (g.compose(a, h) for a in loops):
+            if ah not in span:
+                span.add(ah)
+                frontier.append(ah)
+    return span
 
 
 def orbit_index(g: FiniteGroupoid) -> list[int]:

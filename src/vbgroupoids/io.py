@@ -25,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Optional
 
 from .descent import PartitionOfUnity
@@ -101,19 +102,26 @@ def _pair_table(data: dict, key: str, g: FiniteGroupoid, where: str) -> dict[tup
 _WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
 
+@lru_cache(maxsize=4096)
+def _written(x: str) -> Optional[tuple[int, int]]:
+    """``x`` as a (numerator, nonzero denominator) pair if written like ``-3/7``, else None.
+
+    Cached, because an instance file repeats few distinct entries in many matrices."""
+    m = _WRITTEN(x)
+    if m is None:
+        return None
+    num, den = m.groups()
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts: frac_from_str reports it
+        return None
+    return (n, d) if d else None
+
+
 def _ratio(x: Any) -> tuple[int, int]:
     """A matrix entry as a (numerator, nonzero denominator) pair, not always in lowest terms."""
-    m = _WRITTEN(x) if type(x) is str else None
-    if m is not None:
-        num, den = m.groups()
-        try:
-            n, d = int(num), int(den or 1)
-        except ValueError:  # more digits than int() converts: frac_from_str reports it
-            pass
-        else:
-            if d:
-                return n, d
-    return frac_from_str(x).as_integer_ratio()
+    written = _written(x) if type(x) is str else None
+    return frac_from_str(x).as_integer_ratio() if written is None else written
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:

@@ -262,33 +262,35 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
     intermediate matrix.
 
     Associativity is first computed only on the triples whose first arrow lies in
-    T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is
-    taken only when the base passes ``validate_groupoid``, every earlier law holds
-    (s/t-surjective, unit sections, mult-source/target, both unit laws) and every arrow
-    passes the inverse check; the inverse check therefore runs before associativity, and
-    its violations are still reported after the associativity ones.  If the gate fails, or
-    the reduced pass finds a failing triple, every triple is computed (the reduced pass's
-    results are reused), so a failing report lists every witness in the usual order.  A
-    passing reduced pass proves associativity on every triple.  Write
-    a(p, q, r) = m(m(p, q), r) - m(p, m(q, r)):
+    T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base, and mult-source/target only
+    on the pairs whose first arrow lies in T', the arrows of T and their inverses.  That reduced
+    pass is taken only when the base passes ``validate_groupoid`` and every other law holds:
+    s/t-surjective, unit sections, both unit laws and the inverse check at every arrow.  If
+    the gate fails, or the reduced pass finds a failing pair or triple, every pair and triple
+    is computed (the reduced pass's results are reused), so a failing report lists every
+    witness in the usual order.  A passing reduced pass proves both laws on every pair and
+    triple.  Write a(p, q, r) = m(m(p, q), r) - m(p, m(q, r)):
 
-    1. Each m is linear and the mult-source/target laws hold, so for (w, x, y, z) in
-       Fib(g0, g1, g2, g3) both sides below are defined, and expanding them gives
-       a(wx, y, z) + a(w, x, yz) = m(a(w, x, y), 0) + a(w, xy, z) + m(0, a(x, y, z)).
-    2. For t in T and any g' with src t = tgt g', m maps Fib(t, g') onto Gamma_{tg'}.
+    1. For t in T and any g' with src t = tgt g', m maps Fib(t, g') onto Gamma_{tg'}.
        Given gamma, take w in Gamma_t with t w = t gamma (t-surjectivity) and
        x = m(inv w, gamma), defined since s(inv w) = s m(w, inv w) = s u(t w) = t w.
        Associativity at (t, t^-1, tg'), a reduced triple, gives
        m(w, x) = m(m(w, inv w), gamma) = m(u(t gamma), gamma) = gamma by the left unit
-       law; and t x = t(inv w) = s w, s x = s gamma.
-    3. Let S be the arrows h with a = 0 on every triple starting with h; S contains T.
+       law; and t x = t(inv w) = s w, s x = s gamma.  This reads mult-source/target only
+       at (t, t^-1) and (t^-1, tg'), reduced pairs.
+    2. Let S' be the arrows h with mult-source/target on every pair starting with h; S'
+       contains T'.  For t in T, h in S' and (p, q) in Fib(th, g2), 1 gives p = m(w, x)
+       with (w, x) in Fib(t, h) and s x = s p = t q.  Associativity at (t, h, g2) gives
+       m(p, q) = m(w, m(x, q)), and mult-target at (h, g2) puts (w, m(x, q)) in
+       Fib(t, hg2).  So s m(p, q) = s m(x, q) = s q and t m(p, q) = t w = t p, and th is
+       in S'.  Every arrow is a nonempty product of T-arrows, so S' is every arrow.
+    3. Each m is linear and the mult-source/target laws hold, so for (w, x, y, z) in
+       Fib(g0, g1, g2, g3) both sides below are defined, and expanding them gives
+       a(wx, y, z) + a(w, x, yz) = m(a(w, x, y), 0) + a(w, xy, z) + m(0, a(x, y, z)).
+    4. Let S be the arrows h with a = 0 on every triple starting with h; S contains T.
        For t in T and h in S, every triple (p, y, z) over (th, g2, g3) has p = m(w, x)
-       with (w, x, y, z) in Fib(t, h, g2, g3) by 2, and in 1 every term but
-       a(wx, y, z) starts with t or h, so th is in S.  Every arrow is a nonempty product
-       of T-arrows, so S is every arrow: g: x -> y is (cycle path r -> y) h (cycle path
-       x -> r) with h in the isotropy at r, and a unit of r that would leave the word
-       empty is sigma^{ord sigma}, or the full cycle when the isotropy is trivial, or
-       itself in T when r is alone with trivial isotropy.
+       with (w, x, y, z) in Fib(t, h, g2, g3) by 1, and in 3 every term but
+       a(wx, y, z) starts with t or h, so th is in S; so S is every arrow.
     """
     rep = Report()
     g = v.base
@@ -328,27 +330,24 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
 
     def mult_ends(g1: int, g2: int) -> tuple[bool, bool]:
         g12 = g.compose(g1, g2)
-        a, b = fib((g1, g2))
-        prod, memo = (m[(g1, g2)], a, b), {}
-        return products_equal((s[g12], prod), (s[g2], b), memo), products_equal((t[g12], prod), (t[g1], a), memo)
 
-    for g1, g2 in g.pairs:
-        g12 = g.compose(g1, g2)
-        reads = (s[g1], t[g2], m[(g1, g2)], s[g12], t[g12], s[g2], t[g1])
-        source_ok, target_ok = once(("mult-ends", *reads), lambda: mult_ends(g1, g2))
-        if not source_ok:
-            rep.add("mult-source", (g1, g2))
-        if not target_ok:
-            rep.add("mult-target", (g1, g2))
+        def compute() -> tuple[bool, bool]:
+            a, b = fib((g1, g2))
+            prod, memo = (m[(g1, g2)], a, b), {}
+            return products_equal((s[g12], prod), (s[g2], b), memo), products_equal((t[g12], prod), (t[g1], a), memo)
+
+        return once(("mult-ends", s[g1], t[g2], m[(g1, g2)], s[g12], t[g12], s[g2], t[g1]), compute)
+
+    unit_failures = []
     for a in range(g.n_arrows):
         one = Matrix.identity(v.gamma_dims[a])
         ly, rx = g.unit[g.tgt[a]], g.unit[g.src[a]]
         uy, ux = u[g.tgt[a]], u[g.src[a]]
         left, right = (m[(ly, a)], (uy, t[a]), one), (m[(a, rx)], one, (ux, s[a]))
         if not once(("unit-law-left", uy, t[a], m[(ly, a)]), lambda: products_equal(left, one)):
-            rep.add("unit-law-left", (a,))
+            unit_failures.append(("unit-law-left", a))
         if not once(("unit-law-right", ux, s[a], m[(a, rx)]), lambda: products_equal(right, one)):
-            rep.add("unit-law-right", (a,))
+            unit_failures.append(("unit-law-right", a))
 
     def inverse_law(a: int) -> Optional[tuple[str, str]]:
         """The failing check and its detail, or None when inv(v) exists and inv(v) v = unit(s v)."""
@@ -378,8 +377,22 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         reads = (s[g1], t[g2], s[g2], t[g3], m[(g1, g2)], m[(g12, g3)], m[(g2, g3)], m[(g1, g23)])
         return once(("associativity", *reads), compute)
 
-    reduced = rep.ok and not inverse_failures and validate_groupoid(g).ok
-    for x in _failing_strings(g, 3, reduced, associative):
+    reduced = rep.ok and not unit_failures and not inverse_failures and validate_groupoid(g).ok
+    if reduced:
+        gens = generating_arrows(g)
+        lead = {*gens, *(g.inv[a] for a in gens)}
+        reduced = all(all(mult_ends(g1, g2)) for g1, g2 in g.pairs if g1 in lead)
+    non_associative = _failing_strings(g, 3, reduced, associative)
+    if not reduced or non_associative:
+        for g1, g2 in g.pairs:
+            source_ok, target_ok = mult_ends(g1, g2)
+            if not source_ok:
+                rep.add("mult-source", (g1, g2))
+            if not target_ok:
+                rep.add("mult-target", (g1, g2))
+    for check, a in unit_failures:
+        rep.add(check, (a,))
+    for x in non_associative:
         rep.add("associativity", x)
     for a, check, detail in inverse_failures:
         rep.add(check, (a,), detail)
@@ -615,7 +628,7 @@ def check_vbmap(f: VBMap) -> Report:
     or the reduced pass finds a failing pair, every pair is computed in ``g.pairs`` order, so a
     failing report lists every witness in the usual order.  A passing reduced pass proves every
     pair.  Let S be the arrows h with mult-compat on every pair starting with h; S contains T.
-    Take t in T, h in S and (p, q) over (th, g2).  By step 2 of ``check_vbgroupoid``'s proof, m
+    Take t in T, h in S and (p, q) over (th, g2).  By step 1 of ``check_vbgroupoid``'s proof, m
     maps Fib(t, h) onto Gamma_{th}, so p = m(w, x) with (w, x, q) in Fib(t, h, g2).  Then
     F m(p, q) = F m(w, m(x, q)) by associativity in the source, = m'(F w, F m(x, q)) by the
     reduced pair (t, h g2), = m'(F w, m'(F x, F q)) as h is in S, = m'(m'(F w, F x), F q) by

@@ -71,9 +71,9 @@ GENERATED = {
 
 
 def test_generating_arrows_of_pair_and_cyclic():
-    # pair(3): the cycle 0 -> 1 -> 2 -> 0 (ids 3, 7, 2); Z_3: the non-unit isotropy
+    # pair(3): the cycle 0 -> 1 -> 2 -> 0 (ids 3, 7, 2); Z_3: sigma, which generates the isotropy
     assert generating_arrows(pair_groupoid(3)) == (2, 3, 7)
-    assert generating_arrows(cyclic_groupoid(3)) == (1, 2)
+    assert generating_arrows(cyclic_groupoid(3)) == (1,)
     # a lone object with trivial isotropy keeps its unit; next to Z_2 (arrows 1, 2) as well
     assert generating_arrows(point_groupoid()) == (0,)
     assert generating_arrows(disjoint_union(point_groupoid(), cyclic_groupoid(2))) == (0, 2)
@@ -124,6 +124,14 @@ def test_orbit_transports_match_the_spanning_search(name):
             assert transport[x] == arrow_to[x]
 
 
+def _subgroup(g, r, loops):
+    """The loops at ``r`` that are products of ``loops``, and the unit: the subgroup they generate."""
+    span = {g.unit[r]}
+    while more := {g.compose(a, h) for a in loops for h in span} - span:
+        span |= more
+    return span
+
+
 def _cycle_generators(g):
     """The generating set built from hom-sets over the orbits of the spanning search; the
     reference for :func:`generating_arrows`."""
@@ -131,13 +139,32 @@ def _cycle_generators(g):
     gens = set()
     for r in set(base_of):
         orbit = sorted(x for x in range(g.n_objects) if base_of[x] == r)
-        isotropy = g.hom(r, r)
-        gens |= {a for a in isotropy if not g.is_unit(a)}
+        loops = []
         if len(orbit) > 1:
-            gens |= {min(g.hom(x, y)) for x, y in zip(orbit, orbit[1:] + orbit[:1])}
-        elif len(isotropy) == 1:
+            steps = [min(g.hom(x, y)) for x, y in zip(orbit, orbit[1:])]
+            path = g.compose_many(*reversed(steps))  # r -> the orbit's last object
+            closing = g.hom(orbit[-1], r)
+            last = max(closing, key=lambda a: (len(_subgroup(g, r, [g.compose(a, path)])), -a))
+            gens |= {*steps, last}
+            loops.append(g.compose(last, path))
+        for a in g.isotropy(r):
+            if a not in _subgroup(g, r, loops):
+                gens.add(a)
+                loops.append(a)
+        if len(orbit) == 1 and len(g.isotropy(r)) == 1:
             gens.add(g.unit[r])
     return tuple(sorted(gens))
+
+
+def _is_generating(g, gens):
+    """Whether every arrow is a nonempty word in ``gens``: close them under left multiplication
+    by a generator."""
+    words, grown = set(gens), True
+    while grown:
+        more = {g.compose(t, w) for t in gens for w in words if (t, w) in g.comp}
+        grown = not more <= words
+        words |= more
+    return words == set(range(g.n_arrows))
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -146,17 +173,40 @@ def test_every_arrow_is_a_word_in_the_generators(name):
     gens = generating_arrows(g)
     assert gens == _cycle_generators(g)
     orbits, iso = orbits_and_isotropy(g)
-    # per orbit: the non-unit isotropy, the cycle when there are n > 1 objects, else a lone unit
-    sizes = [len(iso[orb[0]]) - 1 + (len(orb) if len(orb) > 1 else 0) for orb in orbits]
-    lone_trivial = [orb for orb in orbits if len(orb) == 1 and len(iso[orb[0]]) == 1]
-    assert len(gens) == sum(sizes) + len(lone_trivial)
-    # the nonempty words: close the generators under left multiplication by a generator
-    words, grown = set(gens), True
-    while grown:
-        more = {g.compose(t, w) for t in gens for w in words if (t, w) in g.comp}
-        grown = not more <= words
-        words |= more
-    assert words == set(range(g.n_arrows))
+    # per orbit: the cycle when there are n > 1 objects, else one arrow; every isotropy here is
+    # cyclic, generated by the cycle's loop, which the closing arrow can make any isotropy arrow
+    assert all(any(len(_subgroup(g, orb[0], [a])) == len(iso[orb[0]]) for a in iso[orb[0]]) for orb in orbits)
+    sizes = [len(orb) if len(orb) > 1 else 1 for orb in orbits]
+    assert [sum(g.src[a] in orb for a in gens) for orb in orbits] == sizes
+    assert _is_generating(g, gens)
+
+
+def _klein_four(n_objects):
+    """The Klein four group times pair(n_objects): arrow k + 4 (x + n y) is (k, x -> y), composed
+    by XOR of k."""
+    n = n_objects
+    arrows = [(x, y) for y in range(n) for x in range(n) for _ in range(4)]
+    ids = {(k, x, y): k + 4 * (x + n * y) for k in range(4) for x in range(n) for y in range(n)}
+    comp = {
+        (ids[k1, y, z], ids[k2, x, y]): ids[k1 ^ k2, x, z]
+        for k1, k2 in product(range(4), repeat=2)
+        for x, y, z in product(range(n), repeat=3)
+    }
+    unit = [ids[0, x, x] for x in range(n)]
+    inv = [ids[k, y, x] for k, x, y in sorted(ids, key=ids.get)]
+    return make_groupoid(n, arrows, comp, unit, inv)
+
+
+def test_klein_four_isotropy_needs_two_loops():
+    # no single loop generates Z_2 x Z_2: alone, a and b (ids 1, 2) and not ab; over pair(2), the
+    # step 0 -> 1 (id 8), the closing arrow 1 -> 0 of lowest id whose loop is a (id 5), and b (id 2)
+    for n, expected in ((1, (1, 2)), (2, (2, 5, 8))):
+        g = _klein_four(n)
+        assert validate_groupoid(g).ok
+        gens = generating_arrows(g)
+        assert gens == expected == _cycle_generators(g)
+        assert _is_generating(g, gens)
+        assert not _is_generating(g, gens[1:]) and not _is_generating(g, gens[:-1])
 
 
 def test_orbit_transports_take_the_lowest_arrow_when_there_are_two():

@@ -69,6 +69,13 @@ def test_entry_reader_matches_frac_from_str(entry):
     assert _read(entry) == _reference(entry)
 
 
+def test_entry_reader_reads_the_same_from_its_cache():
+    # an entry written like -3/7 is cached at its first read; the second read of every entry,
+    # cached or not, still matches frac_from_str, errors included
+    for _ in range(2):
+        assert [_read(x) for x in ENTRY_CORPUS] == [_reference(x) for x in ENTRY_CORPUS]
+
+
 def test_entry_corpus_covers_both_outcomes():
     read = [_read(x) for x in ENTRY_CORPUS]
     assert sum(isinstance(r, Matrix) for r in read) >= 20

@@ -12,8 +12,10 @@ replaced, and strings whose s and t maps agree in some places and not in others 
 share a Fib basis.  Equal matrices held as distinct objects must share every result.
 Associativity is first computed only on triples that start with a generating arrow; on
 mutants that break associativity alone the report must still equal the oracle's, and every
-case outside the reduced pass's gate must compute every triple.  The same holds for a VB-map's
-multiplicativity, computed first only on pairs that start with a generating arrow.
+case outside the reduced pass's gate must compute every triple.  mult-source/target are first
+computed only on pairs that start with a generating arrow or its inverse, and a mutant that
+breaks them only at other pairs must still get the oracle's report.  The same holds for a
+VB-map's multiplicativity, computed first only on pairs that start with a generating arrow.
 """
 
 import random
@@ -650,13 +652,13 @@ def _z2_k4(seed: int = 5) -> VBGroupoid:
 def test_valid_object_computes_associativity_only_from_generators(monkeypatch):
     v = _z2_k4()
     gens = generating_arrows(v.base)
-    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 5, 2048)
+    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 4, 2048)
     computed = _computed(monkeypatch)
     firsts = []
     strings = vb.composable_strings
     monkeypatch.setattr(vb, "composable_strings", lambda g, n, first=None: firsts.append(first) or strings(g, n, first))
     assert raw_check(v).ok
-    assert len(computed) == 320
+    assert len(computed) == 256
     # built from the generators in the order of the full list, which is never enumerated
     assert computed == [x for x in v.base.triples() if x[0] in set(gens)]
     assert firsts == [gens]
@@ -723,6 +725,78 @@ def test_inverse_failure_takes_the_full_loop(monkeypatch):
     assert len(computed) == len(PAIR3.triples())
 
 
+# -- mult-source/target from the generating arrows and their inverses ---------------------
+
+
+def _lead(g: FiniteGroupoid) -> set[int]:
+    """T' = the generating arrows and their inverses, the first arrows of the reduced pairs."""
+    gens = generating_arrows(g)
+    return {*gens, *(g.inv[a] for a in gens)}
+
+
+def _ends_mutant(v: VBGroupoid, seed: int, kind: str, free: bool = False) -> VBGroupoid:
+    """``v`` with K R added to m at one or two pairs whose first arrow is not in T', R random and
+    K a basis of ker t ("ker-t") or of ker s ("ker-s") over the product arrow, or the identity
+    ("any").  With ``free``, the pairs involve no unit and are no inverse pair, so the unit laws
+    and the inverse check read no changed pair.
+
+    The reduced pass computes neither mult-source nor mult-target at a changed pair: with K in
+    ker t only mult-source can fail there, with K in ker s only mult-target, so associativity
+    on the reduced triples has to catch the change."""
+    rng = random.Random(seed)
+    g = v.base
+    lead = _lead(g)
+    pairs = [(g1, g2) for g1, g2 in g.pairs if g1 not in lead]
+    if free:
+        pairs = [(g1, g2) for g1, g2 in pairs if not g.is_unit(g1) and not g.is_unit(g2) and g2 != g.inv[g1]]
+    m_maps = dict(v.m_maps)
+    for pair in rng.sample(pairs, rng.choice((1, 2))):
+        g12 = g.compose(*pair)
+        k = {"ker-t": v.t_maps[g12].kernel(), "ker-s": v.s_maps[g12].kernel()}.get(kind)
+        k = Matrix.identity(v.gamma_dims[g12]) if k is None else k
+        m_maps[pair] = m_maps[pair] + k * random_matrix(rng, k.cols, m_maps[pair].cols)
+    return replace(v, m_maps=m_maps)
+
+
+ENDS_BASES = {**CORED, "z2-k4": _z2_k4()}
+ENDS_MUTANTS = [
+    (name, seed, kind, free)
+    for name, count in (("pair3", 4), ("cech3", 4), ("z2-k4", 2))
+    for seed in range(count)
+    for kind in ("ker-t", "ker-s", "any")
+    for free in ((False, True) if name != "pair3" else (False,))  # pair(3): every non-unit arrow is in T'
+]
+
+
+@pytest.mark.parametrize("name,seed,kind,free", ENDS_MUTANTS)
+def test_mutant_outside_the_reduced_pairs_matches_full_loop(name, seed, kind, free):
+    bad = _ends_mutant(ENDS_BASES[name], seed, kind, free)
+    expected = reference_check(bad)
+    assert expected.violations
+    if free:
+        assert {x.check for x in expected.violations} <= {"mult-source", "mult-target", "associativity"}
+    assert _entries(raw_check(bad)) == _entries(expected)
+
+
+def test_ker_t_mutant_breaks_mult_source_off_the_reduced_pairs():
+    # the changed pair fails mult-source, and no pair the reduced pass reads fails either law
+    v = ENDS_BASES["cech3"]
+    bad = _ends_mutant(v, 0, "ker-t", free=True)
+    ends = [x for x in reference_check(bad).violations if x.check.startswith("mult-")]
+    assert ends and {x.check for x in ends} == {"mult-source"}
+    assert all(x.witness[0] not in _lead(v.base) for x in ends)
+
+
+def test_valid_object_computes_mult_ends_only_from_generators_and_inverses(monkeypatch):
+    v = _z2_k4()
+    g = v.base
+    lead = _lead(g)
+    computed = _computed(monkeypatch, 2)
+    assert raw_check(v).ok
+    assert (len(g.pairs), len(computed)) == (256, 64)
+    assert computed == [p for p in g.pairs if p[0] in lead]
+
+
 # -- VB-map multiplicativity from the generating arrows ----------------------------------
 
 
@@ -779,7 +853,7 @@ def test_valid_map_computes_multiplicativity_only_from_generators(monkeypatch):
     gens = set(generating_arrows(g))
     computed = _computed(monkeypatch, 2, "check_vbmap")
     assert check_vbmap.__wrapped__(f).ok
-    assert (len(g.pairs), len(computed)) == (256, 40)
+    assert (len(g.pairs), len(computed)) == (256, 32)
     assert computed == [p for p in g.pairs if p[0] in gens]
 
 
