@@ -3,8 +3,10 @@
 Bundle-valued cochains live on nerve strings, with the value of a degree-q
 cochain at (g_1, ..., g_q) in the fiber over tgt(g_1).  Linear cochains on a
 VB-groupoid are functionals on the fibered products Fib^p along base strings;
-the VB-subcomplex consists of the projectable ones.  All differentials are
-assembled as exact block matrices; d o d = 0 is a hard constructor check.
+the VB-subcomplex consists of the projectable ones.  The ruth and linear differentials
+are assembled on integer rows: every block is placed at its offsets over one common
+denominator in one pass (``linalg._place``), with no matrix built per block; d o d = 0 is
+a hard constructor check on every complex.
 
 Every complex built here with ``p_max`` is ``truncated``: ``linalg`` reports its
 cohomology only below p_max.
@@ -18,7 +20,8 @@ from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
-from .linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso
+from .linalg import CochainComplex, Matrix, Placed, UnitRead, betti_numbers, chain_map_is_quasi_iso
+from .linalg import _place, _scaled, _times
 from .report import violation_error
 from .ruth import TwoTermRuth, check_ruth, dual_ruth
 from .vb import (
@@ -28,7 +31,6 @@ from .vb import (
     check_cleavage,
     check_vbmap,
     choose_cleavage,
-    coords_in,
     fib_key,
     grothendieck,
 )
@@ -79,20 +81,26 @@ def _require_d_squared_zero(cx: CochainComplex, context: str, row_string: Callab
 # -- bundle-valued cochains -------------------------------------------------------
 
 
-def _quasi_action_differential(bc: _Layout, rho: Sequence[Matrix], q: int) -> Matrix:
-    """The degree-1 operator of a (quasi-)action on bundle cochains ``bc``, C^q -> C^{q+1}.
+def _placed(r0: int, c0: int, sign: int, m: Matrix) -> Placed:
+    return r0, c0, sign, m._num, m._den
+
+
+def _quasi_action_differential(bc: _Layout, rho: Sequence[Matrix], q: int) -> list[Placed]:
+    """The degree-1 operator of a (quasi-)action on bundle cochains ``bc``, C^q -> C^{q+1}, as
+    blocks placed from (0, 0) (see ``linalg._place``): rho_{g_1} at face 0, +-I at the others.
 
     (D w)(g_1..g_{q+1}) = rho_{g_1} w(g_2..) + sum_i (-1)^i w(..g_i g_{i+1}..)
                           + (-1)^{q+1} w(g_1..g_q).
     """
     nv = bc.nerve
-    blocks = []
-    for si, s in enumerate(nv.strings[q + 1]):
-        for i in range(q + 2):
-            t_idx = nv.face(q + 1, i)[si]
-            face = rho[s[0]] if i == 0 else Matrix.identity(bc.sizes[q][t_idx]).scale((-1) ** i)
-            blocks.append(((si, t_idx), face))
-    return Matrix.block(bc.sizes[q + 1], bc.sizes[q], blocks)
+    rows, cols, sizes = bc.offsets[q + 1], bc.offsets[q], bc.sizes[q]
+    eye = {n: Matrix.identity(n)._num for n in set(sizes)}
+    faces = enumerate(zip(nv.strings[q + 1], nv.face(q + 1, 0)))
+    blocks = [_placed(rows[si], cols[t], 1, rho[s[0]]) for si, (s, t) in faces]
+    for i in range(1, q + 2):
+        sign = (-1) ** i
+        blocks += [(rows[si], cols[t], sign, eye[sizes[t]], 1) for si, t in enumerate(nv.face(q + 1, i))]
+    return blocks
 
 
 # -- ruth cochain complex -----------------------------------------------------------
@@ -102,7 +110,12 @@ def assemble_ruth_differential(
     r: TwoTermRuth, p_max: int, signs: tuple[int, int, int, int] = RUTH_DIFFERENTIAL_SIGNS
 ) -> CochainComplex:
     """C(G, E (+) C[1]) in degrees -1 .. p_max, with degree-p space C^p(G,E) (+) C^{p+1}(G,C),
-    built with explicit component signs; D^2 = 0 is enforced."""
+    built with explicit component signs; D^2 = 0 is enforced.
+
+    Each D^p is placed whole in one pass: the quasi-action on E (rho_e at face 0, +-I at the
+    others) and the curvature pairing gamma in the columns of C^p(G,E), the anchor insertion
+    and the quasi-action on C in those of C^{p+1}(G,C).
+    """
     s_e, s_anchor, s_c, s_gamma = signs
     g = r.base
     nv = nerve(g, p_max + 1)
@@ -111,27 +124,26 @@ def assemble_ruth_differential(
     bce = _Layout(nv, [[r.e_dims[x] for x in level] for level in objs])
     bcc = _Layout(nv, [[r.c_dims[x] for x in level] for level in objs])
 
-    def anchor_insertion(q: int) -> Matrix:
-        return Matrix.block_diag([r.anchor[x] for x in objs[q]])
-
-    def curvature_pairing(q: int) -> Matrix:
-        # C^q(G,E) -> C^{q+2}(G,C): (gamma w)(g_1..g_{q+2}) = gamma_{g_1,g_2} w(g_3..)
-        blocks = [
-            ((si, nv.index[q][s[2:]] if q >= 1 else g.src[s[1]]), r.gamma[(s[0], s[1])])
-            for si, s in enumerate(nv.strings[q + 2])
-        ]
-        return Matrix.block(bcc.sizes[q + 2], bce.sizes[q], blocks)
+    def shifted(blocks: list[Placed], r0: int, c0: int, sign: int) -> list[Placed]:
+        return [(r0 + i, c0 + j, sign * k, num, den) for i, j, k, num, den in blocks]
 
     diffs = []
     for p in range(-1, p_max):
         # block rows: C^{p+1}(G,E), C^{p+2}(G,C); block columns: C^p(G,E), C^{p+1}(G,C)
-        blocks = {}
+        e_rows, e_cols = bce.dim(p + 1), bce.dim(p)
+        blocks = []
         if p >= 0:
-            blocks[(0, 0)] = _quasi_action_differential(bce, r.rho_e, p).scale(s_e)
-            blocks[(1, 0)] = curvature_pairing(p).scale(s_gamma)
-        blocks[(0, 1)] = anchor_insertion(p + 1).scale(s_anchor)
-        blocks[(1, 1)] = _quasi_action_differential(bcc, r.rho_c, p + 1).scale(s_c)
-        diffs.append(Matrix.block([bce.dim(p + 1), bcc.dim(p + 2)], [bce.dim(p), bcc.dim(p + 1)], blocks))
+            blocks += shifted(_quasi_action_differential(bce, r.rho_e, p), 0, 0, s_e)
+            # (gamma w)(g_1..g_{p+2}) = gamma_{g_1,g_2} w(g_3..)
+            for si, s in enumerate(nv.strings[p + 2]):
+                t_idx = nv.index[p][s[2:]] if p >= 1 else g.src[s[1]]
+                blocks.append(
+                    _placed(e_rows + bcc.offsets[p + 2][si], bce.offsets[p][t_idx], s_gamma, r.gamma[(s[0], s[1])])
+                )
+        for si, x in enumerate(objs[p + 1]):
+            blocks.append(_placed(bce.offsets[p + 1][si], e_cols + bcc.offsets[p + 1][si], s_anchor, r.anchor[x]))
+        blocks += shifted(_quasi_action_differential(bcc, r.rho_c, p + 1), e_rows, e_cols, s_c)
+        diffs.append(_place(e_rows + bcc.dim(p + 2), e_cols + bcc.dim(p + 1), blocks, canonical=True))
     dims = tuple(bce.dim(p) + bcc.dim(p + 1) for p in range(-1, p_max + 1))
     cx = CochainComplex(-1, p_max, dims, tuple(diffs), truncated=True)
 
@@ -161,8 +173,10 @@ class LinComplex:
     layout: _Layout  # block sizes dim Fib(s)
     fib_bases: tuple[tuple[Matrix, ...], ...]  # per degree, per string
     complex: CochainComplex  # degrees 0 .. p_max
-    # per degree, per string: the fib_key of its Fib space (an object's is dim E_x)
+    # per degree, per string: the fib_key of its Fib space (an object's is dim E_x), and the
+    # read plan of its Fib basis, which is a kernel basis or an identity
     fib_keys: tuple[tuple[tuple, ...], ...] = field(compare=False, repr=False)
+    fib_reads: tuple[tuple[UnitRead, ...], ...] = field(compare=False, repr=False)
     # _zero_last_vectors by (fib_key, zeros), shared by every projectable-condition call
     _zero_last: dict[tuple, Matrix] = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -184,29 +198,47 @@ class LinComplex:
         ``image`` in the Fib basis of ``string``: the block that sends a cochain on ``string`` to
         its values on the columns of ``image``, which a cochain operator places in the row of ``s``.
 
-        ``where`` is (context, check, role); if a column of ``image`` leaves Fib, the violation
-        ``check`` is raised at (p, s, string) with the detail "(degree, string, <role> string)".
+        The coordinates are read at the basis's unit rows (see ``linalg.UnitRead``).  ``where`` is
+        (context, check, role); if a column of ``image`` leaves Fib, the violation ``check`` is
+        raised at (p, s, string) with the detail "(degree, string, <role> string)".
         """
         t_idx = self.layout.nerve.index[p][string]
-        context, check, role = where
-        coords = coords_in(
-            self.fib_bases[p][t_idx], image, context, check, (p, s, string), f"(degree, string, {role} string)"
-        )
+        coords = self.fib_reads[p][t_idx].solve(image)
+        if coords is None:
+            context, check, role = where
+            raise violation_error(context, check, (p, s, string), f"(degree, string, {role} string)")
         return t_idx, coords.transpose().scale(sign)
 
 
-def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> Matrix:
-    """Rows of the i-th face applied to a basis of Fib(s); result in face coordinates."""
-    parts = v.slots(s, fib)
-    if 0 < i < len(s):
-        parts[i - 1 : i + 1] = [v.mult_of(s[i - 1], s[i], parts[i - 1], parts[i])]
-    else:
-        del parts[0 if i == 0 else -1]
-    return Matrix.vstack(parts)
+def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> tuple[Sequence[dict[int, int]], int]:
+    """The i-th face applied to the basis ``fib`` of Fib(s), in face coordinates, as numerator
+    rows over a denominator.  An outer face drops the first or the last slot's rows; the inner
+    face i replaces the rows of slots i and i + 1 (from 1) by m_{g_i,g_{i+1}} times them."""
+    num, den = fib._num, fib._den
+    if i == 0:
+        return num[v.gamma_dims[s[0]] :], den
+    if i == len(s):
+        return num[: len(num) - v.gamma_dims[s[-1]]], den
+    lo = sum(v.gamma_dims[a] for a in s[: i - 1])
+    hi = lo + v.gamma_dims[s[i - 1]] + v.gamma_dims[s[i]]
+    m = v.m_maps[(s[i - 1], s[i])]
+    merged = _times(m._num, num[lo:hi])
+    return [*_scaled(num[:lo], m._den), *merged, *_scaled(num[hi:], m._den)], den * m._den
 
 
 def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
     """The linear complex of ``v`` in degrees 0 .. p_max; D^2 = 0 is checked.
+
+    Each delta^p is assembled transposed, in one pass (``linalg._place``), and transposed once:
+    the coordinates X of a face image in the Fib basis of the face string are placed at that
+    string's rows of delta^T, with the face's sign.  Every Fib basis is a kernel basis or an
+    identity, so it has a unit row e_j for each of its columns j, and X is exact when read off
+    the image's rows at those unit rows (``linalg.UnitRead``, planned once per basis): the basis
+    has full column rank, so the coordinates are unique if they exist, and they reproduce the
+    rows they were read from.  Every other row of the image is still compared with the basis
+    times X, and a face image that leaves Fib there raises ``face-in-fib``.  Face images are
+    built on rows too (:func:`_face_image`); a 1-string's Fib basis is the identity, so its
+    faces' coordinates are its s- and t-map.
 
     Work is shared between strings with the same :func:`~vbgroupoids.vb.fib_key`: one Fib
     basis is built per key, and the coordinates of the first and the last face of a string
@@ -230,38 +262,49 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
                 by_key[k] = v.fib_string_basis(s)
         fib_keys.append(keys)
         fib_bases.append(tuple(by_key[k] for k in keys))
+    plans = {id(b): UnitRead.of(b) for level in fib_bases for b in level}
+    fib_reads = tuple(tuple(plans[id(b)] for b in level) for level in fib_bases)
     layout = _Layout(nv, [[b.cols for b in level] for level in fib_bases])
     diffs = []
-    outer: dict[tuple[tuple, int], Matrix] = {}  # (key, face) -> signed coordinate block
+    outer: dict[tuple[tuple, int], tuple[Sequence[dict[int, int]], int]] = {}  # (key, face) -> coordinates
     for p in range(p_max):
+        rows, cols = layout.offsets[p], layout.offsets[p + 1]
+        faces = [nv.face(p + 1, i) for i in range(p + 2)]
         blocks = []
         for si, s in enumerate(nv.strings[p + 1]):
-            fib = fib_bases[p + 1][si]
             for i in range(p + 2):
-                t_idx = nv.face(p + 1, i)[si]
+                t_idx = faces[i][si]
                 shared = (fib_keys[p + 1][si], i) if p and i in (0, p + 1) else None
-                block = outer.get(shared)
-                if block is None:
+                coords = outer.get(shared)
+                if coords is None:
                     if p == 0:
-                        coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
+                        m = v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]
+                        coords = m._num, m._den
                     else:
-                        coords = coords_in(
-                            fib_bases[p][t_idx],
-                            _face_image(v, s, i, fib),
-                            f"lin_complex: face image leaves Fib at degree {p + 1}",
-                            "face-in-fib",
-                            (p + 1, s, i),
-                            "(degree, string, face)",
-                        )
-                    block = coords.transpose().scale((-1) ** i)
+                        num, den = _face_image(v, s, i, fib_bases[p + 1][si])
+                        x = fib_reads[p][t_idx].rows(num, den)
+                        if x is None:
+                            raise violation_error(
+                                f"lin_complex: face image leaves Fib at degree {p + 1}",
+                                "face-in-fib",
+                                (p + 1, s, i),
+                                "(degree, string, face)",
+                            )
+                        coords = x, den
                     if shared:
-                        outer[shared] = block
-                blocks.append(((si, t_idx), block))
-        diffs.append(Matrix.block(layout.sizes[p + 1], layout.sizes[p], blocks))
+                        outer[shared] = coords
+                blocks.append((rows[t_idx], cols[si], (-1) ** i, *coords))
+        diffs.append(_place(layout.dim(p), layout.dim(p + 1), blocks, canonical=False).transpose())
     cx = CochainComplex(0, p_max, tuple(layout.dim(p) for p in range(p_max + 1)), tuple(diffs), truncated=True)
     _require_d_squared_zero(cx, "lin_complex: delta^2 != 0", layout.string_at)
     return LinComplex(
-        vb=v, p_max=p_max, layout=layout, fib_bases=tuple(fib_bases), complex=cx, fib_keys=tuple(fib_keys)
+        vb=v,
+        p_max=p_max,
+        layout=layout,
+        fib_bases=tuple(fib_bases),
+        complex=cx,
+        fib_keys=tuple(fib_keys),
+        fib_reads=fib_reads,
     )
 
 
@@ -311,6 +354,20 @@ class VBSubcomplex:
     complex: CochainComplex
 
 
+def _is_identity(basis: Matrix) -> bool:
+    """Whether ``basis`` is the identity, as every filtration basis is in degrees 0 and p_max."""
+    return basis.rows == basis.cols and basis == Matrix.identity(basis.rows)
+
+
+def _times_basis(m: Matrix, basis: Matrix) -> Matrix:
+    return m if _is_identity(basis) else m * basis
+
+
+def _in_basis(basis: Matrix, image: Matrix) -> Optional[Matrix]:
+    """The coordinates of ``image``'s columns in ``basis``, or None if one leaves its span."""
+    return image if _is_identity(basis) else basis.solve_matrix(image)
+
+
 def _subcomplex_from_bases(
     lin: LinComplex, bases: list[Matrix]
 ) -> tuple[Optional[CochainComplex], Optional[int]]:
@@ -318,7 +375,7 @@ def _subcomplex_from_bases(
     delta maps out of the span of the next one."""
     diffs = []
     for p in range(lin.p_max):
-        coords = bases[p + 1].solve_matrix(lin.complex.differential(p) * bases[p])
+        coords = _in_basis(bases[p + 1], _times_basis(lin.complex.differential(p), bases[p]))
         if coords is None:
             return None, p
         diffs.append(coords)
@@ -484,7 +541,7 @@ def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
             return False
         fmap: dict[int, Matrix] = {}
         for p in range(p_max + 1):
-            fmap[p] = bases[p].solve_matrix(prev_bases[p])
+            fmap[p] = _in_basis(bases[p], prev_bases[p])
             if fmap[p] is None:
                 return False
         if not chain_map_is_quasi_iso(prev_cx, cx, fmap).ok:
@@ -634,8 +691,7 @@ def induced_map_vb(f: VBMap, p_max: int) -> InducedMapReport:
     preserves = True
     fmap: dict[int, Matrix] = {}
     for p in range(p_max + 1):
-        image = pmat[p] * sub_tgt.bases[p]
-        coords = sub_src.bases[p].solve_matrix(image)
+        coords = _in_basis(sub_src.bases[p], _times_basis(pmat[p], sub_tgt.bases[p]))
         if coords is None:
             preserves = False
             coords = Matrix.zeros(sub_src.bases[p].cols, sub_tgt.bases[p].cols)

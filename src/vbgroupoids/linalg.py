@@ -8,7 +8,9 @@ A :class:`Matrix` stores each row as a ``{column: int}`` dict of its nonzero
 numerators, over one positive denominator per matrix, in a canonical form; products,
 sums, stacking, block assembly and slicing all work on these rows, and ``Fraction``
 entries appear only when a caller reads them (``m[i, j]``, ``row``, ``col``, ``data``).
-No module outside this one sees the storage.
+No module outside this one sees the storage, except ``cohomology``, which assembles its
+cochain differentials on numerator rows with :func:`_times`, :class:`UnitRead` and
+:func:`_place`, the helper :meth:`Matrix.block` is built on.
 
 All elimination goes through one row-wise echelon routine, :func:`_echelon`: each row
 in turn is reduced against the rows kept so far, which are keyed by their leading column,
@@ -17,10 +19,10 @@ rows and does nothing more; ``Matrix.rref``, which ``kernel``, ``solve``, ``solv
 and ``inverse`` use, also back-substitutes over them.  ``solve_matrix`` reduces
 ``[A | B]`` once for all columns of B; on a consistent system every pivot lies in A's
 columns.  When A's rows include the unit row e_j for every column j, as every ``kernel``
-basis and identity do, ``solve_matrix`` eliminates nothing: such an A has full column
-rank, so a solution is unique if it exists, and it can only be B's rows at those unit
-rows.  A X equals B on the rows it was read from by construction, so only A's other rows
-are multiplied and compared with B's to decide whether it is one.
+basis and identity do, ``solve_matrix`` eliminates nothing (:class:`UnitRead`): such an A
+has full column rank, so a solution is unique if it exists, and it can only be B's rows at
+those unit rows.  A X equals B on the rows it was read from by construction, so only A's
+other rows are multiplied and compared with B's to decide whether it is one.
 
 The VB structure checks use :func:`fibered_product`, which glues a block-bidiagonal kernel
 basis from smaller ones, and :func:`products_equal`, which compares products with no matrix built.
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -253,26 +255,14 @@ class Matrix:
         (position, matrix) pairs; blocks listed at the same position add up.  A position
         with no block is zero, and a block of the wrong shape raises ValueError.
         """
-        pairs = list(blocks.items() if isinstance(blocks, dict) else blocks)
         r_off = [0, *accumulate(rows)]
         c_off = [0, *accumulate(cols)]
-        den = lcm(*(b._den for _, b in pairs))
-        out: list[dict[int, int]] = [{} for _ in range(r_off[-1])]
-        for (i, j), b in pairs:
+        placed = []
+        for (i, j), b in blocks.items() if isinstance(blocks, dict) else blocks:
             if (b.rows, b.cols) != (rows[i], cols[j]):
                 raise ValueError(f"block ({i}, {j}): want {rows[i]}x{cols[j]}, got {b.rows}x{b.cols}")
-            f, c0 = den // b._den, c_off[j]
-            for k, brow in enumerate(b._num, r_off[i]):
-                row = out[k]
-                for c, x in brow.items():
-                    c += c0
-                    row[c] = row.get(c, 0) + x * f
-        if len({pos for pos, _ in pairs}) < len(pairs):
-            out = [{c: x for c, x in row.items() if x} for row in out]
-            return Matrix(r_off[-1], c_off[-1], out, den)
-        # canonical when no position repeats, by the argument of ``vstack``: no two blocks
-        # share an entry, so each keeps its numerators times a factor prime to such a p
-        return Matrix._canonical(r_off[-1], c_off[-1], out, den)
+            placed.append((r_off[i], c_off[j], 1, b._num, b._den))
+        return _place(r_off[-1], c_off[-1], placed, canonical=True)
 
     # -- basics -------------------------------------------------------------
 
@@ -444,11 +434,7 @@ class Matrix:
         Raises ValueError unless B has ``self``'s height.
 
         Read path: if ``self`` has a unit row e_j (one entry, equal to 1) for every
-        column j, it has full column rank, so X is unique if it exists, and row j of X
-        is B's row at the first e_j.  X is read off so, with no elimination, and
-        returned when ``self @ X == B``.  On the rows read that holds by construction,
-        so only the other rows of ``self``, repeated unit rows among them, are
-        multiplied by X and compared with B's.
+        column j, X is read off B with no elimination (see :class:`UnitRead`).
 
         Otherwise one ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in
         the columns of ``self`` are those of ``self``'s own RREF, and a column of B is
@@ -459,20 +445,10 @@ class Matrix:
         """
         if B.rows != self.rows:
             raise ValueError(f"solve_matrix: {self.rows}x{self.cols} by {B.rows}x{B.cols}")
+        read = UnitRead.of(self)
+        if read is not None:
+            return read.solve(B)
         n = self.cols
-        unit: dict[int, int] = {}
-        for i, r in enumerate(self._num):
-            if len(r) == 1:
-                ((j, x),) = r.items()
-                if x == self._den:
-                    unit.setdefault(j, i)
-        if len(unit) == n:
-            read = [unit[j] for j in range(n)]
-            X = B.take_rows(read)
-            rest = sorted(set(range(self.rows)).difference(read))
-            if rest and self.take_rows(rest) * X != B.take_rows(rest):
-                return None
-            return X
         R, piv = Matrix.hstack([self, B]).rref()
         if piv and piv[-1] >= n:
             return None
@@ -493,6 +469,91 @@ class Matrix:
         if piv[:n] != tuple(range(n)):
             raise ValueError("inverse: singular matrix")
         return R.take_cols(range(n, 2 * n))
+
+
+# -- assembly on numerator rows ---------------------------------------------------
+
+#: A placed block (row, column, sign, numerator rows, denominator): the matrix ``sign * num / den``
+#: with its top left entry at (row, column) of the matrix being assembled.
+Placed = tuple[int, int, int, Sequence[dict[int, int]], int]
+
+
+def _place(rows: int, cols: int, blocks: Iterable[Placed], canonical: bool) -> Matrix:
+    """The ``rows`` x ``cols`` sum of the placed ``blocks``, with one pass over their entries.
+
+    Each block is brought to the lcm L of the denominators, so every entry is written as one
+    integer over L; blocks that overlap add up.  ``canonical`` says that every block's
+    numerators and denominator are in canonical form (as a :class:`Matrix`'s are).
+
+    The result is canonical with no gcd pass when ``canonical`` holds and no entry was
+    written twice (the entries written equal the entries kept).  L > 0.  Each kept numerator
+    is sign * x * (L // den) with x != 0, so none is zero.  For a prime p dividing L, the
+    block whose denominator holds p's full power in L has a numerator prime to p, as it is
+    canonical, and its factor L // den is prime to p; that entry is kept as it was written.
+    Otherwise zeros are dropped where entries met, and the constructor's gcd pass runs.
+    """
+    blocks = list(blocks)
+    den = lcm(*{b[4] for b in blocks})
+    out: list[dict[int, int]] = [{} for _ in range(rows)]
+    written = 0
+    for r0, c0, sign, num, bden in blocks:
+        f = sign * (den // bden)
+        for brow in num:
+            row = out[r0]
+            r0 += 1
+            for c, x in brow.items():
+                c += c0
+                row[c] = row.get(c, 0) + x * f
+            written += len(brow)
+    if written > sum(map(len, out)):
+        out = [{c: x for c, x in row.items() if x} for row in out]
+    elif canonical:
+        return Matrix._canonical(rows, cols, out, den)
+    return Matrix(rows, cols, out, den)
+
+
+class UnitRead(NamedTuple):
+    """Solving A X = B by reading, for an A with a unit row e_j (one entry, equal to 1) for
+    every column j, as every ``kernel`` basis and identity has.
+
+    Such an A has full column rank, so X is unique if it exists, and row j of X is B's row
+    at ``read[j]``, the first e_j.  A X equals B on those rows by construction, so X solves
+    the system exactly when A X equals B on the ``rest`` of A's rows, repeated unit rows
+    among them; those are the only rows multiplied and compared.  The plan is made once per
+    A and serves every B.
+    """
+
+    read: list[int]
+    rest: list[int]
+    rest_num: list[dict[int, int]]  # A's numerators on those rows, over ``den``
+    den: int
+
+    @staticmethod
+    def of(a: Matrix) -> Optional["UnitRead"]:
+        """The read plan of ``a``, or None if some column has no unit row."""
+        unit: dict[int, int] = {}
+        for i, r in enumerate(a._num):
+            if len(r) == 1:
+                ((j, x),) = r.items()
+                if x == a._den:
+                    unit.setdefault(j, i)
+        if len(unit) != a.cols:
+            return None
+        read = [unit[j] for j in range(a.cols)]
+        rest = sorted(set(range(a.rows)).difference(read))
+        return UnitRead(read, rest, [a._num[i] for i in rest], a._den)
+
+    def rows(self, num: Sequence[dict[int, int]], den: int) -> Optional[list[dict[int, int]]]:
+        """X's numerator rows over ``den`` for B = ``num`` / ``den``, or None if A X != B."""
+        x = [num[i] for i in self.read]
+        if self.rest and _times(self.rest_num, x) != list(_scaled([num[i] for i in self.rest], self.den)):
+            return None
+        return x
+
+    def solve(self, b: Matrix) -> Optional[Matrix]:
+        """X with A X = ``b``, or None; ``b`` must have A's height."""
+        x = self.rows(b._num, b._den)
+        return None if x is None else Matrix(len(x), b.cols, x, b._den)
 
 
 # -- glued kernels and stacked products ---------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vbgroupoids import cohomology
 from vbgroupoids.cohomology import (
@@ -22,11 +23,28 @@ from vbgroupoids.cohomology import (
     ruth_vs_dual_vb,
     vb_subcomplex,
 )
-from vbgroupoids.generators import acyclic_ruth, named_reps, random_gauge, random_matrix
+from vbgroupoids.generators import (
+    acyclic_ruth,
+    base_groupoids,
+    make_map_descent_fixture,
+    make_object_descent_fixture,
+    named_covers,
+    named_reps,
+    random_gauge,
+    random_matrix,
+    seed_ruths,
+)
 from vbgroupoids.groupoid import arrow_groupoid, cech_groupoid, cyclic_groupoid, nerve, pair_groupoid, point_groupoid
-from vbgroupoids.linalg import CochainComplex, Matrix, betti_numbers, chain_map_is_quasi_iso, complex_cohomology
+from vbgroupoids.linalg import (
+    CochainComplex,
+    Matrix,
+    _place,
+    betti_numbers,
+    chain_map_is_quasi_iso,
+    complex_cohomology,
+)
 from vbgroupoids.report import InvalidStructureError
-from vbgroupoids.ruth import TwoTermRuth, check_ruth, direct_sum, make_ruth, zero_ruth
+from vbgroupoids.ruth import TwoTermRuth, check_ruth, direct_sum, dual_ruth, make_ruth, pullback_ruth, zero_ruth
 from vbgroupoids.vb import (
     Cleavage,
     VBGroupoid,
@@ -114,7 +132,10 @@ def differentiable_complex(rep: TwoTermRuth, p_max: int) -> CochainComplex:
     # the value at (g_1, ..., g_q) lies in the fiber over tgt(g_1)
     sizes = [[rep.e_dims[s if q == 0 else g.tgt[s[0]]] for s in level] for q, level in enumerate(nv.strings)]
     bc = cohomology._Layout(nv, sizes)
-    diffs = tuple(cohomology._quasi_action_differential(bc, rep.rho_e, q) for q in range(p_max))
+    diffs = tuple(
+        _place(bc.dim(q + 1), bc.dim(q), cohomology._quasi_action_differential(bc, rep.rho_e, q), canonical=True)
+        for q in range(p_max)
+    )
     out = CochainComplex(0, p_max, tuple(bc.dim(q) for q in range(p_max + 1)), diffs)
     cohomology._require_d_squared_zero(out, "differentiable_complex: D^2 != 0", bc.string_at)
     return out
@@ -402,8 +423,11 @@ def _fail_call(monkeypatch, owner, name: str, n: int, wrong):
 
 
 def _bump(real, *args):
-    """The real result with 1 added to its (0, 0) entry."""
+    """The real result with 1 added to its (0, 0) entry; a list of blocks placed from (0, 0)
+    gets one more block, a 1 there."""
     m = real(*args)
+    if isinstance(m, list):
+        return [*m, (0, 0, 1, ({0: 1},), 1)]
     return m + Matrix.block([1, m.rows - 1], [1, m.cols - 1], {(0, 0): Matrix.identity(1)})
 
 
@@ -429,10 +453,11 @@ def test_ruth_complex_d_squared_witness(monkeypatch, curved):
 
 
 def _double_first_slot(real, v, s, i, fib):
-    """The real face image with its first slot doubled, which breaks s(w_1) = t(w_2)."""
-    img = real(v, s, i, fib)
+    """The real face image with its first slot doubled, which breaks s(w_1) = t(w_2); the image
+    is numerator rows over a denominator."""
+    num, den = real(v, s, i, fib)
     k = v.gamma_dims[s[1] if i == 0 else s[0]]
-    return Matrix.vstack([img.take_rows(range(k)).scale(2), img.take_rows(range(k, img.rows))])
+    return [{j: 2 * x for j, x in row.items()} for row in num[:k]] + list(num[k:]), den
 
 
 def test_lin_complex_d_squared_witness(monkeypatch, curved):
@@ -483,8 +508,57 @@ def test_lin_complex_shared_outer_face_fault_is_reported_at_first_string(monkeyp
     assert (violation.check, violation.witness) == ("face-in-fib", (3, (0, 1, 1), 0))
 
 
+def test_lin_complex_inner_face_fault_witness(monkeypatch, curved):
+    # an inner face from degree 3 lands in 2-strings, whose Fib basis has rows other than its
+    # unit rows: the doubled slot is read there and fails the comparison of those rows
+    _fail_faces(monkeypatch, lambda s, i: (s, i) == ((0, 1, 1), 1))
+    with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
+        lin_complex(grothendieck(curved), 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("face-in-fib", (3, (0, 1, 1), 1))
+
+
+def test_lin_complex_face_fault_into_a_basis_with_a_denominator(monkeypatch):
+    v = LIN_FIXTURES["gauge"]("pair2", 3, 0)
+    lin = lin_complex(v, 3)
+    nv = lin.layout.nerve
+
+    def den_of_first_face(s) -> int:
+        return lin.fib_bases[2][nv.index[2][s[1:]]]._den
+
+    # the first 3-string whose first face lands in a Fib basis over a denominator
+    first = next(s for s in nv.strings[3] if den_of_first_face(s) != 1)
+    _fail_faces(monkeypatch, lambda s, i: i == 0 and len(s) == 3 and den_of_first_face(s) != 1)
+    with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
+        lin_complex(v, 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness) == ("face-in-fib", (3, first, 0))
+
+
+def _matrix_face_image(v, s, i: int, fib: Matrix) -> Matrix:
+    """The i-th face applied to a basis of Fib(s), in face coordinates, built with whole
+    matrices (slots, ``mult_of``, ``vstack``), so the reference shares no code with the
+    row-level ``cohomology._face_image`` under test."""
+    parts = v.slots(s, fib)
+    if 0 < i < len(s):
+        parts[i - 1 : i + 1] = [v.mult_of(s[i - 1], s[i], parts[i - 1], parts[i])]
+    else:
+        del parts[0 if i == 0 else -1]
+    return Matrix.vstack(parts)
+
+
+def _normal_coords(basis: Matrix, image: Matrix) -> Matrix:
+    """Coordinates of ``image``'s columns in ``basis`` (full column rank) from the normal
+    equations, an inverse that shares nothing with the unit-row read; the image must lie in
+    the span."""
+    coords = (basis.transpose() * basis).inverse() * (basis.transpose() * image)
+    assert basis * coords == image
+    return coords
+
+
 def _unshared_lin_diffs(v, p_max: int) -> list[Matrix]:
-    """The differentials of ``lin_complex`` with one Fib basis and one face per string."""
+    """The differentials of ``lin_complex`` with one Fib basis and one face per string, from
+    whole-matrix face images and the normal equations, assembled with ``Matrix.block``."""
     nv = nerve(v.base, p_max)
     bases = [[Matrix.identity(v.e_dims[x]) for x in nv.strings[0]]]
     bases += [[v.fib_string_basis(s) for s in nv.strings[p]] for p in range(1, p_max + 1)]
@@ -498,10 +572,49 @@ def _unshared_lin_diffs(v, p_max: int) -> list[Matrix]:
                 if p == 0:
                     coords = (v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]) * fib
                 else:
-                    coords = bases[p][t_idx].solve_matrix(cohomology._face_image(v, s, i, fib))
+                    coords = _normal_coords(bases[p][t_idx], _matrix_face_image(v, s, i, fib))
                 blocks.append(((si, t_idx), coords.transpose().scale((-1) ** i)))
         diffs.append(Matrix.block([b.cols for b in bases[p + 1]], [b.cols for b in bases[p]], blocks))
     return diffs
+
+
+def _fib_dens(v, p_max: int) -> set:
+    return {b._den for level in lin_complex(v, p_max).fib_bases for b in level}
+
+
+# VB-groupoids from the generators: Grothendieck VB-groupoids of gauge-randomized seed ruths, the
+# pulled-back source and target of a Cech-pullback map (with and without core), and gauge-perturbed
+# pullbacks over a Cech groupoid; each also as its dual
+LIN_FIXTURES = {
+    "gauge": lambda name, k, seed: grothendieck(
+        random_gauge(_pick(seed_ruths(name, ZOO[name]), k), random.Random(seed))[0]
+    ),
+    "cech-pullback": lambda name, k, seed: getattr(
+        make_map_descent_fixture(seed, name, 0, with_core=k % 2 == 1).psi, ("source", "target")[k // 2 % 2]
+    ),
+    "perturbed-pullback": lambda name, k, seed: make_object_descent_fixture(seed, name, 1)[1],
+}
+ZOO = base_groupoids()
+
+
+def _pick(items, k):
+    return items[k % len(items)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(LIN_FIXTURES)),
+    st.sampled_from(sorted(ZOO)),
+    st.integers(0, 7),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_lin_complex_equals_unshared_construction_on_generated_objects(kind, name, k, seed, dual):
+    v = LIN_FIXTURES[kind](name, k, seed)
+    if dual:
+        v = dual_vb(v)
+    p_max = 3 if v.base.n_arrows <= 4 else 2
+    assert list(lin_complex(v, p_max).complex.diffs) == _unshared_lin_diffs(v, p_max)
 
 
 def test_lin_complex_equals_unshared_construction(sign, curved):
@@ -512,9 +625,73 @@ def test_lin_complex_equals_unshared_construction(sign, curved):
         grothendieck(direct_sum(sign, acyclic_ruth(sign))),
         acyclic_vb(pair2, (1, 2)),
         grothendieck(random_gauge(acyclic_ruth(named_reps("pair2", pair2)[0]), random.Random(5))[0]),
+        # Fib bases over the denominators 2, 4 and 6
+        LIN_FIXTURES["gauge"]("pair2", 3, 0),
+        LIN_FIXTURES["cech-pullback"]("z2", 3, 3),
     ]
+    assert _fib_dens(objects[-2], 3) == {1, 2, 4} and _fib_dens(objects[-1], 2) == {1, 2, 6}
     for v in objects:
-        assert list(lin_complex(v, 3).complex.diffs) == _unshared_lin_diffs(v, 3)
+        p_max = 3 if v.base.n_arrows <= 4 else 2
+        assert list(lin_complex(v, p_max).complex.diffs) == _unshared_lin_diffs(v, p_max)
+
+
+def _matrix_quasi_action_differential(bc, rho, q: int) -> Matrix:
+    """The quasi-action differential C^q -> C^{q+1} as one ``Matrix.block`` of rho and +-I blocks."""
+    nv = bc.nerve
+    blocks = []
+    for si, s in enumerate(nv.strings[q + 1]):
+        for i in range(q + 2):
+            t_idx = nv.face(q + 1, i)[si]
+            face = rho[s[0]] if i == 0 else Matrix.identity(bc.sizes[q][t_idx]).scale((-1) ** i)
+            blocks.append(((si, t_idx), face))
+    return Matrix.block(bc.sizes[q + 1], bc.sizes[q], blocks)
+
+
+def _nested_block_ruth_diffs(r: TwoTermRuth, p_max: int, signs=RUTH_DIFFERENTIAL_SIGNS) -> list[Matrix]:
+    """The ruth differentials assembled as nested ``Matrix.block``s: each component is a matrix
+    of its own, scaled by its sign, and placed in a 2 x 2 block matrix."""
+    s_e, s_anchor, s_c, s_gamma = signs
+    g = r.base
+    nv = nerve(g, p_max + 1)
+    objs = [[s if q == 0 else g.tgt[s[0]] for s in level] for q, level in enumerate(nv.strings)]
+    bce = cohomology._Layout(nv, [[r.e_dims[x] for x in level] for level in objs])
+    bcc = cohomology._Layout(nv, [[r.c_dims[x] for x in level] for level in objs])
+
+    def curvature_pairing(q: int) -> Matrix:
+        blocks = [
+            ((si, nv.index[q][s[2:]] if q >= 1 else g.src[s[1]]), r.gamma[(s[0], s[1])])
+            for si, s in enumerate(nv.strings[q + 2])
+        ]
+        return Matrix.block(bcc.sizes[q + 2], bce.sizes[q], blocks)
+
+    diffs = []
+    for p in range(-1, p_max):
+        blocks = {}
+        if p >= 0:
+            blocks[(0, 0)] = _matrix_quasi_action_differential(bce, r.rho_e, p).scale(s_e)
+            blocks[(1, 0)] = curvature_pairing(p).scale(s_gamma)
+        blocks[(0, 1)] = Matrix.block_diag([r.anchor[x] for x in objs[p + 1]]).scale(s_anchor)
+        blocks[(1, 1)] = _matrix_quasi_action_differential(bcc, r.rho_c, p + 1).scale(s_c)
+        diffs.append(Matrix.block([bce.dim(p + 1), bcc.dim(p + 2)], [bce.dim(p), bcc.dim(p + 1)], blocks))
+    return diffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ZOO)), st.integers(0, 7), st.integers(0, 5), st.booleans(), st.booleans())
+def test_ruth_differential_equals_nested_block_assembly(name, k, seed, dual, pulled):
+    g = ZOO[name]
+    r = random_gauge(_pick(seed_ruths(name, g), k), random.Random(seed))[0]
+    if dual:
+        r = dual_ruth(r)
+    if pulled:
+        r = pullback_ruth(cech_groupoid(g, named_covers(name, g)[0]).pi, r)
+    p_max = 3 if g.n_arrows <= 2 and not pulled else 2
+    assert list(ruth_complex(r, p_max).diffs) == _nested_block_ruth_diffs(r, p_max)
+
+
+def test_ruth_differential_with_the_other_signs_equals_nested_block_assembly(curved):
+    signs = (1, -1, -1, -1)
+    assert list(assemble_ruth_differential(curved, 3, signs).diffs) == _nested_block_ruth_diffs(curved, 3, signs)
 
 
 def test_lin_complex_computes_outer_faces_once_per_key(monkeypatch, curved):

@@ -405,6 +405,30 @@ def test_solve_matrix_read_path_checks_repeated_unit_rows(data):
     assert _dense_solve_matrix(a, bad) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unit_read_accepts_rows_out_of_canonical_form(data):
+    # lin_complex reads face images whose numerators share a factor with their denominator
+    a = data.draw(_unit_row_bases())
+    k = data.draw(st.integers(0, 3))
+    b = a * data.draw(_matrices(rows=a.cols, cols=k))
+    left_kernel = a.transpose().kernel()
+    if k and left_kernel.cols and data.draw(st.booleans()):
+        w = left_kernel.take_cols([data.draw(st.integers(0, left_kernel.cols - 1))])
+        b = b + w * Matrix.from_rows([[1] * k], cols=k)
+    f = data.draw(st.integers(1, 4))
+    x = linalg.UnitRead.of(a).rows([{j: v * f for j, v in r.items()} for r in b._num], b._den * f)
+    expected = _dense_solve_matrix(a, b)
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert Matrix(len(x), k, x, b._den * f) == expected
+
+
+def test_unit_read_needs_a_unit_row_for_every_column():
+    assert linalg.UnitRead.of(M([[1, 1], [0, 1], [2, 0]])) is None  # e_0 + e_1 and 2 e_0 are not unit rows
+    assert linalg.UnitRead.of(M([[0, 1], [1, 0], [1, 0], [3, 4]])) == ([1, 0], [2, 3], [{0: 1}, {0: 3, 1: 4}], 1)
+
+
 def _count_eliminations(monkeypatch) -> list:
     """Record the row count of every elimination from now on.  ``rank``, ``rref`` and so
     every caller of either reduce through ``_echelon``, so every route is counted."""
@@ -526,6 +550,29 @@ def test_block_adds_repeated_positions_like_dense_reference(data):
     pairs = [*zip(positions, grids), (cancel, g), (cancel, [[-x for x in r] for r in g])]
     got = Matrix.block(heights, widths, [(pos, Matrix.from_rows(grid, cols=widths[pos[1]])) for pos, grid in pairs])
     _same(got, _ref_block(heights, widths, pairs), sum(widths))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_place_sums_signed_blocks_at_offsets_like_dense_reference(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    ref = [[F(0)] * cols for _ in range(rows)]
+    placed, canonical = [], True
+    for _ in range(data.draw(st.integers(0, 5))):
+        r0, c0 = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+        grid = data.draw(_grids(data.draw(st.integers(0, rows - r0)), data.draw(st.integers(0, cols - c0))))
+        b = Matrix.from_rows(grid, cols=len(grid[0]) if grid else 0)
+        sign = data.draw(st.sampled_from([1, -1]))
+        # a common factor f > 1 on numerators and denominator leaves a block out of canonical form
+        f = data.draw(st.sampled_from([1, 1, 2, 3]))
+        canonical = canonical and f == 1
+        copies = [sign, -sign] if data.draw(st.integers(0, 4)) == 0 else [sign]  # a block and its negative
+        for k in copies:
+            placed.append((r0, c0, k, [{j: x * f for j, x in r.items()} for r in b._num], b._den * f))
+            for i, row in enumerate(grid):
+                for j, x in enumerate(row):
+                    ref[r0 + i][c0 + j] += k * x
+    _same(linalg._place(rows, cols, placed, canonical), ref, cols)
 
 
 def _renormalized(m: Matrix) -> Matrix:
