@@ -6,7 +6,10 @@ VB-groupoid are functionals on the fibered products Fib^p along base strings;
 the VB-subcomplex consists of the projectable ones.  The ruth and linear differentials
 are assembled on integer rows: every block is placed at its offsets over one common
 denominator in one pass (``linalg._place``), with no matrix built per block; d o d = 0 is
-a hard constructor check on every complex.
+a hard constructor check on every complex.  The other operators that evaluate linear
+cochains on images in Fib (the homotopy operators, the displayed cancellation, the
+zero-last two-term expression and the pullback f*) go through one reader,
+:meth:`LinComplex.evaluation`, which places them the same way.
 
 Every complex built here with ``p_max`` is ``truncated``: ``linalg`` reports its
 cohomology only below p_max.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .groupoid import NerveStrings, nerve
 from .linalg import CochainComplex, Matrix, Placed, UnitRead, betti_numbers, chain_map_is_quasi_iso
@@ -191,23 +194,30 @@ class LinComplex:
             self._zero_last[key] = _zero_last_vectors(self.vb, s, self.fib_bases[p][si], zeros)
         return self._zero_last[key]
 
-    def functional(
-        self, p: int, s: tuple[int, ...], string: tuple[int, ...], image: Matrix, sign: int, where: tuple[str, str, str]
-    ) -> tuple[int, Matrix]:
-        """The index of the degree-p ``string`` and ``sign`` times the transposed coordinates of
-        ``image`` in the Fib basis of ``string``: the block that sends a cochain on ``string`` to
-        its values on the columns of ``image``, which a cochain operator places in the row of ``s``.
+    def evaluation(
+        self, p: int, rows: int, terms: Iterable[tuple[int, tuple, tuple, Matrix, int]], where: tuple[str, str, str]
+    ) -> Matrix:
+        """The ``rows`` x dim C^p matrix that evaluates a degree-p cochain on the columns of each
+        term's image: a term (row, s, string, image, sign) adds ``sign`` times the transposed
+        coordinates of ``image`` in the Fib basis of the degree-p ``string``, from ``row`` down
+        in the columns of ``string``.
 
-        The coordinates are read at the basis's unit rows (see ``linalg.UnitRead``).  ``where`` is
-        (context, check, role); if a column of ``image`` leaves Fib, the violation ``check`` is
-        raised at (p, s, string) with the detail "(degree, string, <role> string)".
+        As delta in :func:`lin_complex`, the matrix is placed transposed in one pass and
+        transposed once, and the coordinates are read at the basis's unit rows
+        (``linalg.UnitRead``).  ``where`` is (context, check, role); at the first term whose
+        image has a column outside Fib, the violation ``check`` is raised at (p, s, string)
+        with the detail "(degree, string, <role> string)".
         """
-        t_idx = self.layout.nerve.index[p][string]
-        coords = self.fib_reads[p][t_idx].solve(image)
-        if coords is None:
-            context, check, role = where
-            raise violation_error(context, check, (p, s, string), f"(degree, string, {role} string)")
-        return t_idx, coords.transpose().scale(sign)
+        index, offsets, reads = self.layout.nerve.index[p], self.layout.offsets[p], self.fib_reads[p]
+        blocks = []
+        for row, s, string, image, sign in terms:
+            t_idx = index[string]
+            x = reads[t_idx].rows(image._num, image._den)
+            if x is None:
+                context, check, role = where
+                raise violation_error(context, check, (p, s, string), f"(degree, string, {role} string)")
+            blocks.append((offsets[t_idx], row, sign, x, image._den))
+        return _place(self.dim(p), rows, blocks, canonical=False).transpose()
 
 
 def _face_image(v: VBGroupoid, s: tuple[int, ...], i: int, fib: Matrix) -> tuple[Sequence[dict[int, int]], int]:
@@ -240,16 +250,8 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
     built on rows too (:func:`_face_image`); a 1-string's Fib basis is the identity, so its
     faces' coordinates are its s- and t-map.
 
-    Work is shared between strings with the same :func:`~vbgroupoids.vb.fib_key`: one Fib
-    basis is built per key, and the coordinates of the first and the last face of a string
-    of two or more arrows are computed once per key.  Those faces drop the first or the last
-    slot, so they read only Fib(s) and the Fib spaces of s without its first or last arrow,
-    whose keys are a suffix or a prefix of the key of s (or, for one arrow, the width of its
-    key's last or first matrix).  Inner faces read m and are computed for every string.
-    Only successes are kept, so the first failing (string, face) in loop order is reported.
-
-    In a Grothendieck VB-groupoid whose s-maps are all one matrix, Fib(g_1, ..., g_p)
-    depends only on (g_2, ..., g_p), so a key is shared by every choice of g_1.
+    One Fib basis, with its read plan, is built per :func:`~vbgroupoids.vb.fib_key`, and every
+    face of every string is read, so the first failing (string, face) in loop order is reported.
     """
     nv = nerve(v.base, p_max)
     fib_keys = [tuple((v.e_dims[x],) for x in nv.strings[0])]
@@ -266,7 +268,6 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
     fib_reads = tuple(tuple(plans[id(b)] for b in level) for level in fib_bases)
     layout = _Layout(nv, [[b.cols for b in level] for level in fib_bases])
     diffs = []
-    outer: dict[tuple[tuple, int], tuple[Sequence[dict[int, int]], int]] = {}  # (key, face) -> coordinates
     for p in range(p_max):
         rows, cols = layout.offsets[p], layout.offsets[p + 1]
         faces = [nv.face(p + 1, i) for i in range(p + 2)]
@@ -274,25 +275,20 @@ def lin_complex(v: VBGroupoid, p_max: int) -> LinComplex:
         for si, s in enumerate(nv.strings[p + 1]):
             for i in range(p + 2):
                 t_idx = faces[i][si]
-                shared = (fib_keys[p + 1][si], i) if p and i in (0, p + 1) else None
-                coords = outer.get(shared)
-                if coords is None:
-                    if p == 0:
-                        m = v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]
-                        coords = m._num, m._den
-                    else:
-                        num, den = _face_image(v, s, i, fib_bases[p + 1][si])
-                        x = fib_reads[p][t_idx].rows(num, den)
-                        if x is None:
-                            raise violation_error(
-                                f"lin_complex: face image leaves Fib at degree {p + 1}",
-                                "face-in-fib",
-                                (p + 1, s, i),
-                                "(degree, string, face)",
-                            )
-                        coords = x, den
-                    if shared:
-                        outer[shared] = coords
+                if p == 0:
+                    m = v.s_maps[s[0]] if i == 0 else v.t_maps[s[0]]
+                    coords = m._num, m._den
+                else:
+                    num, den = _face_image(v, s, i, fib_bases[p + 1][si])
+                    x = fib_reads[p][t_idx].rows(num, den)
+                    if x is None:
+                        raise violation_error(
+                            f"lin_complex: face image leaves Fib at degree {p + 1}",
+                            "face-in-fib",
+                            (p + 1, s, i),
+                            "(degree, string, face)",
+                        )
+                    coords = x, den
                 blocks.append((rows[t_idx], cols[si], (-1) ** i, *coords))
         diffs.append(_place(layout.dim(p), layout.dim(p + 1), blocks, canonical=False).transpose())
     cx = CochainComplex(0, p_max, tuple(layout.dim(p) for p in range(p_max + 1)), tuple(diffs), truncated=True)
@@ -354,20 +350,6 @@ class VBSubcomplex:
     complex: CochainComplex
 
 
-def _is_identity(basis: Matrix) -> bool:
-    """Whether ``basis`` is the identity, as every filtration basis is in degrees 0 and p_max."""
-    return basis.rows == basis.cols and basis == Matrix.identity(basis.rows)
-
-
-def _times_basis(m: Matrix, basis: Matrix) -> Matrix:
-    return m if _is_identity(basis) else m * basis
-
-
-def _in_basis(basis: Matrix, image: Matrix) -> Optional[Matrix]:
-    """The coordinates of ``image``'s columns in ``basis``, or None if one leaves its span."""
-    return image if _is_identity(basis) else basis.solve_matrix(image)
-
-
 def _subcomplex_from_bases(
     lin: LinComplex, bases: list[Matrix]
 ) -> tuple[Optional[CochainComplex], Optional[int]]:
@@ -375,7 +357,7 @@ def _subcomplex_from_bases(
     delta maps out of the span of the next one."""
     diffs = []
     for p in range(lin.p_max):
-        coords = _in_basis(bases[p + 1], _times_basis(lin.complex.differential(p), bases[p]))
+        coords = bases[p + 1].solve_matrix(lin.complex.differential(p) * bases[p])
         if coords is None:
             return None, p
         diffs.append(coords)
@@ -428,24 +410,16 @@ def _append_lift_matrix(lin: LinComplex, c: Cleavage, s: tuple[int, ...], fib: M
 
 
 def homotopy_operator(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
-    """h: C^p_lin -> C^{p-1}_lin, (h phi)(w) = phi(w, sigma(w)^{-1})."""
-    v = lin.vb
-    g = v.base
-    nv = lin.layout.nerve
-    blocks = []
-    if p == 1:
-        # Fib of a 1-string is the whole fiber, with the identity as basis: the lift is its own coordinates
-        for x in range(g.n_objects):
-            ux = g.unit[x]
-            appended = v.inverse_matrix(ux) * v.u_maps[x]
-            blocks.append(((x, nv.index[1][(ux,)]), appended.transpose()))
-        return Matrix.block(lin.layout.sizes[0], lin.layout.sizes[1], blocks)
-    where = ("homotopy_operator: extended tuple not in Fib", "lift-in-fib", "extended")
-    for si, s in enumerate(nv.strings[p - 1]):
+    """h: C^p_lin -> C^{p-1}_lin, (h phi)(w) = phi(w, sigma(w)^{-1}), for 2 <= p <= p_max."""
+    if not 2 <= p <= lin.p_max:
+        raise ValueError(f"homotopy_operator: degree {p} outside 2 .. {lin.p_max}")
+    layout = lin.layout
+    terms = []
+    for si, s in enumerate(layout.nerve.strings[p - 1]):
         ext_string, ext = _append_lift_matrix(lin, c, s, lin.fib_bases[p - 1][si])
-        t_idx, block = lin.functional(p, s, ext_string, ext, 1, where)
-        blocks.append(((si, t_idx), block))
-    return Matrix.block(lin.layout.sizes[p - 1], lin.layout.sizes[p], blocks)
+        terms.append((layout.offsets[p - 1][si], s, ext_string, ext, 1))
+    where = ("homotopy_operator: extended tuple not in Fib", "lift-in-fib", "extended")
+    return lin.evaluation(p, layout.dim(p - 1), terms, where)
 
 
 def cancellation_operator(lin: LinComplex, p: int, h_here: Matrix, h_up: Matrix) -> Matrix:
@@ -459,16 +433,14 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
     """The proof's four-term expression for I, assembled on full bases (p >= 2)."""
     v = lin.vb
     g = v.base
-    nv = lin.layout.nerve
-    blocks = []
-    where = ("displayed cancellation: tuple not in Fib", "term-in-fib", "term")
+    layout = lin.layout
+    terms = []
 
     def place_term(si: int, s: tuple[int, ...], string: tuple[int, ...], slots: list[Matrix], sign: int) -> None:
-        t_idx, block = lin.functional(p, s, string, Matrix.vstack(slots), sign, where)
-        blocks.append(((si, t_idx), block))
+        terms.append((layout.offsets[p][si], s, string, Matrix.vstack(slots), sign))
 
     sgn_p = (-1) ** p
-    for si, s in enumerate(nv.strings[p]):
+    for si, s in enumerate(layout.nerve.strings[p]):
         parts = v.slots(s, lin.fib_bases[p][si])
         head, last, tail = parts[:-1], parts[-1], parts[1:]
         prod_all = g.compose_many(*s)
@@ -489,7 +461,7 @@ def _displayed_cancellation(lin: LinComplex, c: Cleavage, p: int) -> Matrix:
         prod_tail = g.compose_many(*s[1:])
         inv_tail = v.inverse_matrix(prod_tail) * (c.sigma[prod_tail] * src_last)
         place_term(si, s, s[1:] + (g.inv[prod_tail],), [*tail, inv_tail], -sgn_p)
-    return Matrix.block(lin.layout.sizes[p], lin.layout.sizes[p], blocks)
+    return lin.evaluation(p, layout.dim(p), terms, ("displayed cancellation: tuple not in Fib", "term-in-fib", "term"))
 
 
 def _zero_last_two_term(lin: LinComplex, p: int, cancellation: Matrix) -> tuple[Matrix, Matrix]:
@@ -500,32 +472,25 @@ def _zero_last_two_term(lin: LinComplex, p: int, cancellation: Matrix) -> tuple[
     """
     v = lin.vb
     g = v.base
-    nv = lin.layout.nerve
-    sizes = lin.layout.sizes[p]
-    eye_rows = cancellation.split_rows(sizes)
+    eye_rows = cancellation.split_rows(lin.layout.sizes[p])
     lhs_rows = []
-    rhs_rows = []
-    where = ("zero-last evaluation: tuple not in Fib", "zero-last-in-fib", "extended")
+    terms = []
+    row = 0
     sgn_p = (-1) ** p
-    for si, s in enumerate(nv.strings[p]):
-        fib = lin.fib_bases[p][si]
+    for si, s in enumerate(lin.layout.nerve.strings[p]):
         z = lin.zero_last(p, si)
         if z.cols == 0:
             continue
         lhs_rows.append(z.transpose() * eye_rows[si])
         # two-term expression on (v_1, .., v_{p-1}, 0_g): drop the first slot
-        tail = Matrix.vstack(v.slots(s, fib * z)[1:])
-        terms = []
+        tail = Matrix.vstack(v.slots(s, lin.fib_bases[p][si] * z)[1:])
         for prod, sign in ((g.compose_many(*s), sgn_p), (g.compose_many(*s[1:]), -sgn_p)):
-            ext_string = s[1:] + (g.inv[prod],)
-            ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
-            t_idx, block = lin.functional(p, s, ext_string, ext, sign, where)
-            terms.append(((0, t_idx), block))
-        rhs_rows.append(Matrix.block([z.cols], sizes, terms))
-    if not lhs_rows:
-        zero = Matrix.zeros(0, lin.dim(p))
-        return zero, zero
-    return Matrix.vstack(lhs_rows), Matrix.vstack(rhs_rows)
+            ext = Matrix.vstack([tail, Matrix.zeros(v.gamma_dims[g.inv[prod]], z.cols)])
+            terms.append((row, s, s[1:] + (g.inv[prod],), ext, sign))
+        row += z.cols
+    lhs = Matrix.vstack(lhs_rows) if lhs_rows else Matrix.zeros(0, lin.dim(p))
+    where = ("zero-last evaluation: tuple not in Fib", "zero-last-in-fib", "extended")
+    return lhs, lin.evaluation(p, row, terms, where)
 
 
 def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
@@ -541,7 +506,7 @@ def _filtration_quasi_iso(lin: LinComplex, sub: VBSubcomplex) -> bool:
             return False
         fmap: dict[int, Matrix] = {}
         for p in range(p_max + 1):
-            fmap[p] = _in_basis(bases[p], prev_bases[p])
+            fmap[p] = bases[p].solve_matrix(prev_bases[p])
             if fmap[p] is None:
                 return False
         if not chain_map_is_quasi_iso(prev_cx, cx, fmap).ok:
@@ -654,21 +619,18 @@ def pullback_lin(f: VBMap, lin_src: LinComplex, lin_tgt: LinComplex) -> dict[int
     """The pullback chain map f*: C_lin(target of f) -> C_lin(source of f)."""
     v = f.source
     bm = f.base_map
-    nv = lin_src.layout.nerve
+    layout = lin_src.layout
     where = ("pullback_lin: image tuple not in Fib", "pullback-in-fib", "image")
-    out: dict[int, Matrix] = {}
-    p_max = lin_src.p_max
-    blocks0 = [((x, bm.obj_map[x]), f.obj_maps[x].transpose()) for x in range(v.base.n_objects)]
-    out[0] = Matrix.block(lin_src.layout.sizes[0], lin_tgt.layout.sizes[0], blocks0)
-    for p in range(1, p_max + 1):
-        blocks = []
-        for si, s in enumerate(nv.strings[p]):
-            image_string = tuple(bm.arr_map[a] for a in s)
+    # an object's Fib basis is the identity, so its image is f on the fiber
+    terms = [(layout.offsets[0][x], x, bm.obj_map[x], f.obj_maps[x], 1) for x in layout.nerve.strings[0]]
+    out = {0: lin_tgt.evaluation(0, layout.dim(0), terms, where)}
+    for p in range(1, lin_src.p_max + 1):
+        terms = []
+        for si, s in enumerate(layout.nerve.strings[p]):
             slots = v.slots(s, lin_src.fib_bases[p][si])
             mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
-            t_idx, block = lin_tgt.functional(p, s, image_string, mapped, 1, where)
-            blocks.append(((si, t_idx), block))
-        out[p] = Matrix.block(lin_src.layout.sizes[p], lin_tgt.layout.sizes[p], blocks)
+            terms.append((layout.offsets[p][si], s, tuple(bm.arr_map[a] for a in s), mapped, 1))
+        out[p] = lin_tgt.evaluation(p, layout.dim(p), terms, where)
     return out
 
 
@@ -691,7 +653,7 @@ def induced_map_vb(f: VBMap, p_max: int) -> InducedMapReport:
     preserves = True
     fmap: dict[int, Matrix] = {}
     for p in range(p_max + 1):
-        coords = _in_basis(sub_src.bases[p], _times_basis(pmat[p], sub_tgt.bases[p]))
+        coords = sub_src.bases[p].solve_matrix(pmat[p] * sub_tgt.bases[p])
         if coords is None:
             preserves = False
             coords = Matrix.zeros(sub_src.bases[p].cols, sub_tgt.bases[p].cols)

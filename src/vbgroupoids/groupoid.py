@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .report import Report, checked_once, violation_error
 
@@ -286,6 +286,24 @@ def _generated(g: FiniteGroupoid, r: int, loops: Sequence[int]) -> set[int]:
                 span.add(ah)
                 frontier.append(ah)
     return span
+
+
+def failing_strings(
+    g: FiniteGroupoid, length: int, reduced: bool, law: Callable[..., bool]
+) -> list[tuple[int, ...]]:
+    """The composable strings of ``length`` arrows of ``g`` on which ``law`` fails, in order.
+
+    With ``reduced``, ``law`` is first tried only on the strings whose first arrow lies in
+    :func:`generating_arrows` of ``g``, and if it holds on all of them no other string is
+    tried.  Otherwise every string is tried, so the failures are those of the full list, in
+    its order.  The caller proves that ``law`` holding on the strings led by generating arrows
+    implies it on all of them, and passes ``reduced`` only when that proof's premises hold.
+    """
+    if reduced:
+        failed = [x for x in composable_strings(g, length, generating_arrows(g))[-1] if not law(*x)]
+        if not failed:
+            return failed
+    return [x for x in composable_strings(g, length)[-1] if not law(*x)]
 
 
 def orbit_index(g: FiniteGroupoid) -> list[int]:

@@ -9,8 +9,9 @@ numerators, over one positive denominator per matrix, in a canonical form; produ
 sums, stacking, block assembly and slicing all work on these rows, and ``Fraction``
 entries appear only when a caller reads them (``m[i, j]``, ``row``, ``col``, ``data``).
 No module outside this one sees the storage, except ``cohomology``, which assembles its
-cochain differentials on numerator rows with :func:`_times`, :class:`UnitRead` and
-:func:`_place`, the helper :meth:`Matrix.block` is built on.
+cochain operators on numerator rows: :func:`_times` and :func:`_scaled` build face images,
+:meth:`UnitRead.rows` reads Fib coordinates, and :func:`_place`, the helper
+:meth:`Matrix.block` is built on, places the blocks.
 
 All elimination goes through one row-wise echelon routine, :func:`_echelon`: each row
 in turn is reduced against the rows kept so far, which are keyed by their leading column,
@@ -22,7 +23,8 @@ columns.  When A's rows include the unit row e_j for every column j, as every ``
 basis and identity do, ``solve_matrix`` eliminates nothing (:class:`UnitRead`): such an A
 has full column rank, so a solution is unique if it exists, and it can only be B's rows at
 those unit rows.  A X equals B on the rows it was read from by construction, so only A's
-other rows are multiplied and compared with B's to decide whether it is one.
+other rows are multiplied and compared with B's to decide whether it is one; an identity
+has no other rows, so solving against it only reads B.
 
 The VB structure checks use :func:`fibered_product`, which glues a block-bidiagonal kernel
 basis from smaller ones, and :func:`products_equal`, which compares products with no matrix built.
@@ -291,6 +293,8 @@ class Matrix:
         return Fraction(x, self._den) if x else ZERO
 
     def row(self, i: int) -> Vec:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a {self.rows}x{self.cols} matrix")
         r, d = self._num[i], self._den
         return tuple(Fraction(r[j], d) if j in r else ZERO for j in range(self.cols))
 
@@ -362,17 +366,23 @@ class Matrix:
         return Matrix(self.rows, len(pos), [{pos[j]: x for j, x in r.items() if j in pos} for r in self._num], self._den)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        num = [self._num[i] for i in idx]
-        if self._den == 1:
-            # canonical: denominator 1
-            return Matrix._canonical(len(num), self.cols, num)
-        return Matrix(len(num), self.cols, num, self._den)
+        """The rows at ``idx``, in that order; a row may be taken more than once."""
+        if any(not 0 <= i < self.rows for i in idx):
+            raise IndexError(f"take_rows: want rows of a {self.rows}x{self.cols} matrix, got {list(idx)}")
+        return self._of_rows([self._num[i] for i in idx])
 
     def split_rows(self, heights: Sequence[int]) -> list["Matrix"]:
         """The consecutive row blocks of the given heights: the inverse of ``vstack``."""
         if sum(heights) != self.rows:
             raise ValueError(f"split_rows: heights {list(heights)} do not sum to {self.rows} rows")
-        return [self.take_rows(range(lo, hi)) for lo, hi in pairwise(accumulate(heights, initial=0))]
+        return [self._of_rows(self._num[lo:hi]) for lo, hi in pairwise(accumulate(heights, initial=0))]
+
+    def _of_rows(self, num: Sequence[dict[int, int]]) -> "Matrix":
+        """The matrix of some of this matrix's numerator rows, over its denominator."""
+        if self._den == 1:
+            # canonical: denominator 1
+            return Matrix._canonical(len(num), self.cols, num)
+        return Matrix(len(num), self.cols, num, self._den)
 
     # -- elimination --------------------------------------------------------
 
@@ -434,7 +444,8 @@ class Matrix:
         Raises ValueError unless B has ``self``'s height.
 
         Read path: if ``self`` has a unit row e_j (one entry, equal to 1) for every
-        column j, X is read off B with no elimination (see :class:`UnitRead`).
+        column j, X is B's rows at those unit rows (:meth:`UnitRead.rows`), with no
+        elimination; against an identity that is B itself.
 
         Otherwise one ``rref`` of ``[self | B]`` serves every column of B.  Its pivots in
         the columns of ``self`` are those of ``self``'s own RREF, and a column of B is
@@ -447,7 +458,8 @@ class Matrix:
             raise ValueError(f"solve_matrix: {self.rows}x{self.cols} by {B.rows}x{B.cols}")
         read = UnitRead.of(self)
         if read is not None:
-            return read.solve(B)
+            x = read.rows(B._num, B._den)
+            return None if x is None else Matrix(self.cols, B.cols, x, B._den)
         n = self.cols
         R, piv = Matrix.hstack([self, B]).rref()
         if piv and piv[-1] >= n:
@@ -549,11 +561,6 @@ class UnitRead(NamedTuple):
         if self.rest and _times(self.rest_num, x) != list(_scaled([num[i] for i in self.rest], self.den)):
             return None
         return x
-
-    def solve(self, b: Matrix) -> Optional[Matrix]:
-        """X with A X = ``b``, or None; ``b`` must have A's height."""
-        x = self.rows(b._num, b._den)
-        return None if x is None else Matrix(len(x), b.cols, x, b._den)
 
 
 # -- glued kernels and stacked products ---------------------------------------

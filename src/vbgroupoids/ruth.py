@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from .groupoid import (
     FiniteGroupoid,
     GroupoidMap,
-    composable_strings,
-    generating_arrows,
+    failing_strings,
     validate_groupoid,
     validate_map,
 )
@@ -82,12 +81,12 @@ def _dims_ok(r: TwoTermRuth, rep: Report) -> bool:
 def check_ruth(r: TwoTermRuth) -> Report:
     """All four structure equations plus the unitality normalization.
 
-    eq4-cocycle is first computed only on the triples whose first arrow lies in
-    T = :func:`~vbgroupoids.groupoid.generating_arrows` of the base.  That reduced pass is taken
-    only when the base passes ``validate_groupoid`` and eq2 and eq3 hold on every pair.  If the
-    gate fails, or the reduced pass finds a failing triple, every triple is computed, so a
-    failing report lists every witness in the usual order.  A passing reduced pass proves every
-    triple.  Write c(g1, g2, g3) for the left side of eq4, and R_c(g1, g2) and R_e(g1, g2) for
+    eq4-cocycle is checked by :func:`~vbgroupoids.groupoid.failing_strings`: first only on the
+    triples whose first arrow lies in T = :func:`~vbgroupoids.groupoid.generating_arrows` of the
+    base.  That reduced pass is taken only when the base passes ``validate_groupoid`` and eq2
+    and eq3 hold on every pair.  If the gate fails, or the reduced pass finds a failing triple,
+    every triple is computed, so a failing report lists every witness in the usual order.  A
+    passing reduced pass proves every triple.  Write c(g1, g2, g3) for the left side of eq4, and R_c(g1, g2) and R_e(g1, g2) for
     those of eq2 and eq3.  Expanding each term gives, for every composable (g0, g1, g2, g3),
 
         c(g0 g1, g2, g3) = rho_c(g0) c(g1, g2, g3) + c(g0, g1 g2, g3) - c(g0, g1, g2 g3)
@@ -136,12 +135,8 @@ def check_ruth(r: TwoTermRuth) -> Report:
             - r.gamma[(g1, g2)] * r.rho_e[g3]
         ).is_zero
 
-    if flat and validate_groupoid(g).ok:
-        if all(cocycle(*x) for x in composable_strings(g, 3, generating_arrows(g))[-1]):
-            return rep
-    for x in g.triples():
-        if not cocycle(*x):
-            rep.add("eq4-cocycle", x)
+    for x in failing_strings(g, 3, flat and validate_groupoid(g).ok, cocycle):
+        rep.add("eq4-cocycle", x)
     return rep
 
 

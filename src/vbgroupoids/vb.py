@@ -26,7 +26,7 @@ from .groupoid import (
     GroupoidMap,
     arrow_groupoid,
     compose_maps,
-    composable_strings,
+    failing_strings,
     generating_arrows,
     identity_map,
     is_morita,
@@ -228,23 +228,6 @@ def _call_memo(v: VBGroupoid) -> tuple[Callable[..., Any], Callable[[Sequence[in
     return once, fib
 
 
-def _failing_strings(
-    g: FiniteGroupoid, length: int, reduced: bool, law: Callable[..., bool]
-) -> list[tuple[int, ...]]:
-    """The composable strings of ``length`` arrows of ``g`` on which ``law`` fails, in order.
-
-    With ``reduced``, ``law`` is first tried only on the strings whose first arrow lies in
-    :func:`~vbgroupoids.groupoid.generating_arrows` of ``g``, and if it holds on all of them no
-    other string is tried.  Otherwise every string is tried, so the failures are those of the
-    full list, in its order.
-    """
-    if reduced:
-        failed = [x for x in composable_strings(g, length, generating_arrows(g))[-1] if not law(*x)]
-        if not failed:
-            return failed
-    return [x for x in composable_strings(g, length)[-1] if not law(*x)]
-
-
 @checked_once
 def check_vbgroupoid(v: VBGroupoid) -> Report:
     """Every VB-groupoid axiom of ``v``, one violation per failing arrow, pair or triple.
@@ -382,7 +365,7 @@ def check_vbgroupoid(v: VBGroupoid) -> Report:
         gens = generating_arrows(g)
         lead = {*gens, *(g.inv[a] for a in gens)}
         reduced = all(all(mult_ends(g1, g2)) for g1, g2 in g.pairs if g1 in lead)
-    non_associative = _failing_strings(g, 3, reduced, associative)
+    non_associative = failing_strings(g, 3, reduced, associative)
     if not reduced or non_associative:
         for g1, g2 in g.pairs:
             source_ok, target_ok = mult_ends(g1, g2)
@@ -674,7 +657,7 @@ def check_vbmap(f: VBMap) -> Report:
         return products_equal(lhs, rhs)
 
     reduced = rep.ok and validate_groupoid(g).ok and check_vbgroupoid(v).ok and check_vbgroupoid(w).ok
-    for x in _failing_strings(g, 2, reduced, multiplicative):
+    for x in failing_strings(g, 2, reduced, multiplicative):
         rep.add("mult-compat", x)
     return rep
 

@@ -53,6 +53,7 @@ from vbgroupoids.vb import (
     choose_cleavage,
     core,
     dual_vb,
+    dual_vbmap,
     fib_key,
     grothendieck,
     identity_vbmap,
@@ -498,8 +499,8 @@ def test_lin_complex_face_leaves_fib_witness(monkeypatch, curved):
 
 def test_lin_complex_shared_outer_face_fault_is_reported_at_first_string(monkeypatch, curved):
     v = grothendieck(curved)
-    # one s-map value: Fib(g1, g2, g3) depends on (g2, g3) alone, so (0, 1, 1) and (1, 1, 1) share
-    # their outer faces, and a fault there is met at the first of them in loop order
+    # one s-map value: Fib(g1, g2, g3) depends on (g2, g3) alone, so (0, 1, 1) and (1, 1, 1) have
+    # equal first faces; a fault in both is reported at the first of them in loop order
     assert fib_key(v, (0, 1, 1)) == fib_key(v, (1, 1, 1))
     _fail_faces(monkeypatch, lambda s, i: i == 0 and s[1:] == (1, 1))
     with pytest.raises(InvalidStructureError, match="lin_complex: face image leaves Fib at degree 3") as exc:
@@ -694,16 +695,6 @@ def test_ruth_differential_with_the_other_signs_equals_nested_block_assembly(cur
     assert list(assemble_ruth_differential(curved, 3, signs).diffs) == _nested_block_ruth_diffs(curved, 3, signs)
 
 
-def test_lin_complex_computes_outer_faces_once_per_key(monkeypatch, curved):
-    v = grothendieck(curved)
-    calls = _fail_faces(monkeypatch, lambda s, i: False)
-    lin_complex(v, 3)
-    # each degree-3 key is shared by the strings (0, g2, g3) and (1, g2, g3): the second reads
-    # its first and last face from the first, and computes only the inner faces
-    for s in nerve(v.base, 3).strings[3]:
-        assert sorted(i for t, i in calls if t == s) == ([0, 1, 2, 3] if s[0] == 0 else [1, 2])
-
-
 def test_vb_subcomplex_closure_witness(monkeypatch, curved):
     lin = lin_complex(grothendieck(curved), 3)
     # no projectability conditions in degree 1: its coboundaries leave the degree-2 subspace
@@ -717,9 +708,12 @@ def test_vb_subcomplex_closure_witness(monkeypatch, curved):
 
 
 def test_homotopy_operator_witness(monkeypatch, curved):
-    # the degree-1 raise ("lift not in Fib") cannot be forced: Fib of a 1-string is the whole fiber
     v = grothendieck(curved)
     lin = lin_complex(v, 3)
+    # h_p is built from degree 2 up: hvb_equals_hlin uses no h_1
+    for p in (1, 4):
+        with pytest.raises(ValueError, match=f"homotopy_operator: degree {p} outside 2 .. 3"):
+            homotopy_operator(lin, choose_cleavage(v), p)
 
     def doubled_lift(real, lin, c, s, fib):
         ext_string, ext = real(lin, c, s, fib)
@@ -828,3 +822,218 @@ def test_pullback_lin_witness(curved):
         pullback_lin(bad, lin, lin)
     [violation] = exc.value.report.violations
     assert (violation.check, violation.witness) == ("pullback-in-fib", (2, (0, 1), (0, 1)))
+
+
+# -- the Fib-coordinate operators against a block-by-block reference ------------------------
+
+
+def _reference_block(lin, p: int, string, image: Matrix, sign: int) -> tuple[int, Matrix]:
+    """The index of the degree-p ``string`` and ``sign`` times the coordinates of ``image`` in its
+    Fib basis, transposed: one ``solve_matrix`` per block, to be placed with ``Matrix.block``."""
+    t_idx = lin.layout.nerve.index[p][string]
+    coords = lin.fib_bases[p][t_idx].solve_matrix(image)
+    assert coords is not None
+    return t_idx, coords.transpose().scale(sign)
+
+
+def _reference_homotopy(lin, c, p: int) -> Matrix:
+    blocks = []
+    for si, s in enumerate(lin.layout.nerve.strings[p - 1]):
+        ext_string, ext = cohomology._append_lift_matrix(lin, c, s, lin.fib_bases[p - 1][si])
+        t_idx, block = _reference_block(lin, p, ext_string, ext, 1)
+        blocks.append(((si, t_idx), block))
+    return Matrix.block(lin.layout.sizes[p - 1], lin.layout.sizes[p], blocks)
+
+
+def _reference_displayed_cancellation(lin, c, p: int) -> Matrix:
+    v, g = lin.vb, lin.vb.base
+    blocks = []
+    sgn_p = (-1) ** p
+
+    def inverted_lift(prod, src_rows):
+        return v.inverse_matrix(prod) * (c.sigma[prod] * src_rows)
+
+    for si, s in enumerate(lin.layout.nerve.strings[p]):
+        parts = v.slots(s, lin.fib_bases[p][si])
+        head, last, tail = parts[:-1], parts[-1], parts[1:]
+        prod_all, prod_head, prod_tail = g.compose_many(*s), g.compose_many(*s[:-1]), g.compose_many(*s[1:])
+        inv_all = inverted_lift(prod_all, v.s_maps[s[-1]] * last)
+        terms = [
+            (s[:-1] + (g.compose(s[-1], g.inv[prod_all]),), [*head, v.mult_of(s[-1], g.inv[prod_all], last, inv_all)], 1),
+            (s[1:] + (g.inv[prod_all],), [*tail, inv_all], sgn_p),
+            (s[:-1] + (g.inv[prod_head],), [*head, inverted_lift(prod_head, v.s_maps[s[-2]] * parts[-2])], -1),
+            (s[1:] + (g.inv[prod_tail],), [*tail, inverted_lift(prod_tail, v.s_maps[s[-1]] * last)], -sgn_p),
+        ]
+        for string, slots, sign in terms:
+            t_idx, block = _reference_block(lin, p, string, Matrix.vstack(slots), sign)
+            blocks.append(((si, t_idx), block))
+    return Matrix.block(lin.layout.sizes[p], lin.layout.sizes[p], blocks)
+
+
+def _reference_zero_last(lin, p: int, cancellation: Matrix) -> tuple[Matrix, Matrix]:
+    v, g = lin.vb, lin.vb.base
+    sizes = lin.layout.sizes[p]
+    eye_rows = cancellation.split_rows(sizes)
+    lhs_rows, rhs_rows = [], []
+    for si, s in enumerate(lin.layout.nerve.strings[p]):
+        z = lin.zero_last(p, si)
+        if z.cols == 0:
+            continue
+        lhs_rows.append(z.transpose() * eye_rows[si])
+        tail = Matrix.vstack(v.slots(s, lin.fib_bases[p][si] * z)[1:])
+        terms = []
+        for prod, sign in ((g.compose_many(*s), (-1) ** p), (g.compose_many(*s[1:]), -((-1) ** p))):
+            ext = Matrix.block([tail.rows, v.gamma_dims[g.inv[prod]]], [z.cols], {(0, 0): tail})
+            t_idx, block = _reference_block(lin, p, s[1:] + (g.inv[prod],), ext, sign)
+            terms.append(((0, t_idx), block))
+        rhs_rows.append(Matrix.block([z.cols], sizes, terms))
+    if not lhs_rows:
+        return Matrix.zeros(0, lin.dim(p)), Matrix.zeros(0, lin.dim(p))
+    return Matrix.vstack(lhs_rows), Matrix.vstack(rhs_rows)
+
+
+def _reference_pullback(f, lin_src, lin_tgt) -> dict[int, Matrix]:
+    v, bm = f.source, f.base_map
+    blocks0 = [((x, bm.obj_map[x]), f.obj_maps[x].transpose()) for x in range(v.base.n_objects)]
+    out = {0: Matrix.block(lin_src.layout.sizes[0], lin_tgt.layout.sizes[0], blocks0)}
+    for p in range(1, lin_src.p_max + 1):
+        blocks = []
+        for si, s in enumerate(lin_src.layout.nerve.strings[p]):
+            slots = v.slots(s, lin_src.fib_bases[p][si])
+            mapped = Matrix.vstack([f.arr_maps[a] * w for a, w in zip(s, slots)])
+            t_idx, block = _reference_block(lin_tgt, p, tuple(bm.arr_map[a] for a in s), mapped, 1)
+            blocks.append(((si, t_idx), block))
+        out[p] = Matrix.block(lin_src.layout.sizes[p], lin_tgt.layout.sizes[p], blocks)
+    return out
+
+
+def _operator_p_max(v) -> int:
+    """Up to 4, as far as the linear complex stays small (the cochain dims of degree 4 are in the
+    thousands at 9 arrows, and reach tens of thousands at 12)."""
+    return 4 if v.base.n_arrows <= 9 else 3 if v.base.n_arrows <= 18 else 2
+
+
+# VB-maps from the generators: the pullback of a gauge-randomized Grothendieck VB-groupoid to a Cech
+# groupoid (a base map that is not the identity), a twisted Cech-pullback map (with and without core),
+# and the identity of a gauge-perturbed pullback; each also as its dual, or the identity of the dual
+MAP_FIXTURES = {
+    "gauge": lambda name, k, seed, dual: base_change(
+        cech_groupoid(ZOO[name], named_covers(name, ZOO[name])[0]).pi,
+        (dual_vb if dual else lambda v: v)(LIN_FIXTURES["gauge"](name, k, seed)),
+    )[1],
+    "cech-pullback": lambda name, k, seed, dual: (dual_vbmap if dual else lambda f: f)(
+        make_map_descent_fixture(seed, name, 0, with_core=k % 2 == 1).psi
+    ),
+    "perturbed-pullback": lambda name, k, seed, dual: identity_vbmap(
+        (dual_vb if dual else lambda v: v)(LIN_FIXTURES["perturbed-pullback"](name, k, seed))
+    ),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(LIN_FIXTURES)),
+    st.sampled_from(sorted(ZOO)),
+    st.integers(0, 7),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_fib_operators_equal_block_reference_on_generated_objects(kind, name, k, seed, dual):
+    v = LIN_FIXTURES[kind](name, k, seed)
+    if dual:
+        v = dual_vb(v)
+    p_max = _operator_p_max(v)
+    lin = lin_complex(v, p_max)
+    c = choose_cleavage(v)
+    h = {p: homotopy_operator(lin, c, p) for p in range(2, p_max + 1)}
+    assert h == {p: _reference_homotopy(lin, c, p) for p in h}
+    for p in range(2, p_max):
+        assert _displayed_cancellation(lin, c, p) == _reference_displayed_cancellation(lin, c, p)
+        cancellation = cancellation_operator(lin, p, h[p], h[p + 1])
+        assert _zero_last_two_term(lin, p, cancellation) == _reference_zero_last(lin, p, cancellation)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(MAP_FIXTURES)),
+    st.sampled_from(sorted(ZOO)),
+    st.integers(0, 7),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_pullback_lin_equals_block_reference_on_generated_maps(kind, name, k, seed, dual):
+    f = MAP_FIXTURES[kind](name, k, seed, dual)
+    p_max = min(_operator_p_max(f.source), _operator_p_max(f.target))
+    lin_src, lin_tgt = lin_complex(f.source, p_max), lin_complex(f.target, p_max)
+    assert pullback_lin(f, lin_src, lin_tgt) == _reference_pullback(f, lin_src, lin_tgt)
+
+
+# faults met on the rows of a Fib basis other than its unit rows, reported at the first failing term in
+# loop order: three in degree 3, and one of a Cech-pullback map whose target has a core
+
+
+def test_homotopy_operator_degree_3_witness(monkeypatch, curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 4)
+
+    def doubled_first_slot(real, lin, c, s, fib):
+        ext_string, ext = real(lin, c, s, fib)
+        k = v.gamma_dims[s[0]]
+        return ext_string, Matrix.vstack([ext.take_rows(range(k)).scale(2), ext.take_rows(range(k, ext.rows))])
+
+    _fail_call(monkeypatch, cohomology, "_append_lift_matrix", 2, doubled_first_slot)
+    with pytest.raises(InvalidStructureError, match="homotopy_operator: extended tuple not in Fib") as exc:
+        homotopy_operator(lin, choose_cleavage(v), 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness, violation.detail) == (
+        "lift-in-fib",
+        (3, (1, 0), (1, 0, 1)),
+        "(degree, string, extended string)",
+    )
+
+
+def test_displayed_cancellation_degree_3_witness(monkeypatch, curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 4)
+    c = choose_cleavage(v)
+    _fail_call(monkeypatch, VBGroupoid, "mult_of", 3, lambda real, v, *args: real(v, *args).scale(2))
+    with pytest.raises(InvalidStructureError, match="displayed cancellation: tuple not in Fib") as exc:
+        _displayed_cancellation(lin, c, 3)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness, violation.detail) == (
+        "term-in-fib",
+        (3, (0, 1, 1), (0, 1, 1)),
+        "(degree, string, term string)",
+    )
+
+
+def test_zero_last_degree_3_witness(monkeypatch, curved):
+    v = grothendieck(curved)
+    lin = lin_complex(v, 4)
+    c = choose_cleavage(v)
+    cancellation = cancellation_operator(lin, 3, homotopy_operator(lin, c, 3), homotopy_operator(lin, c, 4))
+    # all of Fib instead of the vectors with a zero last slot, for the third key of degree 3
+    _fail_call(monkeypatch, cohomology, "_zero_last_vectors", 2, lambda real, v, s, fib, zeros: Matrix.identity(fib.cols))
+    with pytest.raises(InvalidStructureError, match="zero-last evaluation: tuple not in Fib") as exc:
+        _zero_last_two_term(lin, 3, cancellation)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness, violation.detail) == (
+        "zero-last-in-fib",
+        (3, (0, 1, 0), (1, 0, 1)),
+        "(degree, string, extended string)",
+    )
+
+
+def test_pullback_lin_cech_pullback_witness():
+    f = make_map_descent_fixture(1, "pt", 0, with_core=True).psi
+    lin_src, lin_tgt = lin_complex(f.source, 3), lin_complex(f.target, 3)
+    # a map that is not f on one arrow's fiber breaks s(f w_1) = t(f w_2) on the strings through it
+    bad = replace(f, arr_maps=tuple(m.scale(2) if a == 3 else m for a, m in enumerate(f.arr_maps)))
+    with pytest.raises(InvalidStructureError, match="pullback_lin: image tuple not in Fib") as exc:
+        pullback_lin(bad, lin_src, lin_tgt)
+    [violation] = exc.value.report.violations
+    assert (violation.check, violation.witness, violation.detail) == (
+        "pullback-in-fib",
+        (2, (1, 3), (1, 3)),
+        "(degree, string, image string)",
+    )

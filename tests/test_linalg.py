@@ -624,6 +624,17 @@ def test_split_rows_rejects_heights_that_miss_the_row_count():
             a.split_rows(heights)
 
 
+def test_row_reads_check_their_indices():
+    # as col, m[i, j] and take_cols do: a negative index is not read from the end
+    a = M([[1, 2], [3, 4], [5, 6]])
+    for i in (-1, 3):
+        with pytest.raises(IndexError, match=f"row {i} of a 3x2 matrix"):
+            a.row(i)
+        with pytest.raises(IndexError, match="take_rows: want rows of a 3x2 matrix"):
+            a.take_rows([0, i])
+    assert a.take_rows([2, 2, 0]) == M([[5, 6], [5, 6], [1, 2]])
+
+
 def test_block_of_cancelling_blocks_is_zeros():
     a = M([["1/2", 0, -3], [0, 0, "2/3"]])
     got = Matrix.block([2, 1], [3], [((0, 0), a), ((1, 0), Matrix.zeros(1, 3)), ((0, 0), -a)])

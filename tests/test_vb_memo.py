@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vbgroupoids import io as vio
-from vbgroupoids import linalg, vb
+from vbgroupoids import groupoid, linalg, vb
 from vbgroupoids.descent import descend_pipeline, make_descent_problem
 from vbgroupoids.generators import (
     acyclic_ruth,
@@ -631,12 +631,12 @@ def _computed(monkeypatch, length: int = 3, checker: str = "check_vbgroupoid") -
 def _tried(monkeypatch) -> list[tuple[int, ...]]:
     """The strings at which a checker tries a law from now on, computed or found in its memo."""
     tried = []
-    failing_strings = vb._failing_strings
+    failing_strings = vb.failing_strings
 
     def counting(g, length, reduced, law):
         return failing_strings(g, length, reduced, lambda *x: tried.append(x) or law(*x))
 
-    monkeypatch.setattr(vb, "_failing_strings", counting)
+    monkeypatch.setattr(vb, "failing_strings", counting)
     return tried
 
 
@@ -652,15 +652,18 @@ def _z2_k4(seed: int = 5) -> VBGroupoid:
 def test_valid_object_computes_associativity_only_from_generators(monkeypatch):
     v = _z2_k4()
     gens = generating_arrows(v.base)
-    assert (v.base.n_arrows, len(gens), len(v.base.triples())) == (32, 4, 2048)
+    triples = v.base.triples()
+    assert (v.base.n_arrows, len(gens), len(triples)) == (32, 4, 2048)
     computed = _computed(monkeypatch)
     firsts = []
-    strings = vb.composable_strings
-    monkeypatch.setattr(vb, "composable_strings", lambda g, n, first=None: firsts.append(first) or strings(g, n, first))
+    strings = groupoid.composable_strings
+    monkeypatch.setattr(
+        groupoid, "composable_strings", lambda g, n, first=None: firsts.append(first) or strings(g, n, first)
+    )
     assert raw_check(v).ok
     assert len(computed) == 256
     # built from the generators in the order of the full list, which is never enumerated
-    assert computed == [x for x in v.base.triples() if x[0] in set(gens)]
+    assert computed == [x for x in triples if x[0] in set(gens)]
     assert firsts == [gens]
 
 
